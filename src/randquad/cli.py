@@ -121,8 +121,7 @@ def _cmd_orbit(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     samples = cfg.get("orbit", "samples", 25)
     table = quadmap.q_of_theta((lo, hi), m, samples)
     rows = []
-    for i, theta in enumerate(table.thetas):
-        orbit = quadmap.find_periodic_orbit(float(theta), m)
+    for i, (theta, orbit) in enumerate(zip(table.thetas, table.orbits)):
         if orbit is None:
             rows.append([theta, "", "", ""] + [""] * m)
         else:

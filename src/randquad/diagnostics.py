@@ -16,19 +16,20 @@ scale choices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .engine import (
     OccupationMeasure,
     SimConfig,
-    Trajectory,
-    _advance,
+    _bin_path,
+    _generator,
+    _walk,
     ensemble_occupation,
-    occupation_measure,
 )
 from .kernel import MinorizationCertificate
-from .noise import NoiseModel, check_conditions, substream
+from .noise import NoiseModel, check_conditions
 from .quadmap import DomainError
 
 __all__ = [
@@ -224,7 +225,7 @@ def extinction_test(
         raise ValueError("checkpoints must be positive step counts")
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must increase")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
+    rng = _generator(seed)
     states = np.full(int(n_replicates), float(x0))
     fractions = []
     step = 0
@@ -291,16 +292,19 @@ def cyclicity_detect(
         raise ValueError("J must be nondegenerate")
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    eps = model.sample(rng, size=burn_in + n)
-    path = np.empty(burn_in + n)
-    stop = _advance(float(x0), eps, path)
-    if stop >= 0:
-        path = path[: stop + 1]
-    post = path[burn_in:]
-    visits = (post > lo) & (post < hi)
-    n_visits = int(visits.sum())
-    steps = len(post)
+    # residue-class visit counts for every candidate d, built block by block;
+    # post-burn-in step k (k = 0, 1, ...) falls in class k mod d
+    residue_counts = {d: np.zeros(d, dtype=np.int64) for d in range(1, d_max + 1)}
+    steps = 0
+    walk = _walk(x0, burn_in + n, partial(model.sample, _generator(seed)))
+    for done, _, states, _ in walk:
+        skip = max(0, burn_in - done)
+        post = states[skip:]
+        idx = np.nonzero((post > lo) & (post < hi))[0] + (done + skip - burn_in)
+        for d, counts in residue_counts.items():
+            counts += np.bincount(idx % d, minlength=d)
+        steps += len(post)
+    n_visits = int(residue_counts[1][0])
     visit_freq = n_visits / steps if steps else 0.0
     if n_visits < min_visits:
         return CyclicityReport(
@@ -310,19 +314,18 @@ def cyclicity_detect(
             concentration_by_d={},
             n_visits=n_visits,
         )
-    idx = np.nonzero(visits)[0]
-    concentration: dict[int, float] = {}
-    for d in range(2, d_max + 1):
-        residue_counts = np.bincount(idx % d, minlength=d)
-        concentration[d] = float(residue_counts.max() / residue_counts.mean())
+    concentration = {
+        d: float(counts.max() / counts.mean())
+        for d, counts in residue_counts.items()
+        if d >= 2
+    }
     qualifying = {d: r for d, r in concentration.items() if r >= 2.0 * 0.95}
     if not qualifying:
         period = 1
     else:
         best = max(qualifying.values())
         period = min(d for d, r in qualifying.items() if r >= best - 0.02)
-    residue_counts = np.bincount(idx % period, minlength=period)
-    masses = tuple(residue_counts / steps)
+    masses = tuple(residue_counts[period] / steps)
     return CyclicityReport(
         period=period,
         residue_masses=masses,
@@ -361,16 +364,8 @@ def kolmogorov_approx(theta0: float, eta: float, config: SimConfig) -> Kolmogoro
 
     # one long deterministic orbit, matched in total post-burn-in samples
     n_det = config.n_replicates * (config.n_steps - config.burn_in) + config.burn_in
-    path = np.empty(n_det)
-    stop = _advance(float(x0), np.full(n_det, float(theta0)), path)
-    if stop >= 0:
-        path = path[: stop + 1]
-    traj = Trajectory(
-        values=np.concatenate(([x0], path)),
-        epsilons=np.full(len(path), float(theta0)),
-        absorbed=stop >= 0,
-    )
-    det_measure = occupation_measure(traj, config.bin_edges, config.burn_in)
+    orbit = _walk(x0, n_det, lambda m: np.full(m, float(theta0)))
+    det_measure = _bin_path(orbit, config.burn_in, config.bin_edges)
     tv = tv_distance(noise_measure, det_measure)
     return KolmogorovReport(
         theta0=float(theta0),

@@ -6,6 +6,11 @@ occupation measures, parallel ensembles with schedule-independent merging,
 and the hitting-time / visit-count probes used by the recurrence
 diagnostics.
 
+`_walk` is the single path loop: it draws parameters a chunk at a time,
+runs the recurrence and stops at absorption.  Every single-chain consumer
+(here and in the diagnostics) is a reduction over the blocks it yields, so
+the chunk layout and the absorption policy live in one place.
+
 Reproducibility contract: every stochastic routine takes a seed (or an
 explicit generator) and consumes the stream in a chunk-invariant layout, so
 results are bitwise identical for a given (model, inputs, seed) regardless
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -70,6 +76,33 @@ except ImportError:  # pragma: no cover
     pass
 
 
+def _walk(x0: float, n: int, draw):
+    """Walk n steps from x0, yielding (done, eps, states, absorbed) blocks.
+
+    draw(m) returns the next m parameters.  states holds the states after
+    steps done+1 .. done+len(states); it is a view into one buffer reused
+    across blocks, so copy it to keep it.  A block that ends in absorption
+    is the last one.
+    """
+    x = float(x0)
+    done = 0
+    out = np.empty(min(CHUNK, n))
+    while done < n:
+        m = min(CHUNK, n - done)
+        eps = draw(m)
+        stop = _advance(x, eps, out[:m])
+        k = m if stop < 0 else stop + 1
+        yield done, eps[:k], out[:k], stop >= 0
+        if stop >= 0:
+            return
+        x = out[k - 1]
+        done += k
+
+
+def _generator(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else substream(seed)
+
+
 def _check_interval(J) -> tuple[float, float]:
     lo, hi = float(J[0]), float(J[1])
     if not (0.0 <= lo < hi <= 1.0):
@@ -103,6 +136,8 @@ class SimConfig:
             raise ValueError("initial states must lie in (0, 1)")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
     @property
     def bin_edges(self) -> np.ndarray:
@@ -129,15 +164,15 @@ def simulate_trajectory(model: NoiseModel, x0: float, n: int, seed) -> Trajector
         raise ValueError("x0 must lie in (0, 1)")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    eps = np.atleast_1d(model.sample(rng, size=n)) if n else np.empty(0)
-    out = np.empty(n)
-    stop = _advance(float(x0), eps, out) if n else -1
-    if stop >= 0:
-        out = out[: stop + 1]
-        eps = eps[: stop + 1]
-    values = np.concatenate(([x0], out))
-    return Trajectory(values=values, epsilons=eps, absorbed=stop >= 0)
+    values, epsilons, absorbed = [[float(x0)]], [], False
+    for _, eps, states, absorbed in _walk(x0, n, partial(model.sample, _generator(seed))):
+        values.append(states.copy())
+        epsilons.append(eps)
+    return Trajectory(
+        values=np.concatenate(values),
+        epsilons=np.concatenate(epsilons) if epsilons else np.empty(0),
+        absorbed=absorbed,
+    )
 
 
 def bin_states(values: np.ndarray, bin_edges: np.ndarray):
@@ -235,38 +270,19 @@ def merge_occupations(measures) -> OccupationMeasure:
     )
 
 
-def _occupation_stream(
-    model: NoiseModel,
-    x0: float,
-    n: int,
-    burn_in: int,
-    bin_edges: np.ndarray,
-    rng: np.random.Generator,
-) -> OccupationMeasure:
-    """One replicate, binned chunk by chunk without storing the path."""
+def _bin_path(blocks, burn_in: int, bin_edges: np.ndarray) -> OccupationMeasure:
+    """Bin the states after step burn_in of a walked path, block by block."""
     counts = np.zeros(len(bin_edges) - 1, dtype=np.int64)
     under = over = produced = 0
     absorbed = False
-    x = float(x0)
-    done = 0
-    out = np.empty(min(CHUNK, n))
-    while done < n and not absorbed:
-        m = min(CHUNK, n - done)
-        eps = np.atleast_1d(model.sample(rng, size=m))
-        stop = _advance(x, eps, out[:m])
-        states = out[: m if stop < 0 else stop + 1]
-        absorbed = stop >= 0
-        x = states[-1]
-        # global step indices done+1 .. done+len(states); bin those > burn_in
-        skip = max(0, burn_in - done)
-        post = states[skip:]
+    for done, _, states, absorbed in blocks:
+        post = states[max(0, burn_in - done) :]
         if len(post):
             c, u, o = bin_states(post, bin_edges)
             counts += c
             under += u
             over += o
             produced += len(post)
-        done += len(states)
     return OccupationMeasure(
         bin_edges=bin_edges,
         counts=counts,
@@ -294,8 +310,8 @@ def ensemble_occupation(
     edges = config.bin_edges
 
     def one(i: int) -> OccupationMeasure:
-        rng = substream(config.master_seed, *stream_key, i)
-        return _occupation_stream(model, x0, config.n_steps, config.burn_in, edges, rng)
+        draw = partial(model.sample, substream(config.master_seed, *stream_key, i))
+        return _bin_path(_walk(x0, config.n_steps, draw), config.burn_in, edges)
 
     indices = range(config.n_replicates)
     if config.threads > 1 and config.n_replicates > 1:
@@ -311,23 +327,11 @@ def hitting_time(model: NoiseModel, x0: float, J, seed, cap: int) -> int | None:
     lo, hi = _check_interval(J)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    x = float(x0)
-    done = 0
-    out = np.empty(min(CHUNK, cap))
-    while done < cap:
-        m = min(CHUNK, cap - done)
-        eps = np.atleast_1d(model.sample(rng, size=m))
-        stop = _advance(x, eps, out[:m])
-        states = out[: m if stop < 0 else stop + 1]
+    for done, _, states, _ in _walk(x0, cap, partial(model.sample, _generator(seed))):
         hits = np.nonzero((states > lo) & (states < hi))[0]
         if len(hits):
             return done + int(hits[0]) + 1
-        if stop >= 0:
-            return None  # absorbed at the boundary, J unreachable
-        x = states[-1]
-        done += len(states)
-    return None
+    return None  # past cap, or absorbed at the boundary with J unreachable
 
 
 def visit_counts(model: NoiseModel, x0: float, J, n: int, seed) -> int:
@@ -335,19 +339,7 @@ def visit_counts(model: NoiseModel, x0: float, J, n: int, seed) -> int:
     lo, hi = _check_interval(J)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    x = float(x0)
-    done = 0
-    count = 0
-    out = np.empty(min(CHUNK, n)) if n else np.empty(0)
-    while done < n:
-        m = min(CHUNK, n - done)
-        eps = np.atleast_1d(model.sample(rng, size=m))
-        stop = _advance(x, eps, out[:m])
-        states = out[: m if stop < 0 else stop + 1]
-        count += int(np.count_nonzero((states > lo) & (states < hi)))
-        if stop >= 0:
-            break
-        x = states[-1]
-        done += len(states)
-    return count
+    return sum(
+        int(np.count_nonzero((states > lo) & (states < hi)))
+        for _, _, states, _ in _walk(x0, n, partial(model.sample, _generator(seed)))
+    )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import NoiseModel, substream
-from .quadmap import PeriodicOrbit, find_periodic_orbit
+from .quadmap import PeriodicOrbit, find_periodic_orbit, q_of_theta
 
 __all__ = [
     "QuadratureError",
@@ -366,38 +366,10 @@ def _density_window(model: NoiseModel, theta0: float) -> tuple[float, float]:
         raise ValueError("theta0 must lie in (1, 4) for the minorization construction")
     if float(model.density(theta0)) <= 0.0:
         raise ValueError(f"density vanishes at theta0 = {theta0}")
-    cuts = {1.0, 4.0}
-    for c, d, w in model.uniform_pieces:
-        if w > 0:
-            cuts.update((c, d))
-    cuts = sorted(p for p in cuts if 1.0 <= p <= 4.0)
-    lo = hi = None
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        if model.density(0.5 * (left + right)) > 0.0:
-            if lo is None:
-                lo, hi = left, right
-            elif left == hi:
-                hi = right
-            elif lo <= theta0 <= hi:
-                break
-            else:
-                lo, hi = left, right
-        elif lo is not None and lo <= theta0 <= hi:
-            break
-        else:
-            lo = hi = None
-    if lo is None or not (lo <= theta0 <= hi):
-        raise ValueError(f"no positive-density window inside (1, 4) contains {theta0}")
-    return lo, hi
-
-
-def _q_samples(thetas: np.ndarray, m: int) -> np.ndarray:
-    out = np.full(len(thetas), np.nan)
-    for i, th in enumerate(thetas):
-        orbit = find_periodic_orbit(float(th), m)
-        if orbit is not None:
-            out[i] = orbit.largest_point
-    return out
+    for lo, hi in model.density_runs():
+        if lo <= theta0 <= hi:
+            return lo, hi
+    raise ValueError(f"no positive-density window inside (1, 4) contains {theta0}")
 
 
 def _q_inverse(u: float, m: int, lo: float, hi: float, tol: float = 1e-11) -> float | None:
@@ -433,8 +405,8 @@ def _default_window(
     """Parameter subinterval around theta0 with attractive m-orbits and monotone q."""
     lo, hi = _density_window(model, theta0)
     pad = 1e-9 * (hi - lo)
-    thetas = np.linspace(lo + pad, hi - pad, n_scan)
-    qs = _q_samples(thetas, m)
+    table = q_of_theta((lo + pad, hi - pad), m, n_scan)
+    thetas, qs = table.thetas, table.q
     i0 = int(np.argmin(np.abs(thetas - theta0)))
     if np.isnan(qs[i0]):
         return None
@@ -482,6 +454,8 @@ def minorization_probe(
     the support) raise ValueError.
     """
     _require_ac(model)
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if float(model.density(theta0)) <= 0.0:
         raise ValueError(f"density vanishes at theta0 = {theta0}")
     orbit = find_periodic_orbit(theta0, m)
@@ -528,8 +502,8 @@ def minorization_probe(
         grid_min = float(values.min())
         dx = centers[1] - centers[0]
         dy = j_edges[1] - j_edges[0]
-        lip_x = float(np.max(np.abs(np.diff(values, axis=0)))) / dx if grid_n > 1 else 0.0
-        lip_y = float(np.max(np.abs(np.diff(values, axis=1)))) / dy if grid_n > 1 else 0.0
+        lip_x = float(np.max(np.abs(np.diff(values, axis=0)))) / dx
+        lip_y = float(np.max(np.abs(np.diff(values, axis=1)))) / dy
         allowance = 0.5 * (lip_x * dx + lip_y * dy)
         delta = grid_min - allowance
         last_min, last_allow = grid_min, allowance

@@ -57,16 +57,24 @@ class NoiseModel:
         for loc, w in atoms:
             if not (0.0 < loc < 4.0):
                 raise ValueError(f"atom location {loc} outside (0, 4)")
-            if w < 0.0:
+            if not w >= 0.0:  # also rejects NaN
                 raise ValueError("atom weights must be nonnegative")
         for c, d, w in pieces:
             if not (0.0 < c < d < 4.0):
                 raise ValueError(f"uniform piece ({c}, {d}) invalid in (0, 4)")
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValueError("piece weights must be nonnegative")
         total = sum(w for _, w in atoms) + sum(w for *_, w in pieces)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
+        # sampling tables, built once from the positive-weight components so
+        # that roundoff in the cumulative edges can never select a
+        # zero-weight one; an atom is a piece of zero width
+        drawn = [(a, a, w) for a, w in atoms if w > 0.0] + [p for p in pieces if p[2] > 0.0]
+        lo, hi, weights = map(np.array, zip(*drawn))
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0  # guard against roundoff in the last edge
+        object.__setattr__(self, "_tables", (cum, lo, hi - lo))
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -133,6 +141,28 @@ class NoiseModel:
             out = out + w * (u >= loc)
         return out if out.ndim else float(out)
 
+    def density_runs(self) -> list[tuple[float, float]]:
+        """Maximal intervals inside [1, 4] on which the density is positive.
+
+        Found exactly from the partition of [1, 4] by the endpoints of the
+        positive-weight pieces: a run is a maximal chain of adjacent cells
+        with positive density at their midpoints.  Runs come in increasing
+        order.
+        """
+        cuts = {1.0, 4.0}
+        for c, d, w in self.uniform_pieces:
+            if w > 0:
+                cuts.update((c, d))
+        cuts = sorted(p for p in cuts if 1.0 <= p <= 4.0)
+        runs: list[tuple[float, float]] = []
+        for left, right in zip(cuts[:-1], cuts[1:]):
+            if self.density(0.5 * (left + right)) > 0.0:
+                if runs and runs[-1][1] == left:
+                    runs[-1] = (runs[-1][0], right)
+                else:
+                    runs.append((left, right))
+        return runs
+
     # ------------------------------------------------------------------ #
     # sampling
 
@@ -146,19 +176,9 @@ class NoiseModel:
         """
         n = 1 if size is None else int(size)
         u = rng.random((n, 2))
-        locs = np.array([a for a, _ in self.atoms] + [0.0] * len(self.uniform_pieces))
-        is_atom = np.array([True] * len(self.atoms) + [False] * len(self.uniform_pieces))
-        lo = np.array([0.0] * len(self.atoms) + [c for c, _, _ in self.uniform_pieces])
-        hi = np.array([0.0] * len(self.atoms) + [d for _, d, _ in self.uniform_pieces])
-        weights = np.array(
-            [w for _, w in self.atoms] + [w for *_, w in self.uniform_pieces]
-        )
-        cum = np.cumsum(weights)
-        cum[-1] = 1.0  # guard against roundoff in the last edge
+        cum, lo, width = self._tables
         idx = np.searchsorted(cum, u[:, 0], side="right")
-        out = np.where(
-            is_atom[idx], locs[idx], lo[idx] + u[:, 1] * (hi[idx] - lo[idx])
-        )
+        out = lo[idx] + u[:, 1] * width[idx]
         return float(out[0]) if size is None else out
 
     # ------------------------------------------------------------------ #
@@ -222,35 +242,18 @@ class ConditionReport:
 def check_conditions(model: NoiseModel, scan_resolution: int = 256) -> ConditionReport:
     """Evaluate the stability hypotheses for `model`.
 
-    The density interval is found exactly from the partition induced by the
-    piece endpoints intersected with (1, 4): among maximal runs of cells with
-    positive density the widest is reported, with its infimum density checked
-    on `scan_resolution` interior points as a numerical crosscheck.  Absence
-    of a qualifying interval is an outcome, not an error.
+    The density interval is the widest of the model's density runs inside
+    [1, 4] (the first on a tie), with its infimum density checked on
+    `scan_resolution` interior points as a numerical crosscheck.  Absence of
+    a qualifying interval is an outcome, not an error.
     """
     e_log = model.e_log()
     e_log4m = model.e_log4m()
     moments_ok = e_log > 0.0 and math.isfinite(e_log4m)
 
-    cuts = {1.0, 4.0}
-    for c, d, w in model.uniform_pieces:
-        if w > 0:
-            cuts.update((c, d))
-    cuts = sorted(p for p in cuts if 1.0 <= p <= 4.0)
-    best: tuple[float, float] | None = None
-    run_start = None
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (left + right)
-        if model.density(mid) > 0.0:
-            if run_start is None:
-                run_start = left
-            if best is None or right - run_start > best[1] - best[0]:
-                best = (run_start, right)
-        else:
-            run_start = None
-
+    best = max(model.density_runs(), key=lambda r: r[1] - r[0], default=None)
     density_interval = None
-    if best is not None and best[1] > best[0]:
+    if best is not None:
         c, d = best
         grid = np.linspace(c, d, scan_resolution + 2)[1:-1]
         inf_h = float(np.min(model.density(grid)))

@@ -268,6 +268,7 @@ class QTable:
 
     dq holds centered finite differences (one-sided at the ends); entries are
     NaN at holes, i.e. samples where no attractive period-m orbit was found.
+    orbits[i] is the orbit found at thetas[i], None at a hole.
     """
 
     m: int
@@ -275,6 +276,7 @@ class QTable:
     q: np.ndarray
     dq: np.ndarray
     holes: list[float] = field(default_factory=list)
+    orbits: list[PeriodicOrbit | None] = field(default_factory=list)
 
     @property
     def monotone(self) -> bool:
@@ -305,14 +307,9 @@ def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:
     if n_samples < 3:
         raise ValueError("need at least 3 samples for centered differences")
     thetas = np.linspace(lo, hi, n_samples)
-    q = np.full(n_samples, np.nan)
-    holes: list[float] = []
-    for i, th in enumerate(thetas):
-        orbit = find_periodic_orbit(th, m)
-        if orbit is None:
-            holes.append(float(th))
-        else:
-            q[i] = orbit.largest_point
+    orbits = [find_periodic_orbit(th, m) for th in thetas]
+    q = np.array([np.nan if o is None else o.largest_point for o in orbits])
+    holes = [float(th) for th, o in zip(thetas, orbits) if o is None]
     dq = np.full(n_samples, np.nan)
     h = thetas[1] - thetas[0]
     for i in range(n_samples):
@@ -326,7 +323,7 @@ def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:
             dq[i] = (right - q[i]) / h
         elif not np.isnan(left):
             dq[i] = (q[i] - left) / h
-    return QTable(m=m, thetas=thetas, q=q, dq=dq, holes=holes)
+    return QTable(m=m, thetas=thetas, q=q, dq=dq, holes=holes, orbits=orbits)
 
 
 @dataclass(frozen=True)

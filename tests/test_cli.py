@@ -139,6 +139,20 @@ class TestSubcommands:
         assert "certified = true" in report
         assert "delta = " in report
 
+    def test_minorize_degenerate_grid_is_error(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("2.0:3.0:1.0", "2.2:2.8:1.0")
+        text += "\n[minorize]\ntheta0 = 2.5\nperiod = 1\nresolution = 128\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "minorize", "--config", str(cfg), "--set", "minorize.grid=1") == 1
+        err = capsys.readouterr().err
+        assert "grid_n must be >= 2" in err
+        assert "IndexError" not in err
+
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", "0") == 1
+        assert "config error: threads must be >= 1" in capsys.readouterr().err
+
     def test_minorize_failure_exit_two(self, tmp_path):
         # chaotic parameter: no attractive orbit, no certificate
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.85:3.95:1.0")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from randquad import engine
+from randquad.diagnostics import cyclicity_detect, kolmogorov_approx
 from randquad.engine import (
     OccupationMeasure,
     SimConfig,
@@ -258,6 +260,55 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(master_seed=1, n_steps=100, burn_in=10, initial_states=(1.5,))
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            SimConfig(master_seed=1, n_steps=100, burn_in=10, threads=threads)
+
     def test_bin_edges(self):
         cfg = SimConfig(master_seed=1, n_steps=100, burn_in=10, n_bins=4)
         assert np.array_equal(cfg.bin_edges, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+
+
+class TestChunkInvariance:
+    """Every path consumer gives identical results at any internal chunk size.
+
+    An odd chunk of 997 puts block boundaries inside the burn-in, between
+    visits and just before absorption; the default chunk holds each path in
+    one block.
+    """
+
+    def consumers(self):
+        cfg = SimConfig(master_seed=9, n_steps=4000, n_replicates=3, burn_in=1500, n_bins=50)
+        small = SimConfig(master_seed=4, n_steps=3000, n_replicates=2, burn_in=1000, n_bins=40)
+        absorbing = NoiseModel.uniform(0.5, 0.9)  # underflows after about 1900 steps
+        traj = simulate_trajectory(U23, 0.3, 5000, seed=1)
+        dead = simulate_trajectory(absorbing, 0.3, 5000, seed=1)
+        ens = ensemble_occupation(U23, 0.4, cfg)
+        ens_dead = ensemble_occupation(absorbing, 0.4, cfg)
+        cyc = cyclicity_detect(
+            NoiseModel.uniform(3.15, 3.25), (0.6, 0.9), 6000, 6, seed=2, x0=0.3, burn_in=1500
+        )
+        kol = kolmogorov_approx(3.9, 0.01, small)
+        return {
+            "trajectory": (traj.values.tobytes(), traj.epsilons.tobytes(), traj.absorbed),
+            "absorbed trajectory": (dead.values.tobytes(), dead.epsilons.tobytes(), dead.absorbed),
+            "ensemble": (ens.counts.tobytes(), ens.total, ens.underflow, ens.absorbed),
+            "absorbed ensemble": (ens_dead.counts.tobytes(), ens_dead.total,
+                                  ens_dead.underflow, ens_dead.absorbed),
+            "hitting_time": hitting_time(U23, 0.01, (0.7, 0.7001), seed=5, cap=50_000),
+            "visit_counts": visit_counts(U23, 0.3, (0.5, 0.6), 5000, seed=6),
+            "absorbed visit_counts": visit_counts(absorbing, 0.3, (0.01, 0.2), 5000, seed=6),
+            "cyclicity": (cyc.period, cyc.residue_masses, cyc.concentration_by_d, cyc.n_visits),
+            "kolmogorov": (kol.tv, kol.noise_measure.counts.tobytes(),
+                           kol.deterministic_measure.counts.tobytes()),
+        }
+
+    def test_small_odd_chunk_matches_default(self, monkeypatch):
+        default = self.consumers()
+        assert default["absorbed trajectory"][2] and default["absorbed ensemble"][3] == 3
+        assert 997 < len(default["absorbed trajectory"][0]) // 8 < 5000
+        monkeypatch.setattr(engine, "CHUNK", 997)
+        chunked = self.consumers()
+        for name in default:
+            assert chunked[name] == default[name], name

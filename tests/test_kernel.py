@@ -258,6 +258,11 @@ class TestMinorizationProbe:
         with pytest.raises(ValueError):
             minorization_probe(U23, 3.5, 1)
 
+    @pytest.mark.parametrize("grid_n", [1, 0, -2])
+    def test_degenerate_grid_rejected(self, grid_n):
+        with pytest.raises(ValueError, match="grid_n must be >= 2"):
+            minorization_probe(U2228, 2.5, 1, grid_n=grid_n, resolution=64)
+
     def test_window_with_orbit_holes_still_certifies(self):
         # support straddles the period-doubling point at 3: the period-1 scan
         # has holes above it and the window must clip there

@@ -48,6 +48,10 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             NoiseModel()
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            NoiseModel(atoms=((2.0, math.nan),), uniform_pieces=((2.0, 3.0, 1.0),))
+
 
 class TestDensity:
     def test_uniform_inside(self):
@@ -176,6 +180,49 @@ class TestSampling:
                 np.max(np.abs(cdf - ecdf_hi)), np.max(np.abs(cdf_left - ecdf_lo))
             )
             assert d_stat < critical
+
+
+class _TopOfUnitInterval:
+    """Stub generator whose every uniform is the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+class TestZeroWeightNeverDrawn:
+    # ten weights of 0.1 leave the cumulative edge before the trailing
+    # zero-weight piece at 0.9999999999999999, below the largest uniform
+    PIECES = tuple((1.0 + 0.2 * k, 1.1 + 0.2 * k, 0.1) for k in range(10)) + ((3.5, 3.9, 0.0),)
+
+    def test_cumulative_gap_exists(self):
+        assert np.cumsum([0.1] * 10)[-1] == np.nextafter(1.0, 0.0)
+
+    def test_top_uniform_draws_last_positive_piece(self):
+        m = NoiseModel(uniform_pieces=self.PIECES)
+        draws = m.sample(_TopOfUnitInterval(), size=4)
+        assert np.allclose(draws, 2.9, rtol=0.0, atol=1e-12)  # top of (2.8, 2.9)
+        assert m.sample(_TopOfUnitInterval()) == draws[0]
+
+
+class TestDensityRuns:
+    def test_single_piece(self):
+        assert NoiseModel.uniform(2.0, 3.0).density_runs() == [(2.0, 3.0)]
+
+    def test_adjacent_pieces_merge_and_gaps_split(self):
+        m = NoiseModel(uniform_pieces=((1.5, 2.0, 0.25), (2.0, 2.5, 0.25), (3.0, 3.5, 0.5)))
+        assert m.density_runs() == [(1.5, 2.5), (3.0, 3.5)]
+
+    def test_clipped_to_one_four_and_zero_weight_ignored(self):
+        m = NoiseModel(uniform_pieces=((0.5, 1.5, 1.0), (2.0, 3.0, 0.0)))
+        assert m.density_runs() == [(1.0, 1.5)]
+
+    def test_atoms_have_no_runs(self):
+        assert NoiseModel.point_mass(2.5).density_runs() == []
+
+    def test_widest_run_first_on_tie_is_density_interval(self):
+        m = NoiseModel(uniform_pieces=((1.5, 2.0, 0.5), (3.0, 3.5, 0.5)))
+        c, d, _ = check_conditions(m).density_interval
+        assert (c, d) == (1.5, 2.0)
 
 
 class TestSupportBounds:

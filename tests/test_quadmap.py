@@ -219,6 +219,16 @@ class TestQOfTheta:
         table = quadmap.q_of_theta((3.55, 3.65), 1, 5)
         assert table.holes
 
+    def test_orbits_kept_per_sample(self):
+        table = quadmap.q_of_theta((2.9, 3.1), 1, 9)  # period-1 orbits end at 3
+        assert len(table.orbits) == len(table.thetas)
+        for theta, q, orbit in zip(table.thetas, table.q, table.orbits):
+            if orbit is None:
+                assert np.isnan(q) and float(theta) in table.holes
+            else:
+                assert orbit.theta == theta and orbit.largest_point == q
+        assert any(o is None for o in table.orbits) and any(table.orbits)
+
 
 class TestInvariantInterval:
     def test_formula(self):

@@ -145,6 +145,8 @@ def _cmd_orbit(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
 def _cmd_kernel(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     model = cfg.noise_model()
     x_points = cfg.require("kernel", "x_points")
+    if not x_points:
+        raise ConfigError("kernel.x_points is empty: list at least one source state")
     n = cfg.get("kernel", "steps", 1)
     resolution = cfg.get("kernel", "resolution", 512)
     grid = kernel.density_grid(model, x_points, n, resolution=resolution)
@@ -336,6 +338,8 @@ def main(argv=None) -> int:
         threads = args.threads
         if threads is None:
             threads = cfg.get("sim", "threads", os.cpu_count() or 1)
+        if threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {threads}")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.subcommand](cfg, outdir, int(threads))

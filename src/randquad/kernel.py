@@ -19,11 +19,19 @@ uniform representation of the previous row.  Pointwise sampling of the
 discontinuous h inside quadratures is avoided entirely; plain trapezoid
 sums on such integrands stall near 1e-4 accuracy at practical resolutions,
 far short of what the normalization checks demand.
+
+Storage: the transfer matrix is never held dense.  The kernel is symmetric
+in the source state (s(x) = x(1-x) = s(1-x)), so only the source cells of
+the half grid are kept, and each out cell receives mass from one contiguous
+run of them; KernelOperator stores those runs in padded row blocks.  That
+is about half the nonzeros of the dense matrix: 44 MiB at R = 8192 for
+U[2,3], against 512 MiB for the dense R x R array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,46 +82,78 @@ def one_step_row_mass(model: NoiseModel, x: float, y_lo: float = 0.0, y_hi: floa
     return float(model.ac_cdf(y_hi / s) - model.ac_cdf(y_lo / s))
 
 
-def _h_mass_antiderivative(model: NoiseModel, e: float, z: np.ndarray) -> np.ndarray:
+def _h_mass_antiderivative(model: NoiseModel, e, z) -> np.ndarray:
     """A_e(z) = integral from 0 to z of H(e / (t(1-t))) dt, in closed form.
 
     H is the CDF of the density component.  Per uniform piece (c, d, w) the
     integrand is w outside {t : t(1-t) >= e/d}, zero inside
     {t : t(1-t) >= e/c}, and affine in 1/(t(1-t)) on the two bands between,
-    where the antiderivative of 1/(t(1-t)) is log(t/(1-t)).
+    where the antiderivative of 1/(t(1-t)) is log(t/(1-t)).  e and z
+    broadcast against each other (a column of out edges against a row of
+    source edges gives one block of the transfer matrix); A_e vanishes for
+    e <= 0.
     """
-    total = np.zeros_like(z)
-    if e <= 0.0:
-        return total
+    e = np.asarray(e, dtype=float)
+    z = np.asarray(z, dtype=float)
+    total = np.zeros(np.broadcast_shapes(e.shape, z.shape))
 
-    def crossing(kappa: float) -> tuple[float, float]:
+    def crossing(kappa: float) -> tuple[np.ndarray, np.ndarray]:
         # {t : t(1-t) >= e/kappa}; empty unless 4e <= kappa (encoded as the
         # degenerate pair (0.5, 0.5))
         disc = 1.0 - 4.0 * e / kappa
-        if disc <= 0.0:
-            return 0.5, 0.5
-        root = np.sqrt(disc)
-        lo = (2.0 * e / kappa) / (1.0 + root)  # stable form of (1 - root)/2
-        return lo, 0.5 * (1.0 + root)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        empty = disc <= 0.0
+        lo = np.where(empty, 0.5, (2.0 * e / kappa) / (1.0 + root))  # stable (1 - root)/2
+        return lo, np.where(empty, 0.5, 0.5 * (1.0 + root))
 
     logit = lambda t: np.log(t / (1.0 - t))
-    for c, d, w in model.uniform_pieces:
-        if w <= 0.0:
-            continue
-        zc1, zc2 = crossing(c)
-        zd1, zd2 = crossing(d)
-        lam_d = np.clip(z, zd1, zd2) - zd1
-        part_w = w * (z - lam_d)
-        band_left_hi = np.clip(z, zd1, zc1)
-        band_right_hi = np.clip(z, zc2, zd2)
-        lam_band = (band_left_hi - zd1) + (band_right_hi - zc2)
-        log_band = np.zeros_like(z)
-        if zd1 < zc1:
-            log_band += logit(band_left_hi) - logit(zd1)
-        if zc2 < zd2:
-            log_band += logit(band_right_hi) - logit(zc2)
-        total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
-    return total
+    # at e = 0 the crossings reach 0 and 1, where logit is infinite; those
+    # entries are replaced by A_0 = 0 below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, d, w in model.uniform_pieces:
+            if w <= 0.0:
+                continue
+            zc1, zc2 = crossing(c)
+            zd1, zd2 = crossing(d)
+            lam_d = np.clip(z, zd1, zd2) - zd1
+            part_w = w * (z - lam_d)
+            # an empty band (zd1 == zc1 or zc2 == zd2) clips to its own
+            # start and adds exactly zero
+            band_left_hi = np.clip(z, zd1, zc1)
+            band_right_hi = np.clip(z, zc2, zd2)
+            lam_band = (band_left_hi - zd1) + (band_right_hi - zc2)
+            log_band = (logit(band_left_hi) - logit(zd1)) + (logit(band_right_hi) - logit(zc2))
+            total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
+    return np.where(e > 0.0, total, 0.0)
+
+
+# out cells per padded block of the banded transfer matrix: small enough that
+# the bands of a block's rows nearly coincide, large enough that applying the
+# matrix is a few dozen matrix-vector products
+_BLOCK_ROWS = 32
+
+
+class _FoldedBand(NamedTuple):
+    """Kernel mass matrix over folded source cells, in padded row blocks.
+
+    s(t) = t(1-t) = s(1-t), so source cells i and R-1-i send identical mass
+    to every out cell; only the half grid i < ceil(R/2) is stored, applied to
+    the folded vector f_i + f_{R-1-i} (the middle cell of an odd grid is not
+    doubled).  Out cell (e0, e1] receives mass only from sources with
+    e0/max d < s < e1/min c, one contiguous run of the half grid since s
+    increases there.  Rows are grouped into blocks of _BLOCK_ROWS; block k
+    is dense over the union of its rows' runs, the half-grid cells
+    starts[k] .. starts[k] + blocks[k].shape[1] - 1.
+    """
+
+    starts: np.ndarray
+    blocks: tuple[np.ndarray, ...]
+
+    def apply(self, folded: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [block @ folded[start : start + block.shape[1]]
+             for start, block in zip(self.starts, self.blocks)]
+        )
 
 
 @dataclass(frozen=True)
@@ -162,12 +202,21 @@ class DensityGrid:
 class KernelOperator:
     """Reusable n-step density evaluator at a fixed internal resolution.
 
-    Building the square transfer matrix on the internal grid is the dominant
-    cost, so construct one operator and query many source states (and many
-    final output grids) against it.  Intermediate recursion steps always run
-    on the full internal grid; out_edges only restricts the cells of the
-    final step, as the minorization grids over J do.
+    Building the transfer matrix on the internal grid is the dominant cost,
+    so construct one operator and query many source states (and many final
+    output grids) against it.  Intermediate recursion steps always run on
+    the full internal grid; out_edges only restricts the cells of the final
+    step, as the minorization grids over J do.
+
+    Matrices are stored folded and banded (see _FoldedBand): half the
+    source columns, and of those only the run that can reach each out cell.
+    That keeps about half the nonzeros: 44 MiB at R = 8192 for U[2,3],
+    against 512 MiB for the dense R x R matrix.  At most _FINAL_CACHE_SIZE
+    final-step matrices for out_edges other than the internal grid are
+    kept, the most recently built ones.
     """
+
+    _FINAL_CACHE_SIZE = 2
 
     def __init__(self, model: NoiseModel, resolution: int):
         _require_ac(model)
@@ -177,27 +226,65 @@ class KernelOperator:
         self.resolution = int(resolution)
         self.edges = np.linspace(0.0, 1.0, self.resolution + 1)
         self.widths = np.diff(self.edges)
-        self._step_matrix: np.ndarray | None = None
-        self._final_cache: dict[bytes, np.ndarray] = {}
+        self._step_matrix: _FoldedBand | None = None
+        self._final_cache: dict[bytes, _FoldedBand] = {}
 
-    def _mass_matrix(self, out_edges: np.ndarray) -> np.ndarray:
-        """K[j, i] = integral over source cell i of the kernel mass into out cell j."""
-        K = np.empty((len(out_edges) - 1, self.resolution))
-        prev = np.diff(_h_mass_antiderivative(self.model, float(out_edges[0]), self.edges))
-        for j in range(1, len(out_edges)):
-            cur = np.diff(_h_mass_antiderivative(self.model, float(out_edges[j]), self.edges))
-            K[j - 1] = cur - prev
-            prev = cur
-        return K
+    def _band_matrix(self, out_edges: np.ndarray) -> _FoldedBand:
+        """Masses from each folded half-grid source cell into each out cell."""
+        half = (self.resolution + 1) // 2
+        pieces = [(c, d) for c, d, w in self.model.uniform_pieces if w > 0.0]
+        c_min = min(c for c, _ in pieces)
+        d_max = max(d for _, d in pieces)
+        # s over half-grid cell i spans [s_lo[i], s_hi[i]]; the last cell
+        # reaches 1/2 (or straddles it on an odd grid), where s peaks at 1/4
+        z = self.edges[: half + 1]
+        s = z * (1.0 - z)
+        s_lo = s[:-1]
+        s_hi = np.append(s[1:-1], 0.25)
+        # run of each out cell, widened by one cell against roundoff in s
+        first = np.searchsorted(s_hi, out_edges[:-1] / d_max, side="left")
+        stop = np.searchsorted(s_lo, out_edges[1:] / c_min, side="left")
+        first = np.maximum(first - 1, 0)
+        stop = np.minimum(stop + 1, half)
+        starts, blocks = [], []
+        for j0 in range(0, len(out_edges) - 1, _BLOCK_ROWS):
+            j1 = min(j0 + _BLOCK_ROWS, len(out_edges) - 1)
+            lo = int(first[j0:j1].min())
+            hi = max(int(stop[j0:j1].max()), lo)
+            A = _h_mass_antiderivative(
+                self.model, out_edges[j0 : j1 + 1, None], self.edges[None, lo : hi + 1]
+            )
+            starts.append(lo)
+            blocks.append(np.diff(np.diff(A, axis=1), axis=0))
+        return _FoldedBand(np.array(starts), tuple(blocks))
+
+    def _fold(self, masses: np.ndarray) -> np.ndarray:
+        """Cell densities f folded onto the half grid: f_i + f_{R-1-i}."""
+        f = masses / self.widths
+        half = (self.resolution + 1) // 2
+        folded = f[:half] + f[::-1][:half]
+        if self.resolution % 2:
+            folded[-1] = f[half - 1]
+        return folded
 
     def _masses_from_point(self, x: float, out_edges: np.ndarray) -> np.ndarray:
         s = x * (1.0 - x)
         return np.diff(np.asarray(self.model.ac_cdf(out_edges / s), dtype=float))
 
-    def _step(self) -> np.ndarray:
+    def _step(self) -> _FoldedBand:
         if self._step_matrix is None:
-            self._step_matrix = self._mass_matrix(self.edges)
+            self._step_matrix = self._band_matrix(self.edges)
         return self._step_matrix
+
+    def _final(self, out_edges: np.ndarray) -> _FoldedBand:
+        if out_edges is self.edges:
+            return self._step()
+        key = out_edges.tobytes()
+        if key not in self._final_cache:
+            while len(self._final_cache) >= self._FINAL_CACHE_SIZE:
+                del self._final_cache[next(iter(self._final_cache))]
+            self._final_cache[key] = self._band_matrix(out_edges)
+        return self._final_cache[key]
 
     def row(self, x: float, n: int, out_edges=None) -> DensityRow:
         """Cell-averaged p^(n)(x, .) on out_edges cells (internal grid if None)."""
@@ -210,23 +297,20 @@ class KernelOperator:
             full_range = True
         else:
             out_edges = np.asarray(out_edges, dtype=float)
-            if np.any(np.diff(out_edges) <= 0):
+            if out_edges.ndim != 1 or len(out_edges) < 2:
+                raise ValueError("output edges must be a sequence of at least two values")
+            if not np.all(np.diff(out_edges) > 0):
                 raise ValueError("output edges must increase strictly")
+            if not (0.0 <= out_edges[0] and out_edges[-1] <= 1.0):
+                raise ValueError("output edges must lie in [0, 1]")
             full_range = bool(out_edges[0] == 0.0 and out_edges[-1] == 1.0)
         if n == 1:
             masses = self._masses_from_point(x, out_edges)
         else:
             masses = self._masses_from_point(x, self.edges)
             for _ in range(n - 2):
-                masses = self._step() @ (masses / self.widths)
-            if out_edges is self.edges:
-                final = self._step()
-            else:
-                key = out_edges.tobytes()
-                if key not in self._final_cache:
-                    self._final_cache[key] = self._mass_matrix(out_edges)
-                final = self._final_cache[key]
-            masses = final @ (masses / self.widths)
+                masses = self._step().apply(self._fold(masses))
+            masses = self._final(out_edges).apply(self._fold(masses))
         return DensityRow(
             n=n,
             x=float(x),
@@ -272,8 +356,10 @@ def density_grid(
     y_edges=None,
 ) -> DensityGrid:
     """Density rows for several source states, sharing one transfer matrix."""
-    op = KernelOperator(model, resolution)
     x_values = np.asarray(x_values, dtype=float)
+    if x_values.size == 0:
+        raise ValueError("x_values is empty: need at least one source state")
+    op = KernelOperator(model, resolution)
     rows = [op.row(float(x), n, out_edges=y_edges) for x in x_values]
     return DensityGrid(
         n=n,

@@ -153,6 +153,34 @@ class TestSubcommands:
         assert run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", "0") == 1
         assert "config error: threads must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, extra, threads",
+        [
+            pytest.param("check", "", ["--threads", "0"], id="check-threads-0"),
+            pytest.param(
+                "orbit",
+                "\n[orbit]\ntheta_min = 2.2\ntheta_max = 2.8\n",
+                ["--threads", "-5"],
+                id="orbit-threads-minus-5",
+            ),
+            pytest.param("check", "", ["--set", "sim.threads=0"], id="check-sim-threads-0"),
+        ],
+    )
+    def test_threads_below_one_rejected_by_every_subcommand(
+        self, tmp_path, capsys, command, extra, threads
+    ):
+        cfg = write_config(tmp_path, BASE_CONFIG + extra)
+        assert run_cli(tmp_path, command, "--config", str(cfg), *threads) == 1
+        assert "config error: threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_kernel_empty_x_points_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG + "\n[kernel]\nx_points =\nresolution = 64\n")
+        assert run_cli(tmp_path, "kernel", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "config error: kernel.x_points is empty" in err
+        assert "IndexError" not in err
+
     def test_minorize_failure_exit_two(self, tmp_path):
         # chaotic parameter: no attractive orbit, no certificate
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.85:3.95:1.0")

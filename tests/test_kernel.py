@@ -1,5 +1,7 @@
 """Tests for the transition-density machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -85,6 +87,47 @@ def p3_oracle(model, x, y):
     )
     assert err < 1e-8
     return val
+
+
+# ----------------------------------------------------------------------- #
+# dense oracle: the full (n_out, R) mass matrix, one out edge at a time, as
+# the operator stored it before folding and banding
+
+_EPS = np.finfo(float).eps
+
+ORACLE_MODELS = {
+    "U[2,3]": U23,
+    "disjoint": NoiseModel(uniform_pieces=((1.5, 2.0, 0.5), (3.0, 3.5, 0.5))),
+    "overlapping": NoiseModel(uniform_pieces=((2.0, 3.0, 0.5), (2.5, 3.5, 0.5))),
+    "atom+piece": NoiseModel(atoms=((2.5, 0.4),), uniform_pieces=((2.0, 3.0, 0.6),)),
+    "narrow": NoiseModel(uniform_pieces=((3.9, 3.99, 1.0),)),
+}
+J_EDGES = np.linspace(0.55, 0.7, 17)
+
+
+def _dense_mass_matrix(model, edges, out_edges):
+    K = np.empty((len(out_edges) - 1, len(edges) - 1))
+    prev = np.diff(kernel._h_mass_antiderivative(model, float(out_edges[0]), edges))
+    for j in range(1, len(out_edges)):
+        cur = np.diff(kernel._h_mass_antiderivative(model, float(out_edges[j]), edges))
+        K[j - 1] = cur - prev
+        prev = cur
+    return K
+
+
+def _entry_scale(model):
+    """Size of the terms the antiderivative sums: a matrix entry, a
+    difference of such sums, carries roundoff of a few eps times this."""
+    return sum(w * (1.0 + d / (d - c)) for c, d, w in model.uniform_pieces if w > 0.0)
+
+
+def _unband(band, n_rows, half):
+    K = np.zeros((n_rows, half))
+    row = 0
+    for start, block in zip(band.starts, band.blocks):
+        K[row : row + block.shape[0], start : start + block.shape[1]] = block
+        row += block.shape[0]
+    return K
 
 
 # ----------------------------------------------------------------------- #
@@ -197,6 +240,106 @@ class TestNStepDensity:
         single = n_step_density(U23, 0.5, 2, resolution=512)
         assert np.array_equal(grid.values[1], single.values)
         assert grid.values.shape == (3, 512)
+
+
+class TestFoldedBandOperator:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257])
+    @pytest.mark.parametrize("grid", ["full", "J"])
+    def test_matrix_matches_dense_oracle(self, name, R, grid):
+        model = ORACLE_MODELS[name]
+        op = KernelOperator(model, R)
+        out_edges = op.edges if grid == "full" else J_EDGES
+        dense = _dense_mass_matrix(model, op.edges, out_edges)
+        half = (R + 1) // 2
+        tol = 2.0 * _EPS * _entry_scale(model)
+        # the fold: source cells i and R-1-i carry the same masses
+        assert np.max(np.abs(dense - dense[:, ::-1])) <= tol
+        # the band holds every entry the dense matrix has, first and last
+        # rows (e = 0 and e = 1) included; outside it dense entries are zero
+        banded = _unband(op._band_matrix(out_edges), len(out_edges) - 1, half)
+        assert np.max(np.abs(banded - dense[:, :half])) <= tol
+        # applied to random densities
+        rng = np.random.default_rng(R)
+        for _ in range(3):
+            f = rng.random(R) * rng.integers(1, 5, size=R)
+            got = op._band_matrix(out_edges).apply(op._fold(f * op.widths))
+            assert np.max(np.abs(got - dense @ f)) <= tol * np.abs(f).sum()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257])
+    def test_rows_match_dense_recursion(self, name, R):
+        model = ORACLE_MODELS[name]
+        op = KernelOperator(model, R)
+        tol = 2.0 * _EPS * _entry_scale(model)
+        for out_edges in (None, J_EDGES):
+            final_edges = op.edges if out_edges is None else out_edges
+            for x in (0.3, 0.5, 0.77):
+                for n in (2, 3):
+                    masses = np.diff(model.ac_cdf(op.edges / (x * (1.0 - x))))
+                    allowance = 0.0  # accumulated roundoff bound on the masses
+                    for k in range(n - 1):
+                        f = masses / op.widths
+                        edges_k = final_edges if k == n - 2 else op.edges
+                        masses = _dense_mass_matrix(model, op.edges, edges_k) @ f
+                        allowance += tol * np.abs(f).sum()
+                    row = op.row(x, n, out_edges=out_edges)
+                    widths = np.diff(final_edges)
+                    assert np.all(np.abs(row.values * widths - masses) <= allowance)
+
+    def test_storage_is_a_quarter_of_dense_at_most(self):
+        R = 2048
+        op = KernelOperator(U23, R)
+        op.row(0.4, 3)
+        op.row(0.4, 2, out_edges=J_EDGES)
+
+        def array_bytes(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if isinstance(obj, dict):
+                return sum(array_bytes(v) for v in obj.values())
+            if isinstance(obj, (list, tuple)):
+                return sum(array_bytes(v) for v in obj)
+            return 0
+
+        assert array_bytes(vars(op)) <= 0.25 * 8 * R * R
+
+    @pytest.mark.parametrize(
+        "out_edges",
+        [(-0.5, 0.2, 1.5), (-0.1, 0.5), (0.5, 1.2), (0.2, np.nan, 0.6), (0.5,)],
+    )
+    def test_out_edges_outside_unit_interval_rejected(self, out_edges):
+        op = KernelOperator(U23, 64)
+        with pytest.raises(ValueError, match="output edges"):
+            op.row(0.4, 2, out_edges=out_edges)
+
+    def test_final_cache_is_bounded(self, monkeypatch):
+        # every row reads zero, so no candidate J survives and the probe
+        # builds a J-grid matrix for each of its five automatic candidates
+        built, grids = [], set()
+
+        class ZeroRows(KernelOperator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def row(self, x, n, out_edges=None):
+                grids.add(np.asarray(out_edges).tobytes())
+                row = super().row(x, n, out_edges)
+                return dataclasses.replace(row, values=np.zeros_like(row.values))
+
+        monkeypatch.setattr(kernel, "KernelOperator", ZeroRows)
+        out = minorization_probe(
+            NoiseModel.uniform(3.15, 3.25), 3.2, 2, grid_n=8, resolution=64
+        )
+        assert isinstance(out, MinorizationFailure)
+        assert len(grids) == 5
+        (op,) = built
+        assert 0 < len(op._final_cache) <= KernelOperator._FINAL_CACHE_SIZE < 5
+
+    def test_density_grid_rejects_empty_x_values(self):
+        with pytest.raises(ValueError, match="x_values is empty"):
+            density_grid(U23, [], 2, resolution=64)
 
 
 class TestOrbitDensityChain:

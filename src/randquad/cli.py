@@ -325,7 +325,8 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=None,
-        help="ensemble worker threads (default: sim.threads or all cores)",
+        help="kept for compatibility and checked to be >= 1; ensembles run all "
+        "their lanes in one thread (default: sim.threads or all cores)",
     )
     args = parser.parse_args(argv)
     try:

@@ -16,17 +16,18 @@ scale choices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .engine import (
     OccupationMeasure,
     SimConfig,
-    _bin_path,
     _generator,
+    _occupations,
+    _path,
     _walk,
     ensemble_occupation,
+    ensemble_occupations,
 )
 from .kernel import MinorizationCertificate
 from .noise import NoiseModel, check_conditions
@@ -98,16 +99,16 @@ def stability_test(model: NoiseModel, initial_states, config: SimConfig) -> Stab
     if not states:
         raise ValueError("need at least one initial state")
     report = check_conditions(model)
-    measures = [
-        ensemble_occupation(model, x0, config, stream_key=(i,))
-        for i, x0 in enumerate(states)
-    ]
-    pair = [
-        ensemble_occupation(model, states[0], config, stream_key=(_NOISE_PAIR_KEY, r))
-        for r in (0, 1)
-    ]
-    noise_scale = tv_distance(pair[0], pair[1])
     k = len(states)
+    # every replicate of every ensemble is a lane of one walk
+    found = ensemble_occupations(
+        model,
+        states + (states[0], states[0]),
+        config,
+        [(i,) for i in range(k)] + [(_NOISE_PAIR_KEY, r) for r in (0, 1)],
+    )
+    measures, pair = found[:k], found[k:]
+    noise_scale = tv_distance(pair[0], pair[1])
     tv = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
@@ -218,6 +219,10 @@ def extinction_test(
     statement about the law of X_N itself.  Replicates evolve in lockstep on
     a single substream; states that underflow to 0 stay absorbed.
     """
+    if not (0.0 < x0 < 1.0):
+        raise ValueError("x0 must lie in (0, 1)")
+    if n_replicates < 1:
+        raise ValueError("n_replicates must be >= 1")
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
     checkpoints = tuple(int(c) for c in checkpoints)
@@ -290,14 +295,15 @@ def cyclicity_detect(
     lo, hi = float(J[0]), float(J[1])
     if not lo < hi:
         raise ValueError("J must be nondegenerate")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     # residue-class visit counts for every candidate d, built block by block;
     # post-burn-in step k (k = 0, 1, ...) falls in class k mod d
     residue_counts = {d: np.zeros(d, dtype=np.int64) for d in range(1, d_max + 1)}
     steps = 0
-    walk = _walk(x0, burn_in + n, partial(model.sample, _generator(seed)))
-    for done, _, states, _ in walk:
+    for done, _, states in _path(model, x0, burn_in + n, seed):
         skip = max(0, burn_in - done)
         post = states[skip:]
         idx = np.nonzero((post > lo) & (post < hi))[0] + (done + skip - burn_in)
@@ -364,8 +370,8 @@ def kolmogorov_approx(theta0: float, eta: float, config: SimConfig) -> Kolmogoro
 
     # one long deterministic orbit, matched in total post-burn-in samples
     n_det = config.n_replicates * (config.n_steps - config.burn_in) + config.burn_in
-    orbit = _walk(x0, n_det, lambda m: np.full(m, float(theta0)))
-    det_measure = _bin_path(orbit, config.burn_in, config.bin_edges)
+    orbit = _walk((x0,), n_det, (lambda m: np.full(m, float(theta0)),))
+    (det_measure,) = _occupations(orbit, config.burn_in, config.bin_edges, 1)
     tv = tv_distance(noise_measure, det_measure)
     return KolmogorovReport(
         theta0=float(theta0),

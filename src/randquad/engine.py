@@ -2,24 +2,30 @@
 
 The process is X_{n+1} = eps_{n+1} * X_n * (1 - X_n) with i.i.d. parameters
 drawn from a NoiseModel.  This module produces trajectories, binned Cesaro
-occupation measures, parallel ensembles with schedule-independent merging,
-and the hitting-time / visit-count probes used by the recurrence
-diagnostics.
+occupation measures, ensembles with order-independent merging, and the
+hitting-time / visit-count probes used by the recurrence diagnostics.
 
-`_walk` is the single path loop: it draws parameters a chunk at a time,
-runs the recurrence and stops at absorption.  Every single-chain consumer
-(here and in the diagnostics) is a reduction over the blocks it yields, so
-the chunk layout and the absorption policy live in one place.
+`_walk` is the single path loop.  It advances L lanes (independent paths,
+each with its own start and parameter stream) in lockstep through blocks of
+at most CHUNK lane-steps, that is max(1, CHUNK // L) steps per block, and
+stops each lane at absorption.  Below MIN_LANES lanes (a single chain, a
+small ensemble) each lane runs the scalar kernel `_advance`, which checks
+absorption step by step; from MIN_LANES on, `_advance_lanes` computes one
+row of L states per step and absorption is found by a scan after the block.
+Both compute eps * x * (1 - x) in the same operand order, so every lane is
+bit-identical to the same path walked alone.  Every consumer (here and in
+the diagnostics) is a reduction over the blocks it yields, so the block
+layout and the absorption policy live in one place; all replicates of all
+starts of a stability test share one walk.
 
 Reproducibility contract: every stochastic routine takes a seed (or an
 explicit generator) and consumes the stream in a chunk-invariant layout, so
 results are bitwise identical for a given (model, inputs, seed) regardless
-of internal chunking, replicate scheduling, or thread count.
+of internal chunking, lane grouping, or thread count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,11 +42,17 @@ __all__ = [
     "occupation_measure",
     "merge_occupations",
     "ensemble_occupation",
+    "ensemble_occupations",
     "hitting_time",
     "visit_counts",
 ]
 
-CHUNK = 1 << 20
+# lane-steps per block: bounds the (steps, lanes) buffers of a walk
+CHUNK = 1 << 16
+
+# fewest lanes at which one numpy row per step beats a scalar loop per lane
+# (pure Python, measured: 4-5 lanes run 15-25% slower as rows, 7 faster)
+MIN_LANES = 6
 
 # smallest normal double: once the state is subnormal it can plateau at
 # 5e-324 forever (noise >= 0.5 rounds it back up), so extinction regimes
@@ -68,35 +80,76 @@ def _advance(x, eps, out):
     return -1
 
 
+def _advance_lanes(x, eps, out):
+    """Run the map recurrence for L lanes in lockstep over an (m, L) block.
+
+    x holds the L current states; out[k] receives the states after applying
+    eps[k].  There is no absorption check: the caller scans the block.
+    """
+    for k in range(eps.shape[0]):
+        x = eps[k] * x * (1.0 - x)
+        out[k] = x
+
+
 try:  # identical semantics with or without the JIT; numba is optional
     import numba
 
     _advance = numba.njit(cache=True, nogil=True)(_advance)
+    _advance_lanes = numba.njit(cache=True, nogil=True)(_advance_lanes)
 except ImportError:  # pragma: no cover
     pass
 
 
-def _walk(x0: float, n: int, draw):
-    """Walk n steps from x0, yielding (done, eps, states, absorbed) blocks.
+def _walk(starts, n: int, draws):
+    """Walk n steps from each start in lockstep, yielding (done, eps, states, valid).
 
-    draw(m) returns the next m parameters.  states holds the states after
-    steps done+1 .. done+len(states); it is a view into one buffer reused
-    across blocks, so copy it to keep it.  A block that ends in absorption
-    is the last one.
+    Lane j starts at starts[j], which must lie in (0, 1), and draws[j](m)
+    returns its next m parameters.  eps and states have shape (m, L); row k
+    holds the draws and states of step done+k+1.  valid[j] is the number of
+    leading rows that belong to lane j: a lane stops after the step at which
+    it falls below ABSORB_FLOOR (recorded as exactly 0) or reaches 1, and a
+    stopped lane draws nothing more and has valid 0 from then on.  The
+    arrays are views into buffers reused across blocks, so copy them to keep
+    them.  The walk ends after n steps or when every lane has stopped.
     """
-    x = float(x0)
+    x = np.array(starts, dtype=float)
+    if not np.all((x > 0.0) & (x < 1.0)):
+        raise ValueError("x0 must lie in (0, 1)")
+    lanes = len(x)
+    rows = min(max(1, CHUNK // lanes), n)
+    eps, out = np.empty((rows, lanes)), np.empty((rows, lanes))
+    valid = np.zeros(lanes, dtype=np.int64)
+    live = np.arange(lanes)
     done = 0
-    out = np.empty(min(CHUNK, n))
-    while done < n:
-        m = min(CHUNK, n - done)
-        eps = draw(m)
-        stop = _advance(x, eps, out[:m])
-        k = m if stop < 0 else stop + 1
-        yield done, eps[:k], out[:k], stop >= 0
-        if stop >= 0:
-            return
-        x = out[k - 1]
-        done += k
+    while done < n and len(live):
+        m = min(rows, n - done)
+        e, o = eps[:m], out[:m]
+        for j in live:
+            e[:, j] = draws[j](m)
+        valid[:] = 0
+        if lanes < MIN_LANES:
+            stop = np.array([_advance(x[j], e[:, j], o[:, j]) for j in live])
+            stopped = stop >= 0
+        else:
+            # stopped lanes run on with stale draws; their rows are never valid
+            _advance_lanes(x, e, o)
+            low = o < ABSORB_FLOOR
+            o[low] = 0.0
+            hit = (low | (o == 1.0))[:, live]
+            stopped = hit.any(axis=0)
+            stop = hit.argmax(axis=0)
+        valid[live] = np.where(stopped, stop + 1, m)
+        x = o[m - 1].copy()
+        yield done, e, o, valid
+        live = live[~stopped]
+        done += m
+
+
+def _path(model: NoiseModel, x0: float, n: int, seed):
+    """Walk one path from x0, yielding (done, eps, states) cut to its valid rows."""
+    draws = (partial(model.sample, _generator(seed)),)
+    for done, eps, states, valid in _walk((x0,), n, draws):
+        yield done, eps[: valid[0], 0], states[: valid[0], 0]
 
 
 def _generator(seed) -> np.random.Generator:
@@ -116,7 +169,8 @@ class SimConfig:
 
     n_steps is per replicate; the occupation measure bins the n_steps -
     burn_in post-burn-in states of each of n_replicates independent
-    replicates.  threads only affects scheduling, never results.
+    replicates.  threads must be >= 1 and is kept for compatibility only:
+    ensembles run all their lanes in one thread, so it changes nothing.
     """
 
     master_seed: int
@@ -160,18 +214,16 @@ class Trajectory:
 
 def simulate_trajectory(model: NoiseModel, x0: float, n: int, seed) -> Trajectory:
     """Simulate n steps from x0; bit-reproducible given (model, x0, n, seed)."""
-    if not (0.0 < x0 < 1.0):
-        raise ValueError("x0 must lie in (0, 1)")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    values, epsilons, absorbed = [[float(x0)]], [], False
-    for _, eps, states, absorbed in _walk(x0, n, partial(model.sample, _generator(seed))):
+    values, epsilons = [np.array([x0], dtype=float)], []
+    for _, eps, states in _path(model, x0, n, seed):
         values.append(states.copy())
-        epsilons.append(eps)
+        epsilons.append(eps.copy())
     return Trajectory(
         values=np.concatenate(values),
         epsilons=np.concatenate(epsilons) if epsilons else np.empty(0),
-        absorbed=absorbed,
+        absorbed=bool(values[-1][-1] == 0.0 or values[-1][-1] == 1.0),
     )
 
 
@@ -270,27 +322,67 @@ def merge_occupations(measures) -> OccupationMeasure:
     )
 
 
-def _bin_path(blocks, burn_in: int, bin_edges: np.ndarray) -> OccupationMeasure:
-    """Bin the states after step burn_in of a walked path, block by block."""
-    counts = np.zeros(len(bin_edges) - 1, dtype=np.int64)
-    under = over = produced = 0
-    absorbed = False
-    for done, _, states, absorbed in blocks:
-        post = states[max(0, burn_in - done) :]
-        if len(post):
-            c, u, o = bin_states(post, bin_edges)
-            counts += c
-            under += u
-            over += o
-            produced += len(post)
-    return OccupationMeasure(
-        bin_edges=bin_edges,
-        counts=counts,
-        total=produced,
-        underflow=under,
-        overflow=over,
-        absorbed=int(absorbed),
-    )
+def _occupations(blocks, burn_in: int, bin_edges: np.ndarray, n_groups: int):
+    """Bin the states after step burn_in of walked lanes, block by block.
+
+    The lanes split into n_groups runs of equal width; returns one occupation
+    measure per run, binning each run's valid states of a block in one call.
+    """
+    # per group: counts, total, underflow, overflow, absorbed
+    bins = len(bin_edges) - 1
+    measures = [[np.zeros(bins, dtype=np.int64), 0, 0, 0, 0] for _ in range(n_groups)]
+    for done, _, states, valid in blocks:
+        width = len(valid) // n_groups
+        skip = max(0, burn_in - done)
+        rows = np.arange(skip, len(states))[:, None]
+        # a lane stopped in this block iff its last valid state is 0 or 1
+        last = states[np.maximum(valid - 1, 0), np.arange(len(valid))]
+        stopped = (valid > 0) & ((last == 0.0) | (last == 1.0))
+        for g, acc in enumerate(measures):
+            cols = slice(g * width, (g + 1) * width)
+            block, v = states[skip:, cols], valid[cols]
+            post = block.ravel() if np.all(v == len(states)) else block[rows < v]
+            if len(post):
+                c, u, o = bin_states(post, bin_edges)
+                acc[0] += c
+                acc[1] += len(post)
+                acc[2] += u
+                acc[3] += o
+            acc[4] += int(np.count_nonzero(stopped[cols]))
+    return [
+        OccupationMeasure(
+            bin_edges=bin_edges, counts=c, total=t, underflow=u, overflow=o, absorbed=a
+        )
+        for c, t, u, o, a in measures
+    ]
+
+
+def ensemble_occupations(
+    model: NoiseModel,
+    starts,
+    config: SimConfig,
+    stream_keys,
+) -> list[OccupationMeasure]:
+    """One merged occupation measure per (start, stream key) group, walked together.
+
+    Group g runs config.n_replicates independent replicates from starts[g];
+    its replicate i runs on substream (master_seed, *stream_keys[g], i).
+    All replicates of all groups are lanes of one walk.  Each measure equals
+    that group's replicates walked alone and merged, whatever the grouping
+    and config.threads.
+    """
+    starts, stream_keys = tuple(starts), tuple(stream_keys)
+    if not starts or len(starts) != len(stream_keys):
+        raise ValueError("need one stream key per start, and at least one start")
+    reps = range(config.n_replicates)
+    lanes = [x0 for x0 in starts for _ in reps]
+    draws = [
+        partial(model.sample, substream(config.master_seed, *key, i))
+        for key in stream_keys
+        for i in reps
+    ]
+    walk = _walk(lanes, config.n_steps, draws)
+    return _occupations(walk, config.burn_in, config.bin_edges, len(starts))
 
 
 def ensemble_occupation(
@@ -301,25 +393,10 @@ def ensemble_occupation(
 ) -> OccupationMeasure:
     """Merged occupation measure over config.n_replicates independent replicates.
 
-    Replicate i runs on substream (master_seed, *stream_key, i); the merge is
-    a commutative monoid, so the result is independent of execution order and
-    of config.threads.
+    Replicate i runs on substream (master_seed, *stream_key, i); the result
+    is independent of execution order and of config.threads.
     """
-    if not (0.0 < x0 < 1.0):
-        raise ValueError("x0 must lie in (0, 1)")
-    edges = config.bin_edges
-
-    def one(i: int) -> OccupationMeasure:
-        draw = partial(model.sample, substream(config.master_seed, *stream_key, i))
-        return _bin_path(_walk(x0, config.n_steps, draw), config.burn_in, edges)
-
-    indices = range(config.n_replicates)
-    if config.threads > 1 and config.n_replicates > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            parts = list(pool.map(one, indices))
-    else:
-        parts = [one(i) for i in indices]
-    return merge_occupations(parts)
+    return ensemble_occupations(model, (x0,), config, (stream_key,))[0]
 
 
 def hitting_time(model: NoiseModel, x0: float, J, seed, cap: int) -> int | None:
@@ -327,7 +404,7 @@ def hitting_time(model: NoiseModel, x0: float, J, seed, cap: int) -> int | None:
     lo, hi = _check_interval(J)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    for done, _, states, _ in _walk(x0, cap, partial(model.sample, _generator(seed))):
+    for done, _, states in _path(model, x0, cap, seed):
         hits = np.nonzero((states > lo) & (states < hi))[0]
         if len(hits):
             return done + int(hits[0]) + 1
@@ -341,5 +418,5 @@ def visit_counts(model: NoiseModel, x0: float, J, n: int, seed) -> int:
         raise ValueError("n must be nonnegative")
     return sum(
         int(np.count_nonzero((states > lo) & (states < hi)))
-        for _, _, states, _ in _walk(x0, n, partial(model.sample, _generator(seed)))
+        for _, _, states in _path(model, x0, n, seed)
     )

@@ -644,6 +644,10 @@ def irreducibility_probe(
         raise ValueError("J must be nondegenerate")
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     states = np.full(int(n_paths), float(x))
     for step in range(1, int(n_max) + 1):

@@ -203,6 +203,28 @@ class TestSubcommands:
         assert lines[0] == "checkpoint,fraction_below"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("extinction.replicates=0", "n_replicates must be >= 1"),
+            ("extinction.x0=1.5", "x0 must lie in (0, 1)"),
+        ],
+    )
+    def test_extinction_bad_input_is_error(self, tmp_path, capsys, override, message):
+        text = EXTINCT_NOISE + "\n[extinction]\ncheckpoints = 100 1000\nreplicates = 50\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "extinction", "--config", str(cfg), "--set", override) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "ZeroDivisionError" not in err
+
+    def test_cyclicity_start_outside_unit_interval_is_error(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.15:3.25:1.0")
+        text += "\n[cyclicity]\nj_lo = 0.75\nj_hi = 0.85\nsteps = 1000\nx0 = 1.5\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "cyclicity", "--config", str(cfg)) == 1
+        assert "x0 must lie in (0, 1)" in capsys.readouterr().err
+
     def test_cyclicity(self, tmp_path):
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.15:3.25:1.0")
         text += "\n[cyclicity]\nj_lo = 0.75\nj_hi = 0.85\nd_max = 6\nsteps = 100000\n"

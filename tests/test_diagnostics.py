@@ -177,6 +177,11 @@ class TestExtinction:
             extinction_test(U23, 0.5, (100, 50), 10, 1e-3, seed=1)
         with pytest.raises(ValueError):
             extinction_test(U23, 0.5, (100,), 10, 1.5, seed=1)
+        with pytest.raises(ValueError, match="n_replicates must be >= 1"):
+            extinction_test(U23, 0.5, (100,), 0, 1e-3, seed=1)
+        for x0 in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"x0 must lie in \(0, 1\)"):
+                extinction_test(U23, x0, (100,), 10, 1e-3, seed=1)
 
 
 class TestCyclicity:
@@ -209,6 +214,12 @@ class TestCyclicity:
         assert report.inconclusive
         assert report.period is None
         assert report.n_visits == 0
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"x0 must lie in \(0, 1\)"):
+            cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, x0=1.5)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            cyclicity_detect(U23, (0.5, 0.6), -1, 4, seed=1)
 
     def test_masses_sum_to_visit_frequency(self):
         model = NoiseModel.uniform(3.15, 3.25)

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from randquad import engine
-from randquad.diagnostics import cyclicity_detect, kolmogorov_approx
+from randquad.diagnostics import cyclicity_detect, kolmogorov_approx, stability_test
 from randquad.engine import (
     OccupationMeasure,
     SimConfig,
     Trajectory,
+    _advance,
+    _advance_lanes,
+    _walk,
     bin_states,
     ensemble_occupation,
+    ensemble_occupations,
     hitting_time,
     merge_occupations,
     occupation_measure,
@@ -24,6 +28,7 @@ ATOM25 = NoiseModel.point_mass(2.5)
 ATOM32 = NoiseModel.point_mass(3.2)
 U23 = NoiseModel.uniform(2.0, 3.0)
 EXTINCT = NoiseModel.uniform(0.5, 1.5)
+ABSORBING = NoiseModel.uniform(0.5, 0.9)  # underflows after about 1900 steps
 
 PERIOD2_LO = 0.5130445095326298
 PERIOD2_HI = 0.7994554904673701
@@ -182,6 +187,43 @@ class TestEnsemble:
         assert ens.underflow == 3  # the absorbing zero of each replicate
 
 
+class TestEnsembleGroups:
+    CFG = SimConfig(master_seed=31, n_steps=3000, n_replicates=3, burn_in=200, n_bins=60)
+    STARTS = (0.05, 0.5, 0.95, 0.5, 0.5)
+    KEYS = [(0,), (1,), (2,), (9, 0), (9, 1)]
+
+    @pytest.mark.parametrize("model", [U23, ABSORBING], ids=["U23", "absorbing"])
+    def test_groups_equal_separate_ensembles(self, model):
+        together = ensemble_occupations(model, self.STARTS, self.CFG, self.KEYS)
+        assert len(together) == 5
+        for x0, key, m in zip(self.STARTS, self.KEYS, together):
+            alone = ensemble_occupation(model, x0, self.CFG, key)
+            assert np.array_equal(m.counts, alone.counts)
+            assert (m.total, m.underflow, m.overflow, m.absorbed) == (
+                alone.total, alone.underflow, alone.overflow, alone.absorbed)
+
+    @pytest.mark.parametrize("starts, keys", [((0.3, 0.4), [(0,)]), ((), [])])
+    def test_one_key_per_start(self, starts, keys):
+        with pytest.raises(ValueError, match="one stream key per start"):
+            ensemble_occupations(U23, starts, self.CFG, keys)
+
+
+class TestStartStates:
+    @pytest.mark.parametrize("x0", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_every_walk_consumer_rejects_start_outside_unit_interval(self, x0):
+        cfg = SimConfig(master_seed=1, n_steps=100, burn_in=10)
+        calls = [
+            lambda: simulate_trajectory(U23, x0, 10, seed=1),
+            lambda: ensemble_occupation(U23, x0, cfg),
+            lambda: hitting_time(U23, x0, (0.4, 0.6), seed=1, cap=10),
+            lambda: visit_counts(U23, x0, (0.4, 0.6), 10, seed=1),
+            lambda: cyclicity_detect(U23, (0.4, 0.6), 10, 4, seed=1, x0=x0, burn_in=0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"x0 must lie in \(0, 1\)"):
+                call()
+
+
 class TestClosure:
     @pytest.mark.parametrize("mu,nu", [(2.0, 3.0), (2.2, 2.8), (3.05, 3.35)])
     def test_invariant_interval_traps_orbit(self, mu, nu):
@@ -251,6 +293,75 @@ class TestAdvanceKernel:
         assert out_a[ka] == out_b[kb] == 0.0
 
 
+class TestLaneKernel:
+    def test_columns_match_scalar_kernel(self):
+        # lanes on different models, so the columns run through different regimes
+        models = [U23, NoiseModel.uniform(3.5, 3.99), ATOM32, NoiseModel.uniform(1.0, 2.0)]
+        eps = np.column_stack([m.sample(substream(40, j), 5000) for j, m in enumerate(models)])
+        x0 = np.array([0.11, 0.5, 0.73, 0.999])
+        out = np.empty_like(eps)
+        _advance_lanes(x0.copy(), eps, out)
+        for j in range(len(models)):
+            alone = np.empty(len(eps))
+            assert _advance(x0[j], eps[:, j].copy(), alone) == -1
+            assert np.array_equal(out[:, j], alone), j
+
+    def test_jit_and_pure_python_paths_agree(self):
+        py = getattr(_advance_lanes, "py_func", None)
+        if py is None:
+            pytest.skip("numba not installed; only one code path exists")
+        eps = U23.sample(substream(124), 7 * 3000).reshape(3000, 7)
+        x0 = np.linspace(0.05, 0.95, 7)
+        out_a = np.empty_like(eps)
+        out_b = np.empty_like(eps)
+        _advance_lanes(x0.copy(), eps, out_a)
+        py(x0.copy(), eps, out_b)
+        assert np.array_equal(out_a, out_b)
+
+
+class TestLaneWalk:
+    STARTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)
+
+    def lanes(self, starts, n, keys):
+        """Each lane's valid states, concatenated over the blocks of one walk."""
+        counted = [0] * len(starts)
+
+        def draw(j, m):
+            counted[j] += m
+            return ABSORBING.sample(rngs[j], m)
+
+        rngs = [substream(50, k) for k in keys]
+        draws = [lambda m, j=j: draw(j, m) for j in range(len(starts))]
+        paths = [[] for _ in starts]
+        for _, _, states, valid in _walk(starts, n, draws):
+            for j, path in enumerate(paths):
+                path.append(states[: valid[j], j].copy())
+        return [np.concatenate(p) for p in paths], counted
+
+    # at 50 lane-steps (6 rows) per block the lanes stop in different blocks;
+    # MIN_LANES = 10**9 walks all eight lanes with the scalar kernel
+    @pytest.mark.parametrize(
+        "chunk, min_lanes",
+        [(engine.CHUNK, engine.MIN_LANES), (997, engine.MIN_LANES), (50, engine.MIN_LANES),
+         (50, 10**9)],
+    )
+    def test_lanes_absorb_apart_and_match_single_walks(self, monkeypatch, chunk, min_lanes):
+        assert len(self.STARTS) >= engine.MIN_LANES
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        monkeypatch.setattr(engine, "MIN_LANES", min_lanes)
+        n = 5000
+        together, drawn = self.lanes(self.STARTS, n, range(len(self.STARTS)))
+        lengths = [len(p) for p in together]
+        assert len(set(lengths)) == len(lengths)  # every lane stops at its own step
+        rows = max(1, chunk // len(self.STARTS))
+        for j, (x0, path) in enumerate(zip(self.STARTS, together)):
+            (alone,), _ = self.lanes((x0,), n, [j])
+            assert np.array_equal(path, alone)
+            assert len(path) < n and path[-1] == 0.0 and np.all(path[:-1] > 0.0)
+            # a stopped lane draws nothing after the block in which it stopped
+            assert drawn[j] == min(n, -(-len(path) // rows) * rows)
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -273,23 +384,25 @@ class TestSimConfig:
 class TestChunkInvariance:
     """Every path consumer gives identical results at any internal chunk size.
 
-    An odd chunk of 997 puts block boundaries inside the burn-in, between
-    visits and just before absorption; the default chunk holds each path in
-    one block.
+    An odd chunk of 997 lane-steps puts block boundaries inside the burn-in,
+    between visits and just before absorption; a chunk of 3, fewer lane-steps
+    than most walks have lanes, walks one step per block.  The default chunk
+    holds most walks in one block.
     """
 
     def consumers(self):
         cfg = SimConfig(master_seed=9, n_steps=4000, n_replicates=3, burn_in=1500, n_bins=50)
         small = SimConfig(master_seed=4, n_steps=3000, n_replicates=2, burn_in=1000, n_bins=40)
-        absorbing = NoiseModel.uniform(0.5, 0.9)  # underflows after about 1900 steps
         traj = simulate_trajectory(U23, 0.3, 5000, seed=1)
-        dead = simulate_trajectory(absorbing, 0.3, 5000, seed=1)
+        dead = simulate_trajectory(ABSORBING, 0.3, 5000, seed=1)
         ens = ensemble_occupation(U23, 0.4, cfg)
-        ens_dead = ensemble_occupation(absorbing, 0.4, cfg)
+        ens_dead = ensemble_occupation(ABSORBING, 0.4, cfg)
         cyc = cyclicity_detect(
             NoiseModel.uniform(3.15, 3.25), (0.6, 0.9), 6000, 6, seed=2, x0=0.3, burn_in=1500
         )
         kol = kolmogorov_approx(3.9, 0.01, small)
+        stab = stability_test(U23, (0.05, 0.5, 0.95), small)
+        groups = ensemble_occupations(ABSORBING, (0.2, 0.6), cfg, [(0,), (1,)])
         return {
             "trajectory": (traj.values.tobytes(), traj.epsilons.tobytes(), traj.absorbed),
             "absorbed trajectory": (dead.values.tobytes(), dead.epsilons.tobytes(), dead.absorbed),
@@ -298,17 +411,29 @@ class TestChunkInvariance:
                                   ens_dead.underflow, ens_dead.absorbed),
             "hitting_time": hitting_time(U23, 0.01, (0.7, 0.7001), seed=5, cap=50_000),
             "visit_counts": visit_counts(U23, 0.3, (0.5, 0.6), 5000, seed=6),
-            "absorbed visit_counts": visit_counts(absorbing, 0.3, (0.01, 0.2), 5000, seed=6),
+            "absorbed visit_counts": visit_counts(ABSORBING, 0.3, (0.01, 0.2), 5000, seed=6),
             "cyclicity": (cyc.period, cyc.residue_masses, cyc.concentration_by_d, cyc.n_visits),
             "kolmogorov": (kol.tv, kol.noise_measure.counts.tobytes(),
                            kol.deterministic_measure.counts.tobytes()),
+            "stability": (stab.tv_matrix.tobytes(), stab.noise_scale, stab.stable,
+                          [m.counts.tobytes() for m in stab.measures]),
+            "absorbed ensemble groups": [(m.counts.tobytes(), m.total, m.underflow, m.absorbed)
+                                         for m in groups],
         }
 
-    def test_small_odd_chunk_matches_default(self, monkeypatch):
+    def check_chunk(self, monkeypatch, chunk):
         default = self.consumers()
         assert default["absorbed trajectory"][2] and default["absorbed ensemble"][3] == 3
+        assert [g[3] for g in default["absorbed ensemble groups"]] == [3, 3]
+        assert default["stability"][2] is True
         assert 997 < len(default["absorbed trajectory"][0]) // 8 < 5000
-        monkeypatch.setattr(engine, "CHUNK", 997)
+        monkeypatch.setattr(engine, "CHUNK", chunk)
         chunked = self.consumers()
         for name in default:
             assert chunked[name] == default[name], name
+
+    def test_small_odd_chunk_matches_default(self, monkeypatch):
+        self.check_chunk(monkeypatch, 997)
+
+    def test_chunk_below_lane_count_matches_default(self, monkeypatch):
+        self.check_chunk(monkeypatch, 3)

@@ -461,3 +461,8 @@ class TestIrreducibilityProbe:
         model = NoiseModel.uniform(0.5, 1.5)
         t = irreducibility_probe(model, 0.9, (0.5, 0.6), 200, 200, seed=6)
         assert t is None
+
+    @pytest.mark.parametrize("n_max, n_paths, field", [(50, 0, "n_paths"), (0, 10, "n_max")])
+    def test_empty_budget_rejected(self, n_max, n_paths, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            irreducibility_probe(U2228, 0.6, (0.5455, 0.6428), n_max, n_paths, seed=4)

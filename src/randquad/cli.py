@@ -12,7 +12,6 @@ instability, inconclusive period) so sweeps can script against outcomes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -64,7 +63,7 @@ def _occupation_csv(path: Path, measure) -> None:
 # subcommands
 
 
-def _cmd_check(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_check(cfg: ExperimentConfig, outdir: Path) -> int:
     report = check_conditions(cfg.noise_model())
     c, d, inf_h = report.density_interval or (None, None, None)
     _write_report(
@@ -85,9 +84,9 @@ def _cmd_check(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 0 if report.all_ok else 2
 
 
-def _cmd_simulate(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
-    sim = cfg.sim_config(threads)
+    sim = cfg.sim_config()
     x0 = cfg.get("simulate", "x0", sim.initial_states[0])
     n = cfg.get("simulate", "n", sim.n_steps)
     traj = simulate_trajectory(model, x0, n, substream(sim.master_seed))
@@ -114,7 +113,7 @@ def _cmd_simulate(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_orbit(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_orbit(cfg: ExperimentConfig, outdir: Path) -> int:
     lo = cfg.require("orbit", "theta_min")
     hi = cfg.require("orbit", "theta_max")
     m = cfg.get("orbit", "period", 1)
@@ -142,7 +141,7 @@ def _cmd_orbit(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 0 if table.monotone and not table.holes else 2
 
 
-def _cmd_kernel(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
     x_points = cfg.require("kernel", "x_points")
     if not x_points:
@@ -163,7 +162,7 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 0 if drift <= 1e-6 else 2
 
 
-def _cmd_minorize(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_minorize(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
     theta0 = cfg.require("minorize", "theta0")
     m = cfg.get("minorize", "period", 1)
@@ -193,9 +192,9 @@ def _cmd_minorize(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 2
 
 
-def _cmd_stability(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_stability(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
-    sim = cfg.sim_config(threads)
+    sim = cfg.sim_config()
     report = diagnostics.stability_test(model, sim.initial_states, sim)
     k = len(report.initial_states)
     _write_csv(
@@ -216,16 +215,17 @@ def _cmd_stability(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 0 if report.stable else 2
 
 
-def _cmd_extinction(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_extinction(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
-    sim = cfg.sim_config(threads)
+    sim = cfg.sim_config()
     report = diagnostics.extinction_test(
         model,
         cfg.get("extinction", "x0", sim.initial_states[0]),
         cfg.require("extinction", "checkpoints"),
         cfg.get("extinction", "replicates", sim.n_replicates),
         cfg.get("extinction", "threshold", 1e-3),
-        substream(sim.master_seed, 7),
+        sim.master_seed,
+        stream_key=(7,),
     )
     _write_csv(
         outdir / "checkpoints.csv",
@@ -244,9 +244,9 @@ def _cmd_extinction(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_cyclicity(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
+def _cmd_cyclicity(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
-    sim = cfg.sim_config(threads)
+    sim = cfg.sim_config()
     report = diagnostics.cyclicity_detect(
         model,
         (cfg.require("cyclicity", "j_lo"), cfg.require("cyclicity", "j_hi")),
@@ -272,8 +272,8 @@ def _cmd_cyclicity(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
     return 2 if report.inconclusive else 0
 
 
-def _cmd_kolmogorov(cfg: ExperimentConfig, outdir: Path, threads: int) -> int:
-    sim = cfg.sim_config(threads)
+def _cmd_kolmogorov(cfg: ExperimentConfig, outdir: Path) -> int:
+    sim = cfg.sim_config()
     report = diagnostics.kolmogorov_approx(
         cfg.require("kolmogorov", "theta0"),
         cfg.require("kolmogorov", "eta"),
@@ -325,8 +325,8 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=None,
-        help="kept for compatibility and checked to be >= 1; ensembles run all "
-        "their lanes in one thread (default: sim.threads or all cores)",
+        help="kept for compatibility and checked to be >= 1; it changes nothing, "
+        "since every walk runs in one thread (default: sim.threads or 1)",
     )
     args = parser.parse_args(argv)
     try:
@@ -336,14 +336,12 @@ def main(argv=None) -> int:
                 raise ConfigError(f"override {item!r} must be SECTION.KEY=VALUE")
             dotted, raw = item.split("=", 1)
             cfg.override(dotted.strip(), raw)
-        threads = args.threads
-        if threads is None:
-            threads = cfg.get("sim", "threads", os.cpu_count() or 1)
+        threads = args.threads if args.threads is not None else cfg.get("sim", "threads", 1)
         if threads < 1:
             raise ConfigError(f"threads must be >= 1, got {threads}")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.subcommand](cfg, outdir, int(threads))
+        return _COMMANDS[args.subcommand](cfg, outdir)
     except ConfigError as exc:
         print(f"randquad: config error: {exc}", file=sys.stderr)
         return 1

@@ -128,7 +128,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def sim_config(self, threads: int | None = None) -> SimConfig:
+    def sim_config(self) -> SimConfig:
         try:
             return SimConfig(
                 master_seed=self.require("sim", "seed"),
@@ -137,7 +137,6 @@ class ExperimentConfig:
                 burn_in=self.get("sim", "burn_in", 1000),
                 initial_states=self.get("sim", "initial_states", (0.5,)),
                 n_bins=self.get("sim", "bins", 200),
-                threads=threads if threads is not None else self.get("sim", "threads", 1),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -22,9 +22,11 @@ import numpy as np
 from .engine import (
     OccupationMeasure,
     SimConfig,
-    _generator,
+    _check_interval,
     _occupations,
     _path,
+    _replicates,
+    _snapshots,
     _walk,
     ensemble_occupation,
     ensemble_occupations,
@@ -211,16 +213,16 @@ def extinction_test(
     checkpoints,
     n_replicates: int,
     threshold: float,
-    seed,
+    seed: int,
+    stream_key: tuple[int, ...] = (),
 ) -> ExtinctionReport:
     """Fraction of replicates with X_N below threshold at each checkpoint N.
 
     Marginal snapshots, not Cesaro averages: convergence to extinction is a
-    statement about the law of X_N itself.  Replicates evolve in lockstep on
-    a single substream; states that underflow to 0 stay absorbed.
+    statement about the law of X_N itself.  Replicate i runs on substream
+    (seed, *stream_key, i) and reads 0 after it stops (absorbed below
+    ABSORB_FLOOR, or at 1).
     """
-    if not (0.0 < x0 < 1.0):
-        raise ValueError("x0 must lie in (0, 1)")
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")
     if not (0.0 < threshold < 1.0):
@@ -230,19 +232,11 @@ def extinction_test(
         raise ValueError("checkpoints must be positive step counts")
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must increase")
-    rng = _generator(seed)
-    states = np.full(int(n_replicates), float(x0))
-    fractions = []
-    step = 0
-    for target in checkpoints:
-        while step < target:
-            eps = model.sample(rng, size=len(states))
-            states = eps * states * (1.0 - states)
-            step += 1
-        fractions.append(float(np.mean(states < threshold)))
+    draws = _replicates(model, seed, (stream_key,), int(n_replicates))
+    snapshots = _snapshots(_walk((x0,) * len(draws), checkpoints[-1], draws), checkpoints)
     return ExtinctionReport(
         checkpoints=checkpoints,
-        fractions=tuple(fractions),
+        fractions=tuple(float(np.mean(s < threshold)) for s in snapshots),
         threshold=float(threshold),
         n_replicates=int(n_replicates),
     )
@@ -292,11 +286,11 @@ def cyclicity_detect(
     qualifying candidates within a small tie tolerance of the best, the
     smallest d wins (multiples of the true period tie with it up to noise).
     """
-    lo, hi = float(J[0]), float(J[1])
-    if not lo < hi:
-        raise ValueError("J must be nondegenerate")
+    lo, hi = _check_interval(J)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     # residue-class visit counts for every candidate d, built block by block;

@@ -13,15 +13,17 @@ small ensemble) each lane runs the scalar kernel `_advance`, which checks
 absorption step by step; from MIN_LANES on, `_advance_lanes` computes one
 row of L states per step and absorption is found by a scan after the block.
 Both compute eps * x * (1 - x) in the same operand order, so every lane is
-bit-identical to the same path walked alone.  Every consumer (here and in
-the diagnostics) is a reduction over the blocks it yields, so the block
+bit-identical to the same path walked alone.  Every consumer, here and in
+the diagnostics and kernel, is a reduction over the blocks it yields
+(`_occupations`, `_snapshots`, `_first_entry`), so the recurrence, the block
 layout and the absorption policy live in one place; all replicates of all
 starts of a stability test share one walk.
 
-Reproducibility contract: every stochastic routine takes a seed (or an
-explicit generator) and consumes the stream in a chunk-invariant layout, so
-results are bitwise identical for a given (model, inputs, seed) regardless
-of internal chunking, lane grouping, or thread count.
+Reproducibility contract: every stochastic routine takes a seed (or, for a
+single path, an explicit generator); replicate i reads substream (seed,
+*key, i), so adding a replicate changes no other, and every stream is read
+in a chunk-invariant layout, so results are bitwise identical for a given
+(model, inputs, seed) regardless of internal chunking or lane grouping.
 """
 
 from __future__ import annotations
@@ -145,11 +147,37 @@ def _walk(starts, n: int, draws):
         done += m
 
 
+def _replicates(model: NoiseModel, seed, keys, n: int) -> list:
+    """Draws of n replicates per key; replicate i of key reads substream (seed, *key, i)."""
+    return [partial(model.sample, substream(seed, *key, i)) for key in keys for i in range(n)]
+
+
 def _path(model: NoiseModel, x0: float, n: int, seed):
     """Walk one path from x0, yielding (done, eps, states) cut to its valid rows."""
     draws = (partial(model.sample, _generator(seed)),)
     for done, eps, states, valid in _walk((x0,), n, draws):
         yield done, eps[: valid[0], 0], states[: valid[0], 0]
+
+
+def _snapshots(blocks, steps) -> np.ndarray:
+    """Every lane's state at each of the increasing steps, 0 once the lane has stopped."""
+    for done, _, states, valid in blocks:
+        if done == 0:
+            snaps = np.zeros((len(steps), len(valid)))
+        for i, step in enumerate(steps):
+            if done < step <= done + len(states):
+                snaps[i] = np.where(step - done <= valid, states[step - done - 1], 0.0)
+    return snaps
+
+
+def _first_entry(blocks, lo: float, hi: float) -> int | None:
+    """First step at which a valid state of any lane lies in the open (lo, hi), or None."""
+    for done, _, states, valid in blocks:
+        rows = np.arange(len(states))[:, None]
+        inside = ((states > lo) & (states < hi) & (rows < valid)).any(axis=1)
+        if inside.any():
+            return done + int(inside.argmax()) + 1
+    return None
 
 
 def _generator(seed) -> np.random.Generator:
@@ -169,8 +197,7 @@ class SimConfig:
 
     n_steps is per replicate; the occupation measure bins the n_steps -
     burn_in post-burn-in states of each of n_replicates independent
-    replicates.  threads must be >= 1 and is kept for compatibility only:
-    ensembles run all their lanes in one thread, so it changes nothing.
+    replicates.
     """
 
     master_seed: int
@@ -179,7 +206,6 @@ class SimConfig:
     burn_in: int = 1000
     initial_states: tuple[float, ...] = (0.5,)
     n_bins: int = 200
-    threads: int = 1
 
     def __post_init__(self):
         if not 0 <= self.burn_in < self.n_steps:
@@ -190,8 +216,6 @@ class SimConfig:
             raise ValueError("initial states must lie in (0, 1)")
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def bin_edges(self) -> np.ndarray:
@@ -368,19 +392,13 @@ def ensemble_occupations(
     Group g runs config.n_replicates independent replicates from starts[g];
     its replicate i runs on substream (master_seed, *stream_keys[g], i).
     All replicates of all groups are lanes of one walk.  Each measure equals
-    that group's replicates walked alone and merged, whatever the grouping
-    and config.threads.
+    that group's replicates walked alone and merged, whatever the grouping.
     """
     starts, stream_keys = tuple(starts), tuple(stream_keys)
     if not starts or len(starts) != len(stream_keys):
         raise ValueError("need one stream key per start, and at least one start")
-    reps = range(config.n_replicates)
-    lanes = [x0 for x0 in starts for _ in reps]
-    draws = [
-        partial(model.sample, substream(config.master_seed, *key, i))
-        for key in stream_keys
-        for i in reps
-    ]
+    lanes = [x0 for x0 in starts for _ in range(config.n_replicates)]
+    draws = _replicates(model, config.master_seed, stream_keys, config.n_replicates)
     walk = _walk(lanes, config.n_steps, draws)
     return _occupations(walk, config.burn_in, config.bin_edges, len(starts))
 
@@ -394,7 +412,7 @@ def ensemble_occupation(
     """Merged occupation measure over config.n_replicates independent replicates.
 
     Replicate i runs on substream (master_seed, *stream_key, i); the result
-    is independent of execution order and of config.threads.
+    is independent of execution order.
     """
     return ensemble_occupations(model, (x0,), config, (stream_key,))[0]
 
@@ -404,11 +422,9 @@ def hitting_time(model: NoiseModel, x0: float, J, seed, cap: int) -> int | None:
     lo, hi = _check_interval(J)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    for done, _, states in _path(model, x0, cap, seed):
-        hits = np.nonzero((states > lo) & (states < hi))[0]
-        if len(hits):
-            return done + int(hits[0]) + 1
-    return None  # past cap, or absorbed at the boundary with J unreachable
+    draws = (partial(model.sample, _generator(seed)),)
+    # None: past cap, or absorbed at the boundary with J unreachable
+    return _first_entry(_walk((x0,), cap, draws), lo, hi)
 
 
 def visit_counts(model: NoiseModel, x0: float, J, n: int, seed) -> int:

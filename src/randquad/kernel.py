@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NoiseModel, substream
+from .engine import _check_interval, _first_entry, _replicates, _walk
+from .noise import NoiseModel
 from .quadmap import PeriodicOrbit, find_periodic_orbit, q_of_theta
 
 __all__ = [
@@ -637,22 +638,13 @@ def irreducibility_probe(
     None means no path entered J within n_max steps, which under the
     stability hypotheses can only reflect an undersized budget (or a start
     in the Lebesgue-null set not attracted to the reference orbit), never a
-    structural obstruction.
+    structural obstruction.  Path i runs on substream (seed, i) and stops
+    once absorbed (below ABSORB_FLOOR).
     """
-    lo, hi = float(J[0]), float(J[1])
-    if not lo < hi:
-        raise ValueError("J must be nondegenerate")
-    if not (0.0 < x < 1.0):
-        raise ValueError("x must lie in (0, 1)")
+    lo, hi = _check_interval(J)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    states = np.full(int(n_paths), float(x))
-    for step in range(1, int(n_max) + 1):
-        eps = model.sample(rng, size=len(states))
-        states = eps * states * (1.0 - states)
-        if np.any((states > lo) & (states < hi)):
-            return step
-    return None
+    draws = _replicates(model, seed, [()], int(n_paths))
+    return _first_entry(_walk((x,) * len(draws), n_max, draws), lo, hi)

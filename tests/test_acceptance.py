@@ -152,7 +152,6 @@ def test_criterion_5_stability_in_distribution(acceptance):
         n_replicates=8,
         burn_in=1000,
         n_bins=200,
-        threads=4,
     )
     report = stability_test(U23, (0.05, 0.5, 0.95), cfg)
     outside_mass = 0

@@ -225,6 +225,14 @@ class TestSubcommands:
         assert run_cli(tmp_path, "cyclicity", "--config", str(cfg)) == 1
         assert "x0 must lie in (0, 1)" in capsys.readouterr().err
 
+    def test_cyclicity_interval_outside_unit_interval_is_error(self, tmp_path, capsys):
+        text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.15:3.25:1.0")
+        text += "\n[cyclicity]\nj_lo = 0.75\nj_hi = 0.85\nsteps = 1000\n"
+        cfg = write_config(tmp_path, text)
+        override = ["--set", "cyclicity.j_lo=-3"]
+        assert run_cli(tmp_path, "cyclicity", "--config", str(cfg), *override) == 1
+        assert "must be nondegenerate inside (0, 1)" in capsys.readouterr().err
+
     def test_cyclicity(self, tmp_path):
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.15:3.25:1.0")
         text += "\n[cyclicity]\nj_lo = 0.75\nj_hi = 0.85\nd_max = 6\nsteps = 100000\n"

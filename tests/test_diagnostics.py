@@ -11,9 +11,9 @@ from randquad.diagnostics import (
     stability_test,
     tv_distance,
 )
-from randquad.engine import OccupationMeasure, SimConfig, ensemble_occupation
+from randquad.engine import OccupationMeasure, SimConfig, ensemble_occupation, simulate_trajectory
 from randquad.kernel import MinorizationCertificate, minorization_probe
-from randquad.noise import NoiseModel
+from randquad.noise import NoiseModel, substream
 from randquad.quadmap import DomainError, invariant_interval
 
 U23 = NoiseModel.uniform(2.0, 3.0)
@@ -170,6 +170,31 @@ class TestExtinction:
         assert stability_test(U23, (0.2, 0.8), cfg).stable is True
         assert stability_test(EXTINCT, (0.2, 0.8), cfg).stable is not True
 
+    @pytest.mark.parametrize("key", [(), (7,)])
+    def test_replicate_reads_its_own_substream(self, key):
+        # replicate i is the path from x0 on substream (seed, *key, i) walked
+        # alone; it counts once it has stopped (absorbed) or lies below the
+        # threshold.  By step 16000 some of the 12 replicates are absorbed.
+        checkpoints, threshold = (50, 5000, 16_000, 20_000), 1e-3
+        report = extinction_test(EXTINCT, 0.5, checkpoints, 12, threshold, 3, stream_key=key)
+        paths = [
+            simulate_trajectory(EXTINCT, 0.5, checkpoints[-1], substream(3, *key, i)).values
+            for i in range(12)
+        ]
+        assert any(len(v) <= 16_000 for v in paths)
+        expected = [
+            float(np.mean([len(v) <= c or v[c] < threshold for v in paths])) for c in checkpoints
+        ]
+        assert report.fractions == tuple(expected)
+
+    def test_added_replicate_changes_no_other(self):
+        # 101 replicates are the 100 plus one more: each count grows by 0 or 1
+        checkpoints = (50, 1000, 16_000)
+        a = extinction_test(EXTINCT, 0.5, checkpoints, 100, 1e-3, seed=3)
+        b = extinction_test(EXTINCT, 0.5, checkpoints, 101, 1e-3, seed=3)
+        for fa, fb in zip(a.fractions, b.fractions):
+            assert round(fb * 101) - round(fa * 100) in (0, 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             extinction_test(U23, 0.5, (), 10, 1e-3, seed=1)
@@ -220,6 +245,11 @@ class TestCyclicity:
             cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, x0=1.5)
         with pytest.raises(ValueError, match="n must be nonnegative"):
             cyclicity_detect(U23, (0.5, 0.6), -1, 4, seed=1)
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, burn_in=-1)
+        for J in ((-3.0, 0.6), (0.6, 0.5), (0.5, 1.5)):
+            with pytest.raises(ValueError, match="must be nondegenerate inside"):
+                cyclicity_detect(U23, J, 1000, 4, seed=1)
 
     def test_masses_sum_to_visit_frequency(self):
         model = NoiseModel.uniform(3.15, 3.25)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from randquad import kernel
+from randquad.engine import hitting_time
 from randquad.kernel import (
     KernelOperator,
     MinorizationCertificate,
@@ -461,6 +462,30 @@ class TestIrreducibilityProbe:
         model = NoiseModel.uniform(0.5, 1.5)
         t = irreducibility_probe(model, 0.9, (0.5, 0.6), 200, 200, seed=6)
         assert t is None
+
+    @pytest.mark.parametrize(
+        "model, x, J, n_max, n_paths, seed",
+        [
+            pytest.param(U2228, 1e-6, (0.5455, 0.6428), 1000, 200, 20240, id="climb"),
+            # path 4 is absorbed at step 13525, before any path enters J
+            pytest.param(
+                NoiseModel.uniform(0.5, 1.5), 0.5, (1e-300, 1.01e-300), 30_000, 8, 1,
+                id="entry-after-absorption",
+            ),
+            pytest.param(NoiseModel.uniform(0.5, 1.5), 0.9, (0.5, 0.6), 200, 20, 6, id="none"),
+        ],
+    )
+    def test_first_entry_over_own_substreams(self, model, x, J, n_max, n_paths, seed):
+        # path i is the path from x on substream (seed, i) walked alone
+        times = [hitting_time(model, x, J, substream(seed, i), n_max) for i in range(n_paths)]
+        hits = [t for t in times if t is not None]
+        expected = min(hits) if hits else None
+        assert irreducibility_probe(model, x, J, n_max, n_paths, seed) == expected
+
+    @pytest.mark.parametrize("J", [(-3.0, 0.6), (0.6, 0.5), (0.5, 1.5)])
+    def test_bad_interval_rejected(self, J):
+        with pytest.raises(ValueError, match="must be nondegenerate inside"):
+            irreducibility_probe(U2228, 0.6, J, 50, 10, seed=4)
 
     @pytest.mark.parametrize("n_max, n_paths, field", [(50, 0, "n_paths"), (0, 10, "n_max")])
     def test_empty_budget_rejected(self, n_max, n_paths, field):

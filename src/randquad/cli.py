@@ -49,6 +49,16 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _trajectory_csv(path: Path, traj) -> None:
+    """Write step, x, epsilon rows; the same bytes as _write_csv, without _fmt per value."""
+    values, epsilons = traj.values.tolist(), traj.epsilons.tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"step,x,epsilon\n0,{values[0]:.17g},\n")
+        fh.writelines(
+            f"{k},{x:.17g},{e:.17g}\n" for k, (x, e) in enumerate(zip(values[1:], epsilons), 1)
+        )
+
+
 def _occupation_csv(path: Path, measure) -> None:
     edges = measure.bin_edges
     freq = measure.frequencies
@@ -92,11 +102,7 @@ def _cmd_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     traj = simulate_trajectory(model, x0, n, substream(sim.master_seed))
     measure = occupation_measure(traj, sim.bin_edges, min(sim.burn_in, len(traj.values) - 1))
     if cfg.get("simulate", "write_trajectory", True):
-        rows = [(0, traj.values[0], "")]
-        rows += [
-            (k + 1, traj.values[k + 1], traj.epsilons[k]) for k in range(len(traj.epsilons))
-        ]
-        _write_csv(outdir / "trajectory.csv", ["step", "x", "epsilon"], rows)
+        _trajectory_csv(outdir / "trajectory.csv", traj)
     _occupation_csv(outdir / "occupation.csv", measure)
     _write_report(
         outdir,

@@ -8,13 +8,19 @@ hitting-time / visit-count probes used by the recurrence diagnostics.
 `_walk` is the single path loop.  It advances L lanes (independent paths,
 each with its own start and parameter stream) in lockstep through blocks of
 at most CHUNK lane-steps, that is max(1, CHUNK // L) steps per block, and
-stops each lane at absorption.  Below MIN_LANES lanes (a single chain, a
-small ensemble) each lane runs the scalar kernel `_advance`, which checks
-absorption step by step; from MIN_LANES on, `_advance_lanes` computes one
-row of L states per step and absorption is found by a scan after the block.
-Both compute eps * x * (1 - x) in the same operand order, so every lane is
-bit-identical to the same path walked alone.  Every consumer, here and in
-the diagnostics and kernel, is a reduction over the blocks it yields
+stops each lane at absorption.  The first block has FIRST_ROWS steps and
+each later block doubles up to that bound, so a reduction that stops after
+a few steps draws little more than it uses.  Below MIN_LANES lanes (a single
+chain, a small ensemble) each lane runs the scalar kernel `_advance`, which
+checks absorption step by step; from MIN_LANES on, `_advance_lanes` computes
+one row of L states per step and absorption is found by a scan after the
+block.  Both compute eps * x * (1 - x) in the same operand order, so every
+lane is bit-identical to the same path walked alone.  With numba both
+kernels are compiled; without it the scalar kernel steps a plain Python
+float over `eps.tolist()` and writes the block back with one slice
+assignment, which gives the same bits as the array loop at about three
+times its speed.  Every consumer, here and in the diagnostics and kernel,
+is a reduction over the blocks it yields
 (`_occupations`, `_snapshots`, `_first_entry`), so the recurrence, the block
 layout and the absorption policy live in one place; all replicates of all
 starts of a stability test share one walk.
@@ -52,9 +58,15 @@ __all__ = [
 # lane-steps per block: bounds the (steps, lanes) buffers of a walk
 CHUNK = 1 << 16
 
-# fewest lanes at which one numpy row per step beats a scalar loop per lane
-# (pure Python, measured: 4-5 lanes run 15-25% slower as rows, 7 faster)
-MIN_LANES = 6
+# steps in the first block of a walk; each later block doubles up to the
+# CHUNK bound, so a reduction that stops early draws little past its stop
+FIRST_ROWS = 16
+
+# fewest lanes at which one numpy row per step keeps up with a scalar loop
+# per lane (pure Python, whole walk with draws, M lane-steps/s scalar vs
+# rows: 12 lanes 4.3 vs 3.1, 16 lanes 4.4 vs 3.7, 18-22 lanes even at 4.7,
+# 24 lanes 4.5 vs 5.2)
+MIN_LANES = 18
 
 # smallest normal double: once the state is subnormal it can plateau at
 # 5e-324 forever (noise >= 0.5 rounds it back up), so extinction regimes
@@ -99,7 +111,28 @@ try:  # identical semantics with or without the JIT; numba is optional
     _advance = numba.njit(cache=True, nogil=True)(_advance)
     _advance_lanes = numba.njit(cache=True, nogil=True)(_advance_lanes)
 except ImportError:  # pragma: no cover
-    pass
+
+    def _advance(x, eps, out):
+        """Run the map recurrence over a block of noise draws, on Python floats.
+
+        Same contract and the same IEEE operations as the array kernel above,
+        so the states are bit-identical; stepping a Python float is about
+        three times faster than indexing numpy scalars.
+        """
+        floor = ABSORB_FLOOR
+        x = float(x)
+        states = []
+        push = states.append
+        for e in eps.tolist():
+            x = e * x * (1.0 - x)
+            push(x)
+            if x < floor or x == 1.0:
+                if x < floor:
+                    states[-1] = 0.0
+                out[: len(states)] = states
+                return len(states) - 1
+        out[: len(states)] = states
+        return -1
 
 
 def _walk(starts, n: int, draws):
@@ -119,12 +152,13 @@ def _walk(starts, n: int, draws):
         raise ValueError("x0 must lie in (0, 1)")
     lanes = len(x)
     rows = min(max(1, CHUNK // lanes), n)
-    eps, out = np.empty((rows, lanes)), np.empty((rows, lanes))
+    # zeroed: rows a stopped lane never drew stay finite for the row kernel
+    eps, out = np.zeros((rows, lanes)), np.empty((rows, lanes))
     valid = np.zeros(lanes, dtype=np.int64)
     live = np.arange(lanes)
-    done = 0
+    done, m = 0, min(FIRST_ROWS, rows)
     while done < n and len(live):
-        m = min(rows, n - done)
+        m = min(m, n - done)
         e, o = eps[:m], out[:m]
         for j in live:
             e[:, j] = draws[j](m)
@@ -145,6 +179,7 @@ def _walk(starts, n: int, draws):
         yield done, e, o, valid
         live = live[~stopped]
         done += m
+        m = min(2 * m, rows)
 
 
 def _replicates(model: NoiseModel, seed, keys, n: int) -> list:
@@ -264,9 +299,26 @@ def bin_states(values: np.ndarray, bin_edges: np.ndarray):
     under = int(np.count_nonzero(values <= 0.0))
     over = int(np.count_nonzero(values >= 1.0))
     interior = values[(values > 0.0) & (values < 1.0)]
-    idx = np.searchsorted(edges, interior, side="left") - 1
-    counts = np.bincount(idx, minlength=len(edges) - 1).astype(np.int64)
+    bins = len(edges) - 1
+    if np.array_equal(edges, np.linspace(0.0, 1.0, bins + 1)):
+        idx = _uniform_bin_index(interior, edges)
+    else:
+        idx = np.searchsorted(edges, interior, side="left") - 1
+    counts = np.bincount(idx, minlength=bins).astype(np.int64)
     return counts, under, over
+
+
+def _uniform_bin_index(interior, edges) -> np.ndarray:
+    """Index i of the right-closed bin (edges[i], edges[i+1]] holding each state in (0, 1).
+
+    For edges within a few ulps of i / B, floor(v * B) misses the bin by at
+    most one near an edge; one comparison with each neighbouring edge fixes it.
+    """
+    bins = len(edges) - 1
+    idx = np.minimum((interior * bins).astype(np.int64), bins - 1)
+    idx -= edges[idx] >= interior
+    idx += edges[idx + 1] < interior
+    return idx
 
 
 @dataclass(frozen=True)

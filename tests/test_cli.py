@@ -5,8 +5,11 @@ import sys
 
 import pytest
 
+from randquad import cli
 from randquad.cli import main
 from randquad.config import ConfigError, parse_config_text
+from randquad.engine import simulate_trajectory
+from randquad.noise import NoiseModel, substream
 
 BASE_CONFIG = """\
 [noise]
@@ -247,6 +250,36 @@ class TestSubcommands:
         assert run_cli(tmp_path, "kolmogorov", "--config", str(cfg)) == 0
         assert (tmp_path / "out" / "occupation_noise.csv").exists()
         assert (tmp_path / "out" / "occupation_deterministic.csv").exists()
+
+
+class TestTrajectoryCsv:
+    """The direct trajectory writer gives the bytes of the generic row writer."""
+
+    @staticmethod
+    def generic_bytes(path, traj):
+        rows = [(0, traj.values[0], "")]
+        rows += [
+            (k + 1, traj.values[k + 1], traj.epsilons[k]) for k in range(len(traj.epsilons))
+        ]
+        cli._write_csv(path, ["step", "x", "epsilon"], rows)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "model, x0, n, absorbed",
+        [
+            (NoiseModel.uniform(2.0, 3.0), 0.3, 0, False),
+            (NoiseModel.uniform(2.0, 3.0), 0.123456789, 300, False),
+            # dies out at step 15585 of 40000: a truncated path ending in 0
+            (NoiseModel.uniform(0.5, 1.5), 0.5, 40_000, True),
+        ],
+    )
+    def test_same_bytes_as_generic_writer(self, tmp_path, model, x0, n, absorbed):
+        traj = simulate_trajectory(model, x0, n, substream(3))
+        assert traj.absorbed == absorbed and (len(traj.values) < n + 1) == absorbed
+        cli._trajectory_csv(tmp_path / "direct.csv", traj)
+        direct = (tmp_path / "direct.csv").read_bytes()
+        assert direct == self.generic_bytes(tmp_path / "generic.csv", traj)
+        assert direct.count(b"\n") == len(traj.values) + 1
 
 
 class TestReproducibility:

@@ -40,6 +40,14 @@ PERIOD2_LO = 0.5130445095326298
 PERIOD2_HI = 0.7994554904673701
 
 
+def block_end(step, rows):
+    """Last step of the walk block holding step: FIRST_ROWS steps, doubling up to rows."""
+    end, m = 0, min(engine.FIRST_ROWS, rows)
+    while end < step:
+        end, m = end + m, min(2 * m, rows)
+    return end
+
+
 class TestSimulateTrajectory:
     def test_deterministic_fixed_point(self):
         traj = simulate_trajectory(ATOM25, 0.3, 200, seed=1)
@@ -96,6 +104,81 @@ class TestBinStates:
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
             bin_states(np.array([0.5]), np.array([0.1, 0.5, 1.0]))
+
+
+def searchsorted_bins(values, edges):
+    """Reference binning: searchsorted over the edges, right-closed bins."""
+    values = np.asarray(values, dtype=float)
+    interior = values[(values > 0.0) & (values < 1.0)]
+    idx = np.searchsorted(edges, interior, side="left") - 1
+    counts = np.bincount(idx, minlength=len(edges) - 1)
+    return counts, int(np.count_nonzero(values <= 0.0)), int(np.count_nonzero(values >= 1.0))
+
+
+class TestUniformBinning:
+    """Uniform edges are binned arithmetically, with the searchsorted result."""
+
+    @staticmethod
+    def probes(edges):
+        """States on every interior edge and one ulp to either side of it."""
+        inner = edges[1:-1]
+        return inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)
+
+    @pytest.mark.parametrize("bins", [1, 3, 7, 10, 49, 200, 1000, 4096])
+    def test_matches_searchsorted_on_edges_and_neighbours(self, bins):
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        states = substream(127, bins).random(20_000)
+        # each probe set alone, so opposite misplacements cannot cancel in counts
+        for values in (*self.probes(edges), states, np.array([0.0, 1.0, 0.5, 0.0])):
+            counts, under, over = bin_states(values, edges)
+            ref_counts, ref_under, ref_over = searchsorted_bins(values, edges)
+            assert np.array_equal(counts, ref_counts)
+            assert (under, over) == (ref_under, ref_over)
+
+    @pytest.mark.parametrize("bins", [3, 10, 200])
+    @pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
+    def test_index_correction_both_ways(self, bins, ulps):
+        # linspace edges never need the upward comparison (checked for every
+        # bin count up to 20000), so move every interior edge a few ulps to
+        # make floor(v * B) miss on both sides and check each state's index
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        for _ in range(abs(ulps)):
+            edges[1:-1] = np.nextafter(edges[1:-1], np.sign(ulps))
+        states = np.concatenate([*self.probes(edges), substream(129).random(5000)])
+        expected = np.searchsorted(edges, states, side="left") - 1
+        assert np.array_equal(engine._uniform_bin_index(states, edges), expected)
+
+    def test_each_edge_goes_to_the_bin_it_ends(self):
+        edges = np.linspace(0.0, 1.0, 201)
+        for i, (on, below, above) in enumerate(zip(*self.probes(edges))):
+            for value, expected in ((on, i), (below, i), (above, i + 1)):
+                counts, _, _ = bin_states(np.array([value]), edges)
+                assert counts[expected] == 1, (i, value)
+
+    @pytest.mark.parametrize(
+        "edges, uniform",
+        [
+            (np.linspace(0.0, 1.0, 201), True),
+            (np.array([0.0, 0.1, 0.5, 0.55, 1.0]), False),
+            (np.linspace(0.0, 1.0, 11) ** 2, False),
+            # one edge one ulp away from linspace is not uniform
+            (np.linspace(0.0, 1.0, 11) + np.eye(11)[3] * np.spacing(0.3), False),
+        ],
+    )
+    def test_only_nonuniform_edges_search(self, monkeypatch, edges, uniform):
+        calls = []
+        search = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        values = np.concatenate([substream(128).random(5000), edges, np.nextafter(edges, 0.5)])
+        expected = searchsorted_bins(values, edges)
+        monkeypatch.setattr(np, "searchsorted", counted)
+        counts, under, over = bin_states(values, edges)
+        assert len(calls) == (0 if uniform else 1)
+        assert np.array_equal(counts, expected[0]) and (under, over) == expected[1:]
 
 
 class TestOccupationMeasure:
@@ -291,6 +374,71 @@ class TestAdvanceKernel:
         assert out_a[ka] == out_b[kb] == 0.0
 
 
+def numpy_scalar_advance(x, eps, out):
+    """Reference recurrence: the array kernel's loop, stepping numpy scalars."""
+    for k in range(eps.shape[0]):
+        x = eps[k] * x * (1.0 - x)
+        if x < engine.ABSORB_FLOOR:
+            out[k] = 0.0
+            return k
+        out[k] = x
+        if x == 1.0:
+            return k
+    return -1
+
+
+class TestScalarKernel:
+    """`_advance`, compiled or on Python floats, equals a numpy-scalar loop bit for bit."""
+
+    def run_both(self, x0, eps, shape=None):
+        """Run `_advance` and the reference on NaN-filled outputs; return both results."""
+        out = np.full(shape or eps.shape, np.nan)
+        ref = np.full(eps.shape, np.nan)
+        return (_advance(x0, eps, out), out), (numpy_scalar_advance(x0, eps, ref), ref)
+
+    def test_matches_numpy_scalars_over_many_steps(self):
+        for model, x0 in ((U23, 0.37), (NoiseModel.uniform(3.5, 3.99), 0.9), (ATOM32, 0.1)):
+            eps = model.sample(substream(125), 1 << 17)
+            (stop, out), (ref_stop, ref) = self.run_both(x0, eps)
+            assert stop == ref_stop == -1
+            assert np.array_equal(out, ref)
+
+    def test_absorption_recorded_as_zero(self):
+        eps = np.full(3000, 0.5)
+        (stop, out), (ref_stop, ref) = self.run_both(0.5, eps)
+        assert stop == ref_stop >= 0
+        assert out[stop] == 0.0 and 0.0 < out[stop - 1] < 1e-300
+        assert np.array_equal(out[: stop + 1], ref[: stop + 1])
+        assert np.all(np.isnan(out[stop + 1 :]))  # nothing written past the stop
+
+    def test_reaching_one_stops(self):
+        eps = np.array([4.0, 3.0, 3.0])
+        (stop, out), (ref_stop, _) = self.run_both(0.5, eps)
+        assert stop == ref_stop == 0
+        assert out[0] == 1.0 and np.all(np.isnan(out[1:]))
+
+    def test_empty_block(self):
+        (stop, out), _ = self.run_both(0.5, np.empty(0))
+        assert stop == -1 and out.shape == (0,)
+
+    def test_strided_columns(self):
+        # a column of a (steps, lanes) walk buffer, as `_walk` passes it
+        eps = U23.sample(substream(126), 3 * 70_000).reshape(70_000, 3)
+        out = np.full(eps.shape, np.nan)
+        assert _advance(0.2, eps[:, 1], out[:, 1]) == -1
+        ref = np.empty(len(eps))
+        numpy_scalar_advance(0.2, eps[:, 1].copy(), ref)
+        assert np.array_equal(out[:, 1], ref)
+        assert np.all(np.isnan(out[:, [0, 2]]))
+
+    def test_compiled_exactly_when_numba_is_installed(self):
+        import importlib.util
+
+        numba = importlib.util.find_spec("numba") is not None
+        assert hasattr(_advance, "py_func") == numba
+        assert hasattr(_advance_lanes, "py_func") == numba
+
+
 class TestLaneKernel:
     def test_columns_match_scalar_kernel(self):
         # lanes on different models, so the columns run through different regimes
@@ -336,15 +484,14 @@ class TestLaneWalk:
                 path.append(states[: valid[j], j].copy())
         return [np.concatenate(p) for p in paths], counted
 
-    # at 50 lane-steps (6 rows) per block the lanes stop in different blocks;
-    # MIN_LANES = 10**9 walks all eight lanes with the scalar kernel
+    # MIN_LANES = 6 walks the eight lanes as numpy rows and each lane alone
+    # with the scalar kernel, MIN_LANES = 10**9 walks all eight with the
+    # scalar kernel; at 50 lane-steps (6 rows) per block the lanes stop in
+    # different blocks
     @pytest.mark.parametrize(
-        "chunk, min_lanes",
-        [(engine.CHUNK, engine.MIN_LANES), (997, engine.MIN_LANES), (50, engine.MIN_LANES),
-         (50, 10**9)],
+        "chunk, min_lanes", [(engine.CHUNK, 6), (997, 6), (50, 6), (50, 10**9)]
     )
     def test_lanes_absorb_apart_and_match_single_walks(self, monkeypatch, chunk, min_lanes):
-        assert len(self.STARTS) >= engine.MIN_LANES
         monkeypatch.setattr(engine, "CHUNK", chunk)
         monkeypatch.setattr(engine, "MIN_LANES", min_lanes)
         n = 5000
@@ -357,7 +504,38 @@ class TestLaneWalk:
             assert np.array_equal(path, alone)
             assert len(path) < n and path[-1] == 0.0 and np.all(path[:-1] > 0.0)
             # a stopped lane draws nothing after the block in which it stopped
-            assert drawn[j] == min(n, -(-len(path) // rows) * rows)
+            assert drawn[j] == min(n, block_end(len(path), rows))
+
+
+class TestEarlyExit:
+    """A reduction that stops after a few steps draws little past its stop."""
+
+    def counted_draws(self, monkeypatch):
+        drawn = []
+        sample = NoiseModel.sample
+
+        def counted(model, rng, size=None):
+            drawn.append(size)
+            return sample(model, rng, size)
+
+        monkeypatch.setattr(NoiseModel, "sample", counted)
+        return drawn
+
+    def test_irreducibility_probe_draws_near_its_entry_step(self, monkeypatch):
+        drawn = self.counted_draws(monkeypatch)
+        n_paths = 200
+        # from far below J the map climbs for a while before any path enters
+        entry = irreducibility_probe(
+            NoiseModel.uniform(2.2, 2.8), 1e-6, (0.5455, 0.6428), 1000, n_paths, seed=20240
+        )
+        assert entry == 15
+        assert sum(drawn) <= 2 * n_paths * max(entry, engine.FIRST_ROWS)
+
+    def test_hitting_time_draws_near_its_entry_step(self, monkeypatch):
+        drawn = self.counted_draws(monkeypatch)
+        step = hitting_time(U23, 0.01, (0.55, 0.7), seed=5, cap=50_000)
+        assert step is not None and step < 100
+        assert sum(drawn) <= 2 * max(step, engine.FIRST_ROWS)
 
 
 class TestSimConfig:
@@ -425,6 +603,9 @@ class TestChunkInvariance:
         }
 
     def check_chunk(self, monkeypatch, chunk):
+        # walks of 6 or more lanes step as numpy rows, so both kernels see
+        # every block layout
+        monkeypatch.setattr(engine, "MIN_LANES", 6)
         default = self.consumers()
         assert default["absorbed trajectory"][2] and default["absorbed ensemble"][3] == 3
         assert [g[3] for g in default["absorbed ensemble groups"]] == [3, 3]

@@ -233,7 +233,8 @@ def extinction_test(
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must increase")
     draws = _replicates(model, seed, (stream_key,), int(n_replicates))
-    snapshots = _snapshots(_walk((x0,) * len(draws), checkpoints[-1], draws), checkpoints)
+    walk = _walk((x0,) * int(n_replicates), checkpoints[-1], draws)
+    snapshots = _snapshots(walk, checkpoints)
     return ExtinctionReport(
         checkpoints=checkpoints,
         fractions=tuple(float(np.mean(s < threshold)) for s in snapshots),
@@ -364,7 +365,7 @@ def kolmogorov_approx(theta0: float, eta: float, config: SimConfig) -> Kolmogoro
 
     # one long deterministic orbit, matched in total post-burn-in samples
     n_det = config.n_replicates * (config.n_steps - config.burn_in) + config.burn_in
-    orbit = _walk((x0,), n_det, (lambda m: np.full(m, float(theta0)),))
+    orbit = _walk((x0,), n_det, lambda eps, live: eps.fill(theta0))
     (det_measure,) = _occupations(orbit, config.burn_in, config.bin_edges, 1)
     tv = tv_distance(noise_measure, det_measure)
     return KolmogorovReport(

@@ -8,9 +8,15 @@ hitting-time / visit-count probes used by the recurrence diagnostics.
 `_walk` is the single path loop.  It advances L lanes (independent paths,
 each with its own start and parameter stream) in lockstep through blocks of
 at most CHUNK lane-steps, that is max(1, CHUNK // L) steps per block, and
-stops each lane at absorption.  The first block has FIRST_ROWS steps and
-each later block doubles up to that bound, so a reduction that stops after
-a few steps draws little more than it uses.  Below MIN_LANES lanes (a single
+stops each lane at absorption.  A walk that a reduction may stop early
+(`_first_entry`) grows instead: its first block has FIRST_ROWS steps and
+each later block doubles up to that bound, so it draws little more than it
+uses.  Each block's parameters come from one draw filler, `draws(eps,
+live)`; `_lane_draws` builds it for a noise model and one generator per
+lane, so every live lane draws its uniforms into one buffer and a single
+`NoiseModel.sample_lanes` step places them all, bit-identical to one
+`sample` call per lane.  That uniform buffer, like the walk's own eps and
+state buffers, is reused across blocks.  Below MIN_LANES lanes (a single
 chain, a small ensemble) each lane runs the scalar kernel `_advance`, which
 checks absorption step by step; from MIN_LANES on, `_advance_lanes` computes
 one row of L states per step and absorption is found by a scan after the
@@ -19,11 +25,12 @@ lane is bit-identical to the same path walked alone.  With numba both
 kernels are compiled; without it the scalar kernel steps a plain Python
 float over `eps.tolist()` and writes the block back with one slice
 assignment, which gives the same bits as the array loop at about three
-times its speed.  Every consumer, here and in the diagnostics and kernel,
-is a reduction over the blocks it yields
-(`_occupations`, `_snapshots`, `_first_entry`), so the recurrence, the block
-layout and the absorption policy live in one place; all replicates of all
-starts of a stability test share one walk.
+times its speed, and the row kernel writes each row in place with `out=`
+ufuncs.  Every consumer, here and in the diagnostics and kernel, is a
+reduction over the blocks it yields (`_occupations`, `_snapshots`,
+`_first_entry`), so the recurrence, the block layout and the absorption
+policy live in one place; all replicates of all starts of a stability test
+share one walk.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
@@ -35,7 +42,6 @@ in a chunk-invariant layout, so results are bitwise identical for a given
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -58,15 +64,16 @@ __all__ = [
 # lane-steps per block: bounds the (steps, lanes) buffers of a walk
 CHUNK = 1 << 16
 
-# steps in the first block of a walk; each later block doubles up to the
-# CHUNK bound, so a reduction that stops early draws little past its stop
+# steps in the first block of a growing walk; each later block doubles up
+# to the CHUNK bound, so a reduction that stops early draws little past its stop
 FIRST_ROWS = 16
 
 # fewest lanes at which one numpy row per step keeps up with a scalar loop
-# per lane (pure Python, whole walk with draws, M lane-steps/s scalar vs
-# rows: 12 lanes 4.3 vs 3.1, 16 lanes 4.4 vs 3.7, 18-22 lanes even at 4.7,
-# 24 lanes 4.5 vs 5.2)
-MIN_LANES = 18
+# per lane (pure Python, 2 cores, whole walk with batched draws, median M
+# lane-steps/s scalar vs rows: 12 lanes 5.9 vs 4.3, 14 lanes 5.8 vs 5.2,
+# 16 lanes even at 5.8-6.6, 18 lanes 5.8 vs 6.7, 20 lanes 6.3 vs 8.1,
+# 24 lanes 5.9 vs 8.5)
+MIN_LANES = 16
 
 # smallest normal double: once the state is subnormal it can plateau at
 # 5e-324 forever (noise >= 0.5 rounds it back up), so extinction regimes
@@ -134,18 +141,36 @@ except ImportError:  # pragma: no cover
         out[: len(states)] = states
         return -1
 
+    def _advance_lanes(x, eps, out):
+        """Run the map recurrence for L lanes in lockstep over an (m, L) block, in place.
 
-def _walk(starts, n: int, draws):
+        Same contract and the same IEEE operations, (eps[k] * x) * (1 - x),
+        as the array kernel above, without its three temporaries per row.
+        """
+        t = np.empty_like(x)
+        subtract, multiply = np.subtract, np.multiply
+        for e, o in zip(eps, out):
+            subtract(1.0, x, out=t)
+            multiply(e, x, out=o)
+            multiply(o, t, out=o)
+            x = o
+
+
+def _walk(starts, n: int, draws, grow: bool = False):
     """Walk n steps from each start in lockstep, yielding (done, eps, states, valid).
 
-    Lane j starts at starts[j], which must lie in (0, 1), and draws[j](m)
-    returns its next m parameters.  eps and states have shape (m, L); row k
-    holds the draws and states of step done+k+1.  valid[j] is the number of
-    leading rows that belong to lane j: a lane stops after the step at which
-    it falls below ABSORB_FLOOR (recorded as exactly 0) or reaches 1, and a
-    stopped lane draws nothing more and has valid 0 from then on.  The
-    arrays are views into buffers reused across blocks, so copy them to keep
-    them.  The walk ends after n steps or when every lane has stopped.
+    Lane j starts at starts[j], which must lie in (0, 1).  Once per block,
+    draws(eps, live) fills eps[:, j] with the next m parameters of each lane
+    j in the integer array live; other columns may hold anything finite.
+    eps and states have shape (m, L); row k holds the draws and states of
+    step done+k+1.  valid[j] is the number of leading rows that belong to
+    lane j: a lane stops after the step at which it falls below ABSORB_FLOOR
+    (recorded as exactly 0) or reaches 1, and a stopped lane draws nothing
+    more and has valid 0 from then on.  The arrays are views into buffers
+    reused across blocks, so copy them to keep them.  The walk ends after n
+    steps or when every lane has stopped.  Every block has max(1, CHUNK // L)
+    steps, or, with grow, the first has FIRST_ROWS and each later one
+    doubles up to that bound, for reductions that may stop after a few steps.
     """
     x = np.array(starts, dtype=float)
     if not np.all((x > 0.0) & (x < 1.0)):
@@ -156,12 +181,11 @@ def _walk(starts, n: int, draws):
     eps, out = np.zeros((rows, lanes)), np.empty((rows, lanes))
     valid = np.zeros(lanes, dtype=np.int64)
     live = np.arange(lanes)
-    done, m = 0, min(FIRST_ROWS, rows)
+    done, m = 0, min(FIRST_ROWS, rows) if grow else rows
     while done < n and len(live):
         m = min(m, n - done)
         e, o = eps[:m], out[:m]
-        for j in live:
-            e[:, j] = draws[j](m)
+        draws(e, live)
         valid[:] = 0
         if lanes < MIN_LANES:
             stop = np.array([_advance(x[j], e[:, j], o[:, j]) for j in live])
@@ -182,14 +206,31 @@ def _walk(starts, n: int, draws):
         m = min(2 * m, rows)
 
 
-def _replicates(model: NoiseModel, seed, keys, n: int) -> list:
-    """Draws of n replicates per key; replicate i of key reads substream (seed, *key, i)."""
-    return [partial(model.sample, substream(seed, *key, i)) for key in keys for i in range(n)]
+def _lane_draws(model: NoiseModel, rngs):
+    """Draw filler for `_walk` in which lane j reads rngs[j]; see NoiseModel.sample_lanes.
+
+    The lanes' uniform buffer is kept for the whole walk, like the walk's
+    own buffers, and reallocated only while a growing walk's blocks grow.
+    """
+    buf = np.zeros((len(rngs), 0, 2))
+
+    def draws(eps, live):
+        nonlocal buf
+        if buf.shape[1] < len(eps):
+            buf = np.zeros((len(rngs), len(eps), 2))
+        model.sample_lanes(rngs, live, eps, buf)
+
+    return draws
+
+
+def _replicates(model: NoiseModel, seed, keys, n: int):
+    """Draw filler for n replicates per key; replicate i of key reads substream (seed, *key, i)."""
+    return _lane_draws(model, [substream(seed, *key, i) for key in keys for i in range(n)])
 
 
 def _path(model: NoiseModel, x0: float, n: int, seed):
     """Walk one path from x0, yielding (done, eps, states) cut to its valid rows."""
-    draws = (partial(model.sample, _generator(seed)),)
+    draws = _lane_draws(model, [_generator(seed)])
     for done, eps, states, valid in _walk((x0,), n, draws):
         yield done, eps[: valid[0], 0], states[: valid[0], 0]
 
@@ -474,9 +515,9 @@ def hitting_time(model: NoiseModel, x0: float, J, seed, cap: int) -> int | None:
     lo, hi = _check_interval(J)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    draws = (partial(model.sample, _generator(seed)),)
+    draws = _lane_draws(model, [_generator(seed)])
     # None: past cap, or absorbed at the boundary with J unreachable
-    return _first_entry(_walk((x0,), cap, draws), lo, hi)
+    return _first_entry(_walk((x0,), cap, draws, grow=True), lo, hi)
 
 
 def visit_counts(model: NoiseModel, x0: float, J, n: int, seed) -> int:

@@ -647,4 +647,4 @@ def irreducibility_probe(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     draws = _replicates(model, seed, [()], int(n_paths))
-    return _first_entry(_walk((x,) * len(draws), n_max, draws), lo, hi)
+    return _first_entry(_walk((x,) * int(n_paths), n_max, draws, grow=True), lo, hi)

@@ -172,14 +172,44 @@ class NoiseModel:
         Consumes exactly two uniforms per draw (component selector, then the
         within-piece position), laid out so that chunked and one-shot
         requests read the identical stream: sample(rng, n) concatenated over
-        chunks is bitwise the same sequence for any chunking.
+        chunks is bitwise the same sequence for any chunking.  The uniforms
+        are drawn as rng.random((n, 2)) and then placed by the same step that
+        `sample_lanes` runs over a whole block of lanes.
         """
         n = 1 if size is None else int(size)
-        u = rng.random((n, 2))
-        cum, lo, width = self._tables
-        idx = np.searchsorted(cum, u[:, 0], side="right")
-        out = lo[idx] + u[:, 1] * width[idx]
+        out = self._place(rng.random((n, 2)), np.empty(n))
         return float(out[0]) if size is None else out
+
+    def sample_lanes(self, rngs, live, out: np.ndarray, buf: np.ndarray) -> None:
+        """Fill out[:, j] with the next m = len(out) draws of rngs[j] for each lane j in live.
+
+        live is an integer array of lane indices.  Lane j's column is bitwise
+        sample(rngs[j], m), and consecutive calls continue each lane's stream
+        as consecutive sample calls would.  buf, of shape (len(rngs), >= m, 2),
+        holds the lanes' uniforms: each live lane draws its (m, 2) block into
+        buf[j], then one placement step converts every lane's uniforms at
+        once.  A lane outside live draws nothing; its column is placed from
+        whatever its buf rows still hold, which is finite and inside the
+        support when buf started zeroed.
+        """
+        u = buf[:, : len(out)]
+        for j in live.tolist():
+            rngs[j].random(out=u[j])
+        self._place(u.transpose(1, 0, 2), out)
+
+    def _place(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write to out the parameters that uniform pairs u[..., 0], u[..., 1] select.
+
+        u[..., 0] picks the component through the cumulative weights and the
+        parameter is u[..., 1] * width + lo of that component.  With a single
+        positive-weight component there is nothing to pick: the same two IEEE
+        operations run on its scalar lo and width, so the bits agree.
+        """
+        cum, lo, width = self._tables
+        idx = 0 if len(cum) == 1 else np.searchsorted(cum, u[..., 0], side="right")
+        np.multiply(u[..., 1], width[idx], out=out)
+        out += lo[idx]
+        return out
 
     # ------------------------------------------------------------------ #
     # closed-form moments

@@ -40,9 +40,9 @@ PERIOD2_LO = 0.5130445095326298
 PERIOD2_HI = 0.7994554904673701
 
 
-def block_end(step, rows):
-    """Last step of the walk block holding step: FIRST_ROWS steps, doubling up to rows."""
-    end, m = 0, min(engine.FIRST_ROWS, rows)
+def block_end(step, rows, grow):
+    """Last step of the walk block holding step: rows steps, or FIRST_ROWS doubling up to rows."""
+    end, m = 0, min(engine.FIRST_ROWS, rows) if grow else rows
     while end < step:
         end, m = end + m, min(2 * m, rows)
     return end
@@ -439,7 +439,33 @@ class TestScalarKernel:
         assert hasattr(_advance_lanes, "py_func") == numba
 
 
+def numpy_row_advance(x, eps, out):
+    """Reference row recurrence: the array kernel's expression, temporaries and all."""
+    for k in range(eps.shape[0]):
+        x = eps[k] * x * (1.0 - x)
+        out[k] = x
+
+
 class TestLaneKernel:
+    def test_matches_row_expression_in_four_regimes(self):
+        # five lanes each over 5,000 steps: stable, chaotic, underflowing
+        # through subnormals to 0, and reaching 1 at the first step, then 0
+        steps, regimes = 5000, ((U23, 0.3), (NoiseModel.uniform(3.5, 3.99), 0.6),
+                                (NoiseModel.uniform(0.3, 0.9), 0.4), (U23, 0.5))
+        eps = np.column_stack([model.sample(substream(41, r, j), steps)
+                               for r, (model, _) in enumerate(regimes) for j in range(5)])
+        eps[0, 15:] = 4.0
+        x0 = np.array([x + (0.01 * j if x != 0.5 else 0.0) for _, x in regimes for j in range(5)])
+        out = np.full_like(eps, np.nan)
+        ref = np.full_like(eps, np.nan)
+        _advance_lanes(x0.copy(), eps, out)
+        numpy_row_advance(x0.copy(), eps, ref)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        under, one = out[:, 10:15], out[:, 15:]
+        assert np.all(under[-1] == 0.0) and np.any((under > 0.0) & (under < 2.3e-308))
+        assert np.all(one[0] == 1.0) and np.all(one[1:] == 0.0)
+        assert np.all((out[:, :10] > 0.0) & (out[:, :10] < 1.0))
+
     def test_columns_match_scalar_kernel(self):
         # lanes on different models, so the columns run through different regimes
         models = [U23, NoiseModel.uniform(3.5, 3.99), ATOM32, NoiseModel.uniform(1.0, 2.0)]
@@ -468,18 +494,18 @@ class TestLaneKernel:
 class TestLaneWalk:
     STARTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)
 
-    def lanes(self, starts, n, keys):
+    def lanes(self, starts, n, keys, grow):
         """Each lane's valid states, concatenated over the blocks of one walk."""
         counted = [0] * len(starts)
+        fill = engine._lane_draws(ABSORBING, [substream(50, k) for k in keys])
 
-        def draw(j, m):
-            counted[j] += m
-            return ABSORBING.sample(rngs[j], m)
+        def draws(eps, live):
+            for j in live:
+                counted[j] += len(eps)
+            fill(eps, live)
 
-        rngs = [substream(50, k) for k in keys]
-        draws = [lambda m, j=j: draw(j, m) for j in range(len(starts))]
         paths = [[] for _ in starts]
-        for _, _, states, valid in _walk(starts, n, draws):
+        for _, _, states, valid in _walk(starts, n, draws, grow):
             for j, path in enumerate(paths):
                 path.append(states[: valid[j], j].copy())
         return [np.concatenate(p) for p in paths], counted
@@ -488,37 +514,49 @@ class TestLaneWalk:
     # with the scalar kernel, MIN_LANES = 10**9 walks all eight with the
     # scalar kernel; at 50 lane-steps (6 rows) per block the lanes stop in
     # different blocks
-    @pytest.mark.parametrize(
-        "chunk, min_lanes", [(engine.CHUNK, 6), (997, 6), (50, 6), (50, 10**9)]
-    )
+    CASES = [(engine.CHUNK, 6), (997, 6), (50, 6), (50, 10**9)]
+
+    @pytest.mark.parametrize("chunk, min_lanes", CASES)
     def test_lanes_absorb_apart_and_match_single_walks(self, monkeypatch, chunk, min_lanes):
+        self.check_lanes(monkeypatch, chunk, min_lanes, grow=False)
+
+    @pytest.mark.parametrize("chunk, min_lanes", CASES)
+    def test_growing_walk_lanes_absorb_apart_and_match_single_walks(
+        self, monkeypatch, chunk, min_lanes
+    ):
+        self.check_lanes(monkeypatch, chunk, min_lanes, grow=True)
+
+    def check_lanes(self, monkeypatch, chunk, min_lanes, grow):
         monkeypatch.setattr(engine, "CHUNK", chunk)
         monkeypatch.setattr(engine, "MIN_LANES", min_lanes)
         n = 5000
-        together, drawn = self.lanes(self.STARTS, n, range(len(self.STARTS)))
+        together, drawn = self.lanes(self.STARTS, n, range(len(self.STARTS)), grow)
         lengths = [len(p) for p in together]
         assert len(set(lengths)) == len(lengths)  # every lane stops at its own step
         rows = max(1, chunk // len(self.STARTS))
         for j, (x0, path) in enumerate(zip(self.STARTS, together)):
-            (alone,), _ = self.lanes((x0,), n, [j])
+            (alone,), _ = self.lanes((x0,), n, [j], grow)
             assert np.array_equal(path, alone)
             assert len(path) < n and path[-1] == 0.0 and np.all(path[:-1] > 0.0)
             # a stopped lane draws nothing after the block in which it stopped
-            assert drawn[j] == min(n, block_end(len(path), rows))
+            assert drawn[j] == min(n, block_end(len(path), rows, grow))
 
 
 class TestEarlyExit:
     """A reduction that stops after a few steps draws little past its stop."""
 
-    def counted_draws(self, monkeypatch):
+    def counted_draws(self, monkeypatch, rows=None):
+        """Parameters drawn through the walks' lane-draw entry, one entry per block."""
         drawn = []
-        sample = NoiseModel.sample
+        sample_lanes = NoiseModel.sample_lanes
 
-        def counted(model, rng, size=None):
-            drawn.append(size)
-            return sample(model, rng, size)
+        def counted(model, rngs, live, out, buf):
+            drawn.append(len(live) * len(out))
+            if rows is not None:
+                rows.append(len(out))
+            return sample_lanes(model, rngs, live, out, buf)
 
-        monkeypatch.setattr(NoiseModel, "sample", counted)
+        monkeypatch.setattr(NoiseModel, "sample_lanes", counted)
         return drawn
 
     def test_irreducibility_probe_draws_near_its_entry_step(self, monkeypatch):
@@ -529,13 +567,21 @@ class TestEarlyExit:
             NoiseModel.uniform(2.2, 2.8), 1e-6, (0.5455, 0.6428), 1000, n_paths, seed=20240
         )
         assert entry == 15
-        assert sum(drawn) <= 2 * n_paths * max(entry, engine.FIRST_ROWS)
+        assert 0 < sum(drawn) <= 2 * n_paths * max(entry, engine.FIRST_ROWS)
 
     def test_hitting_time_draws_near_its_entry_step(self, monkeypatch):
         drawn = self.counted_draws(monkeypatch)
         step = hitting_time(U23, 0.01, (0.55, 0.7), seed=5, cap=50_000)
         assert step is not None and step < 100
-        assert sum(drawn) <= 2 * max(step, engine.FIRST_ROWS)
+        assert 0 < sum(drawn) <= 2 * max(step, engine.FIRST_ROWS)
+
+    def test_walks_that_run_to_the_end_start_with_full_blocks(self, monkeypatch):
+        rows = []
+        drawn = self.counted_draws(monkeypatch, rows)
+        extinction_test(U23, 0.5, (3000, 30_000), 8, 1e-3, seed=1)
+        full = engine.CHUNK // 8
+        assert rows[:3] == [full] * 3 and sum(rows) == 30_000
+        assert sum(drawn) == 8 * 30_000
 
 
 class TestSimConfig:

@@ -189,6 +189,76 @@ class _TopOfUnitInterval:
         return np.full(shape, np.nextafter(1.0, 0.0))
 
 
+# an atom, two pieces and a zero-weight piece; and one piece alone
+MIXED = NoiseModel(
+    atoms=((1.5, 0.2),),
+    uniform_pieces=((2.0, 2.5, 0.3), (2.4, 3.6, 0.5), (3.7, 3.9, 0.0)),
+)
+SINGLE = NoiseModel.uniform(2.0, 3.0)
+
+
+def in_support(model, values):
+    """Whether every value is a positive-weight atom or lies in a positive-weight piece."""
+    ok = np.zeros(values.shape, dtype=bool)
+    for a, w in model.atoms:
+        ok |= (values == a) & (w > 0)
+    for c, d, w in model.uniform_pieces:
+        ok |= (values >= c) & (values <= d) & (w > 0)
+    return bool(ok.all())
+
+
+class TestLaneDraws:
+    """`sample_lanes` fills each live lane's column with that lane's own `sample` stream."""
+
+    @pytest.mark.parametrize("model", [MIXED, SINGLE], ids=["mixture", "single"])
+    def test_lane_columns_concatenate_to_each_lanes_stream(self, model):
+        lanes, max_rows = 7, 40
+        pick = np.random.default_rng(11)
+        rngs = [substream(60, j) for j in range(lanes)]
+        buf = np.zeros((lanes, max_rows, 2))
+        columns = [[] for _ in range(lanes)]
+        for _ in range(40):
+            m = int(pick.integers(1, max_rows + 1))
+            live = np.flatnonzero(pick.random(lanes) < 0.6)
+            out = np.full((m, lanes), np.nan)
+            model.sample_lanes(rngs, live, out, buf)
+            for j in live:
+                columns[j].append(out[:, j].copy())
+            # lanes outside live are placed from stale uniforms, never left unset
+            assert in_support(model, out)
+        for j, parts in enumerate(columns):
+            assert parts, j  # every lane drew in some block
+            got = np.concatenate(parts)
+            expect = model.sample(substream(60, j), len(got))
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64)), j
+
+    @pytest.mark.parametrize(
+        "model",
+        [MIXED, SINGLE, NoiseModel.point_mass(2.5),
+         NoiseModel(uniform_pieces=((2.0, 3.0, 1.0), (3.2, 3.4, 0.0)))],
+        ids=["mixture", "single", "atom", "single-with-zero-weight"],
+    )
+    def test_placement_matches_searchsorted_formula(self, model):
+        u = substream(61).random((5000, 2))
+        u[:4] = [[0.0, 0.0], [0.0, np.nextafter(1.0, 0.0)], [np.nextafter(1.0, 0.0), 0.5],
+                 [0.2, 0.2]]
+        cum, lo, width = model._tables
+        idx = np.searchsorted(cum, u[:, 0], side="right")
+        expect = lo[idx] + u[:, 1] * width[idx]
+        got = model._place(u, np.empty(len(u)))
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    def test_single_component_skips_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searchsorted called for a one-component model")
+
+        monkeypatch.setattr(np, "searchsorted", no_search)
+        assert len(SINGLE._tables[0]) == 1
+        SINGLE.sample(substream(62), 10)
+        with pytest.raises(AssertionError):
+            MIXED.sample(substream(62), 10)
+
+
 class TestZeroWeightNeverDrawn:
     # ten weights of 0.1 leave the cumulative edge before the trailing
     # zero-weight piece at 0.9999999999999999, below the largest uniform

@@ -59,6 +59,17 @@ def _trajectory_csv(path: Path, traj) -> None:
         )
 
 
+def _density_csv(path: Path, grid) -> None:
+    """Write one row of cell densities per source state; the same bytes as _write_csv."""
+    centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["x"] + [f"{c:.17g}" for c in centers.tolist()]) + "\n")
+        fh.writelines(
+            ",".join([f"{x:.17g}"] + [f"{v:.17g}" for v in vals]) + "\n"
+            for x, vals in zip(grid.x_values.tolist(), grid.values.tolist())
+        )
+
+
 def _occupation_csv(path: Path, measure) -> None:
     edges = measure.bin_edges
     freq = measure.frequencies
@@ -155,9 +166,7 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> int:
     n = cfg.get("kernel", "steps", 1)
     resolution = cfg.get("kernel", "resolution", 512)
     grid = kernel.density_grid(model, x_points, n, resolution=resolution)
-    centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
-    rows = [[x] + list(vals) for x, vals in zip(grid.x_values, grid.values)]
-    _write_csv(outdir / "density.csv", ["x"] + [_fmt(c) for c in centers], rows)
+    _density_csv(outdir / "density.csv", grid)
     drift = float(np.max(np.abs(grid.row_integrals - grid.expected_mass)))
     items = [("n", n), ("resolution", resolution), ("expected_mass", grid.expected_mass)]
     items += [
@@ -174,7 +183,13 @@ def _cmd_minorize(cfg: ExperimentConfig, outdir: Path) -> int:
     m = cfg.get("minorize", "period", 1)
     j_lo = cfg.get("minorize", "j_lo")
     j_hi = cfg.get("minorize", "j_hi")
-    J = (j_lo, j_hi) if j_lo is not None and j_hi is not None else None
+    if (j_lo is None) != (j_hi is None):
+        given, missing = ("j_hi", "j_lo") if j_lo is None else ("j_lo", "j_hi")
+        raise ConfigError(
+            f"minorize.{given} is set but minorize.{missing} is missing: "
+            "set both ends of J, or neither for the automatic J"
+        )
+    J = None if j_lo is None else (j_lo, j_hi)
     outcome = kernel.minorization_probe(
         model,
         theta0,

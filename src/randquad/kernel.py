@@ -459,20 +459,19 @@ def _density_window(model: NoiseModel, theta0: float) -> tuple[float, float]:
     raise ValueError(f"no positive-density window inside (1, 4) contains {theta0}")
 
 
-def _q_inverse(u: float, m: int, lo: float, hi: float, tol: float = 1e-11) -> float | None:
-    """Invert the largest-orbit-point function on [lo, hi] by bisection."""
+def _q_inverse(
+    u: float, m: int, olo: PeriodicOrbit, ohi: PeriodicOrbit, tol: float = 1e-11
+) -> float | None:
+    """Invert the largest-orbit-point function by bisection between two orbits' parameters."""
 
     def q(th: float) -> float | None:
         orbit = find_periodic_orbit(th, m)
         return None if orbit is None else orbit.largest_point
 
-    qlo, qhi = q(lo), q(hi)
-    if qlo is None or qhi is None:
+    if (olo.largest_point - u) * (ohi.largest_point - u) > 0.0:
         return None
-    if (qlo - u) * (qhi - u) > 0.0:
-        return None
-    a, b = lo, hi
-    fa = qlo - u
+    a, b = olo.theta, ohi.theta
+    fa = olo.largest_point - u
     while b - a > tol:
         mid = 0.5 * (a + b)
         qm = q(mid)
@@ -488,8 +487,11 @@ def _q_inverse(u: float, m: int, lo: float, hi: float, tol: float = 1e-11) -> fl
 
 def _default_window(
     model: NoiseModel, theta0: float, m: int, n_scan: int = 33
-) -> tuple[float, float] | None:
-    """Parameter subinterval around theta0 with attractive m-orbits and monotone q."""
+) -> tuple[PeriodicOrbit, PeriodicOrbit] | None:
+    """Parameter subinterval around theta0 with attractive m-orbits and monotone q.
+
+    Returns the orbits at its two ends; their theta fields bound the window.
+    """
     lo, hi = _density_window(model, theta0)
     pad = 1e-9 * (hi - lo)
     table = q_of_theta((lo + pad, hi - pad), m, n_scan)
@@ -519,7 +521,7 @@ def _default_window(
         k = j + 1
     if best is None or best[1] + 1 - best[0] < 2:
         return None
-    return float(thetas[a + best[0]]), float(thetas[a + best[1] + 1])
+    return table.orbits[a + best[0]], table.orbits[a + best[1] + 1]
 
 
 def minorization_probe(
@@ -557,7 +559,7 @@ def minorization_probe(
             message="no parameter window with attractive orbits and monotone "
             "largest point around theta0; no certificate constructed"
         )
-    wlo, whi = window
+    olo, ohi = window
     q0 = orbit.largest_point
     if J is not None:
         u1, u2 = float(J[0]), float(J[1])
@@ -568,8 +570,6 @@ def minorization_probe(
         # shrink symmetrically around q(theta0) within the image of the
         # window, until the m-step grid minimum survives the allowance;
         # the analytical construction guarantees only a small enough J
-        olo = find_periodic_orbit(wlo, m)
-        ohi = find_periodic_orbit(whi, m)
         img_lo, img_hi = sorted((olo.largest_point, ohi.largest_point))
         half = min(q0 - img_lo, img_hi - q0)
         if half <= 0.0:
@@ -596,12 +596,12 @@ def minorization_probe(
         last_min, last_allow = grid_min, allowance
         if delta <= 0.0:
             continue
-        gamma1 = _q_inverse(u1, m, wlo, whi)
-        gamma2 = _q_inverse(u2, m, wlo, whi)
+        gamma1 = _q_inverse(u1, m, olo, ohi)
+        gamma2 = _q_inverse(u2, m, olo, ohi)
         if gamma1 is None or gamma2 is None:
             return MinorizationFailure(
                 message="J is not contained in the largest-orbit-point image "
-                f"of the parameter window ({wlo:.6g}, {whi:.6g})",
+                f"of the parameter window ({olo.theta:.6g}, {ohi.theta:.6g})",
                 grid_min=grid_min,
                 error_allowance=allowance,
             )

@@ -5,6 +5,13 @@ on the open interval (0, 1): evaluation and composition, orbits, fixed and
 periodic points with their multipliers, the largest-orbit-point function
 q(theta), the common invariant interval for a parameter band, and Lyapunov
 exponents.  All functions are pure; no randomness enters this module.
+
+The periodic-orbit search warms each seed up over many steps before Newton
+refinement.  The map is a fixed IEEE function of the state, so once the
+float orbit repeats exactly it repeats forever: the warm-up checks for
+that every _CYCLE_BLOCK steps and, on a repeat, jumps to the state the full
+warm-up would end in.  Search results are the same, bit for bit, as those
+of the full warm-up; only the steps past the repeat are skipped.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ NEWTON_MAX_ITER = 100
 MIN_PERIOD_TOL = 1e-9
 WARMUP_STEPS = 10_000
 DEFAULT_SEED_COUNT = 16
+# warm-up steps between checks for an exactly repeating float orbit; its
+# divisors cover the periods 1-6 and 8
+_CYCLE_BLOCK = 240
 
 
 class DomainError(ValueError):
@@ -193,6 +203,57 @@ def _minimal_period_ok(theta: float, x: float, m: int) -> bool:
     return True
 
 
+def _warm_up(theta: float, x: float, steps: int) -> float:
+    """F_theta applied steps times to x, stopping early once the float orbit repeats.
+
+    The steps run in blocks of _CYCLE_BLOCK.  A block that ends on the state
+    it started from makes the float orbit exactly periodic with a period
+    dividing _CYCLE_BLOCK, so only the steps left modulo _CYCLE_BLOCK are
+    taken after it.
+    """
+    prev = x
+    left = steps
+    while left >= _CYCLE_BLOCK:
+        for _ in range(_CYCLE_BLOCK):
+            x = theta * x * (1.0 - x)
+        left -= _CYCLE_BLOCK
+        if x == prev:
+            left %= _CYCLE_BLOCK
+            break
+        prev = x
+    for _ in range(left):
+        x = theta * x * (1.0 - x)
+    return x
+
+
+def _orbit_from_candidate(theta: float, x: float, m: int) -> PeriodicOrbit | None:
+    """Newton-polish a warmed-up state into an attractive orbit of minimal period m.
+
+    None when Newton fails or the polished cycle is rejected.
+    """
+    root = _newton_refine(theta, x, m)
+    if root is None or not _minimal_period_ok(theta, root, m):
+        return None
+    _, multiplier = _orbit_multiplier(theta, root, m)
+    if not abs(multiplier) < 1.0:
+        return None
+    points = [root]
+    y = root
+    for _ in range(m - 1):
+        y = theta * y * (1.0 - y)
+        points.append(y)
+    if len(set(np.round(points, 9))) != m:
+        return None
+    if any(not (0.0 < p < 1.0) for p in points):
+        return None
+    return PeriodicOrbit(
+        theta=theta,
+        period=m,
+        points=tuple(sorted(points)),
+        multiplier=multiplier,
+    )
+
+
 def find_periodic_orbit(
     theta: float,
     m: int,
@@ -207,6 +268,15 @@ def find_periodic_orbit(
     is not strictly inside the unit interval, are rejected.  None therefore
     means "no attractive orbit of minimal period m found within the search
     budget", not a proof of absence.
+
+    Each seed's warm-up of `warmup` steps stops early once the float orbit
+    repeats exactly at a _CYCLE_BLOCK boundary (see _warm_up); the state it
+    ends in is the state the full warm-up reaches, bit for bit.  A seed is
+    dropped when that state lies outside (0, 1).  For theta in (0, 4] a
+    state outside (0, 1) never returns to it (0 and 1 map to 0, any other
+    such state maps to zero or below, NaN stays NaN), so this one check
+    drops exactly the seeds whose orbit leaves (0, 1) at any step.  With
+    warmup = 0 no step runs and the seed goes to Newton unchecked.
     """
     theta = _check_theta(theta)
     if m < 1:
@@ -214,38 +284,12 @@ def find_periodic_orbit(
     if seeds is None:
         seeds = np.linspace(0.05, 0.95, DEFAULT_SEED_COUNT)
     for seed in seeds:
-        x = float(seed)
-        ok = True
-        for _ in range(warmup):
-            x = theta * x * (1.0 - x)
-            if not (0.0 < x < 1.0):
-                ok = False
-                break
-        if not ok:
+        x = _warm_up(theta, float(seed), warmup)
+        if warmup > 0 and not (0.0 < x < 1.0):
             continue
-        root = _newton_refine(theta, x, m)
-        if root is None:
-            continue
-        if not _minimal_period_ok(theta, root, m):
-            continue
-        _, multiplier = _orbit_multiplier(theta, root, m)
-        if not abs(multiplier) < 1.0:
-            continue
-        points = [root]
-        y = root
-        for _ in range(m - 1):
-            y = theta * y * (1.0 - y)
-            points.append(y)
-        if len(set(np.round(points, 9))) != m:
-            continue
-        if any(not (0.0 < p < 1.0) for p in points):
-            continue
-        return PeriodicOrbit(
-            theta=theta,
-            period=m,
-            points=tuple(sorted(points)),
-            multiplier=multiplier,
-        )
+        orbit = _orbit_from_candidate(theta, x, m)
+        if orbit is not None:
+            return orbit
     return None
 
 

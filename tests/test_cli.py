@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from randquad import cli
+from randquad import cli, kernel
 from randquad.cli import main
 from randquad.config import ConfigError, parse_config_text
 from randquad.engine import simulate_trajectory
@@ -151,6 +151,18 @@ class TestSubcommands:
         assert "grid_n must be >= 2" in err
         assert "IndexError" not in err
 
+    @pytest.mark.parametrize(
+        "given, missing", [("j_lo = 0.58", "j_hi"), ("j_hi = 0.58", "j_lo")]
+    )
+    def test_minorize_one_sided_j_is_config_error(self, tmp_path, capsys, given, missing):
+        text = BASE_CONFIG.replace("2.0:3.0:1.0", "2.2:2.8:1.0")
+        text += f"\n[minorize]\ntheta0 = 2.5\nperiod = 1\n{given}\ngrid = 8\nresolution = 128\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "minorize", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"minorize.{missing} is missing" in err
+        assert not (tmp_path / "out" / "report.txt").exists()
+
     def test_threads_below_one_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CONFIG)
         assert run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", "0") == 1
@@ -280,6 +292,18 @@ class TestTrajectoryCsv:
         direct = (tmp_path / "direct.csv").read_bytes()
         assert direct == self.generic_bytes(tmp_path / "generic.csv", traj)
         assert direct.count(b"\n") == len(traj.values) + 1
+
+
+class TestDensityCsv:
+    def test_same_bytes_as_generic_writer(self, tmp_path):
+        grid = kernel.density_grid(NoiseModel.uniform(2.0, 3.0), [0.3, 0.123456789], 2, 64)
+        cli._density_csv(tmp_path / "direct.csv", grid)
+        centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
+        rows = [[x] + list(vals) for x, vals in zip(grid.x_values, grid.values)]
+        cli._write_csv(tmp_path / "generic.csv", ["x"] + [cli._fmt(c) for c in centers], rows)
+        direct = (tmp_path / "direct.csv").read_bytes()
+        assert direct == (tmp_path / "generic.csv").read_bytes()
+        assert direct.count(b"\n") == 3
 
 
 class TestReproducibility:

@@ -169,6 +169,73 @@ class TestFindPeriodicOrbit:
         assert quadmap.apply(orbit.theta, x) == pytest.approx(cyc[0], abs=1e-9)
 
 
+def reference_find_periodic_orbit(theta, m, seeds=None, warmup=quadmap.WARMUP_STEPS):
+    """The orbit search with a plain warm-up: every step taken, every state range-tested."""
+    theta = float(theta)
+    if seeds is None:
+        seeds = np.linspace(0.05, 0.95, quadmap.DEFAULT_SEED_COUNT)
+    for seed in seeds:
+        x = float(seed)
+        left_unit_interval = False
+        for _ in range(warmup):
+            x = theta * x * (1.0 - x)
+            if not (0.0 < x < 1.0):
+                left_unit_interval = True
+                break
+        if left_unit_interval:
+            continue
+        orbit = quadmap._orbit_from_candidate(theta, x, m)
+        if orbit is not None:
+            return orbit
+    return None
+
+
+# the period-2 window is (3, 1 + sqrt(6)); 2.95 and 3.5 are holes either side
+_SWEEPS = {
+    1: [0.5, 1.0, 1.5, 2.0, 2.5, 2.9, 2.99, 3.02, 3.3, 3.7, 3.9, 4.0],
+    2: [2.95, 3.05, 3.2, 3.4, 3.44, 3.5, 3.56, 3.7, 3.9, 4.0],
+    3: [3.2, 3.7, 3.83, 3.84, 3.85, 3.9, 4.0],
+    4: [3.2, 3.45, 3.5, 3.55, 3.6, 3.9, 4.0],
+}
+_OUTSIDE_SEEDS = [-0.5, 0.0, 1.0, 1.5, 1e300, float("inf"), float("-inf"), float("nan"), 0.3]
+
+
+class TestWarmUpMatchesFullWarmUp:
+    """The early-stopping warm-up gives the search results of the full one, None included."""
+
+    @pytest.mark.parametrize(
+        "m, theta", [(m, theta) for m, thetas in _SWEEPS.items() for theta in thetas]
+    )
+    def test_default_search(self, m, theta):
+        assert quadmap.find_periodic_orbit(theta, m) == reference_find_periodic_orbit(theta, m)
+
+    @pytest.mark.parametrize("warmup", [0, 1, 239, 240, 1001])
+    @pytest.mark.parametrize("m, theta", [(1, 2.5), (2, 3.2), (2, 3.5), (3, 3.83), (1, 4.0)])
+    def test_short_warmups(self, m, theta, warmup):
+        assert quadmap.find_periodic_orbit(
+            theta, m, warmup=warmup
+        ) == reference_find_periodic_orbit(theta, m, warmup=warmup)
+
+    # below theta = 1 a short warm-up from outside (0, 1) leaves a small
+    # negative state that Newton would polish into an accepted orbit near 0
+    @pytest.mark.parametrize("warmup", [0, 1, 10, 1001, quadmap.WARMUP_STEPS])
+    @pytest.mark.parametrize("m, theta", [(1, 0.5), (1, 2.5), (2, 3.2), (1, 3.9), (1, 4.0)])
+    def test_seeds_outside_unit_interval(self, m, theta, warmup):
+        for seed in _OUTSIDE_SEEDS:
+            assert quadmap.find_periodic_orbit(
+                theta, m, seeds=[seed], warmup=warmup
+            ) == reference_find_periodic_orbit(theta, m, seeds=[seed], warmup=warmup)
+        assert quadmap.find_periodic_orbit(
+            theta, m, seeds=_OUTSIDE_SEEDS, warmup=warmup
+        ) == reference_find_periodic_orbit(theta, m, seeds=_OUTSIDE_SEEDS, warmup=warmup)
+
+    def test_sweeps_cover_hits_and_misses(self):
+        for m, theta in [(1, 2.5), (2, 3.2), (3, 3.83), (4, 3.5)]:
+            assert quadmap.find_periodic_orbit(theta, m) is not None
+        for m, theta in [(2, 2.95), (2, 3.5), (1, 4.0), (3, 3.9)]:
+            assert quadmap.find_periodic_orbit(theta, m) is None
+
+
 class TestTransversality:
     def test_fixed_point_value(self):
         orbit = quadmap.find_periodic_orbit(2.5, 1)

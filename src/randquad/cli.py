@@ -49,14 +49,22 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# trajectory.csv rows formatted per write: bounds the chunk's string and lists
+CSV_ROWS = 4096
+
+
 def _trajectory_csv(path: Path, traj) -> None:
-    """Write step, x, epsilon rows; the same bytes as _write_csv, without _fmt per value."""
-    values, epsilons = traj.values.tolist(), traj.epsilons.tolist()
+    """Write step, x, epsilon rows; the same bytes as _write_csv, one % format per chunk."""
+    n = len(traj.epsilons)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"step,x,epsilon\n0,{values[0]:.17g},\n")
-        fh.writelines(
-            f"{k},{x:.17g},{e:.17g}\n" for k, (x, e) in enumerate(zip(values[1:], epsilons), 1)
-        )
+        fh.write(f"step,x,epsilon\n0,{traj.values[0]:.17g},\n")
+        for lo in range(0, n, CSV_ROWS):
+            hi = min(lo + CSV_ROWS, n)
+            flat = [None] * (3 * (hi - lo))
+            flat[0::3] = range(lo + 1, hi + 1)
+            flat[1::3] = traj.values[lo + 1 : hi + 1].tolist()
+            flat[2::3] = traj.epsilons[lo:hi].tolist()
+            fh.write(("%d,%.17g,%.17g\n" * (hi - lo)) % tuple(flat))
 
 
 def _density_csv(path: Path, grid) -> None:

@@ -17,14 +17,15 @@ lane, so every live lane draws its uniforms into one buffer and a single
 `NoiseModel.sample_lanes` step places them all, bit-identical to one
 `sample` call per lane.  That uniform buffer, like the walk's own eps and
 state buffers, is reused across blocks.  Below MIN_LANES lanes (a single
-chain, a small ensemble) each lane runs the scalar kernel `_advance`, which
-checks absorption step by step; from MIN_LANES on, `_advance_lanes` computes
-one row of L states per step and absorption is found by a scan after the
-block.  Both compute eps * x * (1 - x) in the same operand order, so every
-lane is bit-identical to the same path walked alone.  With numba both
-kernels are compiled; without it the scalar kernel steps a plain Python
-float over `eps.tolist()` and writes the block back with one slice
-assignment, which gives the same bits as the array loop at about three
+chain, a small ensemble) each lane runs the scalar kernel `_advance`; from
+MIN_LANES on, `_advance_lanes` computes one row of L states per step and
+absorption is found by a scan after the block.  Both compute
+eps * x * (1 - x) in the same operand order, so every lane is bit-identical
+to the same path walked alone.  With numba both kernels are compiled and
+the scalar one checks absorption step by step.  Without it the scalar
+kernel steps a Python float through the whole block in one list
+comprehension over the draws and finds absorption by one numpy scan
+afterwards, which gives the same bits as the array loop at about four
 times its speed, and the row kernel writes each row in place with `out=`
 ufuncs.  Every consumer, here and in the diagnostics and kernel, is a
 reduction over the blocks it yields (`_occupations`, `_snapshots`,
@@ -41,6 +42,7 @@ in a chunk-invariant layout, so results are bitwise identical for a given
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +72,10 @@ FIRST_ROWS = 16
 
 # fewest lanes at which one numpy row per step keeps up with a scalar loop
 # per lane (pure Python, 2 cores, whole walk with batched draws, median M
-# lane-steps/s scalar vs rows: 12 lanes 5.9 vs 4.3, 14 lanes 5.8 vs 5.2,
-# 16 lanes even at 5.8-6.6, 18 lanes 5.8 vs 6.7, 20 lanes 6.3 vs 8.1,
-# 24 lanes 5.9 vs 8.5)
-MIN_LANES = 16
+# lane-steps/s scalar vs rows: 16 lanes 6.1 vs 5.0, 19 lanes 6.1 vs 5.6,
+# 20 lanes 6.2 vs 5.9, 21 lanes 6.5 vs 7.1, 22 lanes 6.3 vs 6.5,
+# 24 lanes 6.3 vs 7.0, 32 lanes 5.9 vs 8.5)
+MIN_LANES = 21
 
 # smallest normal double: once the state is subnormal it can plateau at
 # 5e-324 forever (noise >= 0.5 rounds it back up), so extinction regimes
@@ -122,24 +124,24 @@ except ImportError:  # pragma: no cover
     def _advance(x, eps, out):
         """Run the map recurrence over a block of noise draws, on Python floats.
 
-        Same contract and the same IEEE operations as the array kernel above,
-        so the states are bit-identical; stepping a Python float is about
-        three times faster than indexing numpy scalars.
+        Same contract and the same IEEE operations, (eps[k] * x) * (1 - x),
+        as the array kernel above, so the states are bit-identical.  The
+        whole block is stepped in one list comprehension over the draws and
+        absorption is found by one scan afterwards, so a path that stops
+        mid-block computes the rest of that block (at most CHUNK states) and
+        throws it away; nothing past the stop is written to out.
         """
-        floor = ABSORB_FLOOR
         x = float(x)
-        states = []
-        push = states.append
-        for e in eps.tolist():
-            x = e * x * (1.0 - x)
-            push(x)
-            if x < floor or x == 1.0:
-                if x < floor:
-                    states[-1] = 0.0
-                out[: len(states)] = states
-                return len(states) - 1
-        out[: len(states)] = states
-        return -1
+        states = np.frombuffer(array("d", [x := e * x * (1.0 - x) for e in memoryview(eps)]))
+        stops = np.flatnonzero((states < ABSORB_FLOOR) | (states == 1.0))
+        if not len(stops):
+            out[:] = states
+            return -1
+        k = int(stops[0])
+        out[: k + 1] = states[: k + 1]
+        if states[k] < ABSORB_FLOOR:
+            out[k] = 0.0
+        return k
 
     def _advance_lanes(x, eps, out):
         """Run the map recurrence for L lanes in lockstep over an (m, L) block, in place.

@@ -277,10 +277,16 @@ def find_periodic_orbit(
     such state maps to zero or below, NaN stays NaN), so this one check
     drops exactly the seeds whose orbit leaves (0, 1) at any step.  With
     warmup = 0 no step runs and the seed goes to Newton unchecked.
+
+    For theta <= 1 the search returns None at once: F_theta(x) < x on
+    (0, 1), so every orbit decreases and none is periodic.  (A warmed-up
+    state near 0 would otherwise pass Newton's absolute tolerance.)
     """
     theta = _check_theta(theta)
     if m < 1:
         raise ValueError("period must be >= 1")
+    if theta <= 1.0:
+        return None
     if seeds is None:
         seeds = np.linspace(0.05, 0.95, DEFAULT_SEED_COUNT)
     for seed in seeds:

@@ -124,6 +124,18 @@ class TestSubcommands:
         assert lines[0] == "theta,q,q_prime,multiplier,point_1"
         assert len(lines) == 8
 
+    def test_orbit_holes_at_or_below_theta_one(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            BASE_CONFIG + "\n[orbit]\ntheta_min = 0.9\ntheta_max = 1.5\nperiod = 1\nsamples = 7\n",
+        )
+        assert run_cli(tmp_path, "orbit", "--config", str(cfg)) == 2
+        lines = (tmp_path / "out" / "orbits.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(r[0]) <= 1.0 for r in rows] == [True, True] + [False] * 5
+        assert [r[1:] == [""] * 4 for r in rows] == [True, True] + [False] * 5
+        assert "holes = 2\n" in (tmp_path / "out" / "report.txt").read_text()
+
     def test_kernel_normalization(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -283,6 +295,10 @@ class TestTrajectoryCsv:
             (NoiseModel.uniform(2.0, 3.0), 0.123456789, 300, False),
             # dies out at step 15585 of 40000: a truncated path ending in 0
             (NoiseModel.uniform(0.5, 1.5), 0.5, 40_000, True),
+            # one full chunk, a chunk and one row, several chunks and a part
+            (NoiseModel.uniform(2.0, 3.0), 0.3, cli.CSV_ROWS, False),
+            (NoiseModel.uniform(2.0, 3.0), 0.3, cli.CSV_ROWS + 1, False),
+            (NoiseModel.uniform(3.5, 3.99), 0.7, 3 * cli.CSV_ROWS + 17, False),
         ],
     )
     def test_same_bytes_as_generic_writer(self, tmp_path, model, x0, n, absorbed):

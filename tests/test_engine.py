@@ -418,8 +418,10 @@ class TestScalarKernel:
         assert out[0] == 1.0 and np.all(np.isnan(out[1:]))
 
     def test_empty_block(self):
-        (stop, out), _ = self.run_both(0.5, np.empty(0))
-        assert stop == -1 and out.shape == (0,)
+        (stop, out), (ref_stop, _) = self.run_both(0.5, np.empty(0))
+        assert stop == ref_stop == -1 and out.shape == (0,)
+        eps, out = np.empty((0, 3)), np.empty((0, 3))  # a strided column of an empty block
+        assert _advance(0.5, eps[:, 1], out[:, 1]) == -1
 
     def test_strided_columns(self):
         # a column of a (steps, lanes) walk buffer, as `_walk` passes it
@@ -429,6 +431,41 @@ class TestScalarKernel:
         ref = np.empty(len(eps))
         numpy_scalar_advance(0.2, eps[:, 1].copy(), ref)
         assert np.array_equal(out[:, 1], ref)
+        assert np.all(np.isnan(out[:, [0, 2]]))
+
+    def test_absorption_at_first_step(self):
+        # a subnormal first state is recorded as exactly 0
+        eps = np.array([0.5, 3.0, 3.0])
+        (stop, out), (ref_stop, ref) = self.run_both(3e-308, eps)
+        assert stop == ref_stop == 0
+        assert out[0] == 0.0 and np.all(np.isnan(out[1:]))
+        assert np.array_equal(out, ref, equal_nan=True)
+
+    def test_absorption_at_last_row(self):
+        eps = np.full(3000, 0.5)
+        last = numpy_scalar_advance(0.5, eps, np.empty(len(eps)))
+        (stop, out), (ref_stop, ref) = self.run_both(0.5, eps[: last + 1])
+        assert stop == ref_stop == last == len(out) - 1
+        assert out[-1] == 0.0 and 0.0 < out[-2] < 1e-300
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+
+    def test_reaching_one_mid_block(self):
+        # 0.5 is fixed under eps = 2, then eps = 4 maps it to 1 with draws left over
+        eps = np.array([2.0] * 50 + [4.0] + [3.0] * 49)
+        (stop, out), (ref_stop, ref) = self.run_both(0.5, eps)
+        assert stop == ref_stop == 50
+        assert np.all(out[:50] == 0.5) and out[50] == 1.0
+        assert np.all(np.isnan(out[51:]))
+        assert np.array_equal(out, ref, equal_nan=True)
+
+    def test_strided_column_absorbs(self):
+        eps = ABSORBING.sample(substream(127), 3 * 3000).reshape(3000, 3)
+        out = np.full(eps.shape, np.nan)
+        stop = _advance(0.4, eps[:, 1], out[:, 1])
+        ref = np.full(len(eps), np.nan)
+        assert stop == numpy_scalar_advance(0.4, eps[:, 1].copy(), ref) >= 0
+        assert out[stop, 1] == 0.0 and stop < len(eps) - 1
+        assert np.array_equal(out[:, 1], ref, equal_nan=True)
         assert np.all(np.isnan(out[:, [0, 2]]))
 
     def test_compiled_exactly_when_numba_is_installed(self):

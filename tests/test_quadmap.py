@@ -153,6 +153,18 @@ class TestFindPeriodicOrbit:
         # at theta = 2.5 the only attractor has period 1, so m = 2 must fail
         assert quadmap.find_periodic_orbit(2.5, 2) is None
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("theta", [0.5, 0.9, 0.99, 0.999, 1.0])
+    def test_no_orbit_at_or_below_theta_one(self, theta, m):
+        # F_theta(x) < x on (0, 1): a warmed-up state near 0 is no orbit
+        assert quadmap.find_periodic_orbit(theta, m) is None
+        assert quadmap.find_periodic_orbit(theta, m, seeds=[0.3], warmup=0) is None
+
+    def test_fixed_point_just_above_theta_one(self):
+        orbit = quadmap.find_periodic_orbit(1.0001, 1)
+        assert orbit is not None and orbit.attractive
+        assert orbit.points[0] == pytest.approx(quadmap.fixed_point(1.0001), rel=1e-6)
+
     def test_no_attractive_orbit_in_chaos(self):
         # theta = 4 is chaotic: nothing attractive to find
         assert quadmap.find_periodic_orbit(4.0, 1) is None
@@ -172,6 +184,8 @@ class TestFindPeriodicOrbit:
 def reference_find_periodic_orbit(theta, m, seeds=None, warmup=quadmap.WARMUP_STEPS):
     """The orbit search with a plain warm-up: every step taken, every state range-tested."""
     theta = float(theta)
+    if theta <= 1.0:  # no periodic point in (0, 1)
+        return None
     if seeds is None:
         seeds = np.linspace(0.05, 0.95, quadmap.DEFAULT_SEED_COUNT)
     for seed in seeds:
@@ -216,8 +230,8 @@ class TestWarmUpMatchesFullWarmUp:
             theta, m, warmup=warmup
         ) == reference_find_periodic_orbit(theta, m, warmup=warmup)
 
-    # below theta = 1 a short warm-up from outside (0, 1) leaves a small
-    # negative state that Newton would polish into an accepted orbit near 0
+    # below theta = 1 a short warm-up leaves a state near 0 that Newton would
+    # polish into an accepted orbit; both searches return None there
     @pytest.mark.parametrize("warmup", [0, 1, 10, 1001, quadmap.WARMUP_STEPS])
     @pytest.mark.parametrize("m, theta", [(1, 0.5), (1, 2.5), (2, 3.2), (1, 3.9), (1, 4.0)])
     def test_seeds_outside_unit_interval(self, m, theta, warmup):

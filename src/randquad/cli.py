@@ -214,8 +214,7 @@ def _cmd_minorize(cfg: ExperimentConfig, outdir: Path) -> int:
         [
             ("certified", False),
             ("message", outcome.message),
-            ("grid_min", outcome.grid_min),
-            ("error_allowance", outcome.error_allowance),
+            ("bound", outcome.bound),
         ],
     )
     return 2

@@ -26,6 +26,14 @@ the half grid are kept, and each out cell receives mass from one contiguous
 run of them; KernelOperator stores those runs in padded row blocks.  That
 is about half the nonzeros of the dense matrix: 44 MiB at R = 8192 for
 U[2,3], against 512 MiB for the dense R x R array.
+
+Minorization (Doeblin's condition; Meyn & Tweedie, Markov Chains and
+Stochastic Stability) rests on box lower bounds.  Over a box X x Y, s(x)
+spans [s_lo, s_hi], so p >= inf h over [y_lo / s_hi, y_hi / s_lo] / s_hi.
+delta is the least such bound over grid_n x grid_n boxes of J x J; m >= 2
+chains p^(k+1)(X, Z) >= sum over Y of |Y| low^(k)(X, Y) inf p(Y, Z) through
+`resolution` cells on each k-step image of J, outside which no mass lies.
+Bounds round outward by _BOUND_SLACK (Tucker, Validated Numerics, 2011).
 """
 
 from __future__ import annotations
@@ -162,10 +170,9 @@ class DensityRow:
     """Cell-averaged n-step density p^(n)(x, .) on the cells of y_edges.
 
     row_integral is the exact sum of cell masses; expected_mass is
-    (a.c. weight)^n when the cells span all of (0, 1) (atomic noise removes
-    kernel mass at every step), else None.  Values coincide with the
-    pointwise density wherever it is constant across a cell; elsewhere they
-    are averages.
+    (a.c. weight)^n, since atomic noise removes kernel mass at every step.
+    Values coincide with the pointwise density wherever it is constant
+    across a cell; elsewhere they are averages.
     """
 
     n: int
@@ -174,16 +181,14 @@ class DensityRow:
     values: np.ndarray
     resolution: int
     row_integral: float
-    expected_mass: float | None
+    expected_mass: float
 
     @property
     def y_centers(self) -> np.ndarray:
         return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
 
     @property
-    def drift(self) -> float | None:
-        if self.expected_mass is None:
-            return None
+    def drift(self) -> float:
         return abs(self.row_integral - self.expected_mass)
 
 
@@ -197,27 +202,20 @@ class DensityGrid:
     values: np.ndarray  # shape (len(x_values), len(y_edges) - 1)
     resolution: int
     row_integrals: np.ndarray
-    expected_mass: float | None
+    expected_mass: float
 
 
 class KernelOperator:
     """Reusable n-step density evaluator at a fixed internal resolution.
 
     Building the transfer matrix on the internal grid is the dominant cost,
-    so construct one operator and query many source states (and many final
-    output grids) against it.  Intermediate recursion steps always run on
-    the full internal grid; out_edges only restricts the cells of the final
-    step, as the minorization grids over J do.
+    so construct one operator and query many source states against it.
 
-    Matrices are stored folded and banded (see _FoldedBand): half the
+    The matrix is stored folded and banded (see _FoldedBand): half the
     source columns, and of those only the run that can reach each out cell.
     That keeps about half the nonzeros: 44 MiB at R = 8192 for U[2,3],
-    against 512 MiB for the dense R x R matrix.  At most _FINAL_CACHE_SIZE
-    final-step matrices for out_edges other than the internal grid are
-    kept, the most recently built ones.
+    against 512 MiB for the dense R x R matrix.
     """
-
-    _FINAL_CACHE_SIZE = 2
 
     def __init__(self, model: NoiseModel, resolution: int):
         _require_ac(model)
@@ -228,7 +226,6 @@ class KernelOperator:
         self.edges = np.linspace(0.0, 1.0, self.resolution + 1)
         self.widths = np.diff(self.edges)
         self._step_matrix: _FoldedBand | None = None
-        self._final_cache: dict[bytes, _FoldedBand] = {}
 
     def _band_matrix(self, out_edges: np.ndarray) -> _FoldedBand:
         """Masses from each folded half-grid source cell into each out cell."""
@@ -268,58 +265,29 @@ class KernelOperator:
             folded[-1] = f[half - 1]
         return folded
 
-    def _masses_from_point(self, x: float, out_edges: np.ndarray) -> np.ndarray:
-        s = x * (1.0 - x)
-        return np.diff(np.asarray(self.model.ac_cdf(out_edges / s), dtype=float))
-
     def _step(self) -> _FoldedBand:
         if self._step_matrix is None:
             self._step_matrix = self._band_matrix(self.edges)
         return self._step_matrix
 
-    def _final(self, out_edges: np.ndarray) -> _FoldedBand:
-        if out_edges is self.edges:
-            return self._step()
-        key = out_edges.tobytes()
-        if key not in self._final_cache:
-            while len(self._final_cache) >= self._FINAL_CACHE_SIZE:
-                del self._final_cache[next(iter(self._final_cache))]
-            self._final_cache[key] = self._band_matrix(out_edges)
-        return self._final_cache[key]
-
-    def row(self, x: float, n: int, out_edges=None) -> DensityRow:
-        """Cell-averaged p^(n)(x, .) on out_edges cells (internal grid if None)."""
+    def row(self, x: float, n: int) -> DensityRow:
+        """Cell-averaged p^(n)(x, .) on the internal grid."""
         if not (0.0 < x < 1.0):
             raise ValueError("x must lie in (0, 1)")
         if n < 1:
             raise ValueError("n must be >= 1")
-        if out_edges is None:
-            out_edges = self.edges
-            full_range = True
-        else:
-            out_edges = np.asarray(out_edges, dtype=float)
-            if out_edges.ndim != 1 or len(out_edges) < 2:
-                raise ValueError("output edges must be a sequence of at least two values")
-            if not np.all(np.diff(out_edges) > 0):
-                raise ValueError("output edges must increase strictly")
-            if not (0.0 <= out_edges[0] and out_edges[-1] <= 1.0):
-                raise ValueError("output edges must lie in [0, 1]")
-            full_range = bool(out_edges[0] == 0.0 and out_edges[-1] == 1.0)
-        if n == 1:
-            masses = self._masses_from_point(x, out_edges)
-        else:
-            masses = self._masses_from_point(x, self.edges)
-            for _ in range(n - 2):
-                masses = self._step().apply(self._fold(masses))
-            masses = self._final(out_edges).apply(self._fold(masses))
+        s = x * (1.0 - x)
+        masses = np.diff(np.asarray(self.model.ac_cdf(self.edges / s), dtype=float))
+        for _ in range(n - 1):
+            masses = self._step().apply(self._fold(masses))
         return DensityRow(
             n=n,
             x=float(x),
-            y_edges=out_edges,
-            values=masses / np.diff(out_edges),
+            y_edges=self.edges,
+            values=masses / self.widths,
             resolution=self.resolution,
             row_integral=float(masses.sum()),
-            expected_mass=self.model.ac_weight**n if full_range else None,
+            expected_mass=self.model.ac_weight**n,
         )
 
 
@@ -328,20 +296,18 @@ def n_step_density(
     x: float,
     n: int,
     resolution: int = 2048,
-    y_edges=None,
     normalization_tol: float = 1e-6,
 ) -> DensityRow:
     """n-step density row from x, with a normalization failure guard.
 
-    For full-range rows the cell masses must sum to (a.c. weight)^n within
-    normalization_tol; a larger measured drift raises QuadratureError, which
+    The cell masses must sum to (a.c. weight)^n within normalization_tol;
+    a larger measured drift raises QuadratureError, which
     indicates the resolution cannot support the requested computation (the
     closed-form transfer keeps drift at roundoff level unless the source
     state feeds mass into the extreme cells).
     """
-    op = KernelOperator(model, resolution)
-    row = op.row(x, n, out_edges=y_edges)
-    if row.drift is not None and row.drift > normalization_tol:
+    row = KernelOperator(model, resolution).row(x, n)
+    if row.drift > normalization_tol:
         raise QuadratureError(
             f"normalization drift {row.drift:.3e} exceeds {normalization_tol:.3e} "
             f"at resolution {resolution}"
@@ -354,14 +320,13 @@ def density_grid(
     x_values,
     n: int,
     resolution: int = 2048,
-    y_edges=None,
 ) -> DensityGrid:
     """Density rows for several source states, sharing one transfer matrix."""
     x_values = np.asarray(x_values, dtype=float)
     if x_values.size == 0:
         raise ValueError("x_values is empty: need at least one source state")
     op = KernelOperator(model, resolution)
-    rows = [op.row(float(x), n, out_edges=y_edges) for x in x_values]
+    rows = [op.row(float(x), n) for x in x_values]
     return DensityGrid(
         n=n,
         x_values=x_values,
@@ -391,13 +356,13 @@ def orbit_density_chain(model: NoiseModel, orbit: PeriodicOrbit) -> list[float]:
 
 @dataclass(frozen=True)
 class MinorizationCertificate:
-    """Numerical witness of the m-step minorization over J x J.
+    """Doeblin minorization p^(m)(x, z) >= delta > 0 for almost all x, z in J.
 
-    delta = (grid minimum of the a.c. m-step density over J x J) minus a
-    finite-difference Lipschitz allowance for the grid spacing; gamma1 and
-    gamma2 are the parameter values mapping onto the ends of J through the
-    largest-orbit-point function.  The certificate is resolution-qualified,
-    not a proof.
+    delta is the box lower bound of the a.c. density over grid_n x grid_n
+    boxes of J x J, for m >= 2 chained through `resolution` cells on each
+    image of J, rounded outward by _BOUND_SLACK (see the module docstring;
+    Tucker 2011, Meyn & Tweedie).  gamma1 and gamma2 are the parameter values
+    mapping onto the ends of J through the largest-orbit-point function.
     """
 
     J: tuple[float, float]
@@ -408,8 +373,6 @@ class MinorizationCertificate:
     gamma2: float
     grid_n: int
     resolution: int
-    grid_min: float
-    error_allowance: float
 
     @property
     def ok(self) -> bool:
@@ -426,21 +389,19 @@ class MinorizationCertificate:
             "gamma2": self.gamma2,
             "grid_n": self.grid_n,
             "resolution": self.resolution,
-            "grid_min": self.grid_min,
-            "error_allowance": self.error_allowance,
         }
 
 
 @dataclass(frozen=True)
 class MinorizationFailure:
-    """Probe outcome when no positive lower bound survived the error allowance.
+    """Probe outcome when no positive box lower bound was found.
 
-    Not a disproof: a finer grid or resolution may still certify.
+    Not a disproof: a finer grid or resolution may still certify.  bound is
+    the largest box lower bound computed, if any.
     """
 
     message: str
-    grid_min: float | None = None
-    error_allowance: float | None = None
+    bound: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -524,6 +485,50 @@ def _default_window(
     return table.orbits[a + best[0]], table.orbits[a + best[1] + 1]
 
 
+# relative roundoff allowance per operation (~4500 unit roundoffs): s bounds
+# and ratios widen by it, and delta drops by m * (resolution + 8) of it for
+# the chained sums; 1e-9 would zero the automatic m = 1 J, whose y / s stops
+# the window's pad (1e-9 of the support width) short of the support's end
+_BOUND_SLACK = 1e-12
+
+
+def _s_bounds(lo, hi):
+    """Outward bounds (s_lo, s_hi) of s(x) = x(1-x) over each cell [lo, hi]."""
+    s_a, s_b = lo * (1.0 - lo), hi * (1.0 - hi)
+    peak = np.where((lo <= 0.5) & (0.5 <= hi), 0.25, np.maximum(s_a, s_b))
+    return np.minimum(s_a, s_b) * (1.0 - _BOUND_SLACK), peak * (1.0 + _BOUND_SLACK)
+
+
+def _box_bound(model: NoiseModel, x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
+    """Lower bounds of p(x, y) over the boxes of x cells (rows) by y cells (columns)."""
+    s_lo, s_hi = _s_bounds(x_edges[:-1, None], x_edges[1:, None])
+    r_lo = y_edges[:-1] / s_hi * (1.0 - _BOUND_SLACK)
+    with np.errstate(divide="ignore"):  # s_lo = 0 on a cell from 0 leaves the support
+        r_hi = y_edges[1:] / s_lo * (1.0 + _BOUND_SLACK)
+    return model.inf_density(r_lo, r_hi) / s_hi
+
+
+def _minorization_bound(model: NoiseModel, J, m: int, grid_n: int, resolution: int) -> float:
+    """Box lower bound of p^(m)(x, z) over J x J (see the module docstring)."""
+    c_min = min(c for c, _, w in model.uniform_pieces if w > 0.0)
+    d_max = max(d for _, d, w in model.uniform_pieces if w > 0.0)
+    # J, then the cells of the k-step images of J for k = 1 .. m - 1, then J
+    grids = [np.linspace(J[0], J[1], grid_n + 1)]
+    for _ in range(m - 1):
+        s_lo, s_hi = _s_bounds(grids[-1][0], grids[-1][-1])
+        grids.append(np.linspace(c_min * s_lo, min(d_max * s_hi, 1.0), resolution + 1))
+    grids.append(grids[0])
+    low = _box_bound(model, grids[0], grids[1])  # low[i, j] <= p^(k) on J cell i x cell j
+    for y, z in zip(grids[1:-1], grids[2:]):
+        # one block of source cells at a time, never a resolution^2 array
+        weighted = low * np.diff(y)
+        low = sum(
+            weighted[:, i : i + _BLOCK_ROWS] @ _box_bound(model, y[i : i + _BLOCK_ROWS + 1], z)
+            for i in range(0, len(y) - 1, _BLOCK_ROWS)
+        )
+    return float(low.min()) * (1.0 - m * (resolution + 8) * _BOUND_SLACK)
+
+
 def minorization_probe(
     model: NoiseModel,
     theta0: float,
@@ -540,11 +545,14 @@ def minorization_probe(
     the certificate can record gamma1 and gamma2.  Returns a certificate
     with delta > 0 on success, a MinorizationFailure with diagnostics
     otherwise; hypothesis violations (no density component, theta0 outside
-    the support) raise ValueError.
+    the support) and bad arguments raise ValueError.
     """
     _require_ac(model)
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    candidates = None if J is None else [_check_interval(J)]
     if float(model.density(theta0)) <= 0.0:
         raise ValueError(f"density vanishes at theta0 = {theta0}")
     orbit = find_periodic_orbit(theta0, m)
@@ -561,15 +569,10 @@ def minorization_probe(
         )
     olo, ohi = window
     q0 = orbit.largest_point
-    if J is not None:
-        u1, u2 = float(J[0]), float(J[1])
-        if not u1 < u2:
-            raise ValueError("J must be a nondegenerate interval")
-        candidates = [(u1, u2)]
-    else:
+    if candidates is None:
         # shrink symmetrically around q(theta0) within the image of the
-        # window, until the m-step grid minimum survives the allowance;
-        # the analytical construction guarantees only a small enough J
+        # window, until the box lower bound is positive; the analytical
+        # construction guarantees only a small enough J
         img_lo, img_hi = sorted((olo.largest_point, ohi.largest_point))
         half = min(q0 - img_lo, img_hi - q0)
         if half <= 0.0:
@@ -578,22 +581,10 @@ def minorization_probe(
             )
         candidates = [(q0 - f * half, q0 + f * half) for f in (1.0, 0.5, 0.25, 0.1, 0.05)]
 
-    op = KernelOperator(model, resolution)
-    last_min = last_allow = None
+    best = 0.0
     for u1, u2 in candidates:
-        j_edges = np.linspace(u1, u2, grid_n + 1)
-        centers = 0.5 * (j_edges[:-1] + j_edges[1:])
-        values = np.vstack(
-            [op.row(float(c), m, out_edges=j_edges).values for c in centers]
-        )
-        grid_min = float(values.min())
-        dx = centers[1] - centers[0]
-        dy = j_edges[1] - j_edges[0]
-        lip_x = float(np.max(np.abs(np.diff(values, axis=0)))) / dx
-        lip_y = float(np.max(np.abs(np.diff(values, axis=1)))) / dy
-        allowance = 0.5 * (lip_x * dx + lip_y * dy)
-        delta = grid_min - allowance
-        last_min, last_allow = grid_min, allowance
+        delta = _minorization_bound(model, (u1, u2), m, grid_n, resolution)
+        best = max(best, delta)
         if delta <= 0.0:
             continue
         gamma1 = _q_inverse(u1, m, olo, ohi)
@@ -602,8 +593,7 @@ def minorization_probe(
             return MinorizationFailure(
                 message="J is not contained in the largest-orbit-point image "
                 f"of the parameter window ({olo.theta:.6g}, {ohi.theta:.6g})",
-                grid_min=grid_min,
-                error_allowance=allowance,
+                bound=delta,
             )
         return MinorizationCertificate(
             J=(u1, u2),
@@ -614,14 +604,11 @@ def minorization_probe(
             gamma2=float(gamma2),
             grid_n=grid_n,
             resolution=resolution,
-            grid_min=grid_min,
-            error_allowance=allowance,
         )
     return MinorizationFailure(
-        message=f"grid minimum {last_min:.3e} does not survive the error "
-        f"allowance {last_allow:.3e} at resolution {resolution}",
-        grid_min=last_min,
-        error_allowance=last_allow,
+        message=f"box lower bound {best:.3e} over J x J is not positive at "
+        f"grid {grid_n}, resolution {resolution}",
+        bound=best,
     )
 
 

@@ -75,6 +75,11 @@ class NoiseModel:
         cum = np.cumsum(weights)
         cum[-1] = 1.0  # guard against roundoff in the last edge
         object.__setattr__(self, "_tables", (cum, lo, hi - lo))
+        # (left, right, density) of the open cells between the positive-weight
+        # pieces' endpoints, on which the density is constant, out to +-inf
+        cuts = [-math.inf, *sorted({e for c, d, w in pieces if w > 0.0 for e in (c, d)}), math.inf]
+        cells = [(a, b, self.density(0.5 * (a + b))) for a, b in zip(cuts[:-1], cuts[1:])]
+        object.__setattr__(self, "_cells", cells)
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -141,22 +146,30 @@ class NoiseModel:
             out = out + w * (u >= loc)
         return out if out.ndim else float(out)
 
+    def inf_density(self, lo, hi) -> np.ndarray | float:
+        """Exact infimum of the density over [lo, hi] (lo < hi), up to null sets.
+
+        The least value over the cells between piece endpoints that the
+        interval meets in positive length, so an end sitting on a cut does not
+        reach past it; 0 once it leaves the support.  Atoms are dropped.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        out = math.inf
+        for left, right, value in self._cells:
+            out = np.minimum(out, np.where((left < hi) & (lo < right), value, math.inf))
+        return out if out.ndim else float(out)
+
     def density_runs(self) -> list[tuple[float, float]]:
         """Maximal intervals inside [1, 4] on which the density is positive.
 
-        Found exactly from the partition of [1, 4] by the endpoints of the
-        positive-weight pieces: a run is a maximal chain of adjacent cells
-        with positive density at their midpoints.  Runs come in increasing
-        order.
+        Found exactly from the density's cells (see inf_density), clipped to
+        [1, 4]: a run is a maximal chain of adjacent cells of positive density.
+        Runs come in increasing order.
         """
-        cuts = {1.0, 4.0}
-        for c, d, w in self.uniform_pieces:
-            if w > 0:
-                cuts.update((c, d))
-        cuts = sorted(p for p in cuts if 1.0 <= p <= 4.0)
         runs: list[tuple[float, float]] = []
-        for left, right in zip(cuts[:-1], cuts[1:]):
-            if self.density(0.5 * (left + right)) > 0.0:
+        for left, right, value in self._cells:
+            left, right = max(left, 1.0), min(right, 4.0)
+            if value > 0.0 and left < right:
                 if runs and runs[-1][1] == left:
                     runs[-1] = (runs[-1][0], right)
                 else:

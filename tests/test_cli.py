@@ -164,6 +164,30 @@ class TestSubcommands:
         assert "IndexError" not in err
 
     @pytest.mark.parametrize(
+        "pieces, minorize, message",
+        [
+            pytest.param(
+                "2.2:2.8:1.0", "theta0 = 2.5\nperiod = 1\nj_lo = -0.1\nj_hi = 0.6",
+                "must be nondegenerate inside (0, 1)", id="J-below-0",
+            ),
+            pytest.param(
+                "2.2:2.8:1.0", "theta0 = 2.5\nperiod = 1\nj_lo = 0.6\nj_hi = 1.2",
+                "must be nondegenerate inside (0, 1)", id="J-above-1",
+            ),
+            pytest.param(
+                "3.15:3.25:1.0", "theta0 = 3.2\nperiod = 2\nresolution = 1",
+                "resolution must be >= 2", id="resolution-1",
+            ),
+        ],
+    )
+    def test_minorize_bad_argument_is_error(self, tmp_path, capsys, pieces, minorize, message):
+        text = BASE_CONFIG.replace("2.0:3.0:1.0", pieces) + f"\n[minorize]\n{minorize}\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "minorize", "--config", str(cfg)) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    @pytest.mark.parametrize(
         "given, missing", [("j_lo = 0.58", "j_hi"), ("j_hi = 0.58", "j_lo")]
     )
     def test_minorize_one_sided_j_is_config_error(self, tmp_path, capsys, given, missing):

@@ -110,7 +110,7 @@ class TestInvariantEstimate:
     def test_point_attractor_in_J(self):
         cert = MinorizationCertificate(
             J=(0.55, 0.65), m=1, delta=1e-6, theta0=2.5, gamma1=2.2, gamma2=2.8,
-            grid_n=2, resolution=2, grid_min=1e-6, error_allowance=0.0,
+            grid_n=2, resolution=2,
         )
         cfg = SimConfig(master_seed=16, n_steps=20_000, n_replicates=1, burn_in=500)
         est = invariant_estimate(NoiseModel.point_mass(2.5), cfg, cert)
@@ -119,7 +119,7 @@ class TestInvariantEstimate:
     def test_disjoint_interval_flagged_inconsistent(self):
         cert = MinorizationCertificate(
             J=(0.9, 0.95), m=1, delta=1.0, theta0=2.5, gamma1=2.2, gamma2=2.8,
-            grid_n=2, resolution=2, grid_min=1.0, error_allowance=0.0,
+            grid_n=2, resolution=2,
         )
         cfg = SimConfig(master_seed=17, n_steps=50_000, n_replicates=1, burn_in=500)
         est = invariant_estimate(U23, cfg, cert)

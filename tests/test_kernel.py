@@ -1,6 +1,6 @@
 """Tests for the transition-density machinery."""
 
-import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -120,6 +120,30 @@ def _entry_scale(model):
     """Size of the terms the antiderivative sums: a matrix entry, a
     difference of such sums, carries roundoff of a few eps times this."""
     return sum(w * (1.0 + d / (d - c)) for c, d, w in model.uniform_pieces if w > 0.0)
+
+
+def _point_floor(model, J, m):
+    """Least p^(m) (m = 1 or 2, by the oracles above) on a 9 x 9 point grid of J x J."""
+    pts = np.linspace(J[0], J[1], 9)
+    if m == 1:
+        return float(np.min(_p1_oracle(model, pts[:, None], pts[None, :])))
+    return min(p2_oracle(model, x, z) for x in pts for z in pts)
+
+
+def _centre_values(model, x_edges, y_edges):
+    """A wrong box bound: p at the cell centres instead of its infimum over the box."""
+    xc = 0.5 * (x_edges[:-1] + x_edges[1:])
+    yc = 0.5 * (y_edges[:-1] + y_edges[1:])
+    return _p1_oracle(model, xc[:, None], yc[None, :])
+
+
+def _m1_closed_form(J, c, d, resolution):
+    """Box bound for m = 1 when y / s stays inside [c, d] over J x J: 1/((d-c) s_max),
+    less the slack, s_max being s at the end of J nearest 1/2."""
+    s_max = 0.25 if J[0] <= 0.5 <= J[1] else max(u * (1.0 - u) for u in J)
+    exact = 1.0 / ((d - c) * s_max)
+    slack = kernel._BOUND_SLACK
+    return exact * (1.0 - (resolution + 10) * slack), exact * (1.0 - (resolution + 8) * slack)
 
 
 def _unband(band, n_rows, half):
@@ -273,26 +297,22 @@ class TestFoldedBandOperator:
         model = ORACLE_MODELS[name]
         op = KernelOperator(model, R)
         tol = 2.0 * _EPS * _entry_scale(model)
-        for out_edges in (None, J_EDGES):
-            final_edges = op.edges if out_edges is None else out_edges
-            for x in (0.3, 0.5, 0.77):
-                for n in (2, 3):
-                    masses = np.diff(model.ac_cdf(op.edges / (x * (1.0 - x))))
-                    allowance = 0.0  # accumulated roundoff bound on the masses
-                    for k in range(n - 1):
-                        f = masses / op.widths
-                        edges_k = final_edges if k == n - 2 else op.edges
-                        masses = _dense_mass_matrix(model, op.edges, edges_k) @ f
-                        allowance += tol * np.abs(f).sum()
-                    row = op.row(x, n, out_edges=out_edges)
-                    widths = np.diff(final_edges)
-                    assert np.all(np.abs(row.values * widths - masses) <= allowance)
+        dense = _dense_mass_matrix(model, op.edges, op.edges)
+        for x in (0.3, 0.5, 0.77):
+            for n in (2, 3):
+                masses = np.diff(model.ac_cdf(op.edges / (x * (1.0 - x))))
+                allowance = 0.0  # accumulated roundoff bound on the masses
+                for _ in range(n - 1):
+                    f = masses / op.widths
+                    masses = dense @ f
+                    allowance += tol * np.abs(f).sum()
+                row = op.row(x, n)
+                assert np.all(np.abs(row.values * op.widths - masses) <= allowance)
 
     def test_storage_is_a_quarter_of_dense_at_most(self):
         R = 2048
         op = KernelOperator(U23, R)
         op.row(0.4, 3)
-        op.row(0.4, 2, out_edges=J_EDGES)
 
         def array_bytes(obj):
             if isinstance(obj, np.ndarray):
@@ -304,39 +324,6 @@ class TestFoldedBandOperator:
             return 0
 
         assert array_bytes(vars(op)) <= 0.25 * 8 * R * R
-
-    @pytest.mark.parametrize(
-        "out_edges",
-        [(-0.5, 0.2, 1.5), (-0.1, 0.5), (0.5, 1.2), (0.2, np.nan, 0.6), (0.5,)],
-    )
-    def test_out_edges_outside_unit_interval_rejected(self, out_edges):
-        op = KernelOperator(U23, 64)
-        with pytest.raises(ValueError, match="output edges"):
-            op.row(0.4, 2, out_edges=out_edges)
-
-    def test_final_cache_is_bounded(self, monkeypatch):
-        # every row reads zero, so no candidate J survives and the probe
-        # builds a J-grid matrix for each of its five automatic candidates
-        built, grids = [], set()
-
-        class ZeroRows(KernelOperator):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-
-            def row(self, x, n, out_edges=None):
-                grids.add(np.asarray(out_edges).tobytes())
-                row = super().row(x, n, out_edges)
-                return dataclasses.replace(row, values=np.zeros_like(row.values))
-
-        monkeypatch.setattr(kernel, "KernelOperator", ZeroRows)
-        out = minorization_probe(
-            NoiseModel.uniform(3.15, 3.25), 3.2, 2, grid_n=8, resolution=64
-        )
-        assert isinstance(out, MinorizationFailure)
-        assert len(grids) == 5
-        (op,) = built
-        assert 0 < len(op._final_cache) <= KernelOperator._FINAL_CACHE_SIZE < 5
 
     def test_density_grid_rejects_empty_x_values(self):
         with pytest.raises(ValueError, match="x_values is empty"):
@@ -367,6 +354,22 @@ class TestOrbitDensityChain:
             orbit_density_chain(U23, orbit)  # h(3.2) = 0 for Uniform[2,3]
 
 
+class TestInfDensity:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_matches_dense_scan(self, name):
+        model = ORACLE_MODELS[name]
+        cuts = sorted({e for c, d, w in model.uniform_pieces if w > 0.0 for e in (c, d)})
+        # ends on every cut, 0.043 or more off the cuts, and past the support
+        ends = set(cuts) | {c + off for c in cuts for off in (-0.117, 0.043)}
+        ends |= {cuts[0] - 0.5, cuts[-1] + 0.3}
+        pairs = list(itertools.combinations(sorted(ends), 2))
+        lo, hi = np.array(pairs).T
+        got = model.inf_density(lo, hi)
+        for k, (a, b) in enumerate(pairs):
+            scan = np.linspace(a, b, 20001)[1:-1]
+            assert got[k] == model.inf_density(a, b) == np.min(model.density(scan))
+
+
 class TestMinorizationProbe:
     def test_explicit_J_fixed_point_case(self):
         out = minorization_probe(U2228, 2.5, 1, J=(0.5455, 0.6428), grid_n=64, resolution=2048)
@@ -375,10 +378,8 @@ class TestMinorizationProbe:
         # gamma_i = q^{-1}(u_i) = 1/(1 - u_i) for the fixed-point branch
         assert out.gamma1 == pytest.approx(1.0 / (1.0 - 0.5455), abs=1e-6)
         assert out.gamma2 == pytest.approx(1.0 / (1.0 - 0.6428), abs=1e-6)
-        # closed-form grid minimum: h / max(x(1-x)) over J at the J edge
-        h = 1.0 / 0.6
-        smax = 0.5455 * (1.0 - 0.5455)
-        assert out.grid_min == pytest.approx(h / smax, rel=1e-2)
+        low, high = _m1_closed_form(out.J, 2.2, 2.8, 2048)
+        assert low <= out.delta <= high
 
     def test_default_J_contains_q0(self):
         out = minorization_probe(U2228, 2.5, 1, grid_n=32, resolution=1024)
@@ -415,8 +416,8 @@ class TestMinorizationProbe:
         assert isinstance(out, MinorizationCertificate)
         assert out.delta > 0.0
         assert out.gamma2 <= 3.0 + 1e-6
-        # one-step density on J x J is h / (x(1-x)) with h = 1.25 here
-        assert out.grid_min == pytest.approx(1.25 / 0.2294, rel=1e-2)
+        low, high = _m1_closed_form(out.J, 2.5, 3.3, 1024)
+        assert low <= out.delta <= high
 
     def test_same_support_period_two_side(self):
         model = NoiseModel.uniform(2.5, 3.3)
@@ -424,6 +425,33 @@ class TestMinorizationProbe:
         assert isinstance(out, MinorizationCertificate)
         assert out.delta > 0.0
         assert 3.0 <= out.gamma1 < 3.2 < out.gamma2 <= 3.3
+
+    def test_period3_window_certifies(self):
+        model = NoiseModel.uniform(3.832, 3.838)
+        out = minorization_probe(model, 3.835, 3, grid_n=32, resolution=1024)
+        assert isinstance(out, MinorizationCertificate)
+        assert out.delta > 0.0
+        q0 = find_periodic_orbit(3.835, 3).largest_point
+        assert out.J[0] < q0 < out.J[1]
+
+    @pytest.mark.parametrize(
+        "model, theta0, m, J",
+        [
+            pytest.param(U2228, 2.5, 1, (0.5455, 0.6428), id="m1"),
+            # the middle cell of an odd grid straddles 1/2, where s peaks
+            pytest.param(NoiseModel.uniform(1.8, 2.2), 2.0, 1, (0.47, 0.53), id="m1-half"),
+            pytest.param(NoiseModel.uniform(3.15, 3.25), 3.2, 2, None, id="m2"),
+        ],
+    )
+    def test_delta_below_point_values(self, model, theta0, m, J):
+        out = minorization_probe(model, theta0, m, J=J, grid_n=63, resolution=2048)
+        assert 0.0 < out.delta <= _point_floor(model, out.J, m)
+
+    def test_centre_values_fail_the_point_check(self, monkeypatch):
+        # p at cell centres instead of box infima overstates delta
+        monkeypatch.setattr(kernel, "_box_bound", _centre_values)
+        out = minorization_probe(U2228, 2.5, 1, J=(0.5455, 0.6428), grid_n=64, resolution=2048)
+        assert out.delta > _point_floor(U2228, out.J, 1)
 
     def test_no_orbit_is_failure_not_error(self):
         # theta0 = 3.9 is chaotic: no attractive orbit of period 1

@@ -68,13 +68,15 @@ def _trajectory_csv(path: Path, traj) -> None:
 
 
 def _density_csv(path: Path, grid) -> None:
-    """Write one row of cell densities per source state; the same bytes as _write_csv."""
+    """Write one row of cell densities per source state; the same bytes as _write_csv,
+    one % format per row."""
     centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
+    cells = ",%.17g" * len(centers) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["x"] + [f"{c:.17g}" for c in centers.tolist()]) + "\n")
+        fh.write(("x" + cells) % tuple(centers.tolist()))
+        row = "%.17g" + cells
         fh.writelines(
-            ",".join([f"{x:.17g}"] + [f"{v:.17g}" for v in vals]) + "\n"
-            for x, vals in zip(grid.x_values.tolist(), grid.values.tolist())
+            row % (x, *vals) for x, vals in zip(grid.x_values.tolist(), grid.values.tolist())
         )
 
 

@@ -263,8 +263,10 @@ def _generator(seed) -> np.random.Generator:
 
 
 def _check_interval(J) -> tuple[float, float]:
+    """(lo, hi) with 0 < lo < hi < 1: a target set of states away from the
+    absorbing state 0 and the point 1, which maps to 0."""
     lo, hi = float(J[0]), float(J[1])
-    if not (0.0 <= lo < hi <= 1.0):
+    if not (0.0 < lo < hi < 1.0):
         raise ValueError(f"interval {J!r} must be nondegenerate inside (0, 1)")
     return lo, hi
 
@@ -393,7 +395,9 @@ class OccupationMeasure:
 
     def mass_in(self, interval) -> float:
         """Estimated mass of an interval, boundary bins weighted by overlap."""
-        lo, hi = _check_interval(interval)
+        lo, hi = float(interval[0]), float(interval[1])
+        if not (0.0 <= lo < hi <= 1.0):
+            raise ValueError(f"interval {interval!r} must be nondegenerate inside [0, 1]")
         left = self.bin_edges[:-1]
         right = self.bin_edges[1:]
         overlap = np.clip(np.minimum(right, hi) - np.maximum(left, lo), 0.0, None)

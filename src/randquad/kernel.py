@@ -18,7 +18,13 @@ conserved exactly and the only discretization error is the piecewise-
 uniform representation of the previous row.  Pointwise sampling of the
 discontinuous h inside quadratures is avoided entirely; plain trapezoid
 sums on such integrands stall near 1e-4 accuracy at practical resolutions,
-far short of what the normalization checks demand.
+far short of what the normalization checks demand.  The closed form takes
+logit(t) = log(t/(1-t)) at band ends clipped to the source edges; logit is
+monotone, so clipping logit(z) between the logits of the band ends gives the
+same floats as the logit of the clipped z, with one log per edge instead of
+one per matrix entry.  The part of a band above t = 1/2 adds exactly zero
+at edges z <= 1/2; of the half grid only the last edge can pass 1/2 (on an
+odd grid), so that part is summed only where some edge does.
 
 Storage: the transfer matrix is never held dense.  The kernel is symmetric
 in the source state (s(x) = x(1-x) = s(1-x)), so only the source cells of
@@ -101,10 +107,22 @@ def _h_mass_antiderivative(model: NoiseModel, e, z) -> np.ndarray:
     broadcast against each other (a column of out edges against a row of
     source edges gives one block of the transfer matrix); A_e vanishes for
     e <= 0.
+
+    Every value is the same float as the plain formula's, for fewer passes
+    over the broadcast array.  logit is monotone, so logit(clip(z, a, b))
+    equals clip(logit(z), logit(a), logit(b)) bit for bit: logit is taken
+    once over z and once over each crossing, never over the 2-D array.  The
+    right band [zc2, zd2] starts at or above 1/2, so where z <= 1/2 it clips
+    to its start and adds exactly +0.0; it is summed only when some z
+    exceeds 1/2, and on the half grid of the transfer matrix only the last
+    edge can.  The arithmetic runs in place in the formula's operand order.
     """
     e = np.asarray(e, dtype=float)
     z = np.asarray(z, dtype=float)
-    total = np.zeros(np.broadcast_shapes(e.shape, z.shape))
+    shape = np.broadcast_shapes(e.shape, z.shape)
+    total = np.zeros(shape)
+    part_w, lam_band, log_band = np.empty(shape), np.empty(shape), np.empty(shape)
+    past_half = bool((z > 0.5).any())
 
     def crossing(kappa: float) -> tuple[np.ndarray, np.ndarray]:
         # {t : t(1-t) >= e/kappa}; empty unless 4e <= kappa (encoded as the
@@ -119,21 +137,36 @@ def _h_mass_antiderivative(model: NoiseModel, e, z) -> np.ndarray:
     # at e = 0 the crossings reach 0 and 1, where logit is infinite; those
     # entries are replaced by A_0 = 0 below
     with np.errstate(divide="ignore", invalid="ignore"):
+        logit_z = logit(z)
         for c, d, w in model.uniform_pieces:
             if w <= 0.0:
                 continue
             zc1, zc2 = crossing(c)
             zd1, zd2 = crossing(d)
-            lam_d = np.clip(z, zd1, zd2) - zd1
-            part_w = w * (z - lam_d)
+            # part_w = w * (z - lam_d), lam_d = clip(z, zd1, zd2) - zd1
+            np.clip(z, zd1, zd2, out=part_w)
+            part_w -= zd1
+            np.subtract(z, part_w, out=part_w)
+            part_w *= w
             # an empty band (zd1 == zc1 or zc2 == zd2) clips to its own
             # start and adds exactly zero
-            band_left_hi = np.clip(z, zd1, zc1)
-            band_right_hi = np.clip(z, zc2, zd2)
-            lam_band = (band_left_hi - zd1) + (band_right_hi - zc2)
-            log_band = (logit(band_left_hi) - logit(zd1)) + (logit(band_right_hi) - logit(zc2))
-            total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
-    return np.where(e > 0.0, total, 0.0)
+            np.clip(z, zd1, zc1, out=lam_band)
+            lam_band -= zd1
+            logit_d1 = logit(zd1)
+            np.clip(logit_z, logit_d1, logit(zc1), out=log_band)
+            log_band -= logit_d1
+            if past_half:
+                logit_c2 = logit(zc2)
+                lam_band += np.clip(z, zc2, zd2) - zc2
+                log_band += np.clip(logit_z, logit_c2, logit(zd2)) - logit_c2
+            # total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
+            log_band *= e
+            lam_band *= c
+            log_band -= lam_band
+            log_band *= w / (d - c)
+            log_band += part_w
+            total += log_band
+    return total if (e > 0.0).all() else np.where(e > 0.0, total, 0.0)
 
 
 # out cells per padded block of the banded transfer matrix: small enough that

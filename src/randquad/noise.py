@@ -282,26 +282,21 @@ class ConditionReport:
         return self.moments_ok and self.density_ok
 
 
-def check_conditions(model: NoiseModel, scan_resolution: int = 256) -> ConditionReport:
+def check_conditions(model: NoiseModel) -> ConditionReport:
     """Evaluate the stability hypotheses for `model`.
 
     The density interval is the widest of the model's density runs inside
-    [1, 4] (the first on a tie), with its infimum density checked on
-    `scan_resolution` interior points as a numerical crosscheck.  Absence of
-    a qualifying interval is an outcome, not an error.
+    [1, 4] (the first on a tie), reported with the exact infimum of the
+    density over it (inf_density).  Absence of a qualifying interval is an
+    outcome, not an error.
     """
     e_log = model.e_log()
     e_log4m = model.e_log4m()
     moments_ok = e_log > 0.0 and math.isfinite(e_log4m)
 
     best = max(model.density_runs(), key=lambda r: r[1] - r[0], default=None)
-    density_interval = None
-    if best is not None:
-        c, d = best
-        grid = np.linspace(c, d, scan_resolution + 2)[1:-1]
-        inf_h = float(np.min(model.density(grid)))
-        if inf_h > 0.0:
-            density_interval = (c, d, inf_h)
+    # a run is a chain of cells of positive density, so its infimum is positive
+    density_interval = None if best is None else (*best, model.inf_density(*best))
 
     return ConditionReport(
         e_log=e_log,

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from randquad import cli, kernel
@@ -175,6 +176,14 @@ class TestSubcommands:
                 "must be nondegenerate inside (0, 1)", id="J-above-1",
             ),
             pytest.param(
+                "2.2:2.8:1.0", "theta0 = 2.5\nperiod = 1\nj_lo = 0\nj_hi = 0.6",
+                "must be nondegenerate inside (0, 1)", id="J-at-0",
+            ),
+            pytest.param(
+                "2.2:2.8:1.0", "theta0 = 2.5\nperiod = 1\nj_lo = 0.5\nj_hi = 1",
+                "must be nondegenerate inside (0, 1)", id="J-at-1",
+            ),
+            pytest.param(
                 "3.15:3.25:1.0", "theta0 = 3.2\nperiod = 2\nresolution = 1",
                 "resolution must be >= 2", id="resolution-1",
             ),
@@ -344,6 +353,18 @@ class TestDensityCsv:
         direct = (tmp_path / "direct.csv").read_bytes()
         assert direct == (tmp_path / "generic.csv").read_bytes()
         assert direct.count(b"\n") == 3
+
+    def test_same_bytes_for_extreme_values(self, tmp_path):
+        values = np.array([[0.0, -0.0, 5e-324, 1e300], [0.1, 1 / 3, np.inf, np.nan]])
+        grid = kernel.DensityGrid(
+            n=1, x_values=np.array([1e-17, 0.5]), y_edges=np.linspace(0.0, 1.0, 5),
+            values=values, resolution=4, row_integrals=np.zeros(2), expected_mass=1.0,
+        )
+        cli._density_csv(tmp_path / "direct.csv", grid)
+        centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
+        rows = [[x] + list(vals) for x, vals in zip(grid.x_values, grid.values)]
+        cli._write_csv(tmp_path / "generic.csv", ["x"] + [cli._fmt(c) for c in centers], rows)
+        assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
 
 class TestReproducibility:

@@ -247,7 +247,7 @@ class TestCyclicity:
             cyclicity_detect(U23, (0.5, 0.6), -1, 4, seed=1)
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
             cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, burn_in=-1)
-        for J in ((-3.0, 0.6), (0.6, 0.5), (0.5, 1.5)):
+        for J in ((-3.0, 0.6), (0.6, 0.5), (0.5, 1.5), (0.0, 0.6), (0.5, 1.0)):
             with pytest.raises(ValueError, match="must be nondegenerate inside"):
                 cyclicity_detect(U23, J, 1000, 4, seed=1)
 

@@ -232,6 +232,19 @@ class TestOccupationMeasure:
         # half of bin (0.25, 0.5] overlaps (0.375, 0.5)
         assert m.mass_in((0.375, 0.75)) == pytest.approx(0.75, abs=1e-12)
 
+    def test_mass_in_whole_unit_interval(self):
+        m = OccupationMeasure(
+            bin_edges=np.linspace(0.0, 1.0, 5),
+            counts=np.array([1, 4, 2, 0]),
+            total=8,
+            underflow=1,
+        )
+        assert m.mass_in((0.0, 1.0)) == pytest.approx(7 / 8, abs=1e-12)
+        assert m.mass_in((0.0, 0.25)) == pytest.approx(1 / 8, abs=1e-12)
+        for interval in ((-0.1, 0.5), (0.5, 1.1), (0.5, 0.5)):
+            with pytest.raises(ValueError, match=r"must be nondegenerate inside \[0, 1\]"):
+                m.mass_in(interval)
+
 
 class TestEnsemble:
     def test_single_replicate_reduces_to_trajectory(self):
@@ -341,6 +354,14 @@ class TestHittingAndVisits:
 
     def test_zero_steps(self):
         assert visit_counts(U23, 0.5, (0.4, 0.6), 0, seed=1) == 0
+
+    @pytest.mark.parametrize("J", [(0.0, 0.6), (0.4, 1.0), (0.0, 1.0), (0.6, 0.6)])
+    def test_interval_must_lie_strictly_inside(self, J):
+        # 0 is absorbing and 1 maps to 0: a target set reaching either is rejected
+        with pytest.raises(ValueError, match="must be nondegenerate inside"):
+            hitting_time(U23, 0.5, J, seed=1, cap=10)
+        with pytest.raises(ValueError, match="must be nondegenerate inside"):
+            visit_counts(U23, 0.5, J, 10, seed=1)
 
 
 class TestAdvanceKernel:

@@ -146,6 +146,43 @@ def _m1_closed_form(J, c, d, resolution):
     return exact * (1.0 - (resolution + 10) * slack), exact * (1.0 - (resolution + 8) * slack)
 
 
+def _reference_antiderivative(model, e, z):
+    """The antiderivative of kernel._h_mass_antiderivative as the plain
+    formula, with logit over the whole broadcast array and both bands always
+    summed; the kernel must give the same bits."""
+    e = np.asarray(e, dtype=float)
+    z = np.asarray(z, dtype=float)
+    total = np.zeros(np.broadcast_shapes(e.shape, z.shape))
+
+    def crossing(kappa):
+        disc = 1.0 - 4.0 * e / kappa
+        root = np.sqrt(np.maximum(disc, 0.0))
+        empty = disc <= 0.0
+        lo = np.where(empty, 0.5, (2.0 * e / kappa) / (1.0 + root))
+        return lo, np.where(empty, 0.5, 0.5 * (1.0 + root))
+
+    logit = lambda t: np.log(t / (1.0 - t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, d, w in model.uniform_pieces:
+            if w <= 0.0:
+                continue
+            zc1, zc2 = crossing(c)
+            zd1, zd2 = crossing(d)
+            lam_d = np.clip(z, zd1, zd2) - zd1
+            part_w = w * (z - lam_d)
+            band_left_hi = np.clip(z, zd1, zc1)
+            band_right_hi = np.clip(z, zc2, zd2)
+            lam_band = (band_left_hi - zd1) + (band_right_hi - zc2)
+            log_band = (logit(band_left_hi) - logit(zd1)) + (logit(band_right_hi) - logit(zc2))
+            total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
+    return np.where(e > 0.0, total, 0.0)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def _unband(band, n_rows, half):
     K = np.zeros((n_rows, half))
     row = 0
@@ -265,6 +302,51 @@ class TestNStepDensity:
         single = n_step_density(U23, 0.5, 2, resolution=512)
         assert np.array_equal(grid.values[1], single.values)
         assert grid.values.shape == (3, 512)
+
+
+class TestAntiderivativeBits:
+    """The kernel's antiderivative gives the plain formula's floats, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 8191, 8192])
+    @pytest.mark.parametrize("grid", ["full", "J"])
+    def test_band_matrix_same_bits(self, name, R, grid, monkeypatch):
+        model = ORACLE_MODELS[name]
+        op = KernelOperator(model, R)
+        out_edges = op.edges if grid == "full" else J_EDGES
+        got = op._band_matrix(out_edges)
+        monkeypatch.setattr(kernel, "_h_mass_antiderivative", _reference_antiderivative)
+        want = op._band_matrix(out_edges)
+        assert _same_bits(got.starts, want.starts)
+        assert len(got.blocks) == len(want.blocks)
+        assert all(_same_bits(g, w) for g, w in zip(got.blocks, want.blocks))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize(
+        "e, z",
+        [
+            pytest.param(0.0, np.linspace(0.0, 1.0, 65), id="e0-row"),
+            pytest.param(0.0, 0.3, id="e0-scalar"),
+            pytest.param(0.1, 0.7, id="scalar-past-half"),
+            # every source edge of the full grid, out edges across (0, 1)
+            pytest.param(
+                np.linspace(0.0, 1.0, 41)[:, None], np.linspace(0.0, 1.0, 101)[None, :],
+                id="grid-past-half",
+            ),
+            pytest.param(
+                np.linspace(0.02, 0.98, 25), np.linspace(0.3, 0.9, 25), id="paired",
+            ),
+            pytest.param(
+                np.linspace(0.0, 1.0, 33)[None, :], np.linspace(0.0, 0.5, 17)[:, None],
+                id="transposed",
+            ),
+        ],
+    )
+    def test_direct_calls_same_bits(self, name, e, z):
+        model = ORACLE_MODELS[name]
+        assert _same_bits(
+            kernel._h_mass_antiderivative(model, e, z), _reference_antiderivative(model, e, z)
+        )
 
 
 class TestFoldedBandOperator:
@@ -408,6 +490,12 @@ class TestMinorizationProbe:
         with pytest.raises(ValueError, match="grid_n must be >= 2"):
             minorization_probe(U2228, 2.5, 1, grid_n=grid_n, resolution=64)
 
+    @pytest.mark.parametrize("J", [(0.0, 0.6), (0.5, 1.0), (0.0, 1.0), (0.6, 0.5)])
+    def test_interval_reaching_zero_or_one_rejected(self, J):
+        # a J reaching the absorbing state 0 is a bad input, not a failed bound
+        with pytest.raises(ValueError, match="must be nondegenerate inside"):
+            minorization_probe(U2228, 2.5, 1, J=J, grid_n=8, resolution=64)
+
     def test_window_with_orbit_holes_still_certifies(self):
         # support straddles the period-doubling point at 3: the period-1 scan
         # has holes above it and the window must clip there
@@ -510,7 +598,7 @@ class TestIrreducibilityProbe:
         expected = min(hits) if hits else None
         assert irreducibility_probe(model, x, J, n_max, n_paths, seed) == expected
 
-    @pytest.mark.parametrize("J", [(-3.0, 0.6), (0.6, 0.5), (0.5, 1.5)])
+    @pytest.mark.parametrize("J", [(-3.0, 0.6), (0.6, 0.5), (0.5, 1.5), (0.0, 0.6), (0.5, 1.0)])
     def test_bad_interval_rejected(self, J):
         with pytest.raises(ValueError, match="must be nondegenerate inside"):
             irreducibility_probe(U2228, 0.6, J, 50, 10, seed=4)

@@ -318,6 +318,17 @@ class TestCheckConditions:
         assert inf_h == pytest.approx(1.0, abs=0)
         assert report.all_ok
 
+    def test_inf_h_is_exact_infimum(self):
+        # a 0.001-wide cell of density 1e-4 inside the run: a point scan of
+        # the run steps over it and reports the 0.5 of (2, 3)
+        m = NoiseModel(
+            uniform_pieces=((2.0, 3.0, 0.5), (3.0, 3.001, 1e-7), (3.001, 3.5, 0.5 - 1e-7))
+        )
+        c, d, inf_h = check_conditions(m).density_interval
+        assert (c, d) == (2.0, 3.5)
+        assert inf_h == pytest.approx(1e-4, rel=1e-9)
+        assert inf_h == m.inf_density(3.0, 3.001)
+
     def test_pure_atom_fails_density(self):
         report = check_conditions(NoiseModel.point_mass(2.5))
         assert report.density_interval is None

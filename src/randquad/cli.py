@@ -3,6 +3,9 @@
 Every subcommand is a pure function of (config file, --set overrides): the
 same inputs produce byte-identical output files, whatever the thread count.
 Numeric output carries 17 significant digits so values round-trip exactly.
+`--threads N` (or `sim.threads`) sets the number of forked worker processes
+that `stability` walks its lanes in, capped at the lanes and at the usable
+CPUs; the other subcommands ignore it.
 
 Exit codes: 0 success, 1 error (bad config, bad arguments, numeric
 failure), 2 negative verdict (hypotheses not satisfied, no certificate,
@@ -225,7 +228,8 @@ def _cmd_minorize(cfg: ExperimentConfig, outdir: Path) -> int:
 def _cmd_stability(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
     sim = cfg.sim_config()
-    report = diagnostics.stability_test(model, sim.initial_states, sim)
+    threads = cfg.get("sim", "threads", 1)
+    report = diagnostics.stability_test(model, sim.initial_states, sim, workers=threads)
     k = len(report.initial_states)
     _write_csv(
         outdir / "tv_matrix.csv",
@@ -355,8 +359,9 @@ def main(argv=None) -> int:
         "--threads",
         type=int,
         default=None,
-        help="kept for compatibility and checked to be >= 1; it changes nothing, "
-        "since every walk runs in one thread (default: sim.threads or 1)",
+        help="worker processes that stability forks to walk its lanes, capped at "
+        "the lanes and the usable CPUs; other subcommands ignore it, and no "
+        "output byte depends on it (default: sim.threads or 1)",
     )
     args = parser.parse_args(argv)
     try:
@@ -366,7 +371,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"override {item!r} must be SECTION.KEY=VALUE")
             dotted, raw = item.split("=", 1)
             cfg.override(dotted.strip(), raw)
-        threads = args.threads if args.threads is not None else cfg.get("sim", "threads", 1)
+        if args.threads is not None:
+            cfg.override("sim.threads", str(args.threads))
+        threads = cfg.get("sim", "threads", 1)
         if threads < 1:
             raise ConfigError(f"threads must be >= 1, got {threads}")
         outdir = Path(args.out)

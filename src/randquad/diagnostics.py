@@ -91,11 +91,15 @@ class StabilityReport:
     measures: tuple[OccupationMeasure, ...] = field(repr=False, default=())
 
 
-def stability_test(model: NoiseModel, initial_states, config: SimConfig) -> StabilityReport:
+def stability_test(
+    model: NoiseModel, initial_states, config: SimConfig, workers: int = 1
+) -> StabilityReport:
     """Compare long-run occupation measures across initial states.
 
     Runs one ensemble per initial state plus an independent same-start pair
     (at the first state) whose TV distance calibrates the verdict threshold.
+    workers caps the worker processes of the walk (see ensemble_occupations);
+    the report does not depend on it.
     """
     states = tuple(float(x) for x in initial_states)
     if not states:
@@ -108,6 +112,7 @@ def stability_test(model: NoiseModel, initial_states, config: SimConfig) -> Stab
         states + (states[0], states[0]),
         config,
         [(i,) for i in range(k)] + [(_NOISE_PAIR_KEY, r) for r in (0, 1)],
+        workers,
     )
     measures, pair = found[:k], found[k:]
     noise_scale = tv_distance(pair[0], pair[1])
@@ -366,7 +371,7 @@ def kolmogorov_approx(theta0: float, eta: float, config: SimConfig) -> Kolmogoro
     # one long deterministic orbit, matched in total post-burn-in samples
     n_det = config.n_replicates * (config.n_steps - config.burn_in) + config.burn_in
     orbit = _walk((x0,), n_det, lambda eps, live: eps.fill(theta0))
-    (det_measure,) = _occupations(orbit, config.burn_in, config.bin_edges, 1)
+    (det_measure,) = _occupations(orbit, config.burn_in, config.bin_edges, (1,))
     tv = tv_distance(noise_measure, det_measure)
     return KolmogorovReport(
         theta0=float(theta0),

@@ -31,7 +31,9 @@ ufuncs.  Every consumer, here and in the diagnostics and kernel, is a
 reduction over the blocks it yields (`_occupations`, `_snapshots`,
 `_first_entry`), so the recurrence, the block layout and the absorption
 policy live in one place; all replicates of all starts of a stability test
-share one walk.
+share one walk.  With workers > 1, `ensemble_occupations` walks contiguous
+shards of those lanes in forked worker processes and sums each group's
+integer counts, so its measures do not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
@@ -42,8 +44,10 @@ in a chunk-invariant layout, so results are bitwise identical for a given
 
 from __future__ import annotations
 
+import os
 from array import array
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -445,24 +449,25 @@ def merge_occupations(measures) -> OccupationMeasure:
     )
 
 
-def _occupations(blocks, burn_in: int, bin_edges: np.ndarray, n_groups: int):
+def _occupations(blocks, burn_in: int, bin_edges: np.ndarray, widths):
     """Bin the states after step burn_in of walked lanes, block by block.
 
-    The lanes split into n_groups runs of equal width; returns one occupation
-    measure per run, binning each run's valid states of a block in one call.
+    The lanes split, in order, into runs of the given widths; returns one
+    occupation measure per run, binning each run's valid states of a block
+    in one call.
     """
     # per group: counts, total, underflow, overflow, absorbed
     bins = len(bin_edges) - 1
-    measures = [[np.zeros(bins, dtype=np.int64), 0, 0, 0, 0] for _ in range(n_groups)]
+    ends = np.cumsum(widths)
+    runs = [slice(end - width, end) for end, width in zip(ends, widths)]
+    measures = [[np.zeros(bins, dtype=np.int64), 0, 0, 0, 0] for _ in runs]
     for done, _, states, valid in blocks:
-        width = len(valid) // n_groups
         skip = max(0, burn_in - done)
         rows = np.arange(skip, len(states))[:, None]
         # a lane stopped in this block iff its last valid state is 0 or 1
         last = states[np.maximum(valid - 1, 0), np.arange(len(valid))]
         stopped = (valid > 0) & ((last == 0.0) | (last == 1.0))
-        for g, acc in enumerate(measures):
-            cols = slice(g * width, (g + 1) * width)
+        for cols, acc in zip(runs, measures):
             block, v = states[skip:, cols], valid[cols]
             post = block.ravel() if np.all(v == len(states)) else block[rows < v]
             if len(post):
@@ -480,26 +485,77 @@ def _occupations(blocks, burn_in: int, bin_edges: np.ndarray, n_groups: int):
     ]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool(workers: int):
+    """An executor of worker processes forked from this one, imported only when used.
+
+    A worker that dies raises BrokenProcessPool in the caller instead of
+    hanging it.  On CPython >= 3.12 fork warns, as OpenBLAS runs threads.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _shard_occupations(
+    model: NoiseModel, starts, config: SimConfig, stream_keys, lo: int, hi: int
+):
+    """Walk lanes lo..hi-1 of `ensemble_occupations`; one measure per group they touch.
+
+    Lane i is replicate i % r of group i // r (r = config.n_replicates) and
+    reads substream (master_seed, *stream_keys[i // r], i % r).
+    """
+    r = config.n_replicates
+    widths = [min(hi, (g + 1) * r) - max(lo, g * r) for g in range(lo // r, (hi - 1) // r + 1)]
+    rngs = [substream(config.master_seed, *stream_keys[i // r], i % r) for i in range(lo, hi)]
+    lanes = [starts[i // r] for i in range(lo, hi)]
+    walk = _walk(lanes, config.n_steps, _lane_draws(model, rngs))
+    return _occupations(walk, config.burn_in, config.bin_edges, widths)
+
+
 def ensemble_occupations(
     model: NoiseModel,
     starts,
     config: SimConfig,
     stream_keys,
+    workers: int = 1,
 ) -> list[OccupationMeasure]:
     """One merged occupation measure per (start, stream key) group, walked together.
 
     Group g runs config.n_replicates independent replicates from starts[g];
     its replicate i runs on substream (master_seed, *stream_keys[g], i).
-    All replicates of all groups are lanes of one walk.  Each measure equals
-    that group's replicates walked alone and merged, whatever the grouping.
+    The replicates of all groups are the lanes of one walk, cut into
+    min(workers, lanes, usable CPUs) contiguous shards; past one, each shard
+    walks in a forked worker and the parent merges each group's segments.
+    Each measure equals that group's replicates walked alone and merged,
+    whatever the grouping or the number of workers.
     """
     starts, stream_keys = tuple(starts), tuple(stream_keys)
     if not starts or len(starts) != len(stream_keys):
         raise ValueError("need one stream key per start, and at least one start")
-    lanes = [x0 for x0 in starts for _ in range(config.n_replicates)]
-    draws = _replicates(model, config.master_seed, stream_keys, config.n_replicates)
-    walk = _walk(lanes, config.n_steps, draws)
-    return _occupations(walk, config.burn_in, config.bin_edges, len(starts))
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    lanes = len(starts) * config.n_replicates
+    w = min(workers, lanes, _usable_cpus())
+    cuts = [k * (lanes // w) + min(k, lanes % w) for k in range(w + 1)]
+    shard = partial(_shard_occupations, model, starts, config, stream_keys)
+    if w == 1:
+        found = [shard(0, lanes)]
+    else:
+        # leaving the block waits for every shard and joins every worker
+        with _pool(w) as pool:
+            found = list(pool.map(shard, cuts[:-1], cuts[1:]))
+    groups = [[] for _ in starts]
+    for lo, measures in zip(cuts, found):
+        for g, measure in enumerate(measures, lo // config.n_replicates):
+            groups[g].append(measure)
+    return [merge_occupations(segments) for segments in groups]
 
 
 def ensemble_occupation(

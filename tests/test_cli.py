@@ -1,16 +1,19 @@
 """Tests for the command-line interface and config handling."""
 
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from randquad import cli, kernel
+from randquad import cli, engine, kernel
 from randquad.cli import main
 from randquad.config import ConfigError, parse_config_text
 from randquad.engine import simulate_trajectory
 from randquad.noise import NoiseModel, substream
+from test_engine import RecordingPool
 
 BASE_CONFIG = """\
 [noise]
@@ -388,11 +391,51 @@ class TestReproducibility:
         assert run_cli(tmp_path, command, "--config", str(cfg), out="b") in (0, 2)
         assert self._all_outputs(tmp_path / "a") == self._all_outputs(tmp_path / "b")
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # 10 lanes (5 groups x 2 replicates): 2 shards of 5/5 cut group 2, 3 of 4/3/3 group 3;
+        # the CPU cap is lifted so that 3 workers really fork on a 2-core host
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
         cfg = write_config(tmp_path, BASE_CONFIG)
-        assert run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", "1", out="t1") == 0
-        assert run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", "4", out="t4") == 0
-        assert self._all_outputs(tmp_path / "t1") == self._all_outputs(tmp_path / "t4")
+        for threads in ("1", "2", "3"):
+            code = run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", threads,
+                           out=f"t{threads}")
+            assert code == 0
+            assert multiprocessing.active_children() == []
+        assert self._all_outputs(tmp_path / "t1") == self._all_outputs(tmp_path / "t2")
+        assert self._all_outputs(tmp_path / "t1") == self._all_outputs(tmp_path / "t3")
+
+    @pytest.mark.parametrize(
+        "config, threads, lanes",
+        [
+            (BASE_CONFIG, ["--threads", "100000"], 10),
+            (BASE_CONFIG + "threads = 100000\n", [], 10),
+            (BASE_CONFIG.replace("replicates = 2", "replicates = 1")
+             .replace("0.05 0.5 0.95", "0.5"), ["--threads", "4"], 3),
+        ],
+        ids=["flag-100000", "sim-threads-100000", "flag-4-three-lanes"],
+    )
+    def test_thread_count_is_capped(self, tmp_path, monkeypatch, config, threads, lanes):
+        sizes = []
+        monkeypatch.setattr(engine, "_pool", lambda w: RecordingPool(sizes, w))
+        cfg = write_config(tmp_path, config)
+        assert run_cli(tmp_path, "stability", "--config", str(cfg), *threads) == 0
+        workers = min(lanes, engine._usable_cpus())
+        assert sizes == ([workers] if workers > 1 else [])
+
+    def test_worker_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        parent, walk = os.getpid(), engine._walk
+
+        def broken(*args, **kwargs):
+            if os.getpid() != parent:
+                raise FloatingPointError("walk failed in a worker")
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_walk", broken)
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", "2") == 1
+        assert "FloatingPointError: walk failed in a worker" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_set_override_applies(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

@@ -1,5 +1,10 @@
 """Tests for the Monte Carlo engine."""
 
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -300,6 +305,103 @@ class TestEnsembleGroups:
     def test_one_key_per_start(self, starts, keys):
         with pytest.raises(ValueError, match="one stream key per start"):
             ensemble_occupations(U23, starts, self.CFG, keys)
+
+
+class RecordingPool:
+    """Stands in for the fork pool: records the size asked for and runs the shards in-process."""
+
+    def __init__(self, sizes, workers):
+        sizes.append(workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def fields(measures):
+    return [(m.counts.tobytes(), m.total, m.underflow, m.overflow, m.absorbed) for m in measures]
+
+
+class TestEnsembleWorkers:
+    """Sharding the lanes across forked workers changes no field of any measure."""
+
+    # 5 groups of 3 replicates: 2, 3 and 4 shards of 15 lanes all cut inside a group
+    STARTS = (0.05, 0.5, 0.95, 0.3, 0.3)
+    KEYS = [(0,), (1,), (2,), (9, 0), (9, 1)]
+
+    @pytest.mark.parametrize("model", [U23, EXTINCT], ids=["U23", "extinct"])
+    def test_workers_give_the_same_measures(self, monkeypatch, model):
+        # lift the CPU cap so that 3 and 4 shards really fork on a 2-core host
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
+        cfg = SimConfig(master_seed=1, n_steps=20_000, n_replicates=3, burn_in=200, n_bins=60)
+        one = ensemble_occupations(model, self.STARTS, cfg, self.KEYS)
+        if model is EXTINCT:  # absorbed lanes add underflow and absorbed counts
+            assert all(m.absorbed > 0 and m.underflow > 0 for m in one)
+        for w in (1, 2, 3, 4):
+            sharded = ensemble_occupations(model, self.STARTS, cfg, self.KEYS, w)
+            assert fields(sharded) == fields(one)
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "starts, workers, cpus, asked",
+        [
+            ((0.3, 0.4, 0.5), 4, 8, [3]),  # capped at 3 lanes
+            ((0.3, 0.4, 0.5), 100_000, 2, [2]),  # capped at 2 CPUs
+            ((0.3, 0.4, 0.5), 100_000, 1, []),  # one CPU: no pool at all
+            ((0.3,), 4, 8, []),  # one lane: no pool at all
+            ((0.3, 0.4, 0.5), 2, 8, [2]),
+        ],
+    )
+    def test_worker_count_is_capped(self, monkeypatch, starts, workers, cpus, asked):
+        sizes = []
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(engine, "_pool", lambda w: RecordingPool(sizes, w))
+        cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10, n_bins=20)
+        keys = [(i,) for i in range(len(starts))]
+        found = ensemble_occupations(U23, starts, cfg, keys, workers)
+        assert sizes == asked
+        assert fields(found) == fields(ensemble_occupations(U23, starts, cfg, keys))
+
+    def test_workers_below_one_rejected(self):
+        cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ensemble_occupations(U23, (0.3,), cfg, [(0,)], 0)
+
+    def test_usable_cpus_follow_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert engine._usable_cpus() == len(os.sched_getaffinity(0))
+        assert engine._usable_cpus() >= 1
+
+    @staticmethod
+    def fail():
+        raise FloatingPointError("walk failed in a worker")
+
+    @staticmethod
+    def die():  # as if the OS killed the worker for memory
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @pytest.mark.parametrize(
+        "fault, error", [(fail, FloatingPointError), (die, BrokenProcessPool)], ids=["raise", "kill"]
+    )
+    def test_worker_fault_reaches_the_caller(self, monkeypatch, fault, error):
+        parent, walk = os.getpid(), engine._walk
+
+        def broken(*args, **kwargs):
+            if os.getpid() != parent:
+                fault()
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_walk", broken)
+        cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
+        with pytest.raises(error):
+            ensemble_occupations(U23, (0.3, 0.6), cfg, [(0,), (1,)], 2)
+        assert multiprocessing.active_children() == []
 
 
 class TestStartStates:

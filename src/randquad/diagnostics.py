@@ -23,10 +23,11 @@ from .engine import (
     OccupationMeasure,
     SimConfig,
     _check_interval,
+    _lane_draws,
     _occupations,
     _path,
-    _replicates,
     _snapshots,
+    _substreams,
     _walk,
     ensemble_occupation,
     ensemble_occupations,
@@ -49,9 +50,8 @@ __all__ = [
     "kolmogorov_approx",
 ]
 
-# stream namespaces, so the same master seed never reuses a substream
+# a stream namespace, so the same master seed never reuses a substream
 _NOISE_PAIR_KEY = 1_000_003
-_DETERMINISTIC_KEY = 1_000_033
 
 
 def tv_distance(mu: OccupationMeasure, nu: OccupationMeasure) -> float:
@@ -237,7 +237,7 @@ def extinction_test(
         raise ValueError("checkpoints must be positive step counts")
     if list(checkpoints) != sorted(checkpoints):
         raise ValueError("checkpoints must increase")
-    draws = _replicates(model, seed, (stream_key,), int(n_replicates))
+    draws = _lane_draws(model, _substreams(seed, (stream_key,), int(n_replicates)))
     walk = _walk((x0,) * int(n_replicates), checkpoints[-1], draws)
     snapshots = _snapshots(walk, checkpoints)
     return ExtinctionReport(

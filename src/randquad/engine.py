@@ -7,39 +7,40 @@ hitting-time / visit-count probes used by the recurrence diagnostics.
 
 `_walk` is the single path loop.  It advances L lanes (independent paths,
 each with its own start and parameter stream) in lockstep through blocks of
-at most CHUNK lane-steps, that is max(1, CHUNK // L) steps per block, and
-stops each lane at absorption.  A walk that a reduction may stop early
-(`_first_entry`) grows instead: its first block has FIRST_ROWS steps and
-each later block doubles up to that bound, so it draws little more than it
-uses.  Each block's parameters come from one draw filler, `draws(eps,
+at most CHUNK lane-steps.  Every walk has one block schedule: the first
+block has FIRST_ROWS steps and each later one doubles up to
+max(1, CHUNK // L), so a reduction that stops early draws little more than
+it uses.  Each block's parameters come from one draw filler, `draws(eps,
 live)`; `_lane_draws` builds it for a noise model and one generator per
 lane, so every live lane draws its uniforms into one buffer and a single
 `NoiseModel.sample_lanes` step places them all, bit-identical to one
 `sample` call per lane.  That uniform buffer, like the walk's own eps and
-state buffers, is reused across blocks.  Below MIN_LANES lanes (a single
-chain, a small ensemble) each lane runs the scalar kernel `_advance`; from
-MIN_LANES on, `_advance_lanes` computes one row of L states per step and
-absorption is found by a scan after the block.  Both compute
+state buffers, is reused across blocks.  The kernels only compute states:
+below MIN_LANES lanes (a single chain, a small ensemble) each lane runs the
+scalar kernel `_advance` down its column, and from MIN_LANES on
+`_advance_lanes` computes one row of L states per step.  Both compute
 eps * x * (1 - x) in the same operand order, so every lane is bit-identical
-to the same path walked alone.  With numba both kernels are compiled and
-the scalar one checks absorption step by step.  Without it the scalar
-kernel steps a Python float through the whole block in one list
-comprehension over the draws and finds absorption by one numpy scan
-afterwards, which gives the same bits as the array loop at about four
-times its speed, and the row kernel writes each row in place with `out=`
-ufuncs.  Every consumer, here and in the diagnostics and kernel, is a
-reduction over the blocks it yields (`_occupations`, `_snapshots`,
-`_first_entry`), so the recurrence, the block layout and the absorption
-policy live in one place; all replicates of all starts of a stability test
-share one walk.  With workers > 1, `ensemble_occupations` walks contiguous
-shards of those lanes in forked worker processes and sums each group's
-integer counts, so its measures do not depend on the worker count.
+to the same path walked alone.  After either kernel, one scan of the block
+in `_walk` records states below ABSORB_FLOOR as 0 and stops each lane at
+its first 0 or 1.  With numba one compiled kernel serves both call shapes.
+Without it the scalar kernel steps a Python float through the whole block
+in one list comprehension over the draws, which gives the same bits as the
+array loop at about four times its speed, and the row kernel writes each
+row in place with `out=` ufuncs.  Every consumer, here and in the
+diagnostics and kernel, is a reduction over the blocks it yields
+(`_occupations`, `_snapshots`, `_first_entry`), so the recurrence, the
+block schedule and the stop rule live in one place; all replicates of all
+starts of a stability test share one walk.  With workers > 1,
+`ensemble_occupations` walks contiguous shards of those lanes in forked
+worker processes and sums each group's integer counts, so its measures do
+not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
-*key, i), so adding a replicate changes no other, and every stream is read
-in a chunk-invariant layout, so results are bitwise identical for a given
-(model, inputs, seed) regardless of internal chunking or lane grouping.
+*key, i), laid out by `_substreams`, so adding a replicate changes no
+other, and every stream is read in a chunk-invariant layout, so results are
+bitwise identical for a given (model, inputs, seed) regardless of internal
+chunking or lane grouping.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ __all__ = [
 # lane-steps per block: bounds the (steps, lanes) buffers of a walk
 CHUNK = 1 << 16
 
-# steps in the first block of a growing walk; each later block doubles up
-# to the CHUNK bound, so a reduction that stops early draws little past its stop
+# steps in the first block of a walk; each later block doubles up to the
+# CHUNK bound, so a reduction that stops early draws little past its stop
 FIRST_ROWS = 16
 
 # fewest lanes at which one numpy row per step keeps up with a scalar loop
@@ -90,28 +91,9 @@ ABSORB_FLOOR = 2.2250738585072014e-308
 def _advance(x, eps, out):
     """Run the map recurrence over a block of noise draws.
 
-    Fills out[k] with the state after applying eps[k]; returns the index at
-    which the state was absorbed (recorded as exactly 0) or reached 1 (which
-    maps to 0 next step), -1 if the block completed.  Absorption only occurs
-    through floating-point underflow in extinction regimes.
-    """
-    n = eps.shape[0]
-    for k in range(n):
-        x = eps[k] * x * (1.0 - x)
-        if x < ABSORB_FLOOR:
-            out[k] = 0.0
-            return k
-        out[k] = x
-        if x == 1.0:
-            return k
-    return -1
-
-
-def _advance_lanes(x, eps, out):
-    """Run the map recurrence for L lanes in lockstep over an (m, L) block.
-
-    x holds the L current states; out[k] receives the states after applying
-    eps[k].  There is no absorption check: the caller scans the block.
+    Fills out[k] with the state after applying eps[k].  x is one state with
+    eps and out columns of m draws and states, or a row of L states with
+    eps and out of shape (m, L).  The caller finds where each path stops.
     """
     for k in range(eps.shape[0]):
         x = eps[k] * x * (1.0 - x)
@@ -121,31 +103,18 @@ def _advance_lanes(x, eps, out):
 try:  # identical semantics with or without the JIT; numba is optional
     import numba
 
-    _advance = numba.njit(cache=True, nogil=True)(_advance)
-    _advance_lanes = numba.njit(cache=True, nogil=True)(_advance_lanes)
+    _advance = _advance_lanes = numba.njit(cache=True, nogil=True)(_advance)
 except ImportError:  # pragma: no cover
 
     def _advance(x, eps, out):
-        """Run the map recurrence over a block of noise draws, on Python floats.
+        """Run the map recurrence over a column of noise draws, on Python floats.
 
         Same contract and the same IEEE operations, (eps[k] * x) * (1 - x),
         as the array kernel above, so the states are bit-identical.  The
-        whole block is stepped in one list comprehension over the draws and
-        absorption is found by one scan afterwards, so a path that stops
-        mid-block computes the rest of that block (at most CHUNK states) and
-        throws it away; nothing past the stop is written to out.
+        whole block is stepped in one list comprehension over the draws.
         """
         x = float(x)
-        states = np.frombuffer(array("d", [x := e * x * (1.0 - x) for e in memoryview(eps)]))
-        stops = np.flatnonzero((states < ABSORB_FLOOR) | (states == 1.0))
-        if not len(stops):
-            out[:] = states
-            return -1
-        k = int(stops[0])
-        out[: k + 1] = states[: k + 1]
-        if states[k] < ABSORB_FLOOR:
-            out[k] = 0.0
-        return k
+        out[:] = np.frombuffer(array("d", [x := e * x * (1.0 - x) for e in memoryview(eps)]))
 
     def _advance_lanes(x, eps, out):
         """Run the map recurrence for L lanes in lockstep over an (m, L) block, in place.
@@ -162,7 +131,7 @@ except ImportError:  # pragma: no cover
             x = o
 
 
-def _walk(starts, n: int, draws, grow: bool = False):
+def _walk(starts, n: int, draws):
     """Walk n steps from each start in lockstep, yielding (done, eps, states, valid).
 
     Lane j starts at starts[j], which must lie in (0, 1).  Once per block,
@@ -172,39 +141,38 @@ def _walk(starts, n: int, draws, grow: bool = False):
     step done+k+1.  valid[j] is the number of leading rows that belong to
     lane j: a lane stops after the step at which it falls below ABSORB_FLOOR
     (recorded as exactly 0) or reaches 1, and a stopped lane draws nothing
-    more and has valid 0 from then on.  The arrays are views into buffers
-    reused across blocks, so copy them to keep them.  The walk ends after n
-    steps or when every lane has stopped.  Every block has max(1, CHUNK // L)
-    steps, or, with grow, the first has FIRST_ROWS and each later one
-    doubles up to that bound, for reductions that may stop after a few steps.
+    more and has valid 0 from then on.  The kernels only compute states;
+    one scan of each block finds the stops.  The arrays are views into
+    buffers reused across blocks, so copy them to keep them.  The walk ends
+    after n steps or when every lane has stopped.  The first block has
+    FIRST_ROWS steps and each later one doubles up to max(1, CHUNK // L).
     """
     x = np.array(starts, dtype=float)
     if not np.all((x > 0.0) & (x < 1.0)):
         raise ValueError("x0 must lie in (0, 1)")
     lanes = len(x)
     rows = min(max(1, CHUNK // lanes), n)
-    # zeroed: rows a stopped lane never drew stay finite for the row kernel
-    eps, out = np.zeros((rows, lanes)), np.empty((rows, lanes))
+    # zeroed: rows and columns no kernel wrote stay finite
+    eps, out = np.zeros((rows, lanes)), np.zeros((rows, lanes))
     valid = np.zeros(lanes, dtype=np.int64)
     live = np.arange(lanes)
-    done, m = 0, min(FIRST_ROWS, rows) if grow else rows
+    done, m = 0, min(FIRST_ROWS, rows)
     while done < n and len(live):
         m = min(m, n - done)
         e, o = eps[:m], out[:m]
         draws(e, live)
-        valid[:] = 0
         if lanes < MIN_LANES:
-            stop = np.array([_advance(x[j], e[:, j], o[:, j]) for j in live])
-            stopped = stop >= 0
+            for j in live:
+                _advance(x[j], e[:, j], o[:, j])
         else:
             # stopped lanes run on with stale draws; their rows are never valid
             _advance_lanes(x, e, o)
-            low = o < ABSORB_FLOOR
-            o[low] = 0.0
-            hit = (low | (o == 1.0))[:, live]
-            stopped = hit.any(axis=0)
-            stop = hit.argmax(axis=0)
-        valid[live] = np.where(stopped, stop + 1, m)
+        low = o < ABSORB_FLOOR
+        o[low] = 0.0
+        hit = (low | (o == 1.0))[:, live]
+        stopped = hit.any(axis=0)
+        valid[:] = 0
+        valid[live] = np.where(stopped, hit.argmax(axis=0) + 1, m)
         x = o[m - 1].copy()
         yield done, e, o, valid
         live = live[~stopped]
@@ -216,22 +184,26 @@ def _lane_draws(model: NoiseModel, rngs):
     """Draw filler for `_walk` in which lane j reads rngs[j]; see NoiseModel.sample_lanes.
 
     The lanes' uniform buffer is kept for the whole walk, like the walk's
-    own buffers, and reallocated only while a growing walk's blocks grow.
+    own buffers, and reallocated only while the walk's blocks grow.
     """
     buf = np.zeros((len(rngs), 0, 2))
 
     def draws(eps, live):
         nonlocal buf
         if buf.shape[1] < len(eps):
+            buf = None  # free the smaller buffer first, so the two never coexist
             buf = np.zeros((len(rngs), len(eps), 2))
         model.sample_lanes(rngs, live, eps, buf)
 
     return draws
 
 
-def _replicates(model: NoiseModel, seed, keys, n: int):
-    """Draw filler for n replicates per key; replicate i of key reads substream (seed, *key, i)."""
-    return _lane_draws(model, [substream(seed, *key, i) for key in keys for i in range(n)])
+def _substreams(seed, keys, n: int) -> list:
+    """One generator per lane: n replicates per key, key by key.
+
+    Replicate i of key reads substream (seed, *key, i).
+    """
+    return [substream(seed, *key, i) for key in keys for i in range(n)]
 
 
 def _path(model: NoiseModel, x0: float, n: int, seed):
@@ -508,12 +480,11 @@ def _shard_occupations(
 ):
     """Walk lanes lo..hi-1 of `ensemble_occupations`; one measure per group they touch.
 
-    Lane i is replicate i % r of group i // r (r = config.n_replicates) and
-    reads substream (master_seed, *stream_keys[i // r], i % r).
+    Lane i is replicate i % r of group i // r (r = config.n_replicates).
     """
     r = config.n_replicates
     widths = [min(hi, (g + 1) * r) - max(lo, g * r) for g in range(lo // r, (hi - 1) // r + 1)]
-    rngs = [substream(config.master_seed, *stream_keys[i // r], i % r) for i in range(lo, hi)]
+    rngs = _substreams(config.master_seed, stream_keys, r)[lo:hi]
     lanes = [starts[i // r] for i in range(lo, hi)]
     walk = _walk(lanes, config.n_steps, _lane_draws(model, rngs))
     return _occupations(walk, config.burn_in, config.bin_edges, widths)
@@ -579,7 +550,7 @@ def hitting_time(model: NoiseModel, x0: float, J, seed, cap: int) -> int | None:
         raise ValueError("cap must be >= 1")
     draws = _lane_draws(model, [_generator(seed)])
     # None: past cap, or absorbed at the boundary with J unreachable
-    return _first_entry(_walk((x0,), cap, draws, grow=True), lo, hi)
+    return _first_entry(_walk((x0,), cap, draws), lo, hi)
 
 
 def visit_counts(model: NoiseModel, x0: float, J, n: int, seed) -> int:

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import _check_interval, _first_entry, _replicates, _walk
+from .engine import _check_interval, _first_entry, _lane_draws, _substreams, _walk
 from .noise import NoiseModel
 from .quadmap import PeriodicOrbit, find_periodic_orbit, q_of_theta
 
@@ -666,5 +666,5 @@ def irreducibility_probe(
         raise ValueError("n_paths must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    draws = _replicates(model, seed, [()], int(n_paths))
-    return _first_entry(_walk((x,) * int(n_paths), n_max, draws, grow=True), lo, hi)
+    draws = _lane_draws(model, _substreams(seed, [()], int(n_paths)))
+    return _first_entry(_walk((x,) * int(n_paths), n_max, draws), lo, hi)

@@ -1,6 +1,14 @@
 """Shared test scaffolding: acceptance-criterion result reporting."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+# subprocesses the tests start (`python -m randquad.cli`) import the same
+# checkout as the tests themselves, which pyproject.toml puts on sys.path
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 ACCEPTANCE_RESULTS: dict[int, tuple[bool, str]] = {}
 

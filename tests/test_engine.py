@@ -45,9 +45,9 @@ PERIOD2_LO = 0.5130445095326298
 PERIOD2_HI = 0.7994554904673701
 
 
-def block_end(step, rows, grow):
-    """Last step of the walk block holding step: rows steps, or FIRST_ROWS doubling up to rows."""
-    end, m = 0, min(engine.FIRST_ROWS, rows) if grow else rows
+def block_end(step, rows):
+    """Last step of the walk block holding step: FIRST_ROWS steps doubling up to rows."""
+    end, m = 0, min(engine.FIRST_ROWS, rows)
     while end < step:
         end, m = end + m, min(2 * m, rows)
     return end
@@ -469,9 +469,7 @@ class TestHittingAndVisits:
 class TestAdvanceKernel:
     def test_jit_and_pure_python_paths_agree(self):
         # when numba is present the pure-python original is kept as py_func;
-        # both must produce bitwise-identical states and absorption indices
-        from randquad.engine import _advance
-
+        # both must produce bitwise-identical states
         py = getattr(_advance, "py_func", None)
         if py is None:
             pytest.skip("numba not installed; only one code path exists")
@@ -479,116 +477,162 @@ class TestAdvanceKernel:
         eps = U23.sample(rng, size=10_000)
         out_a = np.empty(len(eps))
         out_b = np.empty(len(eps))
-        assert _advance(0.37, eps, out_a) == py(0.37, eps, out_b)
+        _advance(0.37, eps, out_a)
+        py(0.37, eps, out_b)
         assert np.array_equal(out_a, out_b)
 
-    def test_absorption_index_agrees(self):
-        from randquad.engine import _advance
-
+    def test_states_through_underflow_agree(self):
         py = getattr(_advance, "py_func", None)
         if py is None:
             pytest.skip("numba not installed; only one code path exists")
         eps = np.full(3000, 0.5)
         out_a = np.empty(len(eps))
         out_b = np.empty(len(eps))
-        ka = _advance(0.5, eps, out_a)
-        kb = py(0.5, eps, out_b)
-        assert ka == kb >= 0
-        assert out_a[ka] == out_b[kb] == 0.0
+        _advance(0.5, eps, out_a)
+        py(0.5, eps, out_b)
+        assert out_a[-1] == 0.0
+        assert np.array_equal(out_a.view(np.int64), out_b.view(np.int64))
 
 
-def numpy_scalar_advance(x, eps, out):
-    """Reference recurrence: the array kernel's loop, stepping numpy scalars."""
+def numpy_advance(x, eps, out):
+    """Reference recurrence: the array kernel's loop, stepping numpy scalars or rows."""
     for k in range(eps.shape[0]):
         x = eps[k] * x * (1.0 - x)
-        if x < engine.ABSORB_FLOOR:
-            out[k] = 0.0
-            return k
         out[k] = x
-        if x == 1.0:
-            return k
-    return -1
 
 
-class TestScalarKernel:
-    """`_advance`, compiled or on Python floats, equals a numpy-scalar loop bit for bit."""
+def walked(starts, n, draws):
+    """Each lane's valid states, concatenated over the blocks of one walk."""
+    paths = [[] for _ in starts]
+    for _, _, states, valid in _walk(starts, n, draws):
+        for j, path in enumerate(paths):
+            path.append(states[: valid[j], j].copy())
+    return [np.concatenate(p) for p in paths]
 
-    def run_both(self, x0, eps, shape=None):
-        """Run `_advance` and the reference on NaN-filled outputs; return both results."""
-        out = np.full(shape or eps.shape, np.nan)
-        ref = np.full(eps.shape, np.nan)
-        return (_advance(x0, eps, out), out), (numpy_scalar_advance(x0, eps, ref), ref)
+
+def given_draws(columns):
+    """Draw filler that hands lane j the next rows of columns[:, j], counting what each lane drew."""
+    drawn = np.zeros(columns.shape[1], dtype=np.int64)
+
+    def draws(eps, live):
+        for j in live:
+            eps[:, j] = columns[drawn[j] : drawn[j] + len(eps), j]
+            drawn[j] += len(eps)
+
+    return draws, drawn
+
+
+def stopped_reference(x0, eps):
+    """One lane's numpy-scalar states up to its first below ABSORB_FLOOR (recorded as 0) or at 1."""
+    states = np.empty(len(eps))
+    numpy_advance(x0, eps, states)
+    stops = np.flatnonzero((states < engine.ABSORB_FLOOR) | (states == 1.0))
+    if len(stops):
+        states = states[: stops[0] + 1]
+        states[-1] = 0.0 if states[-1] < engine.ABSORB_FLOOR else states[-1]
+    return states
+
+
+class WalkStopCases:
+    """Stop cases of `_walk`, run with the kernel that MIN_LANES = min_lanes picks.
+
+    Whichever kernel computed the states, the walk records a state below
+    ABSORB_FLOOR as exactly 0 and stops the lane at its first 0 or 1, at
+    any row of a block, and the lane draws nothing after that block.
+    """
+
+    min_lanes: int
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        monkeypatch.setattr(engine, "MIN_LANES", self.min_lanes)
+
+    def walk(self, x0, eps):
+        """The one lane's valid states and the parameters it drew, walking len(eps) steps."""
+        draws, drawn = given_draws(eps[:, None])
+        (path,) = walked((x0,), len(eps), draws)
+        return path, drawn[0]
+
+    def test_absorption_recorded_as_zero(self):
+        # underflow mid-block, in the block of steps 1009..2032
+        eps = np.full(3000, 0.5)
+        path, drawn = self.walk(0.5, eps)
+        assert np.array_equal(path.view(np.int64), stopped_reference(0.5, eps).view(np.int64))
+        assert path[-1] == 0.0 and 0.0 < path[-2] < 1e-300
+        assert drawn == block_end(len(path), engine.CHUNK) < len(eps)
+
+    def test_reaching_one_stops(self):
+        # eps = 4 maps 0.5 to 1 at the first row of the first block
+        path, drawn = self.walk(0.5, np.array([4.0] + [3.0] * 99))
+        assert path.tolist() == [1.0] and drawn == engine.FIRST_ROWS
+
+    def test_absorption_at_first_step(self):
+        # a subnormal first state is recorded as exactly 0
+        path, drawn = self.walk(3e-308, np.array([0.5] + [3.0] * 99))
+        assert path.tolist() == [0.0] and drawn == engine.FIRST_ROWS
+
+    def test_absorption_at_last_row(self, monkeypatch):
+        eps = np.full(3000, 0.5)
+        ref = stopped_reference(0.5, eps)
+        # the first block ends at the absorbing step, so valid equals its row count
+        monkeypatch.setattr(engine, "FIRST_ROWS", len(ref))
+        monkeypatch.setattr(engine, "CHUNK", len(ref))
+        path, drawn = self.walk(0.5, eps)
+        assert np.array_equal(path.view(np.int64), ref.view(np.int64))
+        assert path[-1] == 0.0 and drawn == len(ref)
+
+    def test_reaching_one_mid_block(self):
+        # 0.5 is fixed under eps = 2, then eps = 4 maps it to 1 at step 51,
+        # the third row of the third block (steps 49..100)
+        eps = np.array([2.0] * 50 + [4.0] + [3.0] * 49)
+        path, drawn = self.walk(0.5, eps)
+        assert np.all(path[:50] == 0.5) and path[50] == 1.0 and len(path) == 51
+        assert np.array_equal(path, stopped_reference(0.5, eps))
+        assert drawn == len(eps)
+
+    def test_strided_column_absorbs(self):
+        # the middle lane of three absorbs; the others run to the end
+        eps = ABSORBING.sample(substream(127), 3 * 3000).reshape(3000, 3)
+        eps[:, [0, 2]] = 2.5
+        draws, _ = given_draws(eps)
+        paths = walked((0.3, 0.4, 0.5), len(eps), draws)
+        for j, x0 in enumerate((0.3, 0.4, 0.5)):
+            assert np.array_equal(paths[j], stopped_reference(x0, eps[:, j].copy()))
+        assert paths[1][-1] == 0.0 and len(paths[1]) < len(eps)
+        assert len(paths[0]) == len(paths[2]) == len(eps)
+
+
+class TestScalarKernel(WalkStopCases):
+    """`_advance`, compiled or on Python floats, equals a numpy-scalar loop bit for bit.
+
+    The stop cases walk every lane with this kernel.
+    """
+
+    min_lanes = 10**9
 
     def test_matches_numpy_scalars_over_many_steps(self):
         for model, x0 in ((U23, 0.37), (NoiseModel.uniform(3.5, 3.99), 0.9), (ATOM32, 0.1)):
             eps = model.sample(substream(125), 1 << 17)
-            (stop, out), (ref_stop, ref) = self.run_both(x0, eps)
-            assert stop == ref_stop == -1
+            out, ref = np.full(eps.shape, np.nan), np.full(eps.shape, np.nan)
+            _advance(x0, eps, out)
+            numpy_advance(x0, eps, ref)
             assert np.array_equal(out, ref)
 
-    def test_absorption_recorded_as_zero(self):
-        eps = np.full(3000, 0.5)
-        (stop, out), (ref_stop, ref) = self.run_both(0.5, eps)
-        assert stop == ref_stop >= 0
-        assert out[stop] == 0.0 and 0.0 < out[stop - 1] < 1e-300
-        assert np.array_equal(out[: stop + 1], ref[: stop + 1])
-        assert np.all(np.isnan(out[stop + 1 :]))  # nothing written past the stop
-
-    def test_reaching_one_stops(self):
-        eps = np.array([4.0, 3.0, 3.0])
-        (stop, out), (ref_stop, _) = self.run_both(0.5, eps)
-        assert stop == ref_stop == 0
-        assert out[0] == 1.0 and np.all(np.isnan(out[1:]))
-
     def test_empty_block(self):
-        (stop, out), (ref_stop, _) = self.run_both(0.5, np.empty(0))
-        assert stop == ref_stop == -1 and out.shape == (0,)
+        out = np.empty(0)
+        _advance(0.5, np.empty(0), out)
+        assert out.shape == (0,)
         eps, out = np.empty((0, 3)), np.empty((0, 3))  # a strided column of an empty block
-        assert _advance(0.5, eps[:, 1], out[:, 1]) == -1
+        _advance(0.5, eps[:, 1], out[:, 1])
 
     def test_strided_columns(self):
         # a column of a (steps, lanes) walk buffer, as `_walk` passes it
         eps = U23.sample(substream(126), 3 * 70_000).reshape(70_000, 3)
         out = np.full(eps.shape, np.nan)
-        assert _advance(0.2, eps[:, 1], out[:, 1]) == -1
+        _advance(0.2, eps[:, 1], out[:, 1])
         ref = np.empty(len(eps))
-        numpy_scalar_advance(0.2, eps[:, 1].copy(), ref)
+        numpy_advance(0.2, eps[:, 1].copy(), ref)
         assert np.array_equal(out[:, 1], ref)
-        assert np.all(np.isnan(out[:, [0, 2]]))
-
-    def test_absorption_at_first_step(self):
-        # a subnormal first state is recorded as exactly 0
-        eps = np.array([0.5, 3.0, 3.0])
-        (stop, out), (ref_stop, ref) = self.run_both(3e-308, eps)
-        assert stop == ref_stop == 0
-        assert out[0] == 0.0 and np.all(np.isnan(out[1:]))
-        assert np.array_equal(out, ref, equal_nan=True)
-
-    def test_absorption_at_last_row(self):
-        eps = np.full(3000, 0.5)
-        last = numpy_scalar_advance(0.5, eps, np.empty(len(eps)))
-        (stop, out), (ref_stop, ref) = self.run_both(0.5, eps[: last + 1])
-        assert stop == ref_stop == last == len(out) - 1
-        assert out[-1] == 0.0 and 0.0 < out[-2] < 1e-300
-        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
-
-    def test_reaching_one_mid_block(self):
-        # 0.5 is fixed under eps = 2, then eps = 4 maps it to 1 with draws left over
-        eps = np.array([2.0] * 50 + [4.0] + [3.0] * 49)
-        (stop, out), (ref_stop, ref) = self.run_both(0.5, eps)
-        assert stop == ref_stop == 50
-        assert np.all(out[:50] == 0.5) and out[50] == 1.0
-        assert np.all(np.isnan(out[51:]))
-        assert np.array_equal(out, ref, equal_nan=True)
-
-    def test_strided_column_absorbs(self):
-        eps = ABSORBING.sample(substream(127), 3 * 3000).reshape(3000, 3)
-        out = np.full(eps.shape, np.nan)
-        stop = _advance(0.4, eps[:, 1], out[:, 1])
-        ref = np.full(len(eps), np.nan)
-        assert stop == numpy_scalar_advance(0.4, eps[:, 1].copy(), ref) >= 0
-        assert out[stop, 1] == 0.0 and stop < len(eps) - 1
-        assert np.array_equal(out[:, 1], ref, equal_nan=True)
         assert np.all(np.isnan(out[:, [0, 2]]))
 
     def test_compiled_exactly_when_numba_is_installed(self):
@@ -599,14 +643,11 @@ class TestScalarKernel:
         assert hasattr(_advance_lanes, "py_func") == numba
 
 
-def numpy_row_advance(x, eps, out):
-    """Reference row recurrence: the array kernel's expression, temporaries and all."""
-    for k in range(eps.shape[0]):
-        x = eps[k] * x * (1.0 - x)
-        out[k] = x
+class TestLaneKernel(WalkStopCases):
+    """`_advance_lanes` equals the row expression bit for bit; the stop cases walk rows."""
 
+    min_lanes = 1
 
-class TestLaneKernel:
     def test_matches_row_expression_in_four_regimes(self):
         # five lanes each over 5,000 steps: stable, chaotic, underflowing
         # through subnormals to 0, and reaching 1 at the first step, then 0
@@ -619,7 +660,7 @@ class TestLaneKernel:
         out = np.full_like(eps, np.nan)
         ref = np.full_like(eps, np.nan)
         _advance_lanes(x0.copy(), eps, out)
-        numpy_row_advance(x0.copy(), eps, ref)
+        numpy_advance(x0.copy(), eps, ref)
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
         under, one = out[:, 10:15], out[:, 15:]
         assert np.all(under[-1] == 0.0) and np.any((under > 0.0) & (under < 2.3e-308))
@@ -635,7 +676,7 @@ class TestLaneKernel:
         _advance_lanes(x0.copy(), eps, out)
         for j in range(len(models)):
             alone = np.empty(len(eps))
-            assert _advance(x0[j], eps[:, j].copy(), alone) == -1
+            _advance(x0[j], eps[:, j].copy(), alone)
             assert np.array_equal(out[:, j], alone), j
 
     def test_jit_and_pure_python_paths_agree(self):
@@ -654,8 +695,8 @@ class TestLaneKernel:
 class TestLaneWalk:
     STARTS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9)
 
-    def lanes(self, starts, n, keys, grow):
-        """Each lane's valid states, concatenated over the blocks of one walk."""
+    def lanes(self, starts, n, keys):
+        """Each lane's valid states over one walk, and the parameters each lane drew."""
         counted = [0] * len(starts)
         fill = engine._lane_draws(ABSORBING, [substream(50, k) for k in keys])
 
@@ -664,11 +705,7 @@ class TestLaneWalk:
                 counted[j] += len(eps)
             fill(eps, live)
 
-        paths = [[] for _ in starts]
-        for _, _, states, valid in _walk(starts, n, draws, grow):
-            for j, path in enumerate(paths):
-                path.append(states[: valid[j], j].copy())
-        return [np.concatenate(p) for p in paths], counted
+        return walked(starts, n, draws), counted
 
     # MIN_LANES = 6 walks the eight lanes as numpy rows and each lane alone
     # with the scalar kernel, MIN_LANES = 10**9 walks all eight with the
@@ -678,28 +715,31 @@ class TestLaneWalk:
 
     @pytest.mark.parametrize("chunk, min_lanes", CASES)
     def test_lanes_absorb_apart_and_match_single_walks(self, monkeypatch, chunk, min_lanes):
-        self.check_lanes(monkeypatch, chunk, min_lanes, grow=False)
+        # FIRST_ROWS above every block size: each block has the full rows from the start
+        monkeypatch.setattr(engine, "FIRST_ROWS", 10**9)
+        self.check_lanes(monkeypatch, chunk, min_lanes)
 
     @pytest.mark.parametrize("chunk, min_lanes", CASES)
     def test_growing_walk_lanes_absorb_apart_and_match_single_walks(
         self, monkeypatch, chunk, min_lanes
     ):
-        self.check_lanes(monkeypatch, chunk, min_lanes, grow=True)
+        # the default schedule: FIRST_ROWS steps, doubling up to the full rows
+        self.check_lanes(monkeypatch, chunk, min_lanes)
 
-    def check_lanes(self, monkeypatch, chunk, min_lanes, grow):
+    def check_lanes(self, monkeypatch, chunk, min_lanes):
         monkeypatch.setattr(engine, "CHUNK", chunk)
         monkeypatch.setattr(engine, "MIN_LANES", min_lanes)
         n = 5000
-        together, drawn = self.lanes(self.STARTS, n, range(len(self.STARTS)), grow)
+        together, drawn = self.lanes(self.STARTS, n, range(len(self.STARTS)))
         lengths = [len(p) for p in together]
         assert len(set(lengths)) == len(lengths)  # every lane stops at its own step
         rows = max(1, chunk // len(self.STARTS))
         for j, (x0, path) in enumerate(zip(self.STARTS, together)):
-            (alone,), _ = self.lanes((x0,), n, [j], grow)
+            (alone,), _ = self.lanes((x0,), n, [j])
             assert np.array_equal(path, alone)
             assert len(path) < n and path[-1] == 0.0 and np.all(path[:-1] > 0.0)
             # a stopped lane draws nothing after the block in which it stopped
-            assert drawn[j] == min(n, block_end(len(path), rows, grow))
+            assert drawn[j] == min(n, block_end(len(path), rows))
 
 
 class TestEarlyExit:
@@ -735,12 +775,14 @@ class TestEarlyExit:
         assert step is not None and step < 100
         assert 0 < sum(drawn) <= 2 * max(step, engine.FIRST_ROWS)
 
-    def test_walks_that_run_to_the_end_start_with_full_blocks(self, monkeypatch):
+    def test_walks_that_run_to_the_end_double_up_to_full_blocks(self, monkeypatch):
         rows = []
         drawn = self.counted_draws(monkeypatch, rows)
         extinction_test(U23, 0.5, (3000, 30_000), 8, 1e-3, seed=1)
+        doubling = [engine.FIRST_ROWS << k for k in range(10)]
         full = engine.CHUNK // 8
-        assert rows[:3] == [full] * 3 and sum(rows) == 30_000
+        assert doubling[-1] == full
+        assert rows == doubling + [full, 30_000 - sum(doubling) - full]
         assert sum(drawn) == 8 * 30_000
 
 

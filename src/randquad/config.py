@@ -110,17 +110,16 @@ class ExperimentConfig:
     def noise_model(self) -> NoiseModel:
         atoms = []
         pieces = []
-        raw_atoms = self.get("noise", "atoms", "")
-        raw_pieces = self.get("noise", "pieces", "")
-        try:
-            for token in str(raw_atoms).split():
-                loc, w = token.split(":")
-                atoms.append((float(loc), float(w)))
-            for token in str(raw_pieces).split():
-                c, d, w = token.split(":")
-                pieces.append((float(c), float(d), float(w)))
-        except ValueError as exc:
-            raise ConfigError(f"malformed noise component: {exc}") from exc
+        forms = (("atoms", "location:weight", atoms), ("pieces", "c:d:weight", pieces))
+        for key, form, items in forms:
+            for token in str(self.get("noise", key, "")).split():
+                try:
+                    values = tuple(float(v) for v in token.split(":"))
+                except ValueError:
+                    values = ()
+                if len(values) != form.count(":") + 1:
+                    raise ConfigError(f"malformed noise.{key} item {token!r}: expected {form}")
+                items.append(values)
         if not atoms and not pieces:
             raise ConfigError("section [noise] must define atoms and/or pieces")
         try:

@@ -23,11 +23,12 @@ eps * x * (1 - x) in the same operand order, so every lane is bit-identical
 to the same path walked alone.  After either kernel, one scan of the block
 in `_walk` records states below ABSORB_FLOOR as 0 and stops each lane at
 its first 0 or 1.  With numba one compiled kernel serves both call shapes.
-Without it the scalar kernel steps a Python float through the whole block
-in one list comprehension over the draws, which gives the same bits as the
-array loop at about four times its speed, and the row kernel writes each
-row in place with `out=` ufuncs.  Every consumer, here and in the
-diagnostics and kernel, is a reduction over the blocks it yields
+Without it the scalar kernel steps a Python float through its column
+PIECE draws at a time, one list comprehension per piece, and stores each
+piece with one struct.pack while it is still in cache; that gives the same
+bits as the array loop at about 3.5 times its speed.  The row kernel
+writes each row in place with `out=` ufuncs.  Every consumer, here and in
+the diagnostics and kernel, is a reduction over the blocks it yields
 (`_occupations`, `_snapshots`, `_first_entry`), so the recurrence, the
 block schedule and the stop rule live in one place; all replicates of all
 starts of a stability test share one walk.  With workers > 1,
@@ -46,7 +47,7 @@ chunking or lane grouping.
 from __future__ import annotations
 
 import os
-from array import array
+import struct
 from dataclasses import dataclass
 from functools import partial
 
@@ -76,11 +77,15 @@ CHUNK = 1 << 16
 FIRST_ROWS = 16
 
 # fewest lanes at which one numpy row per step keeps up with a scalar loop
-# per lane (pure Python, 2 cores, whole walk with batched draws, median M
-# lane-steps/s scalar vs rows: 16 lanes 6.1 vs 5.0, 19 lanes 6.1 vs 5.6,
-# 20 lanes 6.2 vs 5.9, 21 lanes 6.5 vs 7.1, 22 lanes 6.3 vs 6.5,
-# 24 lanes 6.3 vs 7.0, 32 lanes 5.9 vs 8.5)
-MIN_LANES = 21
+# per lane (pure Python, 2 cores, whole walk with batched draws, median of
+# 15 M lane-steps/s scalar vs rows: 20 lanes 7.4 vs 6.3, 24 lanes 6.8 vs
+# 5.8, 26 lanes 6.4 vs 6.1, 28 lanes 6.4 vs 6.4, 30 lanes 6.4 vs 7.0,
+# 32 lanes 6.2 vs 7.1, 36 lanes 6.3 vs 7.8)
+MIN_LANES = 28
+
+# draws per piece of the pure-Python scalar kernel: small enough that a
+# piece's states are still in cache when one struct.pack stores them
+PIECE = 4096
 
 # smallest normal double: once the state is subnormal it can plateau at
 # 5e-324 forever (noise >= 0.5 rounds it back up), so extinction regimes
@@ -111,10 +116,13 @@ except ImportError:  # pragma: no cover
 
         Same contract and the same IEEE operations, (eps[k] * x) * (1 - x),
         as the array kernel above, so the states are bit-identical.  The
-        whole block is stepped in one list comprehension over the draws.
+        column is stepped PIECE draws at a time, one list comprehension per
+        piece, and each piece is stored by one struct.pack, strided or not.
         """
-        x = float(x)
-        out[:] = np.frombuffer(array("d", [x := e * x * (1.0 - x) for e in memoryview(eps)]))
+        x, eps = float(x), memoryview(eps)
+        for lo in range(0, len(eps), PIECE):
+            states = [x := e * x * (1.0 - x) for e in eps[lo : lo + PIECE]]
+            out[lo : lo + len(states)] = np.frombuffer(struct.pack(f"{len(states)}d", *states))
 
     def _advance_lanes(x, eps, out):
         """Run the map recurrence for L lanes in lockstep over an (m, L) block, in place.
@@ -198,12 +206,14 @@ def _lane_draws(model: NoiseModel, rngs):
     return draws
 
 
-def _substreams(seed, keys, n: int) -> list:
-    """One generator per lane: n replicates per key, key by key.
+def _substreams(seed, keys, n: int, lo: int = 0, hi: int | None = None) -> list:
+    """One generator for each of lanes lo..hi-1 (default: all) of n replicates per key.
 
-    Replicate i of key reads substream (seed, *key, i).
+    Lane i is replicate i % n of keys[i // n] and reads substream (seed,
+    *keys[i // n], i % n); only the lanes asked for are built.
     """
-    return [substream(seed, *key, i) for key in keys for i in range(n)]
+    hi = len(keys) * n if hi is None else hi
+    return [substream(seed, *keys[i // n], i % n) for i in range(lo, hi)]
 
 
 def _path(model: NoiseModel, x0: float, n: int, seed):
@@ -484,7 +494,7 @@ def _shard_occupations(
     """
     r = config.n_replicates
     widths = [min(hi, (g + 1) * r) - max(lo, g * r) for g in range(lo // r, (hi - 1) // r + 1)]
-    rngs = _substreams(config.master_seed, stream_keys, r)[lo:hi]
+    rngs = _substreams(config.master_seed, stream_keys, r, lo, hi)
     lanes = [starts[i // r] for i in range(lo, hi)]
     walk = _walk(lanes, config.n_steps, _lane_draws(model, rngs))
     return _occupations(walk, config.burn_in, config.bin_edges, widths)

@@ -110,6 +110,19 @@ class TestSubcommands:
         cfg = write_config(tmp_path, "[sim]\nseed = x\n")
         assert run_cli(tmp_path, "check", "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [
+            ("pieces = 2.0:3.0", "malformed noise.pieces item '2.0:3.0': expected c:d:weight"),
+            ("atoms = 2.5:x", "malformed noise.atoms item '2.5:x': expected location:weight"),
+        ],
+        ids=["piece", "atom"],
+    )
+    def test_malformed_noise_item_is_error(self, tmp_path, capsys, item, message):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("pieces = 2.0:3.0:1.0", item))
+        assert run_cli(tmp_path, "check", "--config", str(cfg)) == 1
+        assert message in capsys.readouterr().err
+
     def test_simulate_outputs(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + "\n[simulate]\nn = 500\nx0 = 0.3\n")
         assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 0

@@ -21,6 +21,7 @@ from randquad.engine import (
     Trajectory,
     _advance,
     _advance_lanes,
+    _lane_draws,
     _walk,
     bin_states,
     ensemble_occupation,
@@ -367,6 +368,19 @@ class TestEnsembleWorkers:
         assert sizes == asked
         assert fields(found) == fields(ensemble_occupations(U23, starts, cfg, keys))
 
+    def test_shard_builds_only_its_own_generators(self, monkeypatch):
+        # 4 groups of 5 replicates; lanes 4..7 are replicate 4 of group 0 and 0..2 of group 1
+        starts, keys = (0.2, 0.4, 0.6, 0.8), [(0,), (1,), (2,), (3,)]
+        cfg = SimConfig(master_seed=3, n_steps=3000, n_replicates=5, burn_in=100, n_bins=40)
+        rngs = [substream(3, *keys[i // 5], i % 5) for i in range(4, 8)]
+        walk = _walk([starts[i // 5] for i in range(4, 8)], cfg.n_steps, _lane_draws(U23, rngs))
+        expected = engine._occupations(walk, cfg.burn_in, cfg.bin_edges, [1, 3])
+        built = []
+        monkeypatch.setattr(engine, "substream", lambda *key: built.append(key) or substream(*key))
+        found = engine._shard_occupations(U23, starts, cfg, keys, 4, 8)
+        assert built == [(3, 0, 4), (3, 1, 0), (3, 1, 1), (3, 1, 2)]
+        assert fields(found) == fields(expected)
+
     def test_workers_below_one_rejected(self):
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
         with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -610,13 +624,21 @@ class TestScalarKernel(WalkStopCases):
 
     min_lanes = 10**9
 
+    # column lengths at the pure-Python kernel's piece boundaries
+    P = engine.PIECE
+    EDGES = [1, P - 1, P, P + 1, 3 * P + 5]
+
     def test_matches_numpy_scalars_over_many_steps(self):
-        for model, x0 in ((U23, 0.37), (NoiseModel.uniform(3.5, 3.99), 0.9), (ATOM32, 0.1)):
-            eps = model.sample(substream(125), 1 << 17)
-            out, ref = np.full(eps.shape, np.nan), np.full(eps.shape, np.nan)
-            _advance(x0, eps, out)
-            numpy_advance(x0, eps, ref)
-            assert np.array_equal(out, ref)
+        models = ((U23, 0.37), (NoiseModel.uniform(3.5, 3.99), 0.9), (ATOM32, 0.1))
+        for n in self.EDGES + [1 << 17]:
+            for model, x0 in models:
+                eps = model.sample(substream(125), n)
+                # one NaN past each end: the kernel writes exactly its n states
+                out, ref = np.full(n + 2, np.nan), np.empty(n)
+                _advance(x0, eps, out[1:-1])
+                numpy_advance(x0, eps, ref)
+                assert np.array_equal(out[1:-1], ref)
+                assert np.isnan(out[0]) and np.isnan(out[-1])
 
     def test_empty_block(self):
         out = np.empty(0)
@@ -627,13 +649,14 @@ class TestScalarKernel(WalkStopCases):
 
     def test_strided_columns(self):
         # a column of a (steps, lanes) walk buffer, as `_walk` passes it
-        eps = U23.sample(substream(126), 3 * 70_000).reshape(70_000, 3)
-        out = np.full(eps.shape, np.nan)
-        _advance(0.2, eps[:, 1], out[:, 1])
-        ref = np.empty(len(eps))
-        numpy_advance(0.2, eps[:, 1].copy(), ref)
-        assert np.array_equal(out[:, 1], ref)
-        assert np.all(np.isnan(out[:, [0, 2]]))
+        for n in self.EDGES + [70_000]:
+            eps = U23.sample(substream(126), 3 * n).reshape(n, 3)
+            out = np.full(eps.shape, np.nan)
+            _advance(0.2, eps[:, 1], out[:, 1])
+            ref = np.empty(n)
+            numpy_advance(0.2, eps[:, 1].copy(), ref)
+            assert np.array_equal(out[:, 1], ref)
+            assert np.all(np.isnan(out[:, [0, 2]]))
 
     def test_compiled_exactly_when_numba_is_installed(self):
         import importlib.util

@@ -3,6 +3,10 @@
 Every subcommand is a pure function of (config file, --set overrides): the
 same inputs produce byte-identical output files, whatever the thread count.
 Numeric output carries 17 significant digits so values round-trip exactly.
+trajectory.csv and density.csv are formatted by a vectorised %.17g with the
+bytes of % itself: Dekker's error-free product gives v * 10**(16 - k) exactly
+as hi + lo, hi is an even integer, and hi + rint(lo) rounds half to even;
+values outside [1e-4, 1e16) other than +0.0 go through % (see _format_17g).
 `--threads N` (or `sim.threads`) sets the number of forked worker processes
 that `stability` walks its lanes in, capped at the lanes and at the usable
 CPUs; the other subcommands ignore it.
@@ -52,35 +56,126 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-# trajectory.csv rows formatted per write: bounds the chunk's string and lists
+# trajectory.csv rows per write; density.csv writes about 3 * CSV_ROWS cells at a time
 CSV_ROWS = 4096
+# a %.17g field: "0.000" (k < 0), digit 0, two NULs, then 16 pairs (point slot, digit)
+FIELD = 40
+
+
+def _words(texts, width=8) -> np.ndarray:
+    """NUL-padded byte strings as uint64 words; only & and | touch them, so byte order is moot."""
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts), np.uint64)
+
+
+_POW10 = np.array([float(10**j) for j in range(23)])  # exact up to 10**22
+_POW10_HI = 134217729.0 * _POW10 - (134217729.0 * _POW10 - _POW10)  # Veltkamp's split
+_POW10_LO = _POW10 - _POW10_HI
+_DIGITS = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T  # row r: the digits of r
+_PAIRS = np.stack([0 * _DIGITS, _DIGITS + ord("0")], -1).reshape(-1, 8).view(np.uint64)[:, 0]
+_IS_ZERO = _DIGITS == 0
+_TRAILING_ZEROS = _IS_ZERO[:, 3] * (
+    1 + _IS_ZERO[:, 2] * (1 + _IS_ZERO[:, 1] * (1 + _IS_ZERO[:, 0].astype(np.int8)))
+)
+_HEAD = _words(  # entry (k + 4) * 10 + d: "0." and the zeros k < 0 needs, then digit d
+    (b"0." + b"0" * (-1 - k) if k < 0 else b"").ljust(5, b"\0") + b"%d" % d
+    for k in range(-4, 16)
+    for d in range(10)
+)
+_POINT = _words(  # row k + 4: a point in the slot after digit k
+    (b"\0" * 2 * k + b"." if k >= 0 else b"" for k in range(-4, 16)), 32
+).reshape(20, 4)
+_KEEP = _words((b"\xff" * 2 * last for last in range(17)), 32).reshape(17, 4)  # digits 1..last
+_ZERO = np.frombuffer(b"0".ljust(FIELD, b"\0"), np.uint8)
+
+
+def _format_17g(values: np.ndarray, out: np.ndarray) -> None:
+    """Write b"%.17g" % v, NUL-padded, into out[i, :FIELD] for every v = values.flat[i].
+
+    out is a uint8 matrix with one row per value, at least FIELD wide, each row contiguous.
+    For finite v in [1e-4, 1e16), %.17g prints the 17 digits of N = round(v * 10**(16 - k)),
+    k = floor(log10 v), in fixed point, rounded correctly and half to even (Gay's dtoa).
+    10**j is exact for j <= 22, so Dekker's product gives v * 10**(16 - k) exactly as
+    hi + lo, and k is corrected by one until 1e16 <= hi + lo < 1e17. Then hi >= 2**53 is
+    an even integer and |lo| <= 8, so N = hi + rint(lo) is rounded half to even; N = 10**17
+    is 10**16 with k + 1. Trailing zeros after the point, and a point with no digit after
+    it, are masked to NUL. +0.0 is "0"; every other value (-0.0, negatives, subnormals,
+    the rest below 1e-4, 1e16 and up, inf, nan) is formatted by %.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    fast = (v >= 1e-4) & (v < 1e16)
+    x = np.where(fast, v, 1.0)
+    xh = 134217729.0 * x - (134217729.0 * x - x)
+    xl = x - xh
+    k = np.floor(np.log10(x)).astype(np.int64)
+    while True:  # until 1e16 <= hi + lo < 1e17; log10 may miss by one near a power of 10
+        hi, ph, pl = x * _POW10[16 - k], _POW10_HI[16 - k], _POW10_LO[16 - k]
+        lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl  # Dekker: x * 10**(16 - k) - hi
+        shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.int64)
+        shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+        if not shift.any():
+            break
+        k += shift
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    k += carry
+    g = np.empty((len(v), 4), np.int64)
+    d0 = n  # N = d0 and four groups of four digits
+    for i in (3, 2, 1, 0):
+        q = d0 // 10**4
+        g[:, i] = d0 - q * 10**4
+        d0 = q
+    tz = np.take(_TRAILING_ZEROS, g)
+    z = g == 0
+    tz = tz[:, 3] + z[:, 3] * (tz[:, 2] + z[:, 2] * (tz[:, 1] + z[:, 1] * tz[:, 0]))
+    last = np.maximum(16 - tz, k)  # the last digit written
+    out[:, :8].view(np.uint64)[:, 0] = np.take(_HEAD, (k + 4) * 10 + d0)
+    # the point sits in the slot before digit k + 1, so it is kept only if that digit is
+    pairs = np.take(_PAIRS, g)
+    pairs |= np.take(_POINT, k + 4, axis=0)
+    pairs &= np.take(_KEEP, last, axis=0)
+    out[:, 8:FIELD].view(np.uint64)[:] = pairs
+    zero = (v == 0.0) & ~np.signbit(v)
+    out[zero, :FIELD] = _ZERO
+    slow = ~(fast | zero)
+    text = b"".join((b"%.17g" % s).ljust(FIELD, b"\0") for s in v[slow].tolist())
+    out[slow, :FIELD] = np.frombuffer(text, np.uint8).reshape(-1, FIELD)
+
+
+def _csv_rows(cells: np.ndarray) -> bytes:
+    """The rows of a float matrix as %.17g cells joined by ',', each row ending in '\\n'."""
+    rows, cols = cells.shape
+    m = np.empty((rows * cols, FIELD + 1), np.uint8)
+    _format_17g(cells, m)
+    m[:, FIELD] = ord(",")
+    m[cols - 1 :: cols, FIELD] = ord("\n")
+    return m.tobytes().translate(None, b"\0")
 
 
 def _trajectory_csv(path: Path, traj) -> None:
-    """Write step, x, epsilon rows; the same bytes as _write_csv, one % format per chunk."""
+    """Write step, x, epsilon rows; the same bytes as _write_csv, CSV_ROWS rows per write.
+
+    The steps go through _format_17g as floats: an integer below 1e16 prints as %d.
+    """
     n = len(traj.epsilons)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"step,x,epsilon\n0,{traj.values[0]:.17g},\n")
+    with open(path, "wb") as fh:
+        fh.write(b"step,x,epsilon\n0,%.17g,\n" % traj.values[0])
         for lo in range(0, n, CSV_ROWS):
             hi = min(lo + CSV_ROWS, n)
-            flat = [None] * (3 * (hi - lo))
-            flat[0::3] = range(lo + 1, hi + 1)
-            flat[1::3] = traj.values[lo + 1 : hi + 1].tolist()
-            flat[2::3] = traj.epsilons[lo:hi].tolist()
-            fh.write(("%d,%.17g,%.17g\n" * (hi - lo)) % tuple(flat))
+            steps = np.arange(lo + 1, hi + 1, dtype=float)
+            rows = np.column_stack([steps, traj.values[lo + 1 : hi + 1], traj.epsilons[lo:hi]])
+            fh.write(_csv_rows(rows))
 
 
 def _density_csv(path: Path, grid) -> None:
-    """Write one row of cell densities per source state; the same bytes as _write_csv,
-    one % format per row."""
+    """Write one row of cell densities per source state; the same bytes as _write_csv."""
     centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
-    cells = ",%.17g" * len(centers) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(("x" + cells) % tuple(centers.tolist()))
-        row = "%.17g" + cells
-        fh.writelines(
-            row % (x, *vals) for x, vals in zip(grid.x_values.tolist(), grid.values.tolist())
-        )
+    rows = np.column_stack([grid.x_values, grid.values])
+    step = max(1, 3 * CSV_ROWS // rows.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(b"x," + _csv_rows(centers[None, :]))
+        for lo in range(0, len(rows), step):
+            fh.write(_csv_rows(rows[lo : lo + step]))
 
 
 def _occupation_csv(path: Path, measure) -> None:

@@ -327,9 +327,13 @@ def bin_states(values: np.ndarray, bin_edges: np.ndarray):
     if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin_edges must increase strictly from 0 to 1")
     values = np.asarray(values, dtype=float)
-    under = int(np.count_nonzero(values <= 0.0))
-    over = int(np.count_nonzero(values >= 1.0))
-    interior = values[(values > 0.0) & (values < 1.0)]
+    inside = (values > 0.0) & (values < 1.0)
+    if inside.all():
+        interior, under, over = values, 0, 0
+    else:
+        under = int(np.count_nonzero(values <= 0.0))
+        over = int(np.count_nonzero(values >= 1.0))
+        interior = values[inside]
     bins = len(edges) - 1
     if np.array_equal(edges, np.linspace(0.0, 1.0, bins + 1)):
         idx = _uniform_bin_index(interior, edges)

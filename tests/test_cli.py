@@ -11,7 +11,7 @@ import pytest
 from randquad import cli, engine, kernel
 from randquad.cli import main
 from randquad.config import ConfigError, parse_config_text
-from randquad.engine import simulate_trajectory
+from randquad.engine import Trajectory, simulate_trajectory
 from randquad.noise import NoiseModel, substream
 from test_engine import RecordingPool
 
@@ -358,6 +358,19 @@ class TestTrajectoryCsv:
         assert direct == self.generic_bytes(tmp_path / "generic.csv", traj)
         assert direct.count(b"\n") == len(traj.values) + 1
 
+    def test_same_bytes_for_extreme_values(self, tmp_path):
+        # 1e-4 and the double below it sit on either side of the formatter's fast path
+        below = np.nextafter(1e-4, 0.0)
+        traj = Trajectory(
+            values=np.array([0.3, 1e-4, below, -0.0, 0.5, 0.25, 1.0]),
+            epsilons=np.array([1e-4, below, 4.0, 2.5, -0.0, 1e16]),
+            absorbed=True,
+        )
+        cli._trajectory_csv(tmp_path / "direct.csv", traj)
+        direct = (tmp_path / "direct.csv").read_bytes()
+        assert direct == self.generic_bytes(tmp_path / "generic.csv", traj)
+        assert direct.endswith(b"\n6,1,10000000000000000\n")
+
 
 class TestDensityCsv:
     def test_same_bytes_as_generic_writer(self, tmp_path):
@@ -370,17 +383,74 @@ class TestDensityCsv:
         assert direct == (tmp_path / "generic.csv").read_bytes()
         assert direct.count(b"\n") == 3
 
-    def test_same_bytes_for_extreme_values(self, tmp_path):
-        values = np.array([[0.0, -0.0, 5e-324, 1e300], [0.1, 1 / 3, np.inf, np.nan]])
+    @staticmethod
+    def assert_same_bytes(tmp_path, x_values, values):
         grid = kernel.DensityGrid(
-            n=1, x_values=np.array([1e-17, 0.5]), y_edges=np.linspace(0.0, 1.0, 5),
-            values=values, resolution=4, row_integrals=np.zeros(2), expected_mass=1.0,
+            n=1, x_values=x_values, y_edges=np.linspace(0.0, 1.0, values.shape[1] + 1),
+            values=values, resolution=values.shape[1], row_integrals=np.zeros(len(values)),
+            expected_mass=1.0,
         )
         cli._density_csv(tmp_path / "direct.csv", grid)
         centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
         rows = [[x] + list(vals) for x, vals in zip(grid.x_values, grid.values)]
         cli._write_csv(tmp_path / "generic.csv", ["x"] + [cli._fmt(c) for c in centers], rows)
         assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
+    def test_same_bytes_for_extreme_values(self, tmp_path):
+        values = np.array([
+            [0.0, -0.0, 5e-324, 1e300],
+            [0.1, 1 / 3, np.inf, np.nan],
+            [0.0, 0.0, 0.0, 0.0],
+            [1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e16, 0.0), 1e16],
+            [-0.5, -1e-4, -3.0, -np.inf],
+        ])
+        self.assert_same_bytes(tmp_path, np.array([1e-17, 0.5, 0.25, 1e-4, -0.0]), values)
+
+    def test_same_bytes_across_chunks(self, tmp_path):
+        # 3 * CSV_ROWS cells per write hold 64 rows of 1 + 191 cells: chunks of 64, 64, 2;
+        # the columns cycle through magnitudes 1e-6 ... 1e16, on and off the fast path
+        values = substream(5).random((130, 191)) * 10.0 ** (np.arange(191) % 23 - 6)
+        self.assert_same_bytes(tmp_path, substream(6).random(130), values)
+
+
+class TestFormat17g:
+    """The vectorised %.17g gives the bytes of % itself."""
+
+    @staticmethod
+    def assert_matches_percent(values):
+        values = np.asarray(values, dtype=float)
+        got = cli._csv_rows(values[:, None])
+        want = (b"%.17g\n" * len(values)) % tuple(values.tolist())
+        if got != want:
+            pairs = zip(values.tolist(), got.split(b"\n"), want.split(b"\n"))
+            bad = [(v, g, w) for v, g, w in pairs if g != w]
+            pytest.fail(f"{len(bad)} values differ, e.g. {bad[:3]}")
+
+    def test_million_doubles_in_each_regime(self):
+        rng = substream(15)
+        self.assert_matches_percent(np.concatenate([
+            rng.uniform(1e-4, 1.0, 300_000),  # states of the map
+            rng.uniform(2.0, 3.0, 300_000),  # noise draws
+            10.0 ** rng.uniform(-4.0, 16.0, 300_000),  # every exponent of the fast path
+            10.0 ** rng.uniform(-320.0, 308.0, 50_000),  # the rest, through %
+            -(10.0 ** rng.uniform(-4.0, 16.0, 50_000)),
+        ]))
+
+    def test_boundaries_ties_and_fallbacks(self):
+        powers = 10.0 ** np.arange(-4, 17)
+        self.assert_matches_percent(np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            # half-way cases of the 17th digit, rounded to even: ...562 and ...688
+            [12345678901234.5625, 12345678901234.6875],
+            [1.0, 4.0, 0.1, 100.0, 120.5, 2.0**53, 9007199254740993.0],
+            [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, -0.5, 1e16, 1e300],
+            [np.inf, -np.inf, np.nan],
+        ]))
+
+    def test_integers_print_as_with_d(self):
+        steps = np.concatenate([np.arange(0, 20_001), 10 ** np.arange(16) - 1, 10 ** np.arange(16)])
+        got = cli._csv_rows(steps.astype(float)[:, None])
+        assert got == b"".join(b"%d\n" % s for s in steps.tolist())
 
 
 class TestReproducibility:

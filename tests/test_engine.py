@@ -135,7 +135,8 @@ class TestUniformBinning:
         edges = np.linspace(0.0, 1.0, bins + 1)
         states = substream(127, bins).random(20_000)
         # each probe set alone, so opposite misplacements cannot cancel in counts
-        for values in (*self.probes(edges), states, np.array([0.0, 1.0, 0.5, 0.0])):
+        for values in (*self.probes(edges), states, np.array([0.0, 1.0, 0.5, 0.0]),
+                       np.array([0.25, np.nan, 0.75])):
             counts, under, over = bin_states(values, edges)
             ref_counts, ref_under, ref_over = searchsorted_bins(values, edges)
             assert np.array_equal(counts, ref_counts)

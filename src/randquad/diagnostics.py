@@ -2,10 +2,9 @@
 
 Each test here turns a qualitative claim about the perturbed quadratic map
 into a reproducible numerical check: stability in distribution (Cesaro
-occupation measures forget the initial state), invariant-measure probes
-against a minorization certificate, extinction when E log(eps) <= 0,
-cyclicity of the visit pattern, and the small-noise approximation of the
-physical measure of a deterministic map.
+occupation measures forget the initial state), extinction when
+E log(eps) <= 0, cyclicity of the visit pattern, and the small-noise
+approximation of the physical measure of a deterministic map.
 
 Convergence rates are not available from the theory, so thresholds are
 self-calibrated where possible (stability compares cross-start distances
@@ -32,19 +31,16 @@ from .engine import (
     ensemble_occupation,
     ensemble_occupations,
 )
-from .kernel import MinorizationCertificate
 from .noise import NoiseModel, check_conditions
 from .quadmap import DomainError
 
 __all__ = [
     "StabilityReport",
-    "InvariantEstimate",
     "ExtinctionReport",
     "CyclicityReport",
     "KolmogorovReport",
     "tv_distance",
     "stability_test",
-    "invariant_estimate",
     "extinction_test",
     "cyclicity_detect",
     "kolmogorov_approx",
@@ -135,57 +131,6 @@ def stability_test(
         advisory=not report.all_ok,
         absorbed=absorbed,
         measures=tuple(measures),
-    )
-
-
-@dataclass(frozen=True)
-class InvariantEstimate:
-    """Long-run occupation measure with the minorization consistency probes.
-
-    mass_on_J estimates the invariant mass of the certificate's interval;
-    min_density_on_J is the smallest binned density over bins inside J.  The
-    invariant measure must satisfy density >= delta * mass_on_J on J, so
-    `consistent` flags whether the estimate respects that bound up to the
-    stated slack.
-    """
-
-    measure: OccupationMeasure
-    certificate: MinorizationCertificate
-    mass_on_J: float
-    min_density_on_J: float
-    density_floor: float
-    consistent: bool
-
-
-def invariant_estimate(
-    model: NoiseModel,
-    config: SimConfig,
-    certificate: MinorizationCertificate,
-    x0: float | None = None,
-    slack: float = 0.10,
-) -> InvariantEstimate:
-    """Estimate the invariant measure and check it against a certificate.
-
-    slack is the tolerated relative shortfall of the binned density below
-    the delta * mass_on_J floor, covering binning and Monte Carlo error.
-    """
-    x0 = config.initial_states[0] if x0 is None else float(x0)
-    measure = ensemble_occupation(model, x0, config)
-    lo, hi = certificate.J
-    mass = measure.mass_in((lo, hi))
-    inside = (measure.bin_edges[:-1] >= lo) & (measure.bin_edges[1:] <= hi)
-    if not inside.any():
-        raise ValueError("certificate interval is narrower than one bin")
-    min_density = float(measure.binned_density()[inside].min())
-    floor = certificate.delta * mass
-    consistent = mass > 0.0 and min_density >= floor * (1.0 - slack)
-    return InvariantEstimate(
-        measure=measure,
-        certificate=certificate,
-        mass_on_J=mass,
-        min_density_on_J=min_density,
-        density_floor=floor,
-        consistent=consistent,
     )
 
 

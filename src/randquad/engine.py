@@ -2,8 +2,8 @@
 
 The process is X_{n+1} = eps_{n+1} * X_n * (1 - X_n) with i.i.d. parameters
 drawn from a NoiseModel.  This module produces trajectories, binned Cesaro
-occupation measures, ensembles with order-independent merging, and the
-hitting-time / visit-count probes used by the recurrence diagnostics.
+occupation measures and ensembles with order-independent merging, and the
+single walk that the diagnostics and the kernel's probes reduce.
 
 `_walk` is the single path loop.  It advances L lanes (independent paths,
 each with its own start and parameter stream) in lockstep through blocks of
@@ -65,8 +65,6 @@ __all__ = [
     "merge_occupations",
     "ensemble_occupation",
     "ensemble_occupations",
-    "hitting_time",
-    "visit_counts",
 ]
 
 # lane-steps per block: bounds the (steps, lanes) buffers of a walk
@@ -394,10 +392,6 @@ class OccupationMeasure:
         width = right - left
         return float(np.sum(self.frequencies * (overlap / width)))
 
-    def binned_density(self) -> np.ndarray:
-        """Frequencies divided by bin widths (a density estimate)."""
-        return self.frequencies / np.diff(self.bin_edges)
-
 
 def occupation_measure(trajectory: Trajectory, bin_edges, burn_in: int) -> OccupationMeasure:
     """Bin the post-burn-in states X_{burn_in+1}, ..., X_N of one trajectory."""
@@ -556,23 +550,3 @@ def ensemble_occupation(
     """
     return ensemble_occupations(model, (x0,), config, (stream_key,))[0]
 
-
-def hitting_time(model: NoiseModel, x0: float, J, seed, cap: int) -> int | None:
-    """First step n >= 1 with X_n in the open interval J, or None past cap."""
-    lo, hi = _check_interval(J)
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    draws = _lane_draws(model, [_generator(seed)])
-    # None: past cap, or absorbed at the boundary with J unreachable
-    return _first_entry(_walk((x0,), cap, draws), lo, hi)
-
-
-def visit_counts(model: NoiseModel, x0: float, J, n: int, seed) -> int:
-    """Number of steps 1 <= k <= n with X_k in the open interval J."""
-    lo, hi = _check_interval(J)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(
-        int(np.count_nonzero((states > lo) & (states < hi)))
-        for _, _, states in _path(model, x0, n, seed)
-    )

@@ -98,10 +98,6 @@ class NoiseModel:
     # basic structure
 
     @property
-    def atomic_weight(self) -> float:
-        return sum(w for _, w in self.atoms)
-
-    @property
     def ac_weight(self) -> float:
         """Total weight of the absolutely continuous component."""
         return sum(w for *_, w in self.uniform_pieces)

@@ -1,10 +1,10 @@
 """Deterministic quadratic-map core.
 
 Everything here concerns the one-parameter family F_theta(x) = theta*x*(1-x)
-on the open interval (0, 1): evaluation and composition, orbits, fixed and
-periodic points with their multipliers, the largest-orbit-point function
-q(theta), the common invariant interval for a parameter band, and Lyapunov
-exponents.  All functions are pure; no randomness enters this module.
+on the open interval (0, 1): evaluation, orbits, fixed and periodic points
+with their multipliers, the largest-orbit-point function q(theta), the
+common invariant interval for a parameter band, and Lyapunov exponents.
+All functions are pure; no randomness enters this module.
 
 The periodic-orbit search warms each seed up over many steps before Newton
 refinement.  The map is a fixed IEEE function of the state, so once the
@@ -28,7 +28,6 @@ __all__ = [
     "InvariantInterval",
     "QTable",
     "apply",
-    "compose_apply",
     "iterate",
     "fixed_point",
     "find_periodic_orbit",
@@ -77,20 +76,6 @@ def apply(theta: float, x: float) -> float:
     theta = _check_theta(theta)
     x = _check_state(x)
     return theta * x * (1.0 - x)
-
-
-def compose_apply(thetas, x: float) -> float:
-    """Apply F_{theta_n} ... F_{theta_1} to x, first parameter applied first.
-
-    Domain errors from individual applications propagate (at theta = 4 an
-    intermediate vertex image lands on 1, outside the state space).
-    """
-    thetas = list(thetas)
-    if not thetas:
-        raise ValueError("compose_apply requires a nonempty parameter sequence")
-    for theta in thetas:
-        x = apply(theta, x)
-    return x
 
 
 def iterate(theta: float, x0: float, n: int) -> np.ndarray:

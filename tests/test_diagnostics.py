@@ -6,13 +6,11 @@ import pytest
 from randquad.diagnostics import (
     cyclicity_detect,
     extinction_test,
-    invariant_estimate,
     kolmogorov_approx,
     stability_test,
     tv_distance,
 )
 from randquad.engine import OccupationMeasure, SimConfig, ensemble_occupation, simulate_trajectory
-from randquad.kernel import MinorizationCertificate, minorization_probe
 from randquad.noise import NoiseModel, substream
 from randquad.quadmap import DomainError, invariant_interval
 
@@ -95,37 +93,7 @@ class TestStability:
         assert report.stable is None
 
 
-class TestInvariantEstimate:
-    def test_certified_interval_carries_mass(self):
-        cert = minorization_probe(U2228, 2.5, 1, J=(0.5455, 0.6428), grid_n=64, resolution=2048)
-        cfg = SimConfig(
-            master_seed=15, n_steps=200_000, n_replicates=4, burn_in=1000,
-            initial_states=(0.3,),
-        )
-        est = invariant_estimate(U2228, cfg, cert)
-        assert est.mass_on_J > 0.5
-        assert est.min_density_on_J >= est.density_floor * 0.9
-        assert est.consistent
-
-    def test_point_attractor_in_J(self):
-        cert = MinorizationCertificate(
-            J=(0.55, 0.65), m=1, delta=1e-6, theta0=2.5, gamma1=2.2, gamma2=2.8,
-            grid_n=2, resolution=2,
-        )
-        cfg = SimConfig(master_seed=16, n_steps=20_000, n_replicates=1, burn_in=500)
-        est = invariant_estimate(NoiseModel.point_mass(2.5), cfg, cert)
-        assert est.mass_on_J == pytest.approx(1.0, abs=1e-12)
-
-    def test_disjoint_interval_flagged_inconsistent(self):
-        cert = MinorizationCertificate(
-            J=(0.9, 0.95), m=1, delta=1.0, theta0=2.5, gamma1=2.2, gamma2=2.8,
-            grid_n=2, resolution=2,
-        )
-        cfg = SimConfig(master_seed=17, n_steps=50_000, n_replicates=1, burn_in=500)
-        est = invariant_estimate(U23, cfg, cert)
-        assert est.mass_on_J == pytest.approx(0.0, abs=1e-12)
-        assert not est.consistent
-
+class TestInvariantIntervalOccupation:
     def test_no_mass_escapes_invariant_interval(self):
         # bins strictly outside [a, b] must stay empty (boundary bins can
         # straddle the interval ends, so fractional estimates do not apply)

@@ -26,11 +26,9 @@ from randquad.engine import (
     bin_states,
     ensemble_occupation,
     ensemble_occupations,
-    hitting_time,
     merge_occupations,
     occupation_measure,
     simulate_trajectory,
-    visit_counts,
 )
 from randquad.kernel import irreducibility_probe
 from randquad.noise import NoiseModel, substream
@@ -426,8 +424,8 @@ class TestStartStates:
         calls = [
             lambda: simulate_trajectory(U23, x0, 10, seed=1),
             lambda: ensemble_occupation(U23, x0, cfg),
-            lambda: hitting_time(U23, x0, (0.4, 0.6), seed=1, cap=10),
-            lambda: visit_counts(U23, x0, (0.4, 0.6), 10, seed=1),
+            lambda: irreducibility_probe(U23, x0, (0.4, 0.6), 10, 3, seed=1),
+            lambda: extinction_test(U23, x0, (5,), 3, 1e-3, seed=1),
             lambda: cyclicity_detect(U23, (0.4, 0.6), 10, 4, seed=1, x0=x0, burn_in=0),
         ]
         for call in calls:
@@ -446,39 +444,6 @@ class TestClosure:
         first = np.argmax(inside)
         assert inside[first]  # entered at least once
         assert np.all(inside[first:])
-
-
-class TestHittingAndVisits:
-    def test_already_at_fixed_point(self):
-        assert hitting_time(ATOM25, 0.6, (0.55, 0.65), seed=1, cap=10) == 1
-
-    def test_deterministic_contraction(self):
-        t = hitting_time(ATOM25, 0.1, (0.59, 0.61), seed=1, cap=100)
-        assert t is not None and t <= 50
-
-    def test_unreachable_interval_censored(self):
-        # Uniform[0.5, 1.5] maps everything below 1.5/4 < 0.5 in one step
-        assert hitting_time(EXTINCT, 0.9, (0.5, 0.6), seed=2, cap=10_000) is None
-
-    def test_visit_counts_fixed_point(self):
-        count = visit_counts(ATOM25, 0.3, (0.55, 0.65), 10_000, seed=1)
-        assert count >= 10_000 - 100
-
-    def test_visit_counts_outside_invariant_interval(self):
-        # [0.375, 0.75] absorbs Uniform[2,3]; visits above 0.9 must vanish
-        count = visit_counts(U23, 0.5, (0.9, 0.95), 100_000, seed=3)
-        assert count == 0
-
-    def test_zero_steps(self):
-        assert visit_counts(U23, 0.5, (0.4, 0.6), 0, seed=1) == 0
-
-    @pytest.mark.parametrize("J", [(0.0, 0.6), (0.4, 1.0), (0.0, 1.0), (0.6, 0.6)])
-    def test_interval_must_lie_strictly_inside(self, J):
-        # 0 is absorbing and 1 maps to 0: a target set reaching either is rejected
-        with pytest.raises(ValueError, match="must be nondegenerate inside"):
-            hitting_time(U23, 0.5, J, seed=1, cap=10)
-        with pytest.raises(ValueError, match="must be nondegenerate inside"):
-            visit_counts(U23, 0.5, J, 10, seed=1)
 
 
 class TestAdvanceKernel:
@@ -793,9 +758,9 @@ class TestEarlyExit:
         assert entry == 15
         assert 0 < sum(drawn) <= 2 * n_paths * max(entry, engine.FIRST_ROWS)
 
-    def test_hitting_time_draws_near_its_entry_step(self, monkeypatch):
+    def test_one_path_probe_draws_near_its_entry_step(self, monkeypatch):
         drawn = self.counted_draws(monkeypatch)
-        step = hitting_time(U23, 0.01, (0.55, 0.7), seed=5, cap=50_000)
+        step = irreducibility_probe(U23, 0.01, (0.55, 0.7), 50_000, 1, seed=5)
         assert step is not None and step < 100
         assert 0 < sum(drawn) <= 2 * max(step, engine.FIRST_ROWS)
 
@@ -858,9 +823,8 @@ class TestChunkInvariance:
             "ensemble": (ens.counts.tobytes(), ens.total, ens.underflow, ens.absorbed),
             "absorbed ensemble": (ens_dead.counts.tobytes(), ens_dead.total,
                                   ens_dead.underflow, ens_dead.absorbed),
-            "hitting_time": hitting_time(U23, 0.01, (0.7, 0.7001), seed=5, cap=50_000),
-            "visit_counts": visit_counts(U23, 0.3, (0.5, 0.6), 5000, seed=6),
-            "absorbed visit_counts": visit_counts(ABSORBING, 0.3, (0.01, 0.2), 5000, seed=6),
+            "one-path irreducibility": irreducibility_probe(U23, 0.01, (0.7, 0.7001), 50_000, 1,
+                                                            seed=5),
             "cyclicity": (cyc.period, cyc.residue_masses, cyc.concentration_by_d, cyc.n_visits),
             "kolmogorov": (kol.tv, kol.noise_measure.counts.tobytes(),
                            kol.deterministic_measure.counts.tobytes()),

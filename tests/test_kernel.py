@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from randquad import kernel
-from randquad.engine import hitting_time
+from randquad.engine import simulate_trajectory
 from randquad.kernel import (
     KernelOperator,
     MinorizationCertificate,
@@ -593,12 +593,17 @@ class TestIrreducibilityProbe:
     )
     def test_first_entry_over_own_substreams(self, model, x, J, n_max, n_paths, seed):
         # path i is the path from x on substream (seed, i) walked alone
-        times = [hitting_time(model, x, J, substream(seed, i), n_max) for i in range(n_paths)]
-        hits = [t for t in times if t is not None]
+        hits = []
+        for i in range(n_paths):
+            states = simulate_trajectory(model, x, n_max, substream(seed, i)).values[1:]
+            inside = np.flatnonzero((states > J[0]) & (states < J[1]))
+            hits += [int(inside[0]) + 1] if inside.size else []
         expected = min(hits) if hits else None
         assert irreducibility_probe(model, x, J, n_max, n_paths, seed) == expected
 
-    @pytest.mark.parametrize("J", [(-3.0, 0.6), (0.6, 0.5), (0.5, 1.5), (0.0, 0.6), (0.5, 1.0)])
+    @pytest.mark.parametrize(
+        "J", [(-3.0, 0.6), (0.6, 0.5), (0.5, 1.5), (0.0, 0.6), (0.5, 1.0), (0.6, 0.6)]
+    )
     def test_bad_interval_rejected(self, J):
         with pytest.raises(ValueError, match="must be nondegenerate inside"):
             irreducibility_probe(U2228, 0.6, J, 50, 10, seed=4)

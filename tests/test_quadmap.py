@@ -51,29 +51,6 @@ class TestApply:
         assert quadmap.apply(4.0, 0.5) == 1.0
 
 
-class TestComposeApply:
-    def test_single(self):
-        assert quadmap.compose_apply([2.0], 0.3) == pytest.approx(0.42, abs=1e-15)
-
-    def test_fixed_point_preserved(self):
-        assert quadmap.compose_apply([2.0, 2.0], 0.5) == pytest.approx(0.5, abs=0)
-
-    def test_chain_oracle(self):
-        # oracle: explicit chain of single applications
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            thetas = rng.uniform(0.5, 3.9, rng.integers(1, 6))
-            x = rng.uniform(0.05, 0.95)
-            expected = x
-            for th in thetas:
-                expected = quadmap.apply(th, expected)
-            assert quadmap.compose_apply(thetas, x) == expected
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            quadmap.compose_apply([], 0.5)
-
-
 class TestIterate:
     def test_converges_to_fixed_point(self):
         orbit = quadmap.iterate(2.5, 0.3, 200)

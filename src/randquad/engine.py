@@ -76,9 +76,9 @@ FIRST_ROWS = 16
 
 # fewest lanes at which one numpy row per step keeps up with a scalar loop
 # per lane (pure Python, 2 cores, whole walk with batched draws, median of
-# 15 M lane-steps/s scalar vs rows: 20 lanes 7.4 vs 6.3, 24 lanes 6.8 vs
-# 5.8, 26 lanes 6.4 vs 6.1, 28 lanes 6.4 vs 6.4, 30 lanes 6.4 vs 7.0,
-# 32 lanes 6.2 vs 7.1, 36 lanes 6.3 vs 7.8)
+# 15 M lane-steps/s scalar vs rows: 20 lanes 9.0 vs 8.1, 24 lanes 8.4 vs
+# 8.1, 26 lanes 8.3 vs 8.7, 28 lanes 8.5 vs 9.3, 30 lanes 8.3 vs 9.9,
+# 32 lanes 8.1 vs 10.4; repeated runs cross anywhere from 24 to 28 lanes)
 MIN_LANES = 28
 
 # draws per piece of the pure-Python scalar kernel: small enough that a
@@ -131,9 +131,9 @@ except ImportError:  # pragma: no cover
         t = np.empty_like(x)
         subtract, multiply = np.subtract, np.multiply
         for e, o in zip(eps, out):
-            subtract(1.0, x, out=t)
-            multiply(e, x, out=o)
-            multiply(o, t, out=o)
+            subtract(1.0, x, t)
+            multiply(e, x, o)
+            multiply(o, t, o)
             x = o
 
 

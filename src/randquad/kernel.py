@@ -22,9 +22,13 @@ far short of what the normalization checks demand.  The closed form takes
 logit(t) = log(t/(1-t)) at band ends clipped to the source edges; logit is
 monotone, so clipping logit(z) between the logits of the band ends gives the
 same floats as the logit of the clipped z, with one log per edge instead of
-one per matrix entry.  The part of a band above t = 1/2 adds exactly zero
-at edges z <= 1/2; of the half grid only the last edge can pass 1/2 (on an
-odd grid), so that part is summed only where some edge does.
+one per matrix entry.  The terms of one edge alone (crossings and their
+logits, w/(d-c), logits of the source edges) are computed once per build
+over all edges and sliced per block, and each clip is an in-place maximum
+then minimum.  At edges z <= 1/2 the part of a band above t = 1/2 adds
+exactly zero and the clip to a piece's upper crossing changes nothing; of
+the half grid only the last edge can pass 1/2 (on an odd grid), so both
+are done only where some edge does.
 
 Storage: the transfer matrix is never held dense.  The kernel is symmetric
 in the source state (s(x) = x(1-x) = s(1-x)), so only the source cells of
@@ -97,6 +101,74 @@ def one_step_row_mass(model: NoiseModel, x: float, y_lo: float = 0.0, y_hi: floa
     return float(model.ac_cdf(y_hi / s) - model.ac_cdf(y_lo / s))
 
 
+def _crossing(e, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    # {t : t(1-t) >= e/kappa}; empty unless 4e <= kappa (encoded as the
+    # degenerate pair (0.5, 0.5))
+    disc = 1.0 - 4.0 * e / kappa
+    root = np.sqrt(np.maximum(disc, 0.0))
+    empty = disc <= 0.0
+    lo = np.where(empty, 0.5, (2.0 * e / kappa) / (1.0 + root))  # stable (1 - root)/2
+    return lo, np.where(empty, 0.5, 0.5 * (1.0 + root))
+
+
+def _logit(t):
+    # infinite at t = 0 and 1: the grid's ends, and the crossings at e = 0 (set to A_0 = 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(t / (1.0 - t))
+
+
+def _clip(a, lo, hi, out):
+    """clip(a, lo, hi) into out, as an in-place maximum then minimum."""
+    return np.minimum(np.maximum(a, lo, out=out), hi, out=out)
+
+
+def _edge_terms(model: NoiseModel, e: np.ndarray) -> list:
+    """Per piece of positive weight, (c, w, w / (d - c), the crossings
+    zd1, zc1, zc2, zd2 over e's shape followed by their logits, stacked)."""
+    terms = []
+    for c, d, w in model.uniform_pieces:
+        if w > 0.0:
+            (zc1, zc2), (zd1, zd2) = _crossing(e, c), _crossing(e, d)
+            cross = np.stack([zd1, zc1, zc2, zd2])
+            terms.append((c, w, w / (d - c), np.concatenate([cross, _logit(cross)])))
+    return terms
+
+
+def _antiderivative(e: np.ndarray, terms: list, z: np.ndarray, logit_z: np.ndarray) -> np.ndarray:
+    """A_e(z) from _edge_terms(model, e) and logit(z); see _h_mass_antiderivative."""
+    shape = np.broadcast_shapes(e.shape, z.shape)
+    total = np.zeros(shape)
+    part_w, lam_band, log_band, right = (np.empty(shape) for _ in range(4))
+    past_half = bool((z > 0.5).any())
+    with np.errstate(invalid="ignore"):
+        for c, w, slope, (zd1, zc1, zc2, zd2, logit_d1, logit_c1, logit_c2, logit_d2) in terms:
+            # part_w = w * (z - lam_d), lam_d = clip(z, zd1, zd2) - zd1; the
+            # left band is clip(z, zd1, zc1) - zd1, from the same max(z, zd1)
+            np.maximum(z, zd1, out=part_w)
+            np.minimum(part_w, zc1, out=lam_band)
+            lam_band -= zd1
+            if past_half:  # else z <= 1/2 <= zd2, and the min changes nothing
+                np.minimum(part_w, zd2, out=part_w)
+            part_w -= zd1
+            np.subtract(z, part_w, out=part_w)
+            part_w *= w
+            # an empty band (zd1 == zc1 or zc2 == zd2) clips to its own
+            # start and adds exactly zero
+            _clip(logit_z, logit_d1, logit_c1, log_band)
+            log_band -= logit_d1
+            if past_half:
+                lam_band += _clip(z, zc2, zd2, right) - zc2
+                log_band += _clip(logit_z, logit_c2, logit_d2, right) - logit_c2
+            # total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
+            log_band *= e
+            lam_band *= c
+            log_band -= lam_band
+            log_band *= slope
+            log_band += part_w
+            total += log_band
+    return total if (e > 0.0).all() else np.where(e > 0.0, total, 0.0)
+
+
 def _h_mass_antiderivative(model: NoiseModel, e, z) -> np.ndarray:
     """A_e(z) = integral from 0 to z of H(e / (t(1-t))) dt, in closed form.
 
@@ -109,64 +181,21 @@ def _h_mass_antiderivative(model: NoiseModel, e, z) -> np.ndarray:
     e <= 0.
 
     Every value is the same float as the plain formula's, for fewer passes
-    over the broadcast array.  logit is monotone, so logit(clip(z, a, b))
+    over the broadcast array.  The terms of e alone come from _edge_terms,
+    which the transfer matrix calls once per build and slices per block;
+    both run _antiderivative.  logit is monotone, so logit(clip(z, a, b))
     equals clip(logit(z), logit(a), logit(b)) bit for bit: logit is taken
-    once over z and once over each crossing, never over the 2-D array.  The
-    right band [zc2, zd2] starts at or above 1/2, so where z <= 1/2 it clips
-    to its start and adds exactly +0.0; it is summed only when some z
-    exceeds 1/2, and on the half grid of the transfer matrix only the last
-    edge can.  The arithmetic runs in place in the formula's operand order.
+    once over z and once over each crossing, never over the 2-D array.
+    Each clip is an in-place maximum then minimum, and one max(z, zd1)
+    serves the w part and the left band.  Where z <= 1/2 the right band
+    [zc2, zd2], which starts at or above 1/2, adds exactly +0.0 and the min
+    with zd2 changes nothing, so both run only when some z exceeds 1/2 (on
+    the half grid of the transfer matrix only the last edge can).  The
+    arithmetic runs in place in the formula's operand order.
     """
     e = np.asarray(e, dtype=float)
     z = np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(e.shape, z.shape)
-    total = np.zeros(shape)
-    part_w, lam_band, log_band = np.empty(shape), np.empty(shape), np.empty(shape)
-    past_half = bool((z > 0.5).any())
-
-    def crossing(kappa: float) -> tuple[np.ndarray, np.ndarray]:
-        # {t : t(1-t) >= e/kappa}; empty unless 4e <= kappa (encoded as the
-        # degenerate pair (0.5, 0.5))
-        disc = 1.0 - 4.0 * e / kappa
-        root = np.sqrt(np.maximum(disc, 0.0))
-        empty = disc <= 0.0
-        lo = np.where(empty, 0.5, (2.0 * e / kappa) / (1.0 + root))  # stable (1 - root)/2
-        return lo, np.where(empty, 0.5, 0.5 * (1.0 + root))
-
-    logit = lambda t: np.log(t / (1.0 - t))
-    # at e = 0 the crossings reach 0 and 1, where logit is infinite; those
-    # entries are replaced by A_0 = 0 below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logit_z = logit(z)
-        for c, d, w in model.uniform_pieces:
-            if w <= 0.0:
-                continue
-            zc1, zc2 = crossing(c)
-            zd1, zd2 = crossing(d)
-            # part_w = w * (z - lam_d), lam_d = clip(z, zd1, zd2) - zd1
-            np.clip(z, zd1, zd2, out=part_w)
-            part_w -= zd1
-            np.subtract(z, part_w, out=part_w)
-            part_w *= w
-            # an empty band (zd1 == zc1 or zc2 == zd2) clips to its own
-            # start and adds exactly zero
-            np.clip(z, zd1, zc1, out=lam_band)
-            lam_band -= zd1
-            logit_d1 = logit(zd1)
-            np.clip(logit_z, logit_d1, logit(zc1), out=log_band)
-            log_band -= logit_d1
-            if past_half:
-                logit_c2 = logit(zc2)
-                lam_band += np.clip(z, zc2, zd2) - zc2
-                log_band += np.clip(logit_z, logit_c2, logit(zd2)) - logit_c2
-            # total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
-            log_band *= e
-            lam_band *= c
-            log_band -= lam_band
-            log_band *= w / (d - c)
-            log_band += part_w
-            total += log_band
-    return total if (e > 0.0).all() else np.where(e > 0.0, total, 0.0)
+    return _antiderivative(e, _edge_terms(model, e), z, _logit(z))
 
 
 # out cells per padded block of the banded transfer matrix: small enough that
@@ -277,14 +306,16 @@ class KernelOperator:
         stop = np.searchsorted(s_lo, out_edges[1:] / c_min, side="left")
         first = np.maximum(first - 1, 0)
         stop = np.minimum(stop + 1, half)
+        # the terms of one out edge or one source edge, once; each block slices them
+        terms, logit_z = _edge_terms(self.model, out_edges[:, None]), _logit(z[None, :])
         starts, blocks = [], []
         for j0 in range(0, len(out_edges) - 1, _BLOCK_ROWS):
             j1 = min(j0 + _BLOCK_ROWS, len(out_edges) - 1)
             lo = int(first[j0:j1].min())
             hi = max(int(stop[j0:j1].max()), lo)
-            A = _h_mass_antiderivative(
-                self.model, out_edges[j0 : j1 + 1, None], self.edges[None, lo : hi + 1]
-            )
+            rows, cols = slice(j0, j1 + 1), slice(lo, hi + 1)
+            cut = [(c, w, slope, cross[:, rows]) for c, w, slope, cross in terms]
+            A = _antiderivative(out_edges[rows, None], cut, z[None, cols], logit_z[:, cols])
             starts.append(lo)
             blocks.append(np.diff(np.diff(A, axis=1), axis=0))
         return _FoldedBand(np.array(starts), tuple(blocks))

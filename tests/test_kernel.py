@@ -102,6 +102,8 @@ ORACLE_MODELS = {
     "overlapping": NoiseModel(uniform_pieces=((2.0, 3.0, 0.5), (2.5, 3.5, 0.5))),
     "atom+piece": NoiseModel(atoms=((2.5, 0.4),), uniform_pieces=((2.0, 3.0, 0.6),)),
     "narrow": NoiseModel(uniform_pieces=((3.9, 3.99, 1.0),)),
+    # a zero-weight piece wider than the other: no term and no band limit of it
+    "zero-weight": NoiseModel(uniform_pieces=((1.2, 3.9, 0.0), (2.0, 3.0, 1.0))),
 }
 J_EDGES = np.linspace(0.55, 0.7, 17)
 
@@ -310,16 +312,22 @@ class TestAntiderivativeBits:
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 8191, 8192])
     @pytest.mark.parametrize("grid", ["full", "J"])
-    def test_band_matrix_same_bits(self, name, R, grid, monkeypatch):
+    def test_band_matrix_same_bits(self, name, R, grid):
         model = ORACLE_MODELS[name]
         op = KernelOperator(model, R)
         out_edges = op.edges if grid == "full" else J_EDGES
         got = op._band_matrix(out_edges)
-        monkeypatch.setattr(kernel, "_h_mass_antiderivative", _reference_antiderivative)
-        want = op._band_matrix(out_edges)
-        assert _same_bits(got.starts, want.starts)
-        assert len(got.blocks) == len(want.blocks)
-        assert all(_same_bits(g, w) for g, w in zip(got.blocks, want.blocks))
+        n_out = len(out_edges) - 1
+        assert len(got.starts) == len(got.blocks) == -(-n_out // kernel._BLOCK_ROWS)
+        # each block k spans out cells j0 .. j1 - 1 and half-grid cells lo .. hi - 1
+        for k, (lo, block) in enumerate(zip(got.starts, got.blocks)):
+            j0 = k * kernel._BLOCK_ROWS
+            j1, hi = min(j0 + kernel._BLOCK_ROWS, n_out), lo + block.shape[1]
+            assert block.shape[0] == j1 - j0 and 0 <= lo <= hi <= (R + 1) // 2
+            A = _reference_antiderivative(
+                model, out_edges[j0 : j1 + 1, None], op.edges[None, lo : hi + 1]
+            )
+            assert _same_bits(block, np.diff(np.diff(A, axis=1), axis=0)), k
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     @pytest.mark.parametrize(
@@ -390,6 +398,18 @@ class TestFoldedBandOperator:
                     allowance += tol * np.abs(f).sum()
                 row = op.row(x, n)
                 assert np.all(np.abs(row.values * op.widths - masses) <= allowance)
+
+    @pytest.mark.parametrize("R", [7, 257, 8192])
+    def test_zero_weight_piece_changes_nothing(self, R):
+        # same pieces of positive weight as U[2,3]: no terms of the other,
+        # the same band and the same bits
+        model = ORACLE_MODELS["zero-weight"]
+        assert [terms[0] for terms in kernel._edge_terms(model, J_EDGES)] == [2.0]
+        got = KernelOperator(model, R)._step()
+        want = KernelOperator(U23, R)._step()
+        assert _same_bits(got.starts, want.starts)
+        assert len(got.blocks) == len(want.blocks)
+        assert all(_same_bits(g, w) for g, w in zip(got.blocks, want.blocks))
 
     def test_storage_is_a_quarter_of_dense_at_most(self):
         R = 2048

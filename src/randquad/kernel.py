@@ -33,9 +33,11 @@ are done only where some edge does.
 Storage: the transfer matrix is never held dense.  The kernel is symmetric
 in the source state (s(x) = x(1-x) = s(1-x)), so only the source cells of
 the half grid are kept, and each out cell receives mass from one contiguous
-run of them; KernelOperator stores those runs in padded row blocks.  That
-is about half the nonzeros of the dense matrix: 44 MiB at R = 8192 for
-U[2,3], against 512 MiB for the dense R x R array.
+run of them; KernelOperator stores those runs in padded row blocks, each
+built the first time a source density is nonzero over its columns.  All
+blocks hold about half the nonzeros of the dense matrix, 44 MiB at R = 8192
+for U[2,3] against 512 MiB for the dense R x R array; three steps from four
+x in [0.25, 0.75] build 161 of the 256 blocks, 35 MiB.
 
 Minorization (Doeblin's condition; Meyn & Tweedie, Markov Chains and
 Stochastic Stability) rests on box lower bounds.  Over a box X x Y, s(x)
@@ -212,19 +214,39 @@ class _FoldedBand(NamedTuple):
     the folded vector f_i + f_{R-1-i} (the middle cell of an odd grid is not
     doubled).  Out cell (e0, e1] receives mass only from sources with
     e0/max d < s < e1/min c, one contiguous run of the half grid since s
-    increases there.  Rows are grouped into blocks of _BLOCK_ROWS; block k
-    is dense over the union of its rows' runs, the half-grid cells
-    starts[k] .. starts[k] + blocks[k].shape[1] - 1.
+    increases there.  Rows go in blocks of _BLOCK_ROWS: block k, dense over
+    the union of its rows' runs, maps half-grid cells lo .. hi - 1 into out
+    cells j0 .. j1 - 1 (spans[k]); blocks[k] is None until its first use.
     """
 
-    starts: np.ndarray
-    blocks: tuple[np.ndarray, ...]
+    spans: list
+    blocks: list
+    out_edges: np.ndarray
+    terms: list
+    z: np.ndarray
+    logit_z: np.ndarray
+
+    def block(self, k: int) -> np.ndarray:
+        if self.blocks[k] is None:
+            j0, j1, lo, hi = self.spans[k]
+            rows, cols = slice(j0, j1 + 1), slice(lo, hi + 1)
+            cut = [(c, w, slope, cross[:, rows]) for c, w, slope, cross in self.terms]
+            e, z, logit_z = self.out_edges[rows, None], self.z[None, cols], self.logit_z[:, cols]
+            A = _antiderivative(e, cut, z, logit_z)
+            self.blocks[k] = np.diff(np.diff(A, axis=1), axis=0)
+        return self.blocks[k]
 
     def apply(self, folded: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [block @ folded[start : start + block.shape[1]]
-             for start, block in zip(self.starts, self.blocks)]
-        )
+        """Out-cell masses of each row of folded.  Each block meets every row
+        in turn while in cache (one GEMM would sum in another order), or is
+        skipped where all rows are zero over its columns: its out cells keep
+        the +0.0 its products would give."""
+        out = np.zeros((len(folded), len(self.out_edges) - 1))
+        for k, (j0, j1, lo, hi) in enumerate(self.spans):
+            if folded[:, lo:hi].any():
+                for f, o in zip(folded[:, lo:hi], out):
+                    o[j0:j1] = self.block(k) @ f
+        return out
 
 
 @dataclass(frozen=True)
@@ -274,9 +296,10 @@ class KernelOperator:
     so construct one operator and query many source states against it.
 
     The matrix is stored folded and banded (see _FoldedBand): half the
-    source columns, and of those only the run that can reach each out cell.
-    That keeps about half the nonzeros: 44 MiB at R = 8192 for U[2,3],
-    against 512 MiB for the dense R x R matrix.
+    source columns, and of those only the run that can reach each out cell,
+    in row blocks built when a source density first reaches them.  All of
+    them keep about half the nonzeros, 44 MiB at R = 8192 for U[2,3] against
+    512 MiB dense; rows(x, 3) for x in [0.25, 0.75] builds 35 MiB.
     """
 
     def __init__(self, model: NoiseModel, resolution: int):
@@ -289,70 +312,62 @@ class KernelOperator:
         self.widths = np.diff(self.edges)
         self._step_matrix: _FoldedBand | None = None
 
-    def _band_matrix(self, out_edges: np.ndarray) -> _FoldedBand:
+    def _band(self, out_edges: np.ndarray) -> _FoldedBand:
         """Masses from each folded half-grid source cell into each out cell."""
         half = (self.resolution + 1) // 2
-        pieces = [(c, d) for c, d, w in self.model.uniform_pieces if w > 0.0]
-        c_min = min(c for c, _ in pieces)
-        d_max = max(d for _, d in pieces)
+        c_min = min(c for c, _, w in self.model.uniform_pieces if w > 0.0)
+        d_max = max(d for _, d, w in self.model.uniform_pieces if w > 0.0)
         # s over half-grid cell i spans [s_lo[i], s_hi[i]]; the last cell
         # reaches 1/2 (or straddles it on an odd grid), where s peaks at 1/4
         z = self.edges[: half + 1]
         s = z * (1.0 - z)
-        s_lo = s[:-1]
-        s_hi = np.append(s[1:-1], 0.25)
+        s_lo, s_hi = s[:-1], np.append(s[1:-1], 0.25)
         # run of each out cell, widened by one cell against roundoff in s
-        first = np.searchsorted(s_hi, out_edges[:-1] / d_max, side="left")
-        stop = np.searchsorted(s_lo, out_edges[1:] / c_min, side="left")
-        first = np.maximum(first - 1, 0)
-        stop = np.minimum(stop + 1, half)
+        first = np.maximum(np.searchsorted(s_hi, out_edges[:-1] / d_max, side="left") - 1, 0)
+        stop = np.minimum(np.searchsorted(s_lo, out_edges[1:] / c_min, side="left") + 1, half)
+        # each block's out cells and the union of their runs
+        j0 = np.arange(0, len(out_edges) - 1, _BLOCK_ROWS)
+        lo = np.minimum.reduceat(first, j0)
+        hi = np.maximum(np.maximum.reduceat(stop, j0), lo)
+        spans = list(zip(j0, np.append(j0[1:], len(out_edges) - 1), lo, hi))
         # the terms of one out edge or one source edge, once; each block slices them
         terms, logit_z = _edge_terms(self.model, out_edges[:, None]), _logit(z[None, :])
-        starts, blocks = [], []
-        for j0 in range(0, len(out_edges) - 1, _BLOCK_ROWS):
-            j1 = min(j0 + _BLOCK_ROWS, len(out_edges) - 1)
-            lo = int(first[j0:j1].min())
-            hi = max(int(stop[j0:j1].max()), lo)
-            rows, cols = slice(j0, j1 + 1), slice(lo, hi + 1)
-            cut = [(c, w, slope, cross[:, rows]) for c, w, slope, cross in terms]
-            A = _antiderivative(out_edges[rows, None], cut, z[None, cols], logit_z[:, cols])
-            starts.append(lo)
-            blocks.append(np.diff(np.diff(A, axis=1), axis=0))
-        return _FoldedBand(np.array(starts), tuple(blocks))
+        return _FoldedBand(spans, [None] * len(spans), out_edges, terms, z, logit_z)
 
     def _fold(self, masses: np.ndarray) -> np.ndarray:
-        """Cell densities f folded onto the half grid: f_i + f_{R-1-i}."""
+        """Cell densities f, one row each, folded onto the half grid: f_i + f_{R-1-i}."""
         f = masses / self.widths
         half = (self.resolution + 1) // 2
-        folded = f[:half] + f[::-1][:half]
+        folded = f[:, :half] + f[:, ::-1][:, :half]
         if self.resolution % 2:
-            folded[-1] = f[half - 1]
+            folded[:, -1] = f[:, half - 1]
         return folded
 
     def _step(self) -> _FoldedBand:
         if self._step_matrix is None:
-            self._step_matrix = self._band_matrix(self.edges)
+            self._step_matrix = self._band(self.edges)
         return self._step_matrix
 
-    def row(self, x: float, n: int) -> DensityRow:
-        """Cell-averaged p^(n)(x, .) on the internal grid."""
-        if not (0.0 < x < 1.0):
-            raise ValueError("x must lie in (0, 1)")
+    def rows(self, x_values, n: int) -> list[DensityRow]:
+        """Cell-averaged p^(n)(x, .) on the internal grid for each x, all
+        checked first; each step applies the matrix to every row at once."""
+        x = np.asarray(x_values, dtype=float)
+        for i, xi in enumerate(x):
+            if not (0.0 < xi < 1.0):
+                raise ValueError(f"x_values[{i}] = {float(xi)} must lie in (0, 1)")
         if n < 1:
             raise ValueError("n must be >= 1")
         s = x * (1.0 - x)
-        masses = np.diff(np.asarray(self.model.ac_cdf(self.edges / s), dtype=float))
+        masses = np.diff(self.model.ac_cdf(self.edges / s[:, None]), axis=1)
         for _ in range(n - 1):
             masses = self._step().apply(self._fold(masses))
-        return DensityRow(
-            n=n,
-            x=float(x),
-            y_edges=self.edges,
-            values=masses / self.widths,
-            resolution=self.resolution,
-            row_integral=float(masses.sum()),
-            expected_mass=self.model.ac_weight**n,
-        )
+        return [DensityRow(n=n, x=float(xi), y_edges=self.edges, values=m / self.widths,
+                           resolution=self.resolution, row_integral=float(m.sum()),
+                           expected_mass=self.model.ac_weight**n) for xi, m in zip(x, masses)]
+
+    def row(self, x: float, n: int) -> DensityRow:
+        """Cell-averaged p^(n)(x, .) on the internal grid."""
+        return self.rows([x], n)[0]
 
 
 def n_step_density(
@@ -390,7 +405,7 @@ def density_grid(
     if x_values.size == 0:
         raise ValueError("x_values is empty: need at least one source state")
     op = KernelOperator(model, resolution)
-    rows = [op.row(float(x), n) for x in x_values]
+    rows = op.rows(x_values, n)
     return DensityGrid(
         n=n,
         x_values=x_values,

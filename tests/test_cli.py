@@ -257,6 +257,15 @@ class TestSubcommands:
         assert "config error: kernel.x_points is empty" in err
         assert "IndexError" not in err
 
+    def test_kernel_bad_x_point_named_before_any_build(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel, "_antiderivative", lambda *args: calls.append(args))
+        text = BASE_CONFIG + "\n[kernel]\nx_points = 0.3 1.2\nsteps = 3\nresolution = 8192\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "kernel", "--config", str(cfg)) == 1
+        assert "x_values[1] = 1.2 must lie in (0, 1)" in capsys.readouterr().err
+        assert calls == []
+
     def test_minorize_failure_exit_two(self, tmp_path):
         # chaotic parameter: no attractive orbit, no certificate
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.85:3.95:1.0")

@@ -186,12 +186,70 @@ def _same_bits(a, b):
 
 
 def _unband(band, n_rows, half):
+    """The lazy band as a dense (out cells) x (half-grid cells) array, every block built."""
     K = np.zeros((n_rows, half))
-    row = 0
-    for start, block in zip(band.starts, band.blocks):
-        K[row : row + block.shape[0], start : start + block.shape[1]] = block
-        row += block.shape[0]
+    for k, (j0, j1, lo, hi) in enumerate(band.spans):
+        K[j0:j1, lo:hi] = band.block(k)
     return K
+
+
+def _band_matrix(op, out_edges):
+    """Every block of the folded band at once, (starts, blocks): the eager
+    build that the lazy band replaced, kept as its oracle."""
+    half = (op.resolution + 1) // 2
+    pieces = [(c, d) for c, d, w in op.model.uniform_pieces if w > 0.0]
+    c_min = min(c for c, _ in pieces)
+    d_max = max(d for _, d in pieces)
+    z = op.edges[: half + 1]
+    s = z * (1.0 - z)
+    s_lo = s[:-1]
+    s_hi = np.append(s[1:-1], 0.25)
+    first = np.searchsorted(s_hi, out_edges[:-1] / d_max, side="left")
+    stop = np.searchsorted(s_lo, out_edges[1:] / c_min, side="left")
+    first = np.maximum(first - 1, 0)
+    stop = np.minimum(stop + 1, half)
+    terms, logit_z = kernel._edge_terms(op.model, out_edges[:, None]), kernel._logit(z[None, :])
+    starts, blocks = [], []
+    for j0 in range(0, len(out_edges) - 1, kernel._BLOCK_ROWS):
+        j1 = min(j0 + kernel._BLOCK_ROWS, len(out_edges) - 1)
+        lo = int(first[j0:j1].min())
+        hi = max(int(stop[j0:j1].max()), lo)
+        rows, cols = slice(j0, j1 + 1), slice(lo, hi + 1)
+        cut = [(c, w, slope, cross[:, rows]) for c, w, slope, cross in terms]
+        A = kernel._antiderivative(out_edges[rows, None], cut, z[None, cols], logit_z[:, cols])
+        starts.append(lo)
+        blocks.append(np.diff(np.diff(A, axis=1), axis=0))
+    return starts, blocks
+
+
+def _eager_apply(band, folded):
+    """One folded source vector through the eager band, block by block."""
+    starts, blocks = band
+    return np.concatenate(
+        [block @ folded[start : start + block.shape[1]] for start, block in zip(starts, blocks)]
+    )
+
+
+def _eager_masses(op, band, xs, n):
+    """Cell masses of p^(n)(x, .) for each x, one x at a time through the eager band."""
+    half = (op.resolution + 1) // 2
+    out = []
+    for x in xs:
+        masses = np.diff(np.asarray(op.model.ac_cdf(op.edges / (x * (1.0 - x))), dtype=float))
+        for _ in range(n - 1):
+            f = masses / op.widths
+            folded = f[:half] + f[::-1][:half]
+            if op.resolution % 2:
+                folded[-1] = f[half - 1]
+            masses = _eager_apply(band, folded)
+        out.append(masses)
+    return np.array(out)
+
+
+def _built(op):
+    """Blocks of the operator's transfer matrix built so far."""
+    band = op._step_matrix
+    return 0 if band is None else sum(block is not None for block in band.blocks)
 
 
 # ----------------------------------------------------------------------- #
@@ -316,18 +374,19 @@ class TestAntiderivativeBits:
         model = ORACLE_MODELS[name]
         op = KernelOperator(model, R)
         out_edges = op.edges if grid == "full" else J_EDGES
-        got = op._band_matrix(out_edges)
+        got = op._band(out_edges)
         n_out = len(out_edges) - 1
-        assert len(got.starts) == len(got.blocks) == -(-n_out // kernel._BLOCK_ROWS)
+        assert len(got.spans) == len(got.blocks) == -(-n_out // kernel._BLOCK_ROWS)
+        assert all(block is None for block in got.blocks)
+        starts, _ = _band_matrix(op, out_edges)
         # each block k spans out cells j0 .. j1 - 1 and half-grid cells lo .. hi - 1
-        for k, (lo, block) in enumerate(zip(got.starts, got.blocks)):
-            j0 = k * kernel._BLOCK_ROWS
-            j1, hi = min(j0 + kernel._BLOCK_ROWS, n_out), lo + block.shape[1]
-            assert block.shape[0] == j1 - j0 and 0 <= lo <= hi <= (R + 1) // 2
+        for k, (j0, j1, lo, hi) in enumerate(got.spans):
+            assert (j0, j1) == (k * kernel._BLOCK_ROWS, min((k + 1) * kernel._BLOCK_ROWS, n_out))
+            assert lo == starts[k] and 0 <= lo <= hi <= (R + 1) // 2
             A = _reference_antiderivative(
                 model, out_edges[j0 : j1 + 1, None], op.edges[None, lo : hi + 1]
             )
-            assert _same_bits(block, np.diff(np.diff(A, axis=1), axis=0)), k
+            assert _same_bits(got.block(k), np.diff(np.diff(A, axis=1), axis=0)), k
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     @pytest.mark.parametrize(
@@ -372,13 +431,13 @@ class TestFoldedBandOperator:
         assert np.max(np.abs(dense - dense[:, ::-1])) <= tol
         # the band holds every entry the dense matrix has, first and last
         # rows (e = 0 and e = 1) included; outside it dense entries are zero
-        banded = _unband(op._band_matrix(out_edges), len(out_edges) - 1, half)
+        banded = _unband(op._band(out_edges), len(out_edges) - 1, half)
         assert np.max(np.abs(banded - dense[:, :half])) <= tol
         # applied to random densities
         rng = np.random.default_rng(R)
         for _ in range(3):
             f = rng.random(R) * rng.integers(1, 5, size=R)
-            got = op._band_matrix(out_edges).apply(op._fold(f * op.widths))
+            got = op._band(out_edges).apply(op._fold(f[None] * op.widths))[0]
             assert np.max(np.abs(got - dense @ f)) <= tol * np.abs(f).sum()
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -407,9 +466,8 @@ class TestFoldedBandOperator:
         assert [terms[0] for terms in kernel._edge_terms(model, J_EDGES)] == [2.0]
         got = KernelOperator(model, R)._step()
         want = KernelOperator(U23, R)._step()
-        assert _same_bits(got.starts, want.starts)
-        assert len(got.blocks) == len(want.blocks)
-        assert all(_same_bits(g, w) for g, w in zip(got.blocks, want.blocks))
+        assert got.spans == want.spans
+        assert all(_same_bits(got.block(k), want.block(k)) for k in range(len(got.spans)))
 
     def test_storage_is_a_quarter_of_dense_at_most(self):
         R = 2048
@@ -430,6 +488,69 @@ class TestFoldedBandOperator:
     def test_density_grid_rejects_empty_x_values(self):
         with pytest.raises(ValueError, match="x_values is empty"):
             density_grid(U23, [], 2, resolution=64)
+
+
+X_SETS = [(0.3,), (0.25, 0.4, 0.6, 0.75), (1e-6, 0.5, 0.999999), (0.05, 0.123456789, 0.9)]
+
+
+class TestLazyBand:
+    """Blocks built on first use, skipped where no source mass reaches them and
+    applied to every row in turn give the bits of the eager band applied one
+    row at a time, the +0.0 of skipped out cells included."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 1000, 8191])
+    def test_rows_same_bits_as_eager_band(self, name, R):
+        model = ORACLE_MODELS[name]
+        op = KernelOperator(model, R)
+        eager = _band_matrix(op, op.edges)
+        for xs in X_SETS:
+            for n in (1, 2, 3, 4):
+                want = _eager_masses(op, eager, xs, n)
+                rows = op.rows(xs, n)
+                assert _same_bits([r.values for r in rows], want / op.widths), (xs, n)
+                assert _same_bits([r.row_integral for r in rows], want.sum(axis=1)), (xs, n)
+                assert _same_bits(op.row(xs[-1], n).values, want[-1] / op.widths), (xs, n)
+        xs = sum(X_SETS, ())
+        grid = density_grid(model, xs, 3, resolution=R)
+        want = _eager_masses(op, eager, xs, 3)
+        assert _same_bits(grid.values, want / op.widths)
+        assert _same_bits(grid.row_integrals, want.sum(axis=1))
+
+    @pytest.mark.parametrize("R", [64, 257, 1000])
+    def test_source_in_last_column_of_a_block_is_applied(self, R):
+        # a source nonzero only in the last column of block k reaches k's out cells
+        op = KernelOperator(U23, R)
+        band, eager = op._band(op.edges), _band_matrix(op, op.edges)
+        reached = 0
+        for j0, j1, lo, hi in band.spans:
+            if hi > lo:
+                folded = np.zeros((1, (R + 1) // 2))
+                folded[0, hi - 1] = 1.0
+                want = _eager_apply(eager, folded[0])
+                assert _same_bits(band.apply(folded)[0], want), (lo, hi)
+                reached += bool(want[j0:j1].any())
+        assert reached > 0
+
+    def test_blocks_built_where_source_mass_reaches(self):
+        op = KernelOperator(U23, 8192)
+        op.rows([0.25, 0.4, 0.6, 0.75], 3)
+        assert (_built(op), len(op._step().spans)) == (161, 256)
+
+    def test_one_step_builds_nothing(self):
+        op = KernelOperator(U23, 8192)
+        op.rows([0.25, 0.4, 0.6, 0.75], 1)
+        assert _built(op) == 0
+
+    def test_second_call_builds_nothing_new(self, monkeypatch):
+        op = KernelOperator(U23, 8192)
+        first = op.rows([0.25, 0.4, 0.6, 0.75], 3)
+        built = _built(op)
+        calls = []
+        monkeypatch.setattr(kernel, "_antiderivative", lambda *args: calls.append(args))
+        again = op.rows([0.25, 0.4, 0.6, 0.75], 3)
+        assert calls == [] and _built(op) == built
+        assert all(_same_bits(a.values, b.values) for a, b in zip(first, again))
 
 
 class TestOrbitDensityChain:

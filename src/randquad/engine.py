@@ -272,6 +272,8 @@ class SimConfig:
     n_bins: int = 200
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.master_seed}")
         if not 0 <= self.burn_in < self.n_steps:
             raise ValueError("need 0 <= burn_in < n_steps")
         if self.n_replicates < 1:

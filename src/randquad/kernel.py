@@ -45,7 +45,8 @@ spans [s_lo, s_hi], so p >= inf h over [y_lo / s_hi, y_hi / s_lo] / s_hi.
 delta is the least such bound over grid_n x grid_n boxes of J x J; m >= 2
 chains p^(k+1)(X, Z) >= sum over Y of |Y| low^(k)(X, Y) inf p(Y, Z) through
 `resolution` cells on each k-step image of J, outside which no mass lies.
-Bounds round outward by _BOUND_SLACK (Tucker, Validated Numerics, 2011).
+Bounds round outward by _BOUND_SLACK (Tucker, Validated Numerics, 2011); the
+s spans and k-step images of J take that rounding from quadmap.interval_image.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 
 from .engine import _check_interval, _first_entry, _lane_draws, _substreams, _walk
 from .noise import NoiseModel
-from .quadmap import PeriodicOrbit, find_periodic_orbit, q_of_theta
+from .quadmap import _BOUND_SLACK, PeriodicOrbit, find_periodic_orbit, interval_image, q_of_theta
 
 __all__ = [
     "QuadratureError",
@@ -564,23 +565,10 @@ def _default_window(
     return table.orbits[a + best[0]], table.orbits[a + best[1] + 1]
 
 
-# relative roundoff allowance per operation (~4500 unit roundoffs): s bounds
-# and ratios widen by it, and delta drops by m * (resolution + 8) of it for
-# the chained sums; 1e-9 would zero the automatic m = 1 J, whose y / s stops
-# the window's pad (1e-9 of the support width) short of the support's end
-_BOUND_SLACK = 1e-12
-
-
-def _s_bounds(lo, hi):
-    """Outward bounds (s_lo, s_hi) of s(x) = x(1-x) over each cell [lo, hi]."""
-    s_a, s_b = lo * (1.0 - lo), hi * (1.0 - hi)
-    peak = np.where((lo <= 0.5) & (0.5 <= hi), 0.25, np.maximum(s_a, s_b))
-    return np.minimum(s_a, s_b) * (1.0 - _BOUND_SLACK), peak * (1.0 + _BOUND_SLACK)
-
-
 def _box_bound(model: NoiseModel, x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
     """Lower bounds of p(x, y) over the boxes of x cells (rows) by y cells (columns)."""
-    s_lo, s_hi = _s_bounds(x_edges[:-1, None], x_edges[1:, None])
+    # the image under theta = 1 is the outward-rounded span of s(x) = x(1-x)
+    s_lo, s_hi = interval_image(1.0, 1.0, x_edges[:-1, None], x_edges[1:, None])
     r_lo = y_edges[:-1] / s_hi * (1.0 - _BOUND_SLACK)
     with np.errstate(divide="ignore"):  # s_lo = 0 on a cell from 0 leaves the support
         r_hi = y_edges[1:] / s_lo * (1.0 + _BOUND_SLACK)
@@ -594,8 +582,8 @@ def _minorization_bound(model: NoiseModel, J, m: int, grid_n: int, resolution: i
     # J, then the cells of the k-step images of J for k = 1 .. m - 1, then J
     grids = [np.linspace(J[0], J[1], grid_n + 1)]
     for _ in range(m - 1):
-        s_lo, s_hi = _s_bounds(grids[-1][0], grids[-1][-1])
-        grids.append(np.linspace(c_min * s_lo, min(d_max * s_hi, 1.0), resolution + 1))
+        image = interval_image(c_min, d_max, grids[-1][0], grids[-1][-1])
+        grids.append(np.linspace(*image, resolution + 1))
     grids.append(grids[0])
     low = _box_bound(model, grids[0], grids[1])  # low[i, j] <= p^(k) on J cell i x cell j
     for y, z in zip(grids[1:-1], grids[2:]):

@@ -3,7 +3,8 @@
 Everything here concerns the one-parameter family F_theta(x) = theta*x*(1-x)
 on the open interval (0, 1): evaluation, orbits, fixed and periodic points
 with their multipliers, the largest-orbit-point function q(theta), the
-common invariant interval for a parameter band, and Lyapunov exponents.
+common invariant interval for a parameter band, the outward-rounded image of
+an interval under a parameter band, and Lyapunov exponents.
 All functions are pure; no randomness enters this module.
 
 The periodic-orbit search warms each seed up over many steps before Newton
@@ -25,7 +26,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "PeriodicOrbit",
-    "InvariantInterval",
     "QTable",
     "apply",
     "iterate",
@@ -34,6 +34,7 @@ __all__ = [
     "check_transversality",
     "q_of_theta",
     "invariant_interval",
+    "interval_image",
     "lyapunov_deterministic",
 ]
 
@@ -45,6 +46,11 @@ DEFAULT_SEED_COUNT = 16
 # warm-up steps between checks for an exactly repeating float orbit; its
 # divisors cover the periods 1-6 and 8
 _CYCLE_BLOCK = 240
+# relative roundoff allowance per operation (~4500 unit roundoffs) by which
+# interval images widen; kernel's box bounds and chained sums use it too, and
+# 1e-9 would zero the automatic m = 1 J, whose y / s stops the window's pad
+# (1e-9 of the support width) short of the support's end
+_BOUND_SLACK = 1e-12
 
 
 class DomainError(ValueError):
@@ -332,13 +338,13 @@ def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:
 
     Parameters
     ----------
-    theta_range : (lo, hi) pair inside one hyperbolic window
+    theta_range : (lo, hi) pair inside one hyperbolic window, 0 < lo < hi <= 4
     m : cycle period
     n_samples : number of evenly spaced samples (>= 3 for derivatives)
     """
     lo, hi = float(theta_range[0]), float(theta_range[1])
-    if not lo < hi:
-        raise ValueError("theta_range must satisfy lo < hi")
+    if not (0.0 < lo < hi <= 4.0):
+        raise DomainError(f"theta_range ({lo!r}, {hi!r}) must satisfy 0 < lo < hi <= 4")
     if n_samples < 3:
         raise ValueError("need at least 3 samples for centered differences")
     thetas = np.linspace(lo, hi, n_samples)
@@ -361,36 +367,34 @@ def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:
     return QTable(m=m, thetas=thetas, q=q, dq=dq, holes=holes, orbits=orbits)
 
 
-@dataclass(frozen=True)
-class InvariantInterval:
-    """[a, b] with F_theta([a, b]) contained in [a, b] for all theta in [mu, nu].
+def invariant_interval(mu: float, nu: float) -> tuple[float, float]:
+    """The pair (a, b) = (min(1 - 1/mu, F_mu(nu/4)), nu/4) for support [mu, nu].
 
-    Degenerates to a single point when mu = nu = 2 (the band collapses onto
-    the fixed point 1/2).
-    """
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a <= self.b < 1.0):
-            raise ValueError("invariant interval requires 0 < a <= b < 1")
-
-    def contains(self, x) -> np.ndarray | bool:
-        return (self.a <= np.asarray(x)) & (np.asarray(x) <= self.b)
-
-
-def invariant_interval(mu: float, nu: float) -> InvariantInterval:
-    """Invariant interval [min(1 - 1/mu, F_mu(nu/4)), nu/4] for support [mu, nu].
-
-    Requires 1 < mu <= nu < 4.
+    F_theta([a, b]) lies in [a, b] for all theta in [mu, nu]; the interval
+    degenerates to the point 1/2 when mu = nu = 2.  Requires 1 < mu <= nu < 4.
     """
     mu, nu = float(mu), float(nu)
     if not (1.0 < mu <= nu < 4.0):
         raise DomainError("invariant interval needs 1 < mu <= nu < 4")
     b = nu / 4.0
     a = min(1.0 - 1.0 / mu, mu * b * (1.0 - b))
-    return InvariantInterval(a=a, b=b)
+    if not (0.0 < a <= b < 1.0):
+        raise ValueError("invariant interval requires 0 < a <= b < 1")
+    return a, b
+
+
+def interval_image(theta_lo, theta_hi, lo, hi):
+    """Outward-rounded hull (lo', hi') of theta*x*(1-x) over theta in
+    [theta_lo, theta_hi] and x in [lo, hi], elementwise over arrays.
+
+    s = x(1-x) spans min(s(lo), s(hi)) to max(s(lo), s(hi)), or to 0.25 when
+    [lo, hi] holds 1/2; both ends widen by _BOUND_SLACK and hi' stops at 1.
+    """
+    s_a, s_b = lo * (1.0 - lo), hi * (1.0 - hi)
+    peak = np.where((lo <= 0.5) & (0.5 <= hi), 0.25, np.maximum(s_a, s_b))
+    s_lo = np.minimum(s_a, s_b) * (1.0 - _BOUND_SLACK)
+    s_hi = peak * (1.0 + _BOUND_SLACK)
+    return theta_lo * s_lo, np.minimum(theta_hi * s_hi, 1.0)
 
 
 def lyapunov_deterministic(

@@ -1,9 +1,11 @@
-"""Shared test scaffolding: acceptance-criterion result reporting."""
+"""Shared test scaffolding: acceptance-criterion results and the backend line."""
 
 import os
 from pathlib import Path
 
 import pytest
+
+from randquad import engine
 
 # subprocesses the tests start (`python -m randquad.cli`) import the same
 # checkout as the tests themselves, which pyproject.toml puts on sys.path
@@ -24,6 +26,10 @@ def acceptance():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    backend = "numba" if hasattr(engine._advance, "py_func") else "pure-python"
+    terminalreporter.write_line(
+        f"randquad backend: {backend}, usable CPUs: {engine._usable_cpus()}"
+    )
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")

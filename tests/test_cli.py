@@ -266,6 +266,39 @@ class TestSubcommands:
         assert "x_values[1] = 1.2 must lie in (0, 1)" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("simulate", "\n[simulate]\nn = 100\n"),
+            ("stability", ""),
+            ("extinction", "\n[extinction]\ncheckpoints = 100 1000\nreplicates = 5\n"),
+            ("cyclicity", "\n[cyclicity]\nj_lo = 0.55\nj_hi = 0.7\nsteps = 1000\n"),
+            ("kolmogorov", "\n[kolmogorov]\ntheta0 = 2.5\neta = 0.05\n"),
+        ],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command, extra):
+        cfg = write_config(tmp_path, BASE_CONFIG + extra)
+        assert run_cli(tmp_path, command, "--config", str(cfg), "--set", "sim.seed=-1") == 1
+        err = capsys.readouterr().err
+        assert err == "randquad: config error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("theta_max", ["5", "inf"])
+    def test_orbit_range_outside_domain_is_one_message(self, tmp_path, theta_max):
+        text = BASE_CONFIG + f"\n[orbit]\ntheta_min = 2.2\ntheta_max = {theta_max}\n"
+        cfg = write_config(tmp_path, text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "randquad.cli", "orbit", "--config", str(cfg),
+             "--out", str(tmp_path / "sub")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        hi = float(theta_max)
+        assert proc.stderr == (
+            f"randquad: DomainError: theta_range (2.2, {hi!r}) must satisfy 0 < lo < hi <= 4\n"
+        )
+        assert not (tmp_path / "sub" / "orbits.csv").exists()
+
     def test_minorize_failure_exit_two(self, tmp_path):
         # chaotic parameter: no attractive orbit, no certificate
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.85:3.95:1.0")

@@ -98,12 +98,10 @@ class TestInvariantIntervalOccupation:
         # bins strictly outside [a, b] must stay empty (boundary bins can
         # straddle the interval ends, so fractional estimates do not apply)
         for mu, nu in [(2.0, 3.0), (2.2, 2.8), (3.05, 3.35)]:
-            box = invariant_interval(mu, nu)
+            a, b = invariant_interval(mu, nu)
             cfg = SimConfig(master_seed=18, n_steps=100_000, n_replicates=2, burn_in=1000)
             measure = ensemble_occupation(NoiseModel.uniform(mu, nu), 0.15, cfg)
-            strictly_outside = (measure.bin_edges[1:] <= box.a) | (
-                measure.bin_edges[:-1] >= box.b
-            )
+            strictly_outside = (measure.bin_edges[1:] <= a) | (measure.bin_edges[:-1] >= b)
             assert measure.counts[strictly_outside].sum() == 0
             assert measure.underflow == measure.overflow == 0
 

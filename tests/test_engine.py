@@ -436,11 +436,11 @@ class TestStartStates:
 class TestClosure:
     @pytest.mark.parametrize("mu,nu", [(2.0, 3.0), (2.2, 2.8), (3.05, 3.35)])
     def test_invariant_interval_traps_orbit(self, mu, nu):
-        box = invariant_interval(mu, nu)
+        a, b = invariant_interval(mu, nu)
         traj = simulate_trajectory(NoiseModel.uniform(mu, nu), 0.11, 1_000_000, seed=17)
         values = traj.values
         assert np.all(values > 0.0) and np.all(values < 1.0)
-        inside = (values >= box.a - 1e-12) & (values <= box.b + 1e-12)
+        inside = (values >= a - 1e-12) & (values <= b + 1e-12)
         first = np.argmax(inside)
         assert inside[first]  # entered at least once
         assert np.all(inside[first:])

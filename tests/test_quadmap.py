@@ -277,6 +277,21 @@ class TestQOfTheta:
         table = quadmap.q_of_theta((3.55, 3.65), 1, 5)
         assert table.holes
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 2.0), (-1.0, 2.0), (2.2, 5.0), (2.2, np.inf), (np.nan, 3.0), (3.0, 3.0), (3.0, 2.0)],
+    )
+    def test_range_checked_before_sampling(self, monkeypatch, lo, hi):
+        calls = []
+        monkeypatch.setattr(quadmap, "find_periodic_orbit", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=r"theta_range \(.*\) must satisfy 0 < lo < hi <= 4"):
+            quadmap.q_of_theta((lo, hi), 1, 5)
+        assert calls == []
+
+    def test_range_may_end_at_four(self):
+        table = quadmap.q_of_theta((3.9, 4.0), 1, 3)
+        assert table.thetas[-1] == 4.0 and len(table.holes) == 3
+
     def test_orbits_kept_per_sample(self):
         table = quadmap.q_of_theta((2.9, 3.1), 1, 9)  # period-1 orbits end at 3
         assert len(table.orbits) == len(table.thetas)
@@ -290,13 +305,13 @@ class TestQOfTheta:
 
 class TestInvariantInterval:
     def test_formula(self):
-        box = quadmap.invariant_interval(2.0, 3.0)
-        assert box.a == pytest.approx(0.375, abs=0)
-        assert box.b == pytest.approx(0.75, abs=0)
+        a, b = quadmap.invariant_interval(2.0, 3.0)
+        assert a == pytest.approx(0.375, abs=0)
+        assert b == pytest.approx(0.75, abs=0)
 
     def test_degenerate(self):
-        box = quadmap.invariant_interval(2.0, 2.0)
-        assert box.a == box.b == pytest.approx(0.5, abs=0)
+        a, b = quadmap.invariant_interval(2.0, 2.0)
+        assert a == b == pytest.approx(0.5, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -310,15 +325,83 @@ class TestInvariantInterval:
     def test_containment_grid_oracle(self, mu, nu):
         # oracle: exhaustive grid over theta in [mu, nu], x in [a, b], plus
         # the vertex where F_theta attains its maximum
-        box = quadmap.invariant_interval(mu, nu)
+        a, b = quadmap.invariant_interval(mu, nu)
         thetas = np.linspace(mu, nu, 100)
-        xs = np.linspace(box.a, box.b, 100)
-        if box.a <= 0.5 <= box.b:
+        xs = np.linspace(a, b, 100)
+        if a <= 0.5 <= b:
             xs = np.append(xs, 0.5)
         for theta in thetas:
             images = theta * xs * (1.0 - xs)
-            assert images.min() >= box.a - 1e-12
-            assert images.max() <= box.b + 1e-12
+            assert images.min() >= a - 1e-12
+            assert images.max() <= b + 1e-12
+
+
+def _reference_interval_image(theta_lo, theta_hi, lo, hi):
+    """The k-step image of J as kernel._minorization_bound wrote it before
+    quadmap.interval_image: kernel._s_bounds, then [c_min * s_lo,
+    min(d_max * s_hi, 1)]; interval_image must give the same bits."""
+    slack = quadmap._BOUND_SLACK
+    s_a, s_b = lo * (1.0 - lo), hi * (1.0 - hi)
+    peak = np.where((lo <= 0.5) & (0.5 <= hi), 0.25, np.maximum(s_a, s_b))
+    s_lo, s_hi = np.minimum(s_a, s_b) * (1.0 - slack), peak * (1.0 + slack)
+    return theta_lo * s_lo, np.minimum(theta_hi * s_hi, 1.0)
+
+
+def _random_boxes(rng, n):
+    """n boxes [theta_lo, theta_hi] x [lo, hi] with 0 < theta_lo <= theta_hi <= 4
+    and 0 < lo <= hi < 1; about half of them hold 1/2."""
+    theta_lo, theta_hi = np.sort(rng.uniform(0.0, 4.0, (2, n)), axis=0)
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, (2, n)), axis=0)
+    return theta_lo, theta_hi, lo, hi
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestIntervalImage:
+    def test_same_bits_as_kernel_formula(self):
+        rng = np.random.default_rng(19)
+        n = 10_000
+        theta_lo, theta_hi, lo, hi = _random_boxes(rng, n)
+        centre = rng.uniform(0.0, 0.5, n)
+        boxes = {
+            "random": (theta_lo, theta_hi, lo, hi),
+            "straddle": (theta_lo, theta_hi, 0.5 - centre, 0.5 + centre),
+            "degenerate": (theta_lo, theta_lo, lo, lo),
+            "vertex": (theta_lo, theta_hi, np.full(n, 0.5), np.full(n, 0.5)),
+            "theta=1": (1.0, 1.0, lo, hi),
+            # the kernel's chained images pass scalar ends
+            "scalar": (2.0, 3.0, 0.55, 0.7),
+            "scalar-straddle": (2.0, 3.0, 0.3, 0.6),
+            "scalar-vertex": (3.9, 3.99, 0.5, 0.5),
+        }
+        for name, box in boxes.items():
+            got, want = quadmap.interval_image(*box), _reference_interval_image(*box)
+            for g, w in zip(got, want):
+                assert np.array_equal(_bits(g), _bits(w)), name
+
+    def test_contains_map_values(self):
+        rng = np.random.default_rng(2005)
+        n = 10_000
+        theta_lo, theta_hi, lo, hi = _random_boxes(rng, n)
+        theta = rng.uniform(theta_lo, theta_hi)
+        x = rng.uniform(lo, hi)
+        image_lo, image_hi = quadmap.interval_image(theta_lo, theta_hi, lo, hi)
+        values = theta * x * (1.0 - x)
+        assert np.all((image_lo <= values) & (values <= image_hi))
+        assert np.all(image_hi <= 1.0)
+
+    def test_fold_top_at_straddled_half(self):
+        rng = np.random.default_rng(7)
+        n = 1000
+        theta_lo, theta_hi = np.sort(rng.uniform(1.0, 3.99, (2, n)), axis=0)
+        lo, hi = rng.uniform(0.0, 0.5, n), rng.uniform(0.5, 1.0, n)
+        _, top = quadmap.interval_image(theta_lo, theta_hi, lo, hi)
+        expected = theta_hi * (0.25 * (1.0 + quadmap._BOUND_SLACK))
+        assert np.array_equal(_bits(top), _bits(expected))
+        # at theta = 4 the rounded peak passes 1 and is clipped there
+        assert quadmap.interval_image(4.0, 4.0, 0.4, 0.6)[1] == 1.0
 
 
 class TestLyapunov:

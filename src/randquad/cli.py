@@ -269,8 +269,8 @@ def _cmd_orbit(cfg: ExperimentConfig, outdir: Path) -> int:
 def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
     x_points = cfg.require("kernel", "x_points")
-    if not x_points:
-        raise ConfigError("kernel.x_points is empty: list at least one source state")
+    if len(set(x_points)) < len(x_points):  # each source state names one report key
+        raise ConfigError("kernel.x_points repeats a source state: list each one once")
     n = cfg.get("kernel", "steps", 1)
     resolution = cfg.get("kernel", "resolution", 512)
     grid = kernel.density_grid(model, x_points, n, resolution=resolution)

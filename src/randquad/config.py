@@ -78,9 +78,12 @@ def _parse_value(section: str, key: str, raw: str):
     if key not in _SCHEMA[section]:
         raise ConfigError(f"unknown key '{key}' in section [{section}]")
     try:
-        return _PARSERS[_SCHEMA[section][key]](raw.strip())
+        value = _PARSERS[_SCHEMA[section][key]](raw.strip())
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+    if value == ():  # a list key left blank
+        raise ConfigError(f"{section}.{key} is empty: list at least one value")
+    return value
 
 
 @dataclass
@@ -120,8 +123,6 @@ class ExperimentConfig:
                 if len(values) != form.count(":") + 1:
                     raise ConfigError(f"malformed noise.{key} item {token!r}: expected {form}")
                 items.append(values)
-        if not atoms and not pieces:
-            raise ConfigError("section [noise] must define atoms and/or pieces")
         try:
             return NoiseModel(atoms=tuple(atoms), uniform_pieces=tuple(pieces))
         except ValueError as exc:

@@ -278,6 +278,8 @@ class SimConfig:
             raise ValueError("need 0 <= burn_in < n_steps")
         if self.n_replicates < 1:
             raise ValueError("n_replicates must be >= 1")
+        if not self.initial_states:
+            raise ValueError("initial_states is empty: list at least one state")
         if any(not (0.0 < x < 1.0) for x in self.initial_states):
             raise ValueError("initial states must lie in (0, 1)")
         if self.n_bins < 1:

@@ -81,14 +81,9 @@ class QuadratureError(RuntimeError):
     """Resolution too coarse: measured normalization drift beyond tolerance."""
 
 
-def _require_ac(model: NoiseModel):
-    if model.ac_weight <= 0.0:
-        raise ValueError("model has no absolutely continuous component")
-
-
 def one_step_density(model: NoiseModel, x: float, y) -> np.ndarray | float:
     """Pointwise one-step density p(x, y) of the absolutely continuous part."""
-    _require_ac(model)
+    model.ac_bounds()  # raises without an a.c. part
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
     s = x * (1.0 - x)
@@ -99,7 +94,7 @@ def one_step_density(model: NoiseModel, x: float, y) -> np.ndarray | float:
 
 def one_step_row_mass(model: NoiseModel, x: float, y_lo: float = 0.0, y_hi: float = 1.0) -> float:
     """Exact integral of p(x, y) over y in [y_lo, y_hi] (no quadrature)."""
-    _require_ac(model)
+    model.ac_bounds()  # raises without an a.c. part
     s = x * (1.0 - x)
     return float(model.ac_cdf(y_hi / s) - model.ac_cdf(y_lo / s))
 
@@ -126,14 +121,13 @@ def _clip(a, lo, hi, out):
 
 
 def _edge_terms(model: NoiseModel, e: np.ndarray) -> list:
-    """Per piece of positive weight, (c, w, w / (d - c), the crossings
-    zd1, zc1, zc2, zd2 over e's shape followed by their logits, stacked)."""
+    """Per uniform piece, (c, w, w / (d - c), the crossings zd1, zc1, zc2,
+    zd2 over e's shape followed by their logits, stacked)."""
     terms = []
     for c, d, w in model.uniform_pieces:
-        if w > 0.0:
-            (zc1, zc2), (zd1, zd2) = _crossing(e, c), _crossing(e, d)
-            cross = np.stack([zd1, zc1, zc2, zd2])
-            terms.append((c, w, w / (d - c), np.concatenate([cross, _logit(cross)])))
+        (zc1, zc2), (zd1, zd2) = _crossing(e, c), _crossing(e, d)
+        cross = np.stack([zd1, zc1, zc2, zd2])
+        terms.append((c, w, w / (d - c), np.concatenate([cross, _logit(cross)])))
     return terms
 
 
@@ -214,10 +208,11 @@ class _FoldedBand(NamedTuple):
     to every out cell; only the half grid i < ceil(R/2) is stored, applied to
     the folded vector f_i + f_{R-1-i} (the middle cell of an odd grid is not
     doubled).  Out cell (e0, e1] receives mass only from sources with
-    e0/max d < s < e1/min c, one contiguous run of the half grid since s
-    increases there.  Rows go in blocks of _BLOCK_ROWS: block k, dense over
-    the union of its rows' runs, maps half-grid cells lo .. hi - 1 into out
-    cells j0 .. j1 - 1 (spans[k]); blocks[k] is None until its first use.
+    e0/d_max < s < e1/c_min, where (c_min, d_max) = model.ac_bounds(), one
+    contiguous run of the half grid since s increases there.  Rows go in
+    blocks of _BLOCK_ROWS: block k, dense over the union of its rows' runs,
+    maps half-grid cells lo .. hi - 1 into out cells j0 .. j1 - 1
+    (spans[k]); blocks[k] is None until its first use.
     """
 
     spans: list
@@ -304,7 +299,7 @@ class KernelOperator:
     """
 
     def __init__(self, model: NoiseModel, resolution: int):
-        _require_ac(model)
+        model.ac_bounds()  # raises without an a.c. part
         if resolution < 2:
             raise ValueError("resolution must be >= 2")
         self.model = model
@@ -316,8 +311,7 @@ class KernelOperator:
     def _band(self, out_edges: np.ndarray) -> _FoldedBand:
         """Masses from each folded half-grid source cell into each out cell."""
         half = (self.resolution + 1) // 2
-        c_min = min(c for c, _, w in self.model.uniform_pieces if w > 0.0)
-        d_max = max(d for _, d, w in self.model.uniform_pieces if w > 0.0)
+        c_min, d_max = self.model.ac_bounds()
         # s over half-grid cell i spans [s_lo[i], s_hi[i]]; the last cell
         # reaches 1/2 (or straddles it on an odd grid), where s peaks at 1/4
         z = self.edges[: half + 1]
@@ -424,7 +418,6 @@ def orbit_density_chain(model: NoiseModel, orbit: PeriodicOrbit) -> list[float]:
     Every entry is strictly positive; this is the chain of transitions that
     seeds the minorization neighbourhood around the orbit.
     """
-    _require_ac(model)
     h0 = float(model.density(orbit.theta))
     if h0 <= 0.0:
         raise ValueError(
@@ -577,12 +570,10 @@ def _box_bound(model: NoiseModel, x_edges: np.ndarray, y_edges: np.ndarray) -> n
 
 def _minorization_bound(model: NoiseModel, J, m: int, grid_n: int, resolution: int) -> float:
     """Box lower bound of p^(m)(x, z) over J x J (see the module docstring)."""
-    c_min = min(c for c, _, w in model.uniform_pieces if w > 0.0)
-    d_max = max(d for _, d, w in model.uniform_pieces if w > 0.0)
     # J, then the cells of the k-step images of J for k = 1 .. m - 1, then J
     grids = [np.linspace(J[0], J[1], grid_n + 1)]
     for _ in range(m - 1):
-        image = interval_image(c_min, d_max, grids[-1][0], grids[-1][-1])
+        image = interval_image(*model.ac_bounds(), grids[-1][0], grids[-1][-1])
         grids.append(np.linspace(*image, resolution + 1))
     grids.append(grids[0])
     low = _box_bound(model, grids[0], grids[1])  # low[i, j] <= p^(k) on J cell i x cell j
@@ -614,7 +605,7 @@ def minorization_probe(
     otherwise; hypothesis violations (no density component, theta0 outside
     the support) and bad arguments raise ValueError.
     """
-    _require_ac(model)
+    model.ac_bounds()  # raises without an a.c. part
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if resolution < 2:

@@ -42,6 +42,8 @@ class NoiseModel:
     atoms: ((location, weight), ...) with locations strictly inside (0, 4).
     uniform_pieces: ((c, d, weight), ...) with 0 < c < d < 4.  Weights are
     nonnegative and sum to one.  Overlapping pieces stack their densities.
+    A zero-weight component is checked like any other and then dropped, so
+    atoms and uniform_pieces hold only the components that carry mass.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -50,8 +52,6 @@ class NoiseModel:
     def __post_init__(self):
         atoms = tuple((float(a), float(w)) for a, w in self.atoms)
         pieces = tuple((float(c), float(d), float(w)) for c, d, w in self.uniform_pieces)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "uniform_pieces", pieces)
         if not atoms and not pieces:
             raise ValueError("noise model needs at least one component")
         for loc, w in atoms:
@@ -67,17 +67,20 @@ class NoiseModel:
         total = sum(w for _, w in atoms) + sum(w for *_, w in pieces)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"component weights sum to {total!r}, expected 1")
-        # sampling tables, built once from the positive-weight components so
-        # that roundoff in the cumulative edges can never select a
-        # zero-weight one; an atom is a piece of zero width
-        drawn = [(a, a, w) for a, w in atoms if w > 0.0] + [p for p in pieces if p[2] > 0.0]
+        # a zero-weight component adds exactly +0.0 to every density, cdf and
+        # moment, and must never be drawn: drop it here, once, for every method
+        atoms, pieces = (tuple(x for x in xs if x[-1] > 0.0) for xs in (atoms, pieces))
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "uniform_pieces", pieces)
+        # sampling tables, built once; an atom is a piece of zero width
+        drawn = [(a, a, w) for a, w in atoms] + list(pieces)
         lo, hi, weights = map(np.array, zip(*drawn))
         cum = np.cumsum(weights)
         cum[-1] = 1.0  # guard against roundoff in the last edge
         object.__setattr__(self, "_tables", (cum, lo, hi - lo))
-        # (left, right, density) of the open cells between the positive-weight
-        # pieces' endpoints, on which the density is constant, out to +-inf
-        cuts = [-math.inf, *sorted({e for c, d, w in pieces if w > 0.0 for e in (c, d)}), math.inf]
+        # (left, right, density) of the open cells between the pieces'
+        # endpoints, on which the density is constant, out to +-inf
+        cuts = [-math.inf, *sorted({e for c, d, _ in pieces for e in (c, d)}), math.inf]
         cells = [(a, b, self.density(0.5 * (a + b))) for a, b in zip(cuts[:-1], cuts[1:])]
         object.__setattr__(self, "_cells", cells)
 
@@ -104,11 +107,15 @@ class NoiseModel:
 
     def support_bounds(self) -> tuple[float, float]:
         """(mu, nu): smallest and largest support points, inside (0, 4)."""
-        lo = [a for a, w in self.atoms if w > 0] + [c for c, _, w in self.uniform_pieces if w > 0]
-        hi = [a for a, w in self.atoms if w > 0] + [d for _, d, w in self.uniform_pieces if w > 0]
-        if not lo:
-            raise ValueError("noise model has no positive-weight component")
-        return min(lo), max(hi)
+        ends = [(a, a) for a, _ in self.atoms] + [(c, d) for c, d, _ in self.uniform_pieces]
+        return min(lo for lo, _ in ends), max(hi for _, hi in ends)
+
+    def ac_bounds(self) -> tuple[float, float]:
+        """(c_min, d_max) = (min c, max d) of the uniform pieces, outside which h vanishes."""
+        if not self.uniform_pieces:
+            raise ValueError("model has no absolutely continuous component")
+        c, d, _ = zip(*self.uniform_pieces)
+        return min(c), max(d)
 
     # ------------------------------------------------------------------ #
     # density / cdf
@@ -211,8 +218,8 @@ class NoiseModel:
 
         u[..., 0] picks the component through the cumulative weights and the
         parameter is u[..., 1] * width + lo of that component.  With a single
-        positive-weight component there is nothing to pick: the same two IEEE
-        operations run on its scalar lo and width, so the bits agree.
+        component there is nothing to pick: the same two IEEE operations run
+        on its scalar lo and width, so the bits agree.
         """
         cum, lo, width = self._tables
         idx = 0 if len(cum) == 1 else np.searchsorted(cum, u[..., 0], side="right")
@@ -225,10 +232,9 @@ class NoiseModel:
 
     def e_log(self) -> float:
         """E log(eps), with exact piece integrals (no quadrature error)."""
-        total = sum(w * math.log(a) for a, w in self.atoms if w > 0)
+        total = sum(w * math.log(a) for a, w in self.atoms)
         for c, d, w in self.uniform_pieces:
-            if w > 0:
-                total += w * (d * math.log(d) - d - c * math.log(c) + c) / (d - c)
+            total += w * (d * math.log(d) - d - c * math.log(c) + c) / (d - c)
         return total
 
     def e_log4m(self) -> float:
@@ -238,10 +244,9 @@ class NoiseModel:
         u = 4 - theta and splitting at u = 1 (theta = 3) where the sign of
         the logarithm flips, avoiding any quadrature near the singularity.
         """
-        total = sum(w * abs(math.log(4.0 - a)) for a, w in self.atoms if w > 0)
+        total = sum(w * abs(math.log(4.0 - a)) for a, w in self.atoms)
         for c, d, w in self.uniform_pieces:
-            if w > 0:
-                total += w * _abs_log_integral(4.0 - d, 4.0 - c) / (d - c)
+            total += w * _abs_log_integral(4.0 - d, 4.0 - c) / (d - c)
         return total
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from randquad import cli, engine, kernel
 from randquad.cli import main
-from randquad.config import ConfigError, parse_config_text
+from randquad.config import _SCHEMA, ConfigError, parse_config_text
 from randquad.engine import Trajectory, simulate_trajectory
 from randquad.noise import NoiseModel, substream
 from test_engine import RecordingPool
@@ -87,6 +87,29 @@ class TestConfigParsing:
             cfg.override("sim.bogus", "1")
         with pytest.raises(ConfigError):
             cfg.override("noseparator", "1")
+
+
+# every key of the schema that holds a list of numbers
+LIST_KEYS = [
+    (section, key)
+    for section, keys in _SCHEMA.items()
+    for key, kind in keys.items()
+    if kind in ("floats", "ints")
+]
+
+# a config that every subcommand accepts, each x0 set so that no default is
+# taken from sim.initial_states
+FULL_SECTIONS = {
+    "noise": {"pieces": "2.2:2.8:1.0"},
+    "sim": {"seed": "1", "steps": "2000", "burn_in": "100", "initial_states": "0.3 0.6"},
+    "simulate": {"x0": "0.3"},
+    "orbit": {"theta_min": "2.2", "theta_max": "2.8"},
+    "kernel": {"x_points": "0.3", "resolution": "64"},
+    "minorize": {"theta0": "2.5", "grid": "8", "resolution": "64"},
+    "extinction": {"x0": "0.3", "checkpoints": "10 100"},
+    "cyclicity": {"j_lo": "0.5", "j_hi": "0.7", "x0": "0.3"},
+    "kolmogorov": {"theta0": "2.5", "eta": "0.05"},
+}
 
 
 class TestSubcommands:
@@ -256,6 +279,42 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "config error: kernel.x_points is empty" in err
         assert "IndexError" not in err
+
+    def test_kernel_repeated_x_point_named_before_any_build(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernel, "_antiderivative", lambda *args: calls.append(args))
+        text = BASE_CONFIG + "\n[kernel]\nx_points = 0.3 0.5 0.30\nresolution = 64\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "kernel", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            "randquad: config error: kernel.x_points repeats a source state: list each one once\n"
+        )
+        assert calls == []
+        assert not (tmp_path / "out" / "report.txt").exists()
+
+    @pytest.mark.parametrize("section, key", LIST_KEYS, ids=[f"{s}.{k}" for s, k in LIST_KEYS])
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_empty_list_key_is_one_config_error(self, tmp_path, capsys, command, section, key):
+        sections = {name: dict(keys) for name, keys in FULL_SECTIONS.items()}
+        sections.setdefault(section, {})[key] = ""
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in sections.items()
+        )
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, command, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"randquad: config error: {section}.{key} is empty: list at least one value\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key", LIST_KEYS, ids=[f"{s}.{k}" for s, k in LIST_KEYS])
+    def test_empty_list_override_is_one_config_error(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        assert run_cli(tmp_path, "check", "--config", str(cfg), "--set", f"{section}.{key}=") == 1
+        assert capsys.readouterr().err == (
+            f"randquad: config error: {section}.{key} is empty: list at least one value\n"
+        )
 
     def test_kernel_bad_x_point_named_before_any_build(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -515,6 +574,25 @@ class TestReproducibility:
         assert run_cli(tmp_path, command, "--config", str(cfg), out="a") in (0, 2)
         assert run_cli(tmp_path, command, "--config", str(cfg), out="b") in (0, 2)
         assert self._all_outputs(tmp_path / "a") == self._all_outputs(tmp_path / "b")
+
+    @pytest.mark.parametrize(
+        "command, pieces, extra",
+        [
+            ("check", "2.0:3.0:1.0", ""),
+            ("kernel", "2.0:3.0:1.0", "\n[kernel]\nx_points = 0.3 0.5\nsteps = 2\nresolution = 256\n"),
+            ("minorize", "2.2:2.8:1.0",
+             "\n[minorize]\ntheta0 = 2.5\nperiod = 1\ngrid = 16\nresolution = 256\n"),
+            ("stability", "2.0:3.0:1.0", ""),
+        ],
+        ids=["check", "kernel", "minorize", "stability"],
+    )
+    def test_zero_weight_components_change_no_byte(self, tmp_path, command, pieces, extra):
+        plain = BASE_CONFIG.replace("2.0:3.0:1.0", pieces) + extra
+        padded = plain.replace(pieces, f"{pieces} 1.2:3.9:0.0\natoms = 3.7:0.0")
+        for name, text in (("plain", plain), ("padded", padded)):
+            cfg = write_config(tmp_path, text, name=f"{name}.cfg")
+            assert run_cli(tmp_path, command, "--config", str(cfg), out=name) == 0
+        assert self._all_outputs(tmp_path / "plain") == self._all_outputs(tmp_path / "padded")
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         # 10 lanes (5 groups x 2 replicates): 2 shards of 5/5 cut group 2, 3 of 4/3/3 group 3;

@@ -783,6 +783,8 @@ class TestSimConfig:
             SimConfig(master_seed=1, n_steps=100, burn_in=10, n_replicates=0)
         with pytest.raises(ValueError):
             SimConfig(master_seed=1, n_steps=100, burn_in=10, initial_states=(1.5,))
+        with pytest.raises(ValueError, match="initial_states is empty"):
+            SimConfig(master_seed=1, n_steps=100, burn_in=10, initial_states=())
 
     def test_bin_edges(self):
         cfg = SimConfig(master_seed=1, n_steps=100, burn_in=10, n_bins=4)

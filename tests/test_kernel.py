@@ -26,6 +26,8 @@ from randquad.quadmap import find_periodic_orbit
 
 U23 = NoiseModel.uniform(2.0, 3.0)
 U2228 = NoiseModel.uniform(2.2, 2.8)
+# no absolutely continuous part: the piece carries no weight and is dropped
+ATOMIC_WITH_ZERO_PIECE = NoiseModel(atoms=((2.5, 1.0),), uniform_pieces=((2.0, 3.0, 0.0),))
 
 
 # ----------------------------------------------------------------------- #
@@ -253,6 +255,26 @@ def _built(op):
 
 
 # ----------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: one_step_density(m, 0.3, 0.5),
+        lambda m: one_step_row_mass(m, 0.3),
+        lambda m: KernelOperator(m, 64),
+        lambda m: n_step_density(m, 0.3, 2, resolution=64),
+        lambda m: density_grid(m, [0.3], 2, resolution=64),
+        lambda m: minorization_probe(m, 2.5, 1, grid_n=8, resolution=64),
+    ],
+    ids=["one_step_density", "one_step_row_mass", "KernelOperator", "n_step_density",
+         "density_grid", "minorization_probe"],
+)
+@pytest.mark.parametrize("model", [NoiseModel.point_mass(2.5), ATOMIC_WITH_ZERO_PIECE],
+                         ids=["atom", "atom+zero-weight-piece"])
+def test_kernel_needs_an_ac_part(call, model):
+    with pytest.raises(ValueError, match="model has no absolutely continuous component"):
+        call(model)
 
 
 class TestOneStepDensity:
@@ -570,6 +592,10 @@ class TestOrbitDensityChain:
         expected = [h0 / (x * (1.0 - x)) for x in cyc]
         assert chain == pytest.approx(expected, rel=1e-12)
         assert all(v > 0.0 for v in chain)
+
+    def test_atomic_model_raises(self):
+        with pytest.raises(ValueError, match="outside the density support"):
+            orbit_density_chain(ATOMIC_WITH_ZERO_PIECE, find_periodic_orbit(2.5, 1))
 
     def test_outside_support_raises(self):
         orbit = find_periodic_orbit(3.2, 2)

@@ -274,6 +274,125 @@ class TestZeroWeightNeverDrawn:
         assert m.sample(_TopOfUnitInterval()) == draws[0]
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# (with zero-weight components, the same model without them): zero weights
+# before, between and after the positive ones, a piece wider than all of them,
+# an atom inside a piece and one outside every piece
+ZERO_WEIGHT_PAIRS = {
+    "mixture": (
+        NoiseModel(
+            atoms=((0.5, 0.0), (1.5, 0.2), (2.2, 0.0)),
+            uniform_pieces=((1.2, 3.9, 0.0), (2.0, 2.5, 0.3), (0.1, 0.2, 0.0), (2.4, 3.6, 0.5)),
+        ),
+        NoiseModel(atoms=((1.5, 0.2),), uniform_pieces=((2.0, 2.5, 0.3), (2.4, 3.6, 0.5))),
+    ),
+    "piece": (
+        NoiseModel(atoms=((3.7, 0.0),), uniform_pieces=((2.0, 3.0, 1.0), (1.2, 3.9, 0.0))),
+        NoiseModel.uniform(2.0, 3.0),
+    ),
+    "atom": (
+        NoiseModel(atoms=((3.7, 0.0), (2.5, 1.0)), uniform_pieces=((1.2, 3.9, 0.0),)),
+        NoiseModel.point_mass(2.5),
+    ),
+}
+
+
+class TestZeroWeightDropped:
+    """A zero-weight component is validated, then dropped: every output keeps its bits."""
+
+    THETA = np.concatenate([
+        np.linspace(-0.5, 4.5, 1001),
+        [0.1, 0.2, 0.5, 1.2, 1.5, 2.0, 2.2, 2.4, 2.5, 3.0, 3.6, 3.7, 3.9, np.inf, -np.inf],
+        substream(70).uniform(0.0, 4.0, 500),
+    ])
+
+    @pytest.mark.parametrize("name", sorted(ZERO_WEIGHT_PAIRS))
+    def test_outputs_agree_bit_for_bit(self, name):
+        padded, plain = ZERO_WEIGHT_PAIRS[name]
+        for method in ("density", "ac_cdf", "cdf"):
+            assert same_bits(getattr(padded, method)(self.THETA), getattr(plain, method)(self.THETA))
+            assert same_bits(getattr(padded, method)(2.25), getattr(plain, method)(2.25))
+        lo = np.sort(self.THETA[np.isfinite(self.THETA)])
+        hi = lo + substream(71).uniform(0.0, 1.0, len(lo))
+        assert same_bits(padded.inf_density(lo, hi), plain.inf_density(lo, hi))
+        assert padded.density_runs() == plain.density_runs()
+        assert same_bits(padded.support_bounds(), plain.support_bounds())
+        assert same_bits(padded.e_log(), plain.e_log())
+        assert same_bits(padded.e_log4m(), plain.e_log4m())
+        if plain.uniform_pieces:
+            assert same_bits(padded.ac_bounds(), plain.ac_bounds())
+        else:
+            for model in (padded, plain):
+                with pytest.raises(ValueError, match="no absolutely continuous component"):
+                    model.ac_bounds()
+
+    @pytest.mark.parametrize("name", sorted(ZERO_WEIGHT_PAIRS))
+    def test_sample_streams_agree_bit_for_bit(self, name):
+        padded, plain = ZERO_WEIGHT_PAIRS[name]
+        assert same_bits(padded.sample(substream(72), 5000), plain.sample(substream(72), 5000))
+        assert padded.sample(substream(73)) == plain.sample(substream(73))
+        lanes, m = 5, 300
+        live = np.array([0, 2, 3])
+        outs = []
+        for model in (padded, plain):
+            out = np.empty((m, lanes))
+            rngs = [substream(74, j) for j in range(lanes)]
+            model.sample_lanes(rngs, live, out, np.zeros((lanes, m, 2)))
+            outs.append(out)
+        assert same_bits(*outs)
+
+    @pytest.mark.parametrize("name", sorted(ZERO_WEIGHT_PAIRS))
+    def test_only_positive_weights_kept(self, name):
+        padded, plain = ZERO_WEIGHT_PAIRS[name]
+        assert padded.atoms == plain.atoms
+        assert padded.uniform_pieces == plain.uniform_pieces
+        assert all(w > 0.0 for _, w in padded.atoms)
+        assert all(w > 0.0 for *_, w in padded.uniform_pieces)
+
+    def test_negative_zero_weight_is_dropped(self):
+        model = NoiseModel(atoms=((2.5, -0.0),), uniform_pieces=((2.0, 3.0, 1.0), (3.5, 3.6, -0.0)))
+        assert model == NoiseModel.uniform(2.0, 3.0)
+
+    def test_wide_zero_weight_piece_leaves_ac_bounds(self):
+        # the oracle model of the kernel tests: the band is that of U[2,3]
+        model = NoiseModel(uniform_pieces=((1.2, 3.9, 0.0), (2.0, 3.0, 1.0)))
+        assert model.ac_bounds() == (2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "atoms, pieces, message",
+        [
+            (((4.0, 0.0),), (), "atom location 4.0 outside"),
+            (((0.0, 0.0),), (), "atom location 0.0 outside"),
+            ((), ((3.0, 2.0, 0.0),), r"uniform piece \(3.0, 2.0\) invalid"),
+            ((), ((2.5, 2.5, 0.0),), r"uniform piece \(2.5, 2.5\) invalid"),
+            (((2.5, math.nan),), (), "atom weights must be nonnegative"),
+            ((), ((2.0, 2.5, math.nan),), "piece weights must be nonnegative"),
+        ],
+        ids=["atom-at-4", "atom-at-0", "piece-reversed", "piece-empty", "atom-nan", "piece-nan"],
+    )
+    def test_bad_zero_weight_component_still_rejected(self, atoms, pieces, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseModel(atoms=atoms, uniform_pieces=pieces + ((2.0, 3.0, 1.0),))
+
+
+class TestAcBounds:
+    def test_least_left_end_and_greatest_right_end(self):
+        m = NoiseModel(uniform_pieces=((2.4, 3.6, 0.5), (2.0, 2.5, 0.3), (3.7, 3.8, 0.2)))
+        assert m.ac_bounds() == (2.0, 3.8)
+
+    def test_atoms_do_not_widen_the_band(self):
+        m = NoiseModel(atoms=((1.5, 0.5), (3.9, 0.25)), uniform_pieces=((2.0, 3.0, 0.25),))
+        assert m.ac_bounds() == (2.0, 3.0)
+
+    def test_purely_atomic_model_raises(self):
+        with pytest.raises(ValueError, match="model has no absolutely continuous component"):
+            NoiseModel.point_mass(2.5).ac_bounds()
+
+
 class TestDensityRuns:
     def test_single_piece(self):
         assert NoiseModel.uniform(2.0, 3.0).density_runs() == [(2.0, 3.0)]

@@ -192,6 +192,13 @@ def _occupation_csv(path: Path, measure) -> None:
 # subcommands
 
 
+def _distinct(states, key: str):
+    """states, unless one repeats: each source state names one output column or key."""
+    if len(set(states)) < len(states):
+        raise ConfigError(f"{key} repeats a source state: list each one once")
+    return states
+
+
 def _cmd_check(cfg: ExperimentConfig, outdir: Path) -> int:
     report = check_conditions(cfg.noise_model())
     c, d, inf_h = report.density_interval or (None, None, None)
@@ -268,9 +275,7 @@ def _cmd_orbit(cfg: ExperimentConfig, outdir: Path) -> int:
 
 def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
-    x_points = cfg.require("kernel", "x_points")
-    if len(set(x_points)) < len(x_points):  # each source state names one report key
-        raise ConfigError("kernel.x_points repeats a source state: list each one once")
+    x_points = _distinct(cfg.require("kernel", "x_points"), "kernel.x_points")
     n = cfg.get("kernel", "steps", 1)
     resolution = cfg.get("kernel", "resolution", 512)
     grid = kernel.density_grid(model, x_points, n, resolution=resolution)
@@ -324,7 +329,8 @@ def _cmd_stability(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
     sim = cfg.sim_config()
     threads = cfg.get("sim", "threads", 1)
-    report = diagnostics.stability_test(model, sim.initial_states, sim, workers=threads)
+    states = _distinct(sim.initial_states, "sim.initial_states")
+    report = diagnostics.stability_test(model, states, sim, workers=threads)
     k = len(report.initial_states)
     _write_csv(
         outdir / "tv_matrix.csv",

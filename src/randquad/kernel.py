@@ -11,33 +11,23 @@ channel, and dropping atoms makes every computed value a pointwise lower
 bound for the full kernel.
 
 Numerics: densities are represented as cell averages on a uniform grid over
-(0, 1).  One recursion step integrates the kernel mass over each source
-cell in closed form (the antiderivative of H(e / (z(1-z))) is elementary,
-H being the piecewise-linear CDF of the density component), so mass is
-conserved exactly and the only discretization error is the piecewise-
+(0, 1).  One recursion step is the exact pushforward of the piecewise-uniform
+previous row: the mass below an out edge e is G(e) = int f(t) H(e / t(1-t)) dt,
+H being the piecewise-linear CDF of the density component, and per uniform
+piece the integrand is constant or affine in 1/(t(1-t)), whose antiderivative
+is logit(t) = log(t/(1-t)).  So G needs only two prefix sums per row, of cell
+mass and of f times the logit difference across each cell, and a partial cell
+at each crossing, located by searchsorted (see _pushforward).  Mass is
+conserved up to roundoff, and the only discretization error is the piecewise-
 uniform representation of the previous row.  Pointwise sampling of the
-discontinuous h inside quadratures is avoided entirely; plain trapezoid
-sums on such integrands stall near 1e-4 accuracy at practical resolutions,
-far short of what the normalization checks demand.  The closed form takes
-logit(t) = log(t/(1-t)) at band ends clipped to the source edges; logit is
-monotone, so clipping logit(z) between the logits of the band ends gives the
-same floats as the logit of the clipped z, with one log per edge instead of
-one per matrix entry.  The terms of one edge alone (crossings and their
-logits, w/(d-c), logits of the source edges) are computed once per build
-over all edges and sliced per block, and each clip is an in-place maximum
-then minimum.  At edges z <= 1/2 the part of a band above t = 1/2 adds
-exactly zero and the clip to a piece's upper crossing changes nothing; of
-the half grid only the last edge can pass 1/2 (on an odd grid), so both
-are done only where some edge does.
+discontinuous h inside quadratures is avoided entirely; plain trapezoid sums
+on such integrands stall near 1e-4 accuracy at practical resolutions, far
+short of what the normalization checks demand.
 
-Storage: the transfer matrix is never held dense.  The kernel is symmetric
-in the source state (s(x) = x(1-x) = s(1-x)), so only the source cells of
-the half grid are kept, and each out cell receives mass from one contiguous
-run of them; KernelOperator stores those runs in padded row blocks, each
-built the first time a source density is nonzero over its columns.  All
-blocks hold about half the nonzeros of the dense matrix, 44 MiB at R = 8192
-for U[2,3] against 512 MiB for the dense R x R array; three steps from four
-x in [0.25, 0.75] build 161 of the 256 blocks, 35 MiB.
+Storage: no transfer matrix is built or stored.  A step costs O(R log R) per
+row and holds a few arrays of rows x R floats: three steps from four x at
+R = 8192 peak at about 4.4 MiB of numpy allocations, where the dense R x R
+array would take 512 MiB.
 
 Minorization (Doeblin's condition; Meyn & Tweedie, Markov Chains and
 Stochastic Stability) rests on box lower bounds.  Over a box X x Y, s(x)
@@ -52,7 +42,6 @@ s spans and k-step images of J take that rounding from quadmap.interval_image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +84,8 @@ def one_step_density(model: NoiseModel, x: float, y) -> np.ndarray | float:
 def one_step_row_mass(model: NoiseModel, x: float, y_lo: float = 0.0, y_hi: float = 1.0) -> float:
     """Exact integral of p(x, y) over y in [y_lo, y_hi] (no quadrature)."""
     model.ac_bounds()  # raises without an a.c. part
+    if not (0.0 < x < 1.0):
+        raise ValueError("x must lie in (0, 1)")
     s = x * (1.0 - x)
     return float(model.ac_cdf(y_hi / s) - model.ac_cdf(y_lo / s))
 
@@ -110,139 +101,51 @@ def _crossing(e, kappa: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _logit(t):
-    # infinite at t = 0 and 1: the grid's ends, and the crossings at e = 0 (set to A_0 = 0)
+    # infinite at t = 0 and 1, which _pushforward never passes
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(t / (1.0 - t))
 
 
-def _clip(a, lo, hi, out):
-    """clip(a, lo, hi) into out, as an in-place maximum then minimum."""
-    return np.minimum(np.maximum(a, lo, out=out), hi, out=out)
+def _pushforward(model: NoiseModel, edges: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Out-cell masses after one kernel step, one row per row of cell masses.
 
+    Each row's density f is constant on the cells of edges, and the out
+    cells are those same cells.  The mass below out edge e is
+    G(e) = int f(t) H(e / s(t)) dt with s(t) = t(1-t) and H the CDF of the
+    density component.  Per uniform piece (c, d, w) the integrand is w
+    outside the crossings [zd1, zd2], zero inside [zc1, zc2], and
+    w (e / s - c) / (d - c) on the two bands between, where the
+    antiderivative of 1/s is logit.  So G needs F (the mass below z) and L
+    (the integral of f / s) at the four crossings: each is its value at an
+    inner edge of z's cell, from a prefix sum, plus the partial cell to z.
+    Cell 0 takes its right edge, as logit is infinite at 0.  G(0) = 0.
+    """
+    R = len(edges) - 1
+    f = masses / np.diff(edges)
+    inner, logit_inner = edges[1:-1], _logit(edges[1:-1])
+    # F and L at inner edge z_j are F[:, j - 1] and L[:, j - 1]; L(z_1) = 0
+    F = np.cumsum(masses, axis=1)
+    L = np.zeros((len(f), R - 1))
+    np.cumsum(f[:, 1:-1] * np.diff(logit_inner), axis=1, out=L[:, 1:])
+    e = edges[1:]
 
-def _edge_terms(model: NoiseModel, e: np.ndarray) -> list:
-    """Per uniform piece, (c, w, w / (d - c), the crossings zd1, zc1, zc2,
-    zd2 over e's shape followed by their logits, stacked)."""
-    terms = []
+    def at(z):
+        k = np.minimum(np.searchsorted(edges, z, side="right") - 1, R - 1)
+        j = np.maximum(k, 1) - 1
+        return F[:, j] + f[:, k] * (z - inner[j]), L[:, j] + f[:, k] * (_logit(z) - logit_inner[j])
+
+    G = np.zeros_like(f)
     for c, d, w in model.uniform_pieces:
         (zc1, zc2), (zd1, zd2) = _crossing(e, c), _crossing(e, d)
-        cross = np.stack([zd1, zc1, zc2, zd2])
-        terms.append((c, w, w / (d - c), np.concatenate([cross, _logit(cross)])))
-    return terms
+        (Fd1, Ld1), (Fc1, Lc1), (Fc2, Lc2), (Fd2, Ld2) = map(at, (zd1, zc1, zc2, zd2))
+        G += w * (F[:, -1:] - (Fd2 - Fd1))
+        G += w / (d - c) * (e * ((Lc1 - Ld1) + (Ld2 - Lc2)) - c * ((Fc1 - Fd1) + (Fd2 - Fc2)))
+    return np.diff(G, axis=1, prepend=0.0)
 
 
-def _antiderivative(e: np.ndarray, terms: list, z: np.ndarray, logit_z: np.ndarray) -> np.ndarray:
-    """A_e(z) from _edge_terms(model, e) and logit(z); see _h_mass_antiderivative."""
-    shape = np.broadcast_shapes(e.shape, z.shape)
-    total = np.zeros(shape)
-    part_w, lam_band, log_band, right = (np.empty(shape) for _ in range(4))
-    past_half = bool((z > 0.5).any())
-    with np.errstate(invalid="ignore"):
-        for c, w, slope, (zd1, zc1, zc2, zd2, logit_d1, logit_c1, logit_c2, logit_d2) in terms:
-            # part_w = w * (z - lam_d), lam_d = clip(z, zd1, zd2) - zd1; the
-            # left band is clip(z, zd1, zc1) - zd1, from the same max(z, zd1)
-            np.maximum(z, zd1, out=part_w)
-            np.minimum(part_w, zc1, out=lam_band)
-            lam_band -= zd1
-            if past_half:  # else z <= 1/2 <= zd2, and the min changes nothing
-                np.minimum(part_w, zd2, out=part_w)
-            part_w -= zd1
-            np.subtract(z, part_w, out=part_w)
-            part_w *= w
-            # an empty band (zd1 == zc1 or zc2 == zd2) clips to its own
-            # start and adds exactly zero
-            _clip(logit_z, logit_d1, logit_c1, log_band)
-            log_band -= logit_d1
-            if past_half:
-                lam_band += _clip(z, zc2, zd2, right) - zc2
-                log_band += _clip(logit_z, logit_c2, logit_d2, right) - logit_c2
-            # total += part_w + (w / (d - c)) * (e * log_band - c * lam_band)
-            log_band *= e
-            lam_band *= c
-            log_band -= lam_band
-            log_band *= slope
-            log_band += part_w
-            total += log_band
-    return total if (e > 0.0).all() else np.where(e > 0.0, total, 0.0)
-
-
-def _h_mass_antiderivative(model: NoiseModel, e, z) -> np.ndarray:
-    """A_e(z) = integral from 0 to z of H(e / (t(1-t))) dt, in closed form.
-
-    H is the CDF of the density component.  Per uniform piece (c, d, w) the
-    integrand is w outside {t : t(1-t) >= e/d}, zero inside
-    {t : t(1-t) >= e/c}, and affine in 1/(t(1-t)) on the two bands between,
-    where the antiderivative of 1/(t(1-t)) is log(t/(1-t)).  e and z
-    broadcast against each other (a column of out edges against a row of
-    source edges gives one block of the transfer matrix); A_e vanishes for
-    e <= 0.
-
-    Every value is the same float as the plain formula's, for fewer passes
-    over the broadcast array.  The terms of e alone come from _edge_terms,
-    which the transfer matrix calls once per build and slices per block;
-    both run _antiderivative.  logit is monotone, so logit(clip(z, a, b))
-    equals clip(logit(z), logit(a), logit(b)) bit for bit: logit is taken
-    once over z and once over each crossing, never over the 2-D array.
-    Each clip is an in-place maximum then minimum, and one max(z, zd1)
-    serves the w part and the left band.  Where z <= 1/2 the right band
-    [zc2, zd2], which starts at or above 1/2, adds exactly +0.0 and the min
-    with zd2 changes nothing, so both run only when some z exceeds 1/2 (on
-    the half grid of the transfer matrix only the last edge can).  The
-    arithmetic runs in place in the formula's operand order.
-    """
-    e = np.asarray(e, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return _antiderivative(e, _edge_terms(model, e), z, _logit(z))
-
-
-# out cells per padded block of the banded transfer matrix: small enough that
-# the bands of a block's rows nearly coincide, large enough that applying the
-# matrix is a few dozen matrix-vector products
+# source cells per block of _minorization_bound's chained product: the
+# resolution x resolution factor is never held whole
 _BLOCK_ROWS = 32
-
-
-class _FoldedBand(NamedTuple):
-    """Kernel mass matrix over folded source cells, in padded row blocks.
-
-    s(t) = t(1-t) = s(1-t), so source cells i and R-1-i send identical mass
-    to every out cell; only the half grid i < ceil(R/2) is stored, applied to
-    the folded vector f_i + f_{R-1-i} (the middle cell of an odd grid is not
-    doubled).  Out cell (e0, e1] receives mass only from sources with
-    e0/d_max < s < e1/c_min, where (c_min, d_max) = model.ac_bounds(), one
-    contiguous run of the half grid since s increases there.  Rows go in
-    blocks of _BLOCK_ROWS: block k, dense over the union of its rows' runs,
-    maps half-grid cells lo .. hi - 1 into out cells j0 .. j1 - 1
-    (spans[k]); blocks[k] is None until its first use.
-    """
-
-    spans: list
-    blocks: list
-    out_edges: np.ndarray
-    terms: list
-    z: np.ndarray
-    logit_z: np.ndarray
-
-    def block(self, k: int) -> np.ndarray:
-        if self.blocks[k] is None:
-            j0, j1, lo, hi = self.spans[k]
-            rows, cols = slice(j0, j1 + 1), slice(lo, hi + 1)
-            cut = [(c, w, slope, cross[:, rows]) for c, w, slope, cross in self.terms]
-            e, z, logit_z = self.out_edges[rows, None], self.z[None, cols], self.logit_z[:, cols]
-            A = _antiderivative(e, cut, z, logit_z)
-            self.blocks[k] = np.diff(np.diff(A, axis=1), axis=0)
-        return self.blocks[k]
-
-    def apply(self, folded: np.ndarray) -> np.ndarray:
-        """Out-cell masses of each row of folded.  Each block meets every row
-        in turn while in cache (one GEMM would sum in another order), or is
-        skipped where all rows are zero over its columns: its out cells keep
-        the +0.0 its products would give."""
-        out = np.zeros((len(folded), len(self.out_edges) - 1))
-        for k, (j0, j1, lo, hi) in enumerate(self.spans):
-            if folded[:, lo:hi].any():
-                for f, o in zip(folded[:, lo:hi], out):
-                    o[j0:j1] = self.block(k) @ f
-        return out
 
 
 @dataclass(frozen=True)
@@ -288,14 +191,9 @@ class DensityGrid:
 class KernelOperator:
     """Reusable n-step density evaluator at a fixed internal resolution.
 
-    Building the transfer matrix on the internal grid is the dominant cost,
-    so construct one operator and query many source states against it.
-
-    The matrix is stored folded and banded (see _FoldedBand): half the
-    source columns, and of those only the run that can reach each out cell,
-    in row blocks built when a source density first reaches them.  All of
-    them keep about half the nonzeros, 44 MiB at R = 8192 for U[2,3] against
-    512 MiB dense; rows(x, 3) for x in [0.25, 0.75] builds 35 MiB.
+    Nothing is built or stored beyond the grid: each step applies the
+    kernel to every row at once through _pushforward, in O(R log R) per
+    row, so one operator serves any number of source states and steps.
     """
 
     def __init__(self, model: NoiseModel, resolution: int):
@@ -306,46 +204,10 @@ class KernelOperator:
         self.resolution = int(resolution)
         self.edges = np.linspace(0.0, 1.0, self.resolution + 1)
         self.widths = np.diff(self.edges)
-        self._step_matrix: _FoldedBand | None = None
-
-    def _band(self, out_edges: np.ndarray) -> _FoldedBand:
-        """Masses from each folded half-grid source cell into each out cell."""
-        half = (self.resolution + 1) // 2
-        c_min, d_max = self.model.ac_bounds()
-        # s over half-grid cell i spans [s_lo[i], s_hi[i]]; the last cell
-        # reaches 1/2 (or straddles it on an odd grid), where s peaks at 1/4
-        z = self.edges[: half + 1]
-        s = z * (1.0 - z)
-        s_lo, s_hi = s[:-1], np.append(s[1:-1], 0.25)
-        # run of each out cell, widened by one cell against roundoff in s
-        first = np.maximum(np.searchsorted(s_hi, out_edges[:-1] / d_max, side="left") - 1, 0)
-        stop = np.minimum(np.searchsorted(s_lo, out_edges[1:] / c_min, side="left") + 1, half)
-        # each block's out cells and the union of their runs
-        j0 = np.arange(0, len(out_edges) - 1, _BLOCK_ROWS)
-        lo = np.minimum.reduceat(first, j0)
-        hi = np.maximum(np.maximum.reduceat(stop, j0), lo)
-        spans = list(zip(j0, np.append(j0[1:], len(out_edges) - 1), lo, hi))
-        # the terms of one out edge or one source edge, once; each block slices them
-        terms, logit_z = _edge_terms(self.model, out_edges[:, None]), _logit(z[None, :])
-        return _FoldedBand(spans, [None] * len(spans), out_edges, terms, z, logit_z)
-
-    def _fold(self, masses: np.ndarray) -> np.ndarray:
-        """Cell densities f, one row each, folded onto the half grid: f_i + f_{R-1-i}."""
-        f = masses / self.widths
-        half = (self.resolution + 1) // 2
-        folded = f[:, :half] + f[:, ::-1][:, :half]
-        if self.resolution % 2:
-            folded[:, -1] = f[:, half - 1]
-        return folded
-
-    def _step(self) -> _FoldedBand:
-        if self._step_matrix is None:
-            self._step_matrix = self._band(self.edges)
-        return self._step_matrix
 
     def rows(self, x_values, n: int) -> list[DensityRow]:
         """Cell-averaged p^(n)(x, .) on the internal grid for each x, all
-        checked first; each step applies the matrix to every row at once."""
+        checked first; each step moves every row at once."""
         x = np.asarray(x_values, dtype=float)
         for i, xi in enumerate(x):
             if not (0.0 < xi < 1.0):
@@ -355,7 +217,7 @@ class KernelOperator:
         s = x * (1.0 - x)
         masses = np.diff(self.model.ac_cdf(self.edges / s[:, None]), axis=1)
         for _ in range(n - 1):
-            masses = self._step().apply(self._fold(masses))
+            masses = _pushforward(self.model, self.edges, masses)
         return [DensityRow(n=n, x=float(xi), y_edges=self.edges, values=m / self.widths,
                            resolution=self.resolution, row_integral=float(m.sum()),
                            expected_mass=self.model.ac_weight**n) for xi, m in zip(x, masses)]
@@ -395,7 +257,7 @@ def density_grid(
     n: int,
     resolution: int = 2048,
 ) -> DensityGrid:
-    """Density rows for several source states, sharing one transfer matrix."""
+    """Density rows for several source states, stepped together."""
     x_values = np.asarray(x_values, dtype=float)
     if x_values.size == 0:
         raise ValueError("x_values is empty: need at least one source state")

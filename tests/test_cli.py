@@ -282,8 +282,8 @@ class TestSubcommands:
 
     def test_kernel_repeated_x_point_named_before_any_build(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(kernel, "_antiderivative", lambda *args: calls.append(args))
-        text = BASE_CONFIG + "\n[kernel]\nx_points = 0.3 0.5 0.30\nresolution = 64\n"
+        monkeypatch.setattr(kernel, "_pushforward", lambda *args: calls.append(args))
+        text = BASE_CONFIG + "\n[kernel]\nx_points = 0.3 0.5 0.30\nsteps = 2\nresolution = 64\n"
         cfg = write_config(tmp_path, text)
         assert run_cli(tmp_path, "kernel", "--config", str(cfg)) == 1
         assert capsys.readouterr().err == (
@@ -291,6 +291,16 @@ class TestSubcommands:
         )
         assert calls == []
         assert not (tmp_path / "out" / "report.txt").exists()
+
+    def test_stability_repeated_initial_state_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        override = "sim.initial_states=0.5 0.5 0.3"
+        assert run_cli(tmp_path, "stability", "--config", str(cfg), "--set", override) == 1
+        assert capsys.readouterr().err == (
+            "randquad: config error: sim.initial_states repeats a source state: "
+            "list each one once\n"
+        )
+        assert not (tmp_path / "out" / "tv_matrix.csv").exists()
 
     @pytest.mark.parametrize("section, key", LIST_KEYS, ids=[f"{s}.{k}" for s, k in LIST_KEYS])
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -318,7 +328,7 @@ class TestSubcommands:
 
     def test_kernel_bad_x_point_named_before_any_build(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(kernel, "_antiderivative", lambda *args: calls.append(args))
+        monkeypatch.setattr(kernel, "_pushforward", lambda *args: calls.append(args))
         text = BASE_CONFIG + "\n[kernel]\nx_points = 0.3 1.2\nsteps = 3\nresolution = 8192\n"
         cfg = write_config(tmp_path, text)
         assert run_cli(tmp_path, "kernel", "--config", str(cfg)) == 1

@@ -1,6 +1,9 @@
 """Tests for the transition-density machinery."""
 
+import inspect
 import itertools
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,10 +96,14 @@ def p3_oracle(model, x, y):
 
 
 # ----------------------------------------------------------------------- #
-# dense oracle: the full (n_out, R) mass matrix, one out edge at a time, as
-# the operator stored it before folding and banding
+# dense oracle: the full (n_out, R) mass matrix from the closed-form
+# antiderivative A_e(z) = int_0^z H(e / (t(1-t))) dt, one entry per out cell
+# and source cell
 
 _EPS = np.finfo(float).eps
+# largest difference allowed between one step and the dense mass matrix, in
+# units of eps * _entry_scale * max f
+STEP_TOL = 2.0
 
 ORACLE_MODELS = {
     "U[2,3]": U23,
@@ -111,18 +118,14 @@ J_EDGES = np.linspace(0.55, 0.7, 17)
 
 
 def _dense_mass_matrix(model, edges, out_edges):
-    K = np.empty((len(out_edges) - 1, len(edges) - 1))
-    prev = np.diff(kernel._h_mass_antiderivative(model, float(out_edges[0]), edges))
-    for j in range(1, len(out_edges)):
-        cur = np.diff(kernel._h_mass_antiderivative(model, float(out_edges[j]), edges))
-        K[j - 1] = cur - prev
-        prev = cur
-    return K
+    A = _reference_antiderivative(model, out_edges[:, None], edges[None, :])
+    return np.diff(np.diff(A, axis=1), axis=0)
 
 
 def _entry_scale(model):
     """Size of the terms the antiderivative sums: a matrix entry, a
-    difference of such sums, carries roundoff of a few eps times this."""
+    difference of such sums, carries roundoff of a few eps times this, and
+    a step's out-cell mass that times the largest source density."""
     return sum(w * (1.0 + d / (d - c)) for c, d, w in model.uniform_pieces if w > 0.0)
 
 
@@ -151,9 +154,10 @@ def _m1_closed_form(J, c, d, resolution):
 
 
 def _reference_antiderivative(model, e, z):
-    """The antiderivative of kernel._h_mass_antiderivative as the plain
-    formula, with logit over the whole broadcast array and both bands always
-    summed; the kernel must give the same bits."""
+    """A_e(z) as the plain formula, over the broadcast e and z.  Per uniform
+    piece (c, d, w) the integrand is w outside {t : t(1-t) >= e/d}, zero
+    inside {t : t(1-t) >= e/c}, and affine in 1/(t(1-t)) on the two bands
+    between, where the antiderivative of 1/(t(1-t)) is log(t/(1-t))."""
     e = np.asarray(e, dtype=float)
     z = np.asarray(z, dtype=float)
     total = np.zeros(np.broadcast_shapes(e.shape, z.shape))
@@ -185,73 +189,6 @@ def _reference_antiderivative(model, e, z):
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def _unband(band, n_rows, half):
-    """The lazy band as a dense (out cells) x (half-grid cells) array, every block built."""
-    K = np.zeros((n_rows, half))
-    for k, (j0, j1, lo, hi) in enumerate(band.spans):
-        K[j0:j1, lo:hi] = band.block(k)
-    return K
-
-
-def _band_matrix(op, out_edges):
-    """Every block of the folded band at once, (starts, blocks): the eager
-    build that the lazy band replaced, kept as its oracle."""
-    half = (op.resolution + 1) // 2
-    pieces = [(c, d) for c, d, w in op.model.uniform_pieces if w > 0.0]
-    c_min = min(c for c, _ in pieces)
-    d_max = max(d for _, d in pieces)
-    z = op.edges[: half + 1]
-    s = z * (1.0 - z)
-    s_lo = s[:-1]
-    s_hi = np.append(s[1:-1], 0.25)
-    first = np.searchsorted(s_hi, out_edges[:-1] / d_max, side="left")
-    stop = np.searchsorted(s_lo, out_edges[1:] / c_min, side="left")
-    first = np.maximum(first - 1, 0)
-    stop = np.minimum(stop + 1, half)
-    terms, logit_z = kernel._edge_terms(op.model, out_edges[:, None]), kernel._logit(z[None, :])
-    starts, blocks = [], []
-    for j0 in range(0, len(out_edges) - 1, kernel._BLOCK_ROWS):
-        j1 = min(j0 + kernel._BLOCK_ROWS, len(out_edges) - 1)
-        lo = int(first[j0:j1].min())
-        hi = max(int(stop[j0:j1].max()), lo)
-        rows, cols = slice(j0, j1 + 1), slice(lo, hi + 1)
-        cut = [(c, w, slope, cross[:, rows]) for c, w, slope, cross in terms]
-        A = kernel._antiderivative(out_edges[rows, None], cut, z[None, cols], logit_z[:, cols])
-        starts.append(lo)
-        blocks.append(np.diff(np.diff(A, axis=1), axis=0))
-    return starts, blocks
-
-
-def _eager_apply(band, folded):
-    """One folded source vector through the eager band, block by block."""
-    starts, blocks = band
-    return np.concatenate(
-        [block @ folded[start : start + block.shape[1]] for start, block in zip(starts, blocks)]
-    )
-
-
-def _eager_masses(op, band, xs, n):
-    """Cell masses of p^(n)(x, .) for each x, one x at a time through the eager band."""
-    half = (op.resolution + 1) // 2
-    out = []
-    for x in xs:
-        masses = np.diff(np.asarray(op.model.ac_cdf(op.edges / (x * (1.0 - x))), dtype=float))
-        for _ in range(n - 1):
-            f = masses / op.widths
-            folded = f[:half] + f[::-1][:half]
-            if op.resolution % 2:
-                folded[-1] = f[half - 1]
-            masses = _eager_apply(band, folded)
-        out.append(masses)
-    return np.array(out)
-
-
-def _built(op):
-    """Blocks of the operator's transfer matrix built so far."""
-    band = op._step_matrix
-    return 0 if band is None else sum(block is not None for block in band.blocks)
 
 
 # ----------------------------------------------------------------------- #
@@ -303,6 +240,12 @@ class TestOneStepDensity:
     def test_requires_density_component(self):
         with pytest.raises(ValueError):
             one_step_density(NoiseModel.point_mass(2.5), 0.5, 0.6)
+
+    @pytest.mark.parametrize("x", [1.5, -0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("call", [one_step_density, one_step_row_mass])
+    def test_x_outside_unit_interval_rejected(self, call, x):
+        with pytest.raises(ValueError, match=r"x must lie in \(0, 1\)"):
+            call(U23, x, 0.5)
 
 
 class TestNStepDensity:
@@ -386,81 +329,24 @@ class TestNStepDensity:
         assert grid.values.shape == (3, 512)
 
 
-class TestAntiderivativeBits:
-    """The kernel's antiderivative gives the plain formula's floats, bit for bit."""
-
-    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 8191, 8192])
-    @pytest.mark.parametrize("grid", ["full", "J"])
-    def test_band_matrix_same_bits(self, name, R, grid):
-        model = ORACLE_MODELS[name]
-        op = KernelOperator(model, R)
-        out_edges = op.edges if grid == "full" else J_EDGES
-        got = op._band(out_edges)
-        n_out = len(out_edges) - 1
-        assert len(got.spans) == len(got.blocks) == -(-n_out // kernel._BLOCK_ROWS)
-        assert all(block is None for block in got.blocks)
-        starts, _ = _band_matrix(op, out_edges)
-        # each block k spans out cells j0 .. j1 - 1 and half-grid cells lo .. hi - 1
-        for k, (j0, j1, lo, hi) in enumerate(got.spans):
-            assert (j0, j1) == (k * kernel._BLOCK_ROWS, min((k + 1) * kernel._BLOCK_ROWS, n_out))
-            assert lo == starts[k] and 0 <= lo <= hi <= (R + 1) // 2
-            A = _reference_antiderivative(
-                model, out_edges[j0 : j1 + 1, None], op.edges[None, lo : hi + 1]
-            )
-            assert _same_bits(got.block(k), np.diff(np.diff(A, axis=1), axis=0)), k
-
-    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-    @pytest.mark.parametrize(
-        "e, z",
-        [
-            pytest.param(0.0, np.linspace(0.0, 1.0, 65), id="e0-row"),
-            pytest.param(0.0, 0.3, id="e0-scalar"),
-            pytest.param(0.1, 0.7, id="scalar-past-half"),
-            # every source edge of the full grid, out edges across (0, 1)
-            pytest.param(
-                np.linspace(0.0, 1.0, 41)[:, None], np.linspace(0.0, 1.0, 101)[None, :],
-                id="grid-past-half",
-            ),
-            pytest.param(
-                np.linspace(0.02, 0.98, 25), np.linspace(0.3, 0.9, 25), id="paired",
-            ),
-            pytest.param(
-                np.linspace(0.0, 1.0, 33)[None, :], np.linspace(0.0, 0.5, 17)[:, None],
-                id="transposed",
-            ),
-        ],
-    )
-    def test_direct_calls_same_bits(self, name, e, z):
-        model = ORACLE_MODELS[name]
-        assert _same_bits(
-            kernel._h_mass_antiderivative(model, e, z), _reference_antiderivative(model, e, z)
-        )
-
-
 class TestFoldedBandOperator:
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     @pytest.mark.parametrize("R", [2, 3, 7, 64, 257])
     @pytest.mark.parametrize("grid", ["full", "J"])
     def test_matrix_matches_dense_oracle(self, name, R, grid):
+        # one step of random densities, over every cell or only the cells
+        # that meet J, against the dense mass matrix; the largest difference
+        # seen over these cases is 0.91 eps * _entry_scale * max f
         model = ORACLE_MODELS[name]
         op = KernelOperator(model, R)
-        out_edges = op.edges if grid == "full" else J_EDGES
-        dense = _dense_mass_matrix(model, op.edges, out_edges)
-        half = (R + 1) // 2
-        tol = 2.0 * _EPS * _entry_scale(model)
-        # the fold: source cells i and R-1-i carry the same masses
-        assert np.max(np.abs(dense - dense[:, ::-1])) <= tol
-        # the band holds every entry the dense matrix has, first and last
-        # rows (e = 0 and e = 1) included; outside it dense entries are zero
-        banded = _unband(op._band(out_edges), len(out_edges) - 1, half)
-        assert np.max(np.abs(banded - dense[:, :half])) <= tol
-        # applied to random densities
+        dense = _dense_mass_matrix(model, op.edges, op.edges)
         rng = np.random.default_rng(R)
-        for _ in range(3):
-            f = rng.random(R) * rng.integers(1, 5, size=R)
-            got = op._band(out_edges).apply(op._fold(f[None] * op.widths))[0]
-            assert np.max(np.abs(got - dense @ f)) <= tol * np.abs(f).sum()
+        f = rng.random((3, R)) * rng.integers(1, 5, size=(3, R))
+        if grid == "J":
+            f[:, (op.edges[1:] <= J_EDGES[0]) | (op.edges[:-1] >= J_EDGES[-1])] = 0.0
+        got = kernel._pushforward(model, op.edges, f * op.widths)
+        tol = STEP_TOL * _EPS * _entry_scale(model) * f.max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - f @ dense.T) <= tol)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     @pytest.mark.parametrize("R", [2, 3, 7, 64, 257])
@@ -482,14 +368,12 @@ class TestFoldedBandOperator:
 
     @pytest.mark.parametrize("R", [7, 257, 8192])
     def test_zero_weight_piece_changes_nothing(self, R):
-        # same pieces of positive weight as U[2,3]: no terms of the other,
-        # the same band and the same bits
+        # the same pieces of positive weight as U[2,3]: the same bits
         model = ORACLE_MODELS["zero-weight"]
-        assert [terms[0] for terms in kernel._edge_terms(model, J_EDGES)] == [2.0]
-        got = KernelOperator(model, R)._step()
-        want = KernelOperator(U23, R)._step()
-        assert got.spans == want.spans
-        assert all(_same_bits(got.block(k), want.block(k)) for k in range(len(got.spans)))
+        assert model.uniform_pieces == U23.uniform_pieces
+        got = KernelOperator(model, R).rows([0.3, 0.5, 0.77], 3)
+        want = KernelOperator(U23, R).rows([0.3, 0.5, 0.77], 3)
+        assert all(_same_bits(a.values, b.values) for a, b in zip(got, want))
 
     def test_storage_is_a_quarter_of_dense_at_most(self):
         R = 2048
@@ -515,64 +399,58 @@ class TestFoldedBandOperator:
 X_SETS = [(0.3,), (0.25, 0.4, 0.6, 0.75), (1e-6, 0.5, 0.999999), (0.05, 0.123456789, 0.9)]
 
 
-class TestLazyBand:
-    """Blocks built on first use, skipped where no source mass reaches them and
-    applied to every row in turn give the bits of the eager band applied one
-    row at a time, the +0.0 of skipped out cells included."""
+def _mutant_step(old, new):
+    """kernel._pushforward with one line of its source changed."""
+    src = textwrap.dedent(inspect.getsource(kernel._pushforward))
+    assert src.count(old) == 1
+    namespace = dict(vars(kernel))
+    exec(src.replace(old, new), namespace)
+    return namespace["_pushforward"]
+
+
+class TestPushforward:
+    """One kernel step as the pushforward CDF, from prefix sums."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            pytest.param("(Lc1 - Ld1) + (Ld2 - Lc2)", "(Lc1 - Ld1)", id="drop-right-band-log"),
+            pytest.param("(Fc1 - Fd1) + (Fd2 - Fc2)", "(Fc1 - Fd1)", id="drop-right-band-mass"),
+            pytest.param("G += w * (F[:, -1:] - (Fd2 - Fd1))", "pass", id="drop-outer-w"),
+        ],
+    )
+    @pytest.mark.parametrize("R", [7, 64, 257])
+    def test_mutant_fails_the_dense_oracle(self, monkeypatch, old, new, R):
+        # the oracle test above tells these from the step on every model
+        monkeypatch.setattr(kernel, "_pushforward", _mutant_step(old, new))
+        for name in sorted(ORACLE_MODELS):
+            with pytest.raises(AssertionError):
+                TestFoldedBandOperator().test_matrix_matches_dense_oracle(name, R, "full")
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 1000, 8191])
-    def test_rows_same_bits_as_eager_band(self, name, R):
+    def test_rows_same_bits_as_single_rows(self, name, R):
+        # rows are stepped together, yet each keeps the bits it has alone
         model = ORACLE_MODELS[name]
         op = KernelOperator(model, R)
-        eager = _band_matrix(op, op.edges)
         for xs in X_SETS:
             for n in (1, 2, 3, 4):
-                want = _eager_masses(op, eager, xs, n)
                 rows = op.rows(xs, n)
-                assert _same_bits([r.values for r in rows], want / op.widths), (xs, n)
-                assert _same_bits([r.row_integral for r in rows], want.sum(axis=1)), (xs, n)
-                assert _same_bits(op.row(xs[-1], n).values, want[-1] / op.widths), (xs, n)
-        xs = sum(X_SETS, ())
-        grid = density_grid(model, xs, 3, resolution=R)
-        want = _eager_masses(op, eager, xs, 3)
-        assert _same_bits(grid.values, want / op.widths)
-        assert _same_bits(grid.row_integrals, want.sum(axis=1))
+                for x, row in zip(xs, rows):
+                    alone = op.rows([x], n)[0]
+                    assert _same_bits(row.values, alone.values), (x, n)
+                    assert row.row_integral == alone.row_integral, (x, n)
 
-    @pytest.mark.parametrize("R", [64, 257, 1000])
-    def test_source_in_last_column_of_a_block_is_applied(self, R):
-        # a source nonzero only in the last column of block k reaches k's out cells
-        op = KernelOperator(U23, R)
-        band, eager = op._band(op.edges), _band_matrix(op, op.edges)
-        reached = 0
-        for j0, j1, lo, hi in band.spans:
-            if hi > lo:
-                folded = np.zeros((1, (R + 1) // 2))
-                folded[0, hi - 1] = 1.0
-                want = _eager_apply(eager, folded[0])
-                assert _same_bits(band.apply(folded)[0], want), (lo, hi)
-                reached += bool(want[j0:j1].any())
-        assert reached > 0
-
-    def test_blocks_built_where_source_mass_reaches(self):
+    def test_rows_peak_memory(self):
+        # no operator is stored: the peak is a few arrays of 4 x 8192 floats
         op = KernelOperator(U23, 8192)
-        op.rows([0.25, 0.4, 0.6, 0.75], 3)
-        assert (_built(op), len(op._step().spans)) == (161, 256)
-
-    def test_one_step_builds_nothing(self):
-        op = KernelOperator(U23, 8192)
-        op.rows([0.25, 0.4, 0.6, 0.75], 1)
-        assert _built(op) == 0
-
-    def test_second_call_builds_nothing_new(self, monkeypatch):
-        op = KernelOperator(U23, 8192)
-        first = op.rows([0.25, 0.4, 0.6, 0.75], 3)
-        built = _built(op)
-        calls = []
-        monkeypatch.setattr(kernel, "_antiderivative", lambda *args: calls.append(args))
-        again = op.rows([0.25, 0.4, 0.6, 0.75], 3)
-        assert calls == [] and _built(op) == built
-        assert all(_same_bits(a.values, b.values) for a, b in zip(first, again))
+        tracemalloc.start()
+        try:
+            op.rows([0.25, 0.4, 0.6, 0.75], 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestOrbitDensityChain:

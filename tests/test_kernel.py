@@ -104,6 +104,9 @@ _EPS = np.finfo(float).eps
 # largest difference allowed between one step and the dense mass matrix, in
 # units of eps * _entry_scale * max f
 STEP_TOL = 2.0
+# the same on grids of thousands of cells or of uneven widths, whose prefix
+# sums carry more roundoff: the largest seen is 4.9, at R = 8191
+STEP_TOL_LONG = 8.0
 
 ORACLE_MODELS = {
     "U[2,3]": U23,
@@ -189,6 +192,34 @@ def _reference_antiderivative(model, e, z):
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _unreached(model, edges, masses):
+    """Out cells that no source mass of a row can reach, one row per row of
+    masses: wholly below c_min s_lo or above d_max s_hi, where s = t(1-t)
+    spans the row's source cells; every cell, for a row with no mass."""
+    c_min, d_max = model.ac_bounds()
+    s = edges * (1.0 - edges)
+    out = np.ones(masses.shape, dtype=bool)
+    for row, m in zip(out, masses):
+        src = np.flatnonzero(m)
+        if len(src):
+            lo, hi = src[0], src[-1] + 1
+            s_lo = min(s[lo], s[hi])
+            s_hi = 0.25 if edges[lo] <= 0.5 <= edges[hi] else max(s[lo], s[hi])
+            row[:] = (edges[:-1] > d_max * s_hi) | (edges[1:] < c_min * s_lo)
+    return out
+
+
+def _eager_masses(op, xs, n):
+    """Cell masses of p^(n)(x, .) for each x, one x at a time through kernel._pushforward."""
+    out = []
+    for x in xs:
+        masses = np.diff(np.asarray(op.model.ac_cdf(op.edges / (x * (1.0 - x))), dtype=float))
+        for _ in range(n - 1):
+            masses = kernel._pushforward(op.model, op.edges, masses[None])[0]
+        out.append(masses)
+    return np.array(out)
 
 
 # ----------------------------------------------------------------------- #
@@ -329,6 +360,76 @@ class TestNStepDensity:
         assert grid.values.shape == (3, 512)
 
 
+class TestAntiderivativeBits:
+    """One step against the closed-form antiderivative A_e(z): out cells no
+    source mass reaches hold +0.0 bit for bit, and every other mass matches
+    differences of _reference_antiderivative.  The names are those of the
+    tests of the banded transfer matrix that the step replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 8191, 8192])
+    @pytest.mark.parametrize("grid", ["full", "J"])
+    def test_band_matrix_same_bits(self, name, R, grid):
+        # random densities on every cell or on the cells that meet J; the
+        # step's band of reached out cells, and 64 rows of the dense matrix
+        model = ORACLE_MODELS[name]
+        op = KernelOperator(model, R)
+        rng = np.random.default_rng(R)
+        f = rng.random((3, R)) * rng.integers(1, 5, size=(3, R))
+        if grid == "J":
+            f[:, (op.edges[1:] <= J_EDGES[0]) | (op.edges[:-1] >= J_EDGES[-1])] = 0.0
+        masses = f * op.widths
+        got = kernel._pushforward(model, op.edges, masses)
+        unreached = _unreached(model, op.edges, masses)
+        # the band leaves cells out but on coarse grids, or for "narrow" on
+        # every cell, whose d_max / 4 = 0.9975 lies in the last cell to R = 400
+        assert unreached.any() or R <= 7 or (name == "narrow" and grid == "full" and R <= 400)
+        assert _same_bits(got[unreached], np.zeros(unreached.sum()))
+        cells = np.unique(np.linspace(0, R - 1, 64).astype(int))
+        A = _reference_antiderivative(
+            model, np.stack([op.edges[cells], op.edges[cells + 1]])[:, :, None], op.edges
+        )
+        dense = np.diff(A[1] - A[0], axis=1)
+        tol = STEP_TOL_LONG * _EPS * _entry_scale(model) * f.max(axis=1, keepdims=True)
+        assert np.all(np.abs(got[:, cells] - f @ dense.T) <= tol)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize(
+        "e, z",
+        [
+            pytest.param(0.0, np.linspace(0.0, 1.0, 65), id="e0-row"),
+            pytest.param(0.0, 0.3, id="e0-scalar"),
+            pytest.param(0.1, 0.7, id="scalar-past-half"),
+            # out edges across (0, 1), sources ending on each side of 1/2
+            pytest.param(
+                np.linspace(0.0, 1.0, 41)[:, None], np.linspace(0.0, 1.0, 101)[None, :],
+                id="grid-past-half",
+            ),
+            pytest.param(
+                np.linspace(0.02, 0.98, 25), np.linspace(0.3, 0.9, 25), id="paired",
+            ),
+            pytest.param(
+                np.linspace(0.0, 1.0, 33)[None, :], np.linspace(0.0, 0.5, 17)[:, None],
+                id="transposed",
+            ),
+        ],
+    )
+    def test_direct_calls_same_bits(self, name, e, z):
+        # one step of the density 1 on (0, z), for every z, on the uneven grid
+        # whose edges are 0, 1 and every e and z: the mass of out cell
+        # (e0, e1) is A_e1(z) - A_e0(z)
+        model = ORACLE_MODELS[name]
+        e, z = np.broadcast_arrays(np.asarray(e, dtype=float), np.asarray(z, dtype=float))
+        edges = np.unique(np.concatenate([[0.0, 1.0], e.ravel(), z.ravel()]))
+        zs = np.unique(z)[:, None]
+        masses = np.where(edges[1:] <= zs, np.diff(edges), 0.0)
+        got = kernel._pushforward(model, edges, masses)
+        unreached = _unreached(model, edges, masses)
+        assert _same_bits(got[unreached], np.zeros(unreached.sum()))
+        want = np.diff(_reference_antiderivative(model, edges[None, :], zs), axis=1)
+        assert np.all(np.abs(got - want) <= STEP_TOL_LONG * _EPS * _entry_scale(model))
+
+
 class TestFoldedBandOperator:
     @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
     @pytest.mark.parametrize("R", [2, 3, 7, 64, 257])
@@ -427,20 +528,6 @@ class TestPushforward:
             with pytest.raises(AssertionError):
                 TestFoldedBandOperator().test_matrix_matches_dense_oracle(name, R, "full")
 
-    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 1000, 8191])
-    def test_rows_same_bits_as_single_rows(self, name, R):
-        # rows are stepped together, yet each keeps the bits it has alone
-        model = ORACLE_MODELS[name]
-        op = KernelOperator(model, R)
-        for xs in X_SETS:
-            for n in (1, 2, 3, 4):
-                rows = op.rows(xs, n)
-                for x, row in zip(xs, rows):
-                    alone = op.rows([x], n)[0]
-                    assert _same_bits(row.values, alone.values), (x, n)
-                    assert row.row_integral == alone.row_integral, (x, n)
-
     def test_rows_peak_memory(self):
         # no operator is stored: the peak is a few arrays of 4 x 8192 floats
         op = KernelOperator(U23, 8192)
@@ -451,6 +538,51 @@ class TestPushforward:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestLazyBand:
+    """Rows stepped together give the bits of each row stepped alone, the
+    +0.0 of unreached out cells included, and a call keeps nothing on the
+    operator.  The names are those of the tests of the lazily built band of
+    blocks that the step replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("R", [2, 3, 7, 64, 257, 1000, 8191])
+    def test_rows_same_bits_as_eager_band(self, name, R):
+        model = ORACLE_MODELS[name]
+        op = KernelOperator(model, R)
+        for xs in X_SETS:
+            for n in (1, 2, 3, 4):
+                want = _eager_masses(op, xs, n)
+                rows = op.rows(xs, n)
+                assert _same_bits([r.values for r in rows], want / op.widths), (xs, n)
+                assert _same_bits([r.row_integral for r in rows], want.sum(axis=1)), (xs, n)
+                assert _same_bits(op.row(xs[-1], n).values, want[-1] / op.widths), (xs, n)
+        xs = sum(X_SETS, ())
+        grid = density_grid(model, xs, 3, resolution=R)
+        want = _eager_masses(op, xs, 3)
+        assert _same_bits(grid.values, want / op.widths)
+        assert _same_bits(grid.row_integrals, want.sum(axis=1))
+
+    def test_one_step_builds_nothing(self, monkeypatch):
+        # p^(1) is the closed form alone; each further step is one call for all rows
+        calls = []
+        step = kernel._pushforward
+        monkeypatch.setattr(kernel, "_pushforward", lambda *args: calls.append(1) or step(*args))
+        op = KernelOperator(U23, 8192)
+        op.rows([0.25, 0.4, 0.6, 0.75], 1)
+        assert calls == []
+        op.rows([0.25, 0.4, 0.6, 0.75], 3)
+        assert len(calls) == 2
+
+    def test_second_call_builds_nothing_new(self):
+        op = KernelOperator(U23, 8192)
+        before = dict(vars(op))
+        first = op.rows([0.25, 0.4, 0.6, 0.75], 3)
+        assert vars(op).keys() == before.keys()
+        assert all(vars(op)[k] is v for k, v in before.items())
+        again = op.rows([0.25, 0.4, 0.6, 0.75], 3)
+        assert all(_same_bits(a.values, b.values) for a, b in zip(first, again))
 
 
 class TestOrbitDensityChain:

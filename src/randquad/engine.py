@@ -22,16 +22,15 @@ scalar kernel `_advance` down its column, and from MIN_LANES on
 eps * x * (1 - x) in the same operand order, so every lane is bit-identical
 to the same path walked alone.  After either kernel, one scan of the block
 in `_walk` records states below ABSORB_FLOOR as 0 and stops each lane at
-its first 0 or 1.  With numba one compiled kernel serves both call shapes.
-Without it the scalar kernel steps a Python float through its column
-PIECE draws at a time, one list comprehension per piece, and stores each
-piece with one struct.pack while it is still in cache; that gives the same
-bits as the array loop at about 3.5 times its speed.  The row kernel
-writes each row in place with `out=` ufuncs.  Every consumer, here and in
-the diagnostics and kernel, is a reduction over the blocks it yields
-(`_occupations`, `_snapshots`, `_first_entry`), so the recurrence, the
-block schedule and the stop rule live in one place; all replicates of all
-starts of a stability test share one walk.  With workers > 1,
+its first 0 or 1.  The scalar kernel steps a Python float through its
+column PIECE draws at a time, one list comprehension per piece, and stores
+each piece with one struct.pack while it is still in cache; that gives the
+same bits as a loop over numpy scalars at about 3.5 times its speed.  The
+row kernel writes each row in place with `out=` ufuncs.  Every consumer,
+here and in the diagnostics and kernel, is a reduction over the blocks it
+yields (`_occupations`, `_snapshots`, `_first_entry`), so the recurrence,
+the block schedule and the stop rule live in one place; all replicates of
+all starts of a stability test share one walk.  With workers > 1,
 `ensemble_occupations` walks contiguous shards of those lanes in forked
 worker processes and sums each group's integer counts, so its measures do
 not depend on the worker count.
@@ -92,49 +91,32 @@ ABSORB_FLOOR = 2.2250738585072014e-308
 
 
 def _advance(x, eps, out):
-    """Run the map recurrence over a block of noise draws.
+    """Run the map recurrence over a column of noise draws, on Python floats.
 
-    Fills out[k] with the state after applying eps[k].  x is one state with
-    eps and out columns of m draws and states, or a row of L states with
-    eps and out of shape (m, L).  The caller finds where each path stops.
+    Fills out[k] with the state after applying eps[k], computed as
+    (eps[k] * x) * (1 - x); the caller finds where the path stops.  The
+    column is stepped PIECE draws at a time, one list comprehension per
+    piece, and each piece is stored by one struct.pack, strided or not.
     """
-    for k in range(eps.shape[0]):
-        x = eps[k] * x * (1.0 - x)
-        out[k] = x
+    x, eps = float(x), memoryview(eps)
+    for lo in range(0, len(eps), PIECE):
+        states = [x := e * x * (1.0 - x) for e in eps[lo : lo + PIECE]]
+        out[lo : lo + len(states)] = np.frombuffer(struct.pack(f"{len(states)}d", *states))
 
 
-try:  # identical semantics with or without the JIT; numba is optional
-    import numba
+def _advance_lanes(x, eps, out):
+    """Run the map recurrence for L lanes in lockstep over an (m, L) block, in place.
 
-    _advance = _advance_lanes = numba.njit(cache=True, nogil=True)(_advance)
-except ImportError:  # pragma: no cover
-
-    def _advance(x, eps, out):
-        """Run the map recurrence over a column of noise draws, on Python floats.
-
-        Same contract and the same IEEE operations, (eps[k] * x) * (1 - x),
-        as the array kernel above, so the states are bit-identical.  The
-        column is stepped PIECE draws at a time, one list comprehension per
-        piece, and each piece is stored by one struct.pack, strided or not.
-        """
-        x, eps = float(x), memoryview(eps)
-        for lo in range(0, len(eps), PIECE):
-            states = [x := e * x * (1.0 - x) for e in eps[lo : lo + PIECE]]
-            out[lo : lo + len(states)] = np.frombuffer(struct.pack(f"{len(states)}d", *states))
-
-    def _advance_lanes(x, eps, out):
-        """Run the map recurrence for L lanes in lockstep over an (m, L) block, in place.
-
-        Same contract and the same IEEE operations, (eps[k] * x) * (1 - x),
-        as the array kernel above, without its three temporaries per row.
-        """
-        t = np.empty_like(x)
-        subtract, multiply = np.subtract, np.multiply
-        for e, o in zip(eps, out):
-            subtract(1.0, x, t)
-            multiply(e, x, o)
-            multiply(o, t, o)
-            x = o
+    x is a row of L states and out[k] receives the row after eps[k], in the
+    same IEEE operations as `_advance`, through one reused temporary row.
+    """
+    t = np.empty_like(x)
+    subtract, multiply = np.subtract, np.multiply
+    for e, o in zip(eps, out):
+        subtract(1.0, x, t)
+        multiply(e, x, o)
+        multiply(o, t, o)
+        x = o
 
 
 def _walk(starts, n: int, draws):

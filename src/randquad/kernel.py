@@ -17,16 +17,21 @@ H being the piecewise-linear CDF of the density component, and per uniform
 piece the integrand is constant or affine in 1/(t(1-t)), whose antiderivative
 is logit(t) = log(t/(1-t)).  So G needs only two prefix sums per row, of cell
 mass and of f times the logit difference across each cell, and a partial cell
-at each crossing, located by searchsorted (see _pushforward).  Mass is
-conserved up to roundoff, and the only discretization error is the piecewise-
-uniform representation of the previous row.  Pointwise sampling of the
-discontinuous h inside quadratures is avoided entirely; plain trapezoid sums
-on such integrands stall near 1e-4 accuracy at practical resolutions, far
-short of what the normalization checks demand.
+at each crossing, located by searchsorted (see _crossings and
+_pushforward).  Mass is conserved up to roundoff, and the only
+discretization error is the piecewise-uniform representation of the
+previous row.  Pointwise sampling of the discontinuous h inside quadratures
+is avoided entirely; plain trapezoid sums on such integrands stall near 1e-4
+accuracy at practical resolutions, far short of what the normalization
+checks demand.
 
-Storage: no transfer matrix is built or stored.  A step costs O(R log R) per
+Storage: no transfer matrix is built or stored.  Each KernelOperator.rows
+call with n >= 2 builds the crossing geometry once, in O(R log R): per
+uniform piece, the cells of the four crossings of every out edge and the
+offsets into them, about 1 MiB per piece at R = 8192.  All n - 1 steps of
+the call use it, and it is dropped on return.  A step then costs O(R) per
 row and holds a few arrays of rows x R floats: three steps from four x at
-R = 8192 peak at about 4.4 MiB of numpy allocations, where the dense R x R
+R = 8192 peak at about 5.0 MiB of numpy allocations, where the dense R x R
 array would take 512 MiB.
 
 Minorization (Doeblin's condition; Meyn & Tweedie, Markov Chains and
@@ -106,7 +111,35 @@ def _logit(t):
         return np.log(t / (1.0 - t))
 
 
-def _pushforward(model: NoiseModel, edges: np.ndarray, masses: np.ndarray) -> np.ndarray:
+def _crossings(model: NoiseModel, edges: np.ndarray) -> list:
+    """Where the out edges' crossings fall on the grid, per uniform piece.
+
+    For each piece (c, d, w), the crossings zd1, zc1, zc2, zd2 of every out
+    edge (see _pushforward), each as (k, j, z - inner[j],
+    logit(z) - logit(inner[j])): k is the cell holding z, and inner[j] the
+    edge of cell k that the partial cell runs from, its left edge except in
+    cell 0, which uses its right edge because logit is infinite at 0.
+    Nothing here depends on the rows, so one build serves every step on the
+    same model and grid.
+    """
+    R = len(edges) - 1
+    inner, logit_inner = edges[1:-1], _logit(edges[1:-1])
+    e = edges[1:]
+    pieces = []
+    for c, d, w in model.uniform_pieces:
+        (zc1, zc2), (zd1, zd2) = _crossing(e, c), _crossing(e, d)
+        cells = []
+        for z in (zd1, zc1, zc2, zd2):
+            k = np.minimum(np.searchsorted(edges, z, side="right") - 1, R - 1)
+            j = np.maximum(k, 1) - 1
+            cells.append((k, j, z - inner[j], _logit(z) - logit_inner[j]))
+        pieces.append((c, d, w, cells))
+    return pieces
+
+
+def _pushforward(
+    model: NoiseModel, edges: np.ndarray, masses: np.ndarray, crossings: list | None = None
+) -> np.ndarray:
     """Out-cell masses after one kernel step, one row per row of cell masses.
 
     Each row's density f is constant on the cells of edges, and the out
@@ -118,26 +151,26 @@ def _pushforward(model: NoiseModel, edges: np.ndarray, masses: np.ndarray) -> np
     antiderivative of 1/s is logit.  So G needs F (the mass below z) and L
     (the integral of f / s) at the four crossings: each is its value at an
     inner edge of z's cell, from a prefix sum, plus the partial cell to z.
-    Cell 0 takes its right edge, as logit is infinite at 0.  G(0) = 0.
+    crossings is _crossings(model, edges), built here when not given.
+    G(0) = 0.
     """
+    if crossings is None:
+        crossings = _crossings(model, edges)
     R = len(edges) - 1
     f = masses / np.diff(edges)
-    inner, logit_inner = edges[1:-1], _logit(edges[1:-1])
     # F and L at inner edge z_j are F[:, j - 1] and L[:, j - 1]; L(z_1) = 0
     F = np.cumsum(masses, axis=1)
     L = np.zeros((len(f), R - 1))
-    np.cumsum(f[:, 1:-1] * np.diff(logit_inner), axis=1, out=L[:, 1:])
+    np.cumsum(f[:, 1:-1] * np.diff(_logit(edges[1:-1])), axis=1, out=L[:, 1:])
     e = edges[1:]
 
-    def at(z):
-        k = np.minimum(np.searchsorted(edges, z, side="right") - 1, R - 1)
-        j = np.maximum(k, 1) - 1
-        return F[:, j] + f[:, k] * (z - inner[j]), L[:, j] + f[:, k] * (_logit(z) - logit_inner[j])
+    def at(k, j, dz, dl):
+        fk = np.take(f, k, axis=1)
+        return np.take(F, j, axis=1) + fk * dz, np.take(L, j, axis=1) + fk * dl
 
     G = np.zeros_like(f)
-    for c, d, w in model.uniform_pieces:
-        (zc1, zc2), (zd1, zd2) = _crossing(e, c), _crossing(e, d)
-        (Fd1, Ld1), (Fc1, Lc1), (Fc2, Lc2), (Fd2, Ld2) = map(at, (zd1, zc1, zc2, zd2))
+    for c, d, w, cells in crossings:
+        (Fd1, Ld1), (Fc1, Lc1), (Fc2, Lc2), (Fd2, Ld2) = (at(*z) for z in cells)
         G += w * (F[:, -1:] - (Fd2 - Fd1))
         G += w / (d - c) * (e * ((Lc1 - Ld1) + (Ld2 - Lc2)) - c * ((Fc1 - Fd1) + (Fd2 - Fc2)))
     return np.diff(G, axis=1, prepend=0.0)
@@ -191,9 +224,10 @@ class DensityGrid:
 class KernelOperator:
     """Reusable n-step density evaluator at a fixed internal resolution.
 
-    Nothing is built or stored beyond the grid: each step applies the
-    kernel to every row at once through _pushforward, in O(R log R) per
-    row, so one operator serves any number of source states and steps.
+    Nothing is stored beyond the grid.  Each rows call with n >= 2 builds
+    the crossing geometry once (_crossings), applies the kernel to every row
+    at once through _pushforward at each step, and drops the geometry on
+    return, so one operator serves any number of source states and steps.
     """
 
     def __init__(self, model: NoiseModel, resolution: int):
@@ -216,8 +250,10 @@ class KernelOperator:
             raise ValueError("n must be >= 1")
         s = x * (1.0 - x)
         masses = np.diff(self.model.ac_cdf(self.edges / s[:, None]), axis=1)
-        for _ in range(n - 1):
-            masses = _pushforward(self.model, self.edges, masses)
+        if n > 1:
+            crossings = _crossings(self.model, self.edges)
+            for _ in range(n - 1):
+                masses = _pushforward(self.model, self.edges, masses, crossings)
         return [DensityRow(n=n, x=float(xi), y_edges=self.edges, values=m / self.widths,
                            resolution=self.resolution, row_integral=float(m.sum()),
                            expected_mass=self.model.ac_weight**n) for xi, m in zip(x, masses)]

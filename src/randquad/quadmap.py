@@ -9,17 +9,21 @@ All functions are pure; no randomness enters this module.
 
 The periodic-orbit search warms each seed up over many steps before Newton
 refinement.  The map is a fixed IEEE function of the state, so once the
-float orbit repeats exactly it repeats forever: the warm-up checks for
-that every _CYCLE_BLOCK steps and, on a repeat, jumps to the state the full
-warm-up would end in.  Search results are the same, bit for bit, as those
-of the full warm-up; only the steps past the repeat are skipped.
+float orbit repeats exactly it repeats forever: the warm-up checks for that
+at two lags, every _SHORT_LAG steps over its first _SHORT_BLOCKS blocks
+(an orbit of small period that has converged repeats early), then every
+_CYCLE_BLOCK steps, and on a repeat jumps to the state the full warm-up
+would end in.  Search results are the same, bit for bit, as those of the
+full warm-up; only the steps past the repeat are skipped.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -43,8 +47,15 @@ NEWTON_MAX_ITER = 100
 MIN_PERIOD_TOL = 1e-9
 WARMUP_STEPS = 10_000
 DEFAULT_SEED_COUNT = 16
-# warm-up steps between checks for an exactly repeating float orbit; its
-# divisors cover the periods 1-6 and 8
+# the orbit search's default seeds, built once
+_DEFAULT_SEEDS = tuple(np.linspace(0.05, 0.95, DEFAULT_SEED_COUNT).tolist())
+# warm-up steps between checks for an exactly repeating float orbit: the
+# state _SHORT_LAG steps back over the first _SHORT_BLOCKS blocks, which
+# catches a fast-converging orbit whose period divides 24 (1-4, 6, 8, 12),
+# then the state _CYCLE_BLOCK steps back, whose divisors cover the periods
+# 1-6 and 8; an orbit that never repeats pays _SHORT_BLOCKS extra comparisons
+_SHORT_LAG = 24
+_SHORT_BLOCKS = 10
 _CYCLE_BLOCK = 240
 # relative roundoff allowance per operation (~4500 unit roundoffs) by which
 # interval images widen; kernel's box bounds and chained sums use it too, and
@@ -197,19 +208,21 @@ def _minimal_period_ok(theta: float, x: float, m: int) -> bool:
 def _warm_up(theta: float, x: float, steps: int) -> float:
     """F_theta applied steps times to x, stopping early once the float orbit repeats.
 
-    The steps run in blocks of _CYCLE_BLOCK.  A block that ends on the state
-    it started from makes the float orbit exactly periodic with a period
-    dividing _CYCLE_BLOCK, so only the steps left modulo _CYCLE_BLOCK are
-    taken after it.
+    The steps run in _SHORT_BLOCKS blocks of _SHORT_LAG, then in blocks of
+    _CYCLE_BLOCK, while a whole block is left.  A block of L steps that ends
+    on the state it started from makes the float orbit exactly periodic with
+    a period dividing L, so only the steps left modulo L are taken after it.
     """
     prev = x
     left = steps
-    while left >= _CYCLE_BLOCK:
-        for _ in range(_CYCLE_BLOCK):
+    for lag in chain(repeat(_SHORT_LAG, _SHORT_BLOCKS), repeat(_CYCLE_BLOCK)):
+        if left < lag:
+            break
+        for _ in range(lag):
             x = theta * x * (1.0 - x)
-        left -= _CYCLE_BLOCK
+        left -= lag
         if x == prev:
-            left %= _CYCLE_BLOCK
+            left %= lag
             break
         prev = x
     for _ in range(left):
@@ -261,13 +274,16 @@ def find_periodic_orbit(
     budget", not a proof of absence.
 
     Each seed's warm-up of `warmup` steps stops early once the float orbit
-    repeats exactly at a _CYCLE_BLOCK boundary (see _warm_up); the state it
-    ends in is the state the full warm-up reaches, bit for bit.  A seed is
-    dropped when that state lies outside (0, 1).  For theta in (0, 4] a
-    state outside (0, 1) never returns to it (0 and 1 map to 0, any other
-    such state maps to zero or below, NaN stays NaN), so this one check
+    repeats exactly: over the first _SHORT_BLOCKS blocks of _SHORT_LAG steps
+    each block's end is compared with the state _SHORT_LAG steps back, and
+    after them with the state _CYCLE_BLOCK steps back (see _warm_up).  The
+    state it ends in is the state the full warm-up reaches, bit for bit.  A
+    seed is dropped when that state lies outside (0, 1).  For theta in
+    (0, 4] a state outside (0, 1) never returns to it (0 and 1 map to 0, any
+    other such state maps to zero or below, NaN stays NaN), so this one check
     drops exactly the seeds whose orbit leaves (0, 1) at any step.  With
-    warmup = 0 no step runs and the seed goes to Newton unchecked.
+    warmup = 0 no step runs and the seed goes to Newton unchecked; a warmup
+    that is not an integer >= 0 raises ValueError.
 
     For theta <= 1 the search returns None at once: F_theta(x) < x on
     (0, 1), so every orbit decreases and none is periodic.  (A warmed-up
@@ -276,10 +292,12 @@ def find_periodic_orbit(
     theta = _check_theta(theta)
     if m < 1:
         raise ValueError("period must be >= 1")
+    if isinstance(warmup, bool) or not isinstance(warmup, numbers.Integral) or warmup < 0:
+        raise ValueError(f"warmup must be an integer >= 0, got {warmup!r}")
     if theta <= 1.0:
         return None
     if seeds is None:
-        seeds = np.linspace(0.05, 0.95, DEFAULT_SEED_COUNT)
+        seeds = _DEFAULT_SEEDS
     for seed in seeds:
         x = _warm_up(theta, float(seed), warmup)
         if warmup > 0 and not (0.0 < x < 1.0):

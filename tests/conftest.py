@@ -1,4 +1,4 @@
-"""Shared test scaffolding: acceptance-criterion results and the backend line."""
+"""Shared test scaffolding: acceptance-criterion results and the CPU line."""
 
 import os
 from pathlib import Path
@@ -26,10 +26,7 @@ def acceptance():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    backend = "numba" if hasattr(engine._advance, "py_func") else "pure-python"
-    terminalreporter.write_line(
-        f"randquad backend: {backend}, usable CPUs: {engine._usable_cpus()}"
-    )
+    terminalreporter.write_line(f"randquad usable CPUs: {engine._usable_cpus()}")
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")

@@ -446,36 +446,8 @@ class TestClosure:
         assert np.all(inside[first:])
 
 
-class TestAdvanceKernel:
-    def test_jit_and_pure_python_paths_agree(self):
-        # when numba is present the pure-python original is kept as py_func;
-        # both must produce bitwise-identical states
-        py = getattr(_advance, "py_func", None)
-        if py is None:
-            pytest.skip("numba not installed; only one code path exists")
-        rng = substream(123)
-        eps = U23.sample(rng, size=10_000)
-        out_a = np.empty(len(eps))
-        out_b = np.empty(len(eps))
-        _advance(0.37, eps, out_a)
-        py(0.37, eps, out_b)
-        assert np.array_equal(out_a, out_b)
-
-    def test_states_through_underflow_agree(self):
-        py = getattr(_advance, "py_func", None)
-        if py is None:
-            pytest.skip("numba not installed; only one code path exists")
-        eps = np.full(3000, 0.5)
-        out_a = np.empty(len(eps))
-        out_b = np.empty(len(eps))
-        _advance(0.5, eps, out_a)
-        py(0.5, eps, out_b)
-        assert out_a[-1] == 0.0
-        assert np.array_equal(out_a.view(np.int64), out_b.view(np.int64))
-
-
 def numpy_advance(x, eps, out):
-    """Reference recurrence: the array kernel's loop, stepping numpy scalars or rows."""
+    """Reference recurrence: a plain loop of eps * x * (1 - x), stepping numpy scalars or rows."""
     for k in range(eps.shape[0]):
         x = eps[k] * x * (1.0 - x)
         out[k] = x
@@ -583,14 +555,14 @@ class WalkStopCases:
 
 
 class TestScalarKernel(WalkStopCases):
-    """`_advance`, compiled or on Python floats, equals a numpy-scalar loop bit for bit.
+    """`_advance`, on Python floats, equals a numpy-scalar loop bit for bit.
 
     The stop cases walk every lane with this kernel.
     """
 
     min_lanes = 10**9
 
-    # column lengths at the pure-Python kernel's piece boundaries
+    # column lengths at the kernel's piece boundaries
     P = engine.PIECE
     EDGES = [1, P - 1, P, P + 1, 3 * P + 5]
 
@@ -623,13 +595,6 @@ class TestScalarKernel(WalkStopCases):
             numpy_advance(0.2, eps[:, 1].copy(), ref)
             assert np.array_equal(out[:, 1], ref)
             assert np.all(np.isnan(out[:, [0, 2]]))
-
-    def test_compiled_exactly_when_numba_is_installed(self):
-        import importlib.util
-
-        numba = importlib.util.find_spec("numba") is not None
-        assert hasattr(_advance, "py_func") == numba
-        assert hasattr(_advance_lanes, "py_func") == numba
 
 
 class TestLaneKernel(WalkStopCases):
@@ -667,18 +632,6 @@ class TestLaneKernel(WalkStopCases):
             alone = np.empty(len(eps))
             _advance(x0[j], eps[:, j].copy(), alone)
             assert np.array_equal(out[:, j], alone), j
-
-    def test_jit_and_pure_python_paths_agree(self):
-        py = getattr(_advance_lanes, "py_func", None)
-        if py is None:
-            pytest.skip("numba not installed; only one code path exists")
-        eps = U23.sample(substream(124), 7 * 3000).reshape(3000, 7)
-        x0 = np.linspace(0.05, 0.95, 7)
-        out_a = np.empty_like(eps)
-        out_b = np.empty_like(eps)
-        _advance_lanes(x0.copy(), eps, out_a)
-        py(x0.copy(), eps, out_b)
-        assert np.array_equal(out_a, out_b)
 
 
 class TestLaneWalk:

@@ -575,6 +575,19 @@ class TestLazyBand:
         op.rows([0.25, 0.4, 0.6, 0.75], 3)
         assert len(calls) == 2
 
+    def test_crossings_built_once_per_call(self, monkeypatch):
+        # the crossing geometry serves every step of one call; p^(1) needs none
+        calls = []
+        build = kernel._crossings
+        monkeypatch.setattr(kernel, "_crossings", lambda *args: calls.append(1) or build(*args))
+        op = KernelOperator(U23, 8192)
+        op.rows([0.25, 0.4, 0.6, 0.75], 1)
+        assert calls == []
+        for n in (2, 3, 5):
+            calls.clear()
+            op.rows([0.25, 0.4, 0.6, 0.75], n)
+            assert len(calls) == 1, n
+
     def test_second_call_builds_nothing_new(self):
         op = KernelOperator(U23, 8192)
         before = dict(vars(op))

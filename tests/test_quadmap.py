@@ -181,12 +181,15 @@ def reference_find_periodic_orbit(theta, m, seeds=None, warmup=quadmap.WARMUP_ST
     return None
 
 
-# the period-2 window is (3, 1 + sqrt(6)); 2.95 and 3.5 are holes either side
+# the period-2 window is (3, 1 + sqrt(6)); 2.95 and 3.5 are holes either side;
+# the attractive 5- and 8-cycles repeat only at the 240-step lag
 _SWEEPS = {
     1: [0.5, 1.0, 1.5, 2.0, 2.5, 2.9, 2.99, 3.02, 3.3, 3.7, 3.9, 4.0],
     2: [2.95, 3.05, 3.2, 3.4, 3.44, 3.5, 3.56, 3.7, 3.9, 4.0],
     3: [3.2, 3.7, 3.83, 3.84, 3.85, 3.9, 4.0],
     4: [3.2, 3.45, 3.5, 3.55, 3.6, 3.9, 4.0],
+    5: [3.739],
+    8: [3.55],
 }
 _OUTSIDE_SEEDS = [-0.5, 0.0, 1.0, 1.5, 1e300, float("inf"), float("-inf"), float("nan"), 0.3]
 
@@ -221,10 +224,34 @@ class TestWarmUpMatchesFullWarmUp:
         ) == reference_find_periodic_orbit(theta, m, seeds=_OUTSIDE_SEEDS, warmup=warmup)
 
     def test_sweeps_cover_hits_and_misses(self):
-        for m, theta in [(1, 2.5), (2, 3.2), (3, 3.83), (4, 3.5)]:
+        for m, theta in [(1, 2.5), (2, 3.2), (3, 3.83), (4, 3.5), (5, 3.739), (8, 3.55)]:
             assert quadmap.find_periodic_orbit(theta, m) is not None
         for m, theta in [(2, 2.95), (2, 3.5), (1, 4.0), (3, 3.9)]:
             assert quadmap.find_periodic_orbit(theta, m) is None
+
+    # fast convergence repeats at the 24-step lag, slow convergence only at
+    # the 240-step lag (2.99 after 3,360 steps, 3.448 after 7,440), chaos never
+    @pytest.mark.parametrize("theta", [2.5, 3.2, 2.99, 3.448, 3.9, 4.0])
+    def test_warm_up_equals_plain_loop(self, theta):
+        for n in (0, 1, 23, 24, 25, 239, 240, 241, 479, 10_007):
+            for x0 in (0.05, 0.3):
+                x = x0
+                for _ in range(n):
+                    x = theta * x * (1.0 - x)
+                assert quadmap._warm_up(theta, x0, n).hex() == x.hex(), (n, x0)
+
+    @pytest.mark.parametrize("warmup", [-5, -1, 2.5, 10.0, "10", None, True])
+    def test_bad_warmup_rejected(self, warmup):
+        with pytest.raises(ValueError, match="warmup"):
+            quadmap.find_periodic_orbit(2.5, 1, warmup=warmup)
+        with pytest.raises(ValueError, match="warmup"):
+            quadmap.find_periodic_orbit(0.5, 1, warmup=warmup)
+
+    def test_integer_warmups_accepted(self):
+        for warmup in (0, 7, np.int64(240)):
+            assert quadmap.find_periodic_orbit(
+                2.5, 1, warmup=warmup
+            ) == reference_find_periodic_orbit(2.5, 1, warmup=int(warmup))
 
 
 class TestTransversality:

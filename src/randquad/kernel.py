@@ -42,6 +42,13 @@ chains p^(k+1)(X, Z) >= sum over Y of |Y| low^(k)(X, Y) inf p(Y, Z) through
 `resolution` cells on each k-step image of J, outside which no mass lies.
 Bounds round outward by _BOUND_SLACK (Tucker, Validated Numerics, 2011); the
 s spans and k-step images of J take that rounding from quadmap.interval_image.
+Along a row of boxes (one X, every Y) the interval's ends never decrease, so
+the row is runs between the 2K columns where an end crosses one of the K
+cuts of h, each run one read of the model's range-min table (_box_bound).
+The chained factor is built a span of source rows at a time, as many
+blocks of _BLOCK_ROWS rows as fit in _SPAN_ELEMENTS entries (at least one),
+and multiplied block by block in the summation order delta depends on: at
+m = 3, R = 2048, about 5 MiB of numpy allocations at the peak.
 """
 
 from __future__ import annotations
@@ -176,9 +183,12 @@ def _pushforward(
     return np.diff(G, axis=1, prepend=0.0)
 
 
-# source cells per block of _minorization_bound's chained product: the
+# source cells per block of _minorization_bound's chained product, whose
+# summation order low and delta depend on; as many blocks as fit in
+# _SPAN_ELEMENTS entries (at least one) share one _box_bound build, so the
 # resolution x resolution factor is never held whole
 _BLOCK_ROWS = 32
+_SPAN_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -456,14 +466,62 @@ def _default_window(
     return table.orbits[a + best[0]], table.orbits[a + best[1] + 1]
 
 
+def _first_column(holds, guess: np.ndarray, n: int) -> np.ndarray:
+    """First j in [0, n] at which holds(j) is true, elementwise (n if none),
+    for a holds that is monotone in j, walking from a nearby guess."""
+    j = guess
+    while (back := (j > 0) & holds(np.maximum(j - 1, 0))).any():
+        j = j - back
+    while (ahead := (j < n) & ~holds(np.minimum(j, n - 1))).any():
+        j = j + ahead
+    return j
+
+
 def _box_bound(model: NoiseModel, x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
-    """Lower bounds of p(x, y) over the boxes of x cells (rows) by y cells (columns)."""
+    """Lower bounds of p(x, y) over the boxes of x cells (rows) by y cells (columns).
+
+    Box (i, j) takes inf h over [r_lo, r_hi] / s_hi[i], with
+    r_lo = y_lo[j] / s_hi[i] (1 - slack) and r_hi = y_hi[j] / s_lo[i] (1 + slack).
+    Along a row neither ratio decreases, since float division and
+    multiplication by a positive constant are monotone, so the density cells
+    that [r_lo, r_hi] meets, a..b as counted in NoiseModel.inf_density, move
+    only at the 2K columns where r_lo reaches a cut (r_lo >= cut) or r_hi
+    passes one (r_hi > cut), K being the number of cuts.  Each such column
+    is found exactly: a searchsorted guess on the y edges, then a walk to the
+    first column where that float predicate holds.  A row is then runs
+    between crossing columns, each of value table[a, b] / s_hi[i] from the
+    model's range-min table, filled by one np.repeat: the bits of
+    inf_density(r_lo, r_hi) / s_hi box by box, at O(K) work per row.
+    """
+    cuts, table = model._range_min
+    K, cols = len(cuts), len(y_edges) - 1
+    y_lo, y_hi = y_edges[:-1], y_edges[1:]
     # the image under theta = 1 is the outward-rounded span of s(x) = x(1-x)
     s_lo, s_hi = interval_image(1.0, 1.0, x_edges[:-1, None], x_edges[1:, None])
-    r_lo = y_edges[:-1] / s_hi * (1.0 - _BOUND_SLACK)
     with np.errstate(divide="ignore"):  # s_lo = 0 on a cell from 0 leaves the support
-        r_hi = y_edges[1:] / s_lo * (1.0 + _BOUND_SLACK)
-    return model.inf_density(r_lo, r_hi) / s_hi
+        reach = _first_column(
+            lambda j: y_lo[j] / s_hi * (1.0 - _BOUND_SLACK) >= cuts,
+            np.searchsorted(y_lo, cuts * s_hi / (1.0 - _BOUND_SLACK)), cols)
+        cross = _first_column(
+            lambda j: y_hi[j] / s_lo * (1.0 + _BOUND_SLACK) > cuts,
+            np.searchsorted(y_hi, cuts * s_lo / (1.0 + _BOUND_SLACK), side="right"), cols)
+    columns = np.concatenate([reach, cross], axis=1)
+    order = np.argsort(columns, axis=1)
+    # run t starts after t crossings, a of them where r_lo reaches a cut
+    a = np.cumsum(np.pad(order < K, ((0, 0), (1, 0))), axis=1)
+    values = table[a, np.arange(2 * K + 1) - a] / s_hi
+    lengths = np.diff(np.take_along_axis(columns, order, axis=1), axis=1, prepend=0, append=cols)
+    return np.repeat(values.ravel(), lengths.ravel()).reshape(len(s_hi), cols)
+
+
+def _box_blocks(model: NoiseModel, y_edges: np.ndarray, z_edges: np.ndarray):
+    """(i, _box_bound over y cells i .. i + _BLOCK_ROWS - 1 by every z cell) in
+    order of i, built as many blocks at a time as fit in _SPAN_ELEMENTS entries."""
+    span = _BLOCK_ROWS * max(1, _SPAN_ELEMENTS // (_BLOCK_ROWS * (len(z_edges) - 1)))
+    for i in range(0, len(y_edges) - 1, span):
+        box = _box_bound(model, y_edges[i : i + span + 1], z_edges)
+        for k in range(0, len(box), _BLOCK_ROWS):
+            yield i + k, box[k : k + _BLOCK_ROWS]
 
 
 def _minorization_bound(model: NoiseModel, J, m: int, grid_n: int, resolution: int) -> float:
@@ -476,12 +534,8 @@ def _minorization_bound(model: NoiseModel, J, m: int, grid_n: int, resolution: i
     grids.append(grids[0])
     low = _box_bound(model, grids[0], grids[1])  # low[i, j] <= p^(k) on J cell i x cell j
     for y, z in zip(grids[1:-1], grids[2:]):
-        # one block of source cells at a time, never a resolution^2 array
         weighted = low * np.diff(y)
-        low = sum(
-            weighted[:, i : i + _BLOCK_ROWS] @ _box_bound(model, y[i : i + _BLOCK_ROWS + 1], z)
-            for i in range(0, len(y) - 1, _BLOCK_ROWS)
-        )
+        low = sum(weighted[:, i : i + _BLOCK_ROWS] @ box for i, box in _box_blocks(model, y, z))
     return float(low.min()) * (1.0 - m * (resolution + 8) * _BOUND_SLACK)
 
 

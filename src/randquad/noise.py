@@ -83,6 +83,13 @@ class NoiseModel:
         cuts = [-math.inf, *sorted({e for c, d, _ in pieces for e in (c, d)}), math.inf]
         cells = [(a, b, self.density(0.5 * (a + b))) for a, b in zip(cuts[:-1], cuts[1:])]
         object.__setattr__(self, "_cells", cells)
+        # range-min table over the cells: the least value over cells a..b at
+        # [a, b], and inf where a > b, as no cell is met (see inf_density)
+        values = np.array([v for *_, v in cells])
+        table = np.full((len(values), len(values)), math.inf)
+        for a in range(len(values)):
+            table[a, a:] = np.minimum.accumulate(values[a:])
+        object.__setattr__(self, "_range_min", (np.array(cuts[1:-1]), table))
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -154,12 +161,18 @@ class NoiseModel:
 
         The least value over the cells between piece endpoints that the
         interval meets in positive length, so an end sitting on a cut does not
-        reach past it; 0 once it leaves the support.  Atoms are dropped.
+        reach past it; 0 once it leaves the support.  Those are the cells a..b,
+        a being the number of cuts at or below lo and b the number below hi,
+        and the least value over them is one read of the range-min table.
+        For lo > hi that is the value of the cell holding both ends, or inf
+        (a > b) when a cut lies between them.  A NaN end bounds nothing, so
+        it reaches every cell on its side and the result is 0.  Atoms are
+        dropped.
         """
+        cuts, table = self._range_min
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        out = math.inf
-        for left, right, value in self._cells:
-            out = np.minimum(out, np.where((left < hi) & (lo < right), value, math.inf))
+        a = np.where(np.isnan(lo), 0, np.searchsorted(cuts, lo, side="right"))
+        out = table[a, np.searchsorted(cuts, hi, side="left")]  # NaN sorts past every cut
         return out if out.ndim else float(out)
 
     def density_runs(self) -> list[tuple[float, float]]:

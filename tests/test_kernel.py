@@ -189,6 +189,44 @@ def _reference_antiderivative(model, e, z):
     return np.where(e > 0.0, total, 0.0)
 
 
+def _reference_box_bound(model, x_edges, y_edges):
+    """kernel._box_bound as the plain elementwise formula: per box, inf h over
+    [y_lo / s_hi (1 - slack), y_hi / s_lo (1 + slack)] / s_hi, the infimum
+    being the least value over the open cells between the pieces' ends that
+    the interval meets."""
+    slack = kernel._BOUND_SLACK
+    s_lo, s_hi = kernel.interval_image(1.0, 1.0, x_edges[:-1, None], x_edges[1:, None])
+    r_lo = y_edges[:-1] / s_hi * (1.0 - slack)
+    with np.errstate(divide="ignore"):
+        r_hi = y_edges[1:] / s_lo * (1.0 + slack)
+    cuts = [-np.inf, *sorted({e for c, d, w in model.uniform_pieces for e in (c, d)}), np.inf]
+    low = np.full(r_lo.shape, np.inf)
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        value = model.density(0.5 * (left + right))
+        low = np.minimum(low, np.where((left < r_hi) & (r_lo < right), value, np.inf))
+    return low / s_hi
+
+
+def _crossing_floats(model, x_edges):
+    """For each x cell and cut, the least y at which y / s_hi (1 - slack)
+    reaches the cut and the least at which y / s_lo (1 + slack) passes it,
+    each with one ulp either side: the y edges where _box_bound's runs turn."""
+    slack = kernel._BOUND_SLACK
+    s_lo, s_hi = kernel.interval_image(1.0, 1.0, x_edges[:-1], x_edges[1:])
+    out = []
+    for cut in sorted({e for c, d, w in model.uniform_pieces for e in (c, d)}):
+        for s, holds in ((s_hi, lambda y, s: y / s * (1.0 - slack) >= cut),
+                         (s_lo, lambda y, s: y / s * (1.0 + slack) > cut)):
+            for si in s[s > 0.0]:
+                y = cut * si
+                while holds(y, si):
+                    y = np.nextafter(y, -np.inf)
+                while not holds(y, si):
+                    y = np.nextafter(y, np.inf)
+                out += [np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)]
+    return np.array(out)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -642,7 +680,72 @@ class TestInfDensity:
             assert got[k] == model.inf_density(a, b) == np.min(model.density(scan))
 
 
+BOX_SHAPES = {
+    "64x2048": (np.linspace(0.5455, 0.6428, 65), np.linspace(0.0, 1.0, 2049)),
+    "2048x64": (np.linspace(0.3, 0.7, 2049), np.linspace(0.2, 1.0, 65)),
+    "7x3": (np.linspace(0.1, 0.9, 8), np.linspace(0.1, 0.9, 4)),
+    # the first x cell starts at 0, where s_lo = 0 and r_hi is infinite
+    "257x2048": (np.linspace(0.0, 0.5, 258), np.linspace(0.0, 1.0, 2049)),
+}
+
+
+class TestBoxBound:
+    """Runs between crossing columns give the elementwise formula's bits."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    @pytest.mark.parametrize("shape", sorted(BOX_SHAPES))
+    def test_same_bits_as_elementwise(self, name, shape):
+        model = ORACLE_MODELS[name]
+        x_edges, y_edges = BOX_SHAPES[shape]
+        got = kernel._box_bound(model, x_edges, y_edges)
+        assert _same_bits(got, _reference_box_bound(model, x_edges, y_edges))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    def test_same_bits_on_crossing_floats(self, name):
+        # y edges on the float where a ratio meets a cut and one ulp either side
+        model = ORACLE_MODELS[name]
+        x_edges = np.linspace(0.0, 0.9, 10)
+        y_edges = np.unique(np.concatenate([_crossing_floats(model, x_edges), [0.0, 1.0]]))
+        y_edges = y_edges[(0.0 <= y_edges) & (y_edges <= 1.0)]
+        got = kernel._box_bound(model, x_edges, y_edges)
+        assert _same_bits(got, _reference_box_bound(model, x_edges, y_edges))
+
+    @pytest.mark.parametrize("m, expected", [(2, 4.542318764600413), (3, 5.112313547214782),
+                                             (4, 5.3290633130033065)])
+    def test_chained_bound_golden(self, m, expected):
+        assert kernel._minorization_bound(U2228, (0.5455, 0.6428), m, 64, 2048) == expected
+
+    @pytest.mark.parametrize("m, grid_n, R", [(2, 63, 1000), (3, 17, 333), (2, 64, 4100)])
+    def test_chained_bound_same_bits_as_block_at_a_time(self, monkeypatch, m, grid_n, R):
+        # a span of blocks shares one box build; the products and their order stay
+        model = ORACLE_MODELS["overlapping"]
+        want = kernel._minorization_bound(model, (0.55, 0.65), m, grid_n, R)
+        monkeypatch.setattr(kernel, "_SPAN_ELEMENTS", 1)
+        monkeypatch.setattr(kernel, "_box_bound", _reference_box_bound)
+        assert kernel._minorization_bound(model, (0.55, 0.65), m, grid_n, R) == want
+
+    def test_chained_bound_peak_memory(self):
+        # no resolution x resolution array: the low rows and one span of box rows
+        tracemalloc.start()
+        try:
+            kernel._minorization_bound(U2228, (0.5455, 0.6428), 3, 64, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+
 class TestMinorizationProbe:
+    @pytest.mark.parametrize(
+        "model, theta0, m, expected",
+        [
+            pytest.param(U2228, 2.5, 1, 6.7548938380126815, id="m1"),
+            pytest.param(NoiseModel.uniform(3.15, 3.25), 3.2, 2, 38.89173306910813, id="m2"),
+        ],
+    )
+    def test_delta_golden(self, model, theta0, m, expected):
+        assert minorization_probe(model, theta0, m).delta == expected
+
     def test_explicit_J_fixed_point_case(self):
         out = minorization_probe(U2228, 2.5, 1, J=(0.5455, 0.6428), grid_n=64, resolution=2048)
         assert isinstance(out, MinorizationCertificate)

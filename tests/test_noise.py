@@ -414,6 +414,21 @@ class TestDensityRuns:
         assert (c, d) == (1.5, 2.0)
 
 
+class TestInfDensityEnds:
+    """Ends that are not a plain lo < hi: the result never exceeds the density."""
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 2.5), (2.5, math.nan), (math.nan, math.nan)])
+    def test_nan_end_gives_zero(self, lo, hi):
+        model = NoiseModel.uniform(2.0, 3.0)
+        assert model.inf_density(lo, hi) == 0.0
+        got = model.inf_density(np.array([lo, 2.1]), np.array([hi, 2.9]))
+        assert got.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("lo, hi, expected", [(2.6, 2.4, 1.0), (3.5, 1.5, math.inf)])
+    def test_reversed_interval(self, lo, hi, expected):
+        assert NoiseModel.uniform(2.0, 3.0).inf_density(lo, hi) == expected
+
+
 class TestSupportBounds:
     def test_uniform(self):
         assert NoiseModel.uniform(2.0, 3.0).support_bounds() == (2.0, 3.0)

@@ -10,11 +10,11 @@ All functions are pure; no randomness enters this module.
 The periodic-orbit search warms each seed up over many steps before Newton
 refinement.  The map is a fixed IEEE function of the state, so once the
 float orbit repeats exactly it repeats forever: the warm-up checks for that
-at two lags, every _SHORT_LAG steps over its first _SHORT_BLOCKS blocks
-(an orbit of small period that has converged repeats early), then every
-_CYCLE_BLOCK steps, and on a repeat jumps to the state the full warm-up
-would end in.  Search results are the same, bit for bit, as those of the
-full warm-up; only the steps past the repeat are skipped.
+at two lags (see _warm_up) and on a repeat jumps to the state the full
+warm-up would end in, bit for bit.  A seed whose float orbit closes inside
+(0, 1) ends the search, hit or miss: F_theta has negative Schwarzian
+derivative and one critical point, so it has at most one attracting cycle
+(D. Singer, SIAM J. Appl. Math. 35 (1978) 260-267).
 """
 
 from __future__ import annotations
@@ -75,6 +75,11 @@ def _check_theta(theta: float, allow_four: bool = True) -> float:
         bound = "(0, 4]" if allow_four else "(0, 4)"
         raise DomainError(f"map parameter {theta!r} outside {bound}")
     return theta
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_state(x: float) -> float:
@@ -176,14 +181,14 @@ def _orbit_multiplier(theta: float, x: float, m: int) -> tuple[float, float]:
     return x, deriv
 
 
-def _newton_refine(theta: float, x: float, m: int) -> float | None:
-    """Newton iteration on F_theta^m(x) - x; None on failure."""
+def _newton_refine(theta: float, x: float, m: int) -> tuple[float, float] | None:
+    """Newton iteration on F_theta^m(x) - x; (root, multiplier at the root) or None."""
     for _ in range(NEWTON_MAX_ITER):
         fx, dfx = _orbit_multiplier(theta, x, m)
         g = fx - x
         dg = dfx - 1.0
         if abs(g) < NEWTON_TOL:
-            return x
+            return x, dfx
         if dg == 0.0:
             return None
         step = g / dg
@@ -191,8 +196,8 @@ def _newton_refine(theta: float, x: float, m: int) -> float | None:
         if not (0.0 < x_new < 1.0):
             return None
         x = x_new
-    fx, _ = _orbit_multiplier(theta, x, m)
-    return x if abs(fx - x) < NEWTON_TOL else None
+    fx, dfx = _orbit_multiplier(theta, x, m)
+    return (x, dfx) if abs(fx - x) < NEWTON_TOL else None
 
 
 def _minimal_period_ok(theta: float, x: float, m: int) -> bool:
@@ -205,29 +210,37 @@ def _minimal_period_ok(theta: float, x: float, m: int) -> bool:
     return True
 
 
-def _warm_up(theta: float, x: float, steps: int) -> float:
+def _warm_up(theta: float, x: float, steps: int) -> tuple[float, bool]:
     """F_theta applied steps times to x, stopping early once the float orbit repeats.
 
     The steps run in _SHORT_BLOCKS blocks of _SHORT_LAG, then in blocks of
     _CYCLE_BLOCK, while a whole block is left.  A block of L steps that ends
     on the state it started from makes the float orbit exactly periodic with
     a period dividing L, so only the steps left modulo L are taken after it.
+    Returns the end state and whether such a block closed the orbit.
     """
     prev = x
     left = steps
+    closed = False
     for lag in chain(repeat(_SHORT_LAG, _SHORT_BLOCKS), repeat(_CYCLE_BLOCK)):
         if left < lag:
             break
         for _ in range(lag):
             x = theta * x * (1.0 - x)
         left -= lag
-        if x == prev:
+        closed = x == prev
+        if closed:
             left %= lag
             break
         prev = x
     for _ in range(left):
         x = theta * x * (1.0 - x)
-    return x
+    return x, closed
+
+
+def _round9(p: float) -> float:
+    """np.round(p, 9) of a Python float, bit for bit: scale, round half to even, unscale."""
+    return round(p * 1e9) / 1e9
 
 
 def _orbit_from_candidate(theta: float, x: float, m: int) -> PeriodicOrbit | None:
@@ -235,18 +248,18 @@ def _orbit_from_candidate(theta: float, x: float, m: int) -> PeriodicOrbit | Non
 
     None when Newton fails or the polished cycle is rejected.
     """
-    root = _newton_refine(theta, x, m)
-    if root is None or not _minimal_period_ok(theta, root, m):
+    refined = _newton_refine(theta, x, m)
+    if refined is None:
         return None
-    _, multiplier = _orbit_multiplier(theta, root, m)
-    if not abs(multiplier) < 1.0:
+    root, multiplier = refined
+    if not abs(multiplier) < 1.0 or not _minimal_period_ok(theta, root, m):
         return None
     points = [root]
     y = root
     for _ in range(m - 1):
         y = theta * y * (1.0 - y)
         points.append(y)
-    if len(set(np.round(points, 9))) != m:
+    if len({_round9(p) for p in points}) != m:
         return None
     if any(not (0.0 < p < 1.0) for p in points):
         return None
@@ -274,36 +287,39 @@ def find_periodic_orbit(
     budget", not a proof of absence.
 
     Each seed's warm-up of `warmup` steps stops early once the float orbit
-    repeats exactly: over the first _SHORT_BLOCKS blocks of _SHORT_LAG steps
-    each block's end is compared with the state _SHORT_LAG steps back, and
-    after them with the state _CYCLE_BLOCK steps back (see _warm_up).  The
-    state it ends in is the state the full warm-up reaches, bit for bit.  A
-    seed is dropped when that state lies outside (0, 1).  For theta in
+    repeats exactly (see _warm_up), in the state the full warm-up reaches.
+    A seed is dropped when that state lies outside (0, 1).  For theta in
     (0, 4] a state outside (0, 1) never returns to it (0 and 1 map to 0, any
     other such state maps to zero or below, NaN stays NaN), so this one check
     drops exactly the seeds whose orbit leaves (0, 1) at any step.  With
-    warmup = 0 no step runs and the seed goes to Newton unchecked; a warmup
-    that is not an integer >= 0 raises ValueError.
+    warmup = 0 no step runs and the seed goes to Newton unchecked.  A period
+    m that is not an integer >= 1, or a warmup that is not an integer >= 0,
+    raises ValueError.
+
+    The first seed whose orbit closes inside (0, 1) ends the search with its
+    candidate or None: by Singer's theorem a later seed could only reach
+    the same attracting cycle at another phase.  The result differs from
+    trying it only where a check depends on the phase, within rounding of
+    |Lambda| = 1 or of the 1e-9 tests, or where a given seed sits exactly on
+    a repelling float cycle (1 - 1/theta often is one).
 
     For theta <= 1 the search returns None at once: F_theta(x) < x on
     (0, 1), so every orbit decreases and none is periodic.  (A warmed-up
     state near 0 would otherwise pass Newton's absolute tolerance.)
     """
     theta = _check_theta(theta)
-    if m < 1:
-        raise ValueError("period must be >= 1")
-    if isinstance(warmup, bool) or not isinstance(warmup, numbers.Integral) or warmup < 0:
-        raise ValueError(f"warmup must be an integer >= 0, got {warmup!r}")
+    _check_count("period", m, 1)
+    _check_count("warmup", warmup, 0)
     if theta <= 1.0:
         return None
     if seeds is None:
         seeds = _DEFAULT_SEEDS
     for seed in seeds:
-        x = _warm_up(theta, float(seed), warmup)
+        x, closed = _warm_up(theta, float(seed), warmup)
         if warmup > 0 and not (0.0 < x < 1.0):
             continue
         orbit = _orbit_from_candidate(theta, x, m)
-        if orbit is not None:
+        if orbit is not None or closed:
             return orbit
     return None
 
@@ -357,14 +373,13 @@ def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:
     Parameters
     ----------
     theta_range : (lo, hi) pair inside one hyperbolic window, 0 < lo < hi <= 4
-    m : cycle period
-    n_samples : number of evenly spaced samples (>= 3 for derivatives)
+    m : cycle period, an integer >= 1
+    n_samples : number of evenly spaced samples, an integer >= 3 (for derivatives)
     """
     lo, hi = float(theta_range[0]), float(theta_range[1])
     if not (0.0 < lo < hi <= 4.0):
         raise DomainError(f"theta_range ({lo!r}, {hi!r}) must satisfy 0 < lo < hi <= 4")
-    if n_samples < 3:
-        raise ValueError("need at least 3 samples for centered differences")
+    _check_count("n_samples", n_samples, 3)  # centered differences need 3
     thetas = np.linspace(lo, hi, n_samples)
     orbits = [find_periodic_orbit(th, m) for th in thetas]
     q = np.array([np.nan if o is None else o.largest_point for o in orbits])

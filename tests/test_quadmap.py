@@ -158,27 +158,75 @@ class TestFindPeriodicOrbit:
         assert quadmap.apply(orbit.theta, x) == pytest.approx(cyc[0], abs=1e-9)
 
 
+def frozen_newton_refine(theta, x, m):
+    """Newton on F^m(x) - x returning the root alone: the reference for quadmap._newton_refine."""
+    for _ in range(quadmap.NEWTON_MAX_ITER):
+        fx, dfx = quadmap._orbit_multiplier(theta, x, m)
+        g = fx - x
+        dg = dfx - 1.0
+        if abs(g) < quadmap.NEWTON_TOL:
+            return x
+        if dg == 0.0:
+            return None
+        step = g / dg
+        x_new = x - step
+        if not (0.0 < x_new < 1.0):
+            return None
+        x = x_new
+    fx, _ = quadmap._orbit_multiplier(theta, x, m)
+    return x if abs(fx - x) < quadmap.NEWTON_TOL else None
+
+
+def frozen_orbit_from_candidate(theta, x, m):
+    """The reference for quadmap._orbit_from_candidate: multiplier recomputed at the root, np.round."""
+    root = frozen_newton_refine(theta, x, m)
+    if root is None or not quadmap._minimal_period_ok(theta, root, m):
+        return None
+    _, multiplier = quadmap._orbit_multiplier(theta, root, m)
+    if not abs(multiplier) < 1.0:
+        return None
+    points = [root]
+    y = root
+    for _ in range(m - 1):
+        y = theta * y * (1.0 - y)
+        points.append(y)
+    if len(set(np.round(points, 9))) != m:
+        return None
+    if any(not (0.0 < p < 1.0) for p in points):
+        return None
+    return quadmap.PeriodicOrbit(
+        theta=theta, period=m, points=tuple(sorted(points)), multiplier=multiplier
+    )
+
+
+def plain_warm_up(theta, seed, warmup):
+    """seed after warmup plain steps, every state range-tested; None once it leaves (0, 1)."""
+    x = float(seed)
+    for _ in range(warmup):
+        x = theta * x * (1.0 - x)
+        if not (0.0 < x < 1.0):
+            return None
+    return x
+
+
+def reference_from_states(theta, m, states):
+    """The first candidate among the warmed-up states that passes, trying every one."""
+    for x in states:
+        if x is not None:
+            orbit = frozen_orbit_from_candidate(theta, x, m)
+            if orbit is not None:
+                return orbit
+    return None
+
+
 def reference_find_periodic_orbit(theta, m, seeds=None, warmup=quadmap.WARMUP_STEPS):
-    """The orbit search with a plain warm-up: every step taken, every state range-tested."""
+    """The orbit search with a plain warm-up, trying seed after seed until one passes."""
     theta = float(theta)
     if theta <= 1.0:  # no periodic point in (0, 1)
         return None
     if seeds is None:
         seeds = np.linspace(0.05, 0.95, quadmap.DEFAULT_SEED_COUNT)
-    for seed in seeds:
-        x = float(seed)
-        left_unit_interval = False
-        for _ in range(warmup):
-            x = theta * x * (1.0 - x)
-            if not (0.0 < x < 1.0):
-                left_unit_interval = True
-                break
-        if left_unit_interval:
-            continue
-        orbit = quadmap._orbit_from_candidate(theta, x, m)
-        if orbit is not None:
-            return orbit
-    return None
+    return reference_from_states(theta, m, (plain_warm_up(theta, s, warmup) for s in seeds))
 
 
 # the period-2 window is (3, 1 + sqrt(6)); 2.95 and 3.5 are holes either side;
@@ -238,7 +286,14 @@ class TestWarmUpMatchesFullWarmUp:
                 x = x0
                 for _ in range(n):
                     x = theta * x * (1.0 - x)
-                assert quadmap._warm_up(theta, x0, n).hex() == x.hex(), (n, x0)
+                end, closed = quadmap._warm_up(theta, x0, n)
+                assert end.hex() == x.hex(), (n, x0)
+                # a closing takes a whole block; the attracting cycles close
+                # within the full warm-up, chaos never
+                if n < 24 or theta >= 3.9:
+                    assert not closed, (n, x0)
+                elif n == 10_007:
+                    assert closed, x0
 
     @pytest.mark.parametrize("warmup", [-5, -1, 2.5, 10.0, "10", None, True])
     def test_bad_warmup_rejected(self, warmup):
@@ -247,11 +302,90 @@ class TestWarmUpMatchesFullWarmUp:
         with pytest.raises(ValueError, match="warmup"):
             quadmap.find_periodic_orbit(0.5, 1, warmup=warmup)
 
+    @pytest.mark.parametrize("m", [0, -1, 2.5, 2.0, "2", None, True])
+    def test_bad_period_rejected(self, m):
+        with pytest.raises(ValueError, match=rf"period must be an integer >= 1, got {m!r}"):
+            quadmap.find_periodic_orbit(3.2, m)
+
+    def test_integer_periods_accepted(self):
+        assert quadmap.find_periodic_orbit(3.2, np.int64(2)) == quadmap.find_periodic_orbit(3.2, 2)
+
     def test_integer_warmups_accepted(self):
         for warmup in (0, 7, np.int64(240)):
             assert quadmap.find_periodic_orbit(
                 2.5, 1, warmup=warmup
             ) == reference_find_periodic_orbit(2.5, 1, warmup=int(warmup))
+
+
+def _certify_holes(lo, hi, samples=25):
+    """The period-2 samples of an `orbit` sweep from lo to hi that fall outside (3, 1 + sqrt(6))."""
+    thetas = np.linspace(lo, hi, samples)
+    return [float(t) for t in thetas if not 3.0 < t < 1.0 + np.sqrt(6.0)]
+
+
+# a grid over (1, 4] and the holes of the `certify` orbit sweep at seeds 20240
+# (2.9386 .. 3.5386) and 7 (2.8783 .. 3.5381)
+_EXIT_THETAS = (
+    np.linspace(1.0, 4.0, 41)[1:].tolist()
+    + _certify_holes(2.9386, 3.5386)
+    + _certify_holes(2.8783, 3.5381)
+)
+
+
+class TestClosedOrbitEndsSearch:
+    """A seed whose float orbit closes inside (0, 1) ends the search, hit or miss."""
+
+    def test_certify_holes_listed(self):
+        assert len(_certify_holes(2.9386, 3.5386)) == 7
+        assert len(_certify_holes(2.8783, 3.5381)) == 9
+
+    @pytest.mark.parametrize("theta", _EXIT_THETAS)
+    def test_equals_frozen_reference(self, theta):
+        states = [plain_warm_up(theta, s, quadmap.WARMUP_STEPS) for s in quadmap._DEFAULT_SEEDS]
+        for m in (1, 2, 4, 8):
+            assert quadmap.find_periodic_orbit(theta, m) == reference_from_states(
+                theta, m, states
+            ), m
+
+    @pytest.mark.parametrize(
+        "theta, m, seeds, count",
+        [
+            (2.95, 2, None, 1),  # closes on the fixed point
+            (3.5, 2, None, 1),  # closes on the 4-cycle
+            (3.9, 2, None, 16),  # chaos never closes
+            (2.95, 2, [1.5, 0.3], 2),  # 1.5 closes at -inf, outside (0, 1)
+            (2.5, 1, [1.5, 0.3], 2),
+        ],
+    )
+    def test_warm_up_count(self, monkeypatch, theta, m, seeds, count):
+        calls = []
+        warm_up = quadmap._warm_up
+
+        def counted(*args):
+            calls.append(args)
+            return warm_up(*args)
+
+        monkeypatch.setattr(quadmap, "_warm_up", counted)
+        orbit = quadmap.find_periodic_orbit(theta, m, seeds=seeds)
+        assert len(calls) == count
+        assert (orbit is None) == (m == 2)
+
+    def test_seed_on_repelling_fixed_point_ends_search(self):
+        # 1 - 1/3.2 is an exact float fixed point: the documented exception
+        theta = 3.2
+        xstar = quadmap.fixed_point(theta)
+        assert theta * xstar * (1.0 - xstar) == xstar
+        assert quadmap.find_periodic_orbit(theta, 2, seeds=[xstar, 0.3]) is None
+        assert reference_find_periodic_orbit(theta, 2, seeds=[xstar, 0.3]) is not None
+
+    def test_round9_matches_numpy(self):
+        rng = np.random.default_rng(24)
+        points = np.concatenate([
+            rng.uniform(0.0, 1.0, 100_000),
+            np.arange(0, 1_000_000_000, 9_973) * 1e-9 + 5e-10,  # half-way values
+        ])
+        got = np.array([quadmap._round9(p) for p in points.tolist()])
+        assert np.array_equal(_bits(got), _bits(np.round(points, 9)))
 
 
 class TestTransversality:
@@ -314,6 +448,16 @@ class TestQOfTheta:
         with pytest.raises(DomainError, match=r"theta_range \(.*\) must satisfy 0 < lo < hi <= 4"):
             quadmap.q_of_theta((lo, hi), 1, 5)
         assert calls == []
+
+    @pytest.mark.parametrize("n_samples", [2, 0, 5.0, 5.5, "5", True])
+    def test_bad_sample_count_rejected(self, n_samples):
+        with pytest.raises(ValueError, match=rf"n_samples must be an integer >= 3, got {n_samples!r}"):
+            quadmap.q_of_theta((2.2, 2.8), 1, n_samples)
+
+    @pytest.mark.parametrize("m", [2.0, "1", False])
+    def test_bad_period_rejected(self, m):
+        with pytest.raises(ValueError, match=rf"period must be an integer >= 1, got {m!r}"):
+            quadmap.q_of_theta((2.2, 2.8), m, 5)
 
     def test_range_may_end_at_four(self):
         table = quadmap.q_of_theta((3.9, 4.0), 1, 3)

@@ -171,7 +171,9 @@ def extinction_test(
     Marginal snapshots, not Cesaro averages: convergence to extinction is a
     statement about the law of X_N itself.  Replicate i runs on substream
     (seed, *stream_key, i) and reads 0 after it stops (absorbed below
-    ABSORB_FLOOR, or at 1).
+    ABSORB_FLOOR, or at 1).  Once every replicate is at most 2^-54, where
+    the map is x -> eps * x in floating point, the walk steps them as one
+    running product per block (see engine._walk), with the same bits.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")

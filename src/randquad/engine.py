@@ -20,20 +20,27 @@ below MIN_LANES lanes (a single chain, a small ensemble) each lane runs the
 scalar kernel `_advance` down its column, and from MIN_LANES on
 `_advance_lanes` computes one row of L states per step.  Both compute
 eps * x * (1 - x) in the same operand order, so every lane is bit-identical
-to the same path walked alone.  After either kernel, one scan of the block
-in `_walk` records states below ABSORB_FLOOR as 0 and stops each lane at
-its first 0 or 1.  The scalar kernel steps a Python float through its
-column PIECE draws at a time, one list comprehension per piece, and stores
-each piece with one struct.pack while it is still in cache; that gives the
-same bits as a loop over numpy scalars at about 3.5 times its speed.  The
-row kernel writes each row in place with `out=` ufuncs.  Every consumer,
-here and in the diagnostics and kernel, is a reduction over the blocks it
-yields (`_occupations`, `_snapshots`, `_first_entry`), so the recurrence,
-the block schedule and the stop rule live in one place; all replicates of
-all starts of a stability test share one walk.  With workers > 1,
-`ensemble_occupations` walks contiguous shards of those lanes in forked
-worker processes and sums each group's integer counts, so its measures do
-not depend on the worker count.
+to the same path walked alone.  When every carried state is at most
+LINEAR_MAX = 2^-54, 1 - x rounds to exactly 1 and the map is x -> eps * x
+bit for bit; `_walk` then settles the block with `_advance_linear`, one
+running product down it, through the first row in which some lane exceeds
+2^-54, and the kernel computes the rest of the block from that row.  A
+dying walk (E log eps < 0) spends most of its rows there.  After the
+kernels, one scan of the block in `_walk` records states below
+ABSORB_FLOOR as 0 and stops each lane at its first 0 or 1; a block whose
+states all lie in [ABSORB_FLOOR, 1) skips that scan after one min and one
+max.  A stopped lane carries 0 into later blocks.  The scalar kernel steps
+a Python float through its column PIECE draws at a time, one list
+comprehension per piece, and stores each piece with one struct.pack while
+it is still in cache; that gives the same bits as a loop over numpy scalars
+at about 3.5 times its speed.  The row kernel writes each row in place with
+`out=` ufuncs.  Every consumer, here and in the diagnostics and kernel, is
+a reduction over the blocks it yields (`_occupations`, `_snapshots`,
+`_first_entry`), so the recurrence, the block schedule and the stop rule
+live in one place; all replicates of all starts of a stability test share
+one walk.  With workers > 1, `ensemble_occupations` walks contiguous shards
+of those lanes in forked worker processes and sums each group's integer
+counts, so its measures do not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
@@ -89,6 +96,12 @@ PIECE = 4096
 # would never register; anything this small is numerically extinct
 ABSORB_FLOOR = 2.2250738585072014e-308
 
+# largest state x for which 1 - x rounds to 1: the doubles below 1 are
+# 2^-53 apart, so 1 - 2^-54 is a tie and rounds to even, which is 1, while
+# 1 - x for the next double above 2^-54 rounds to 1 - 2^-53; from a state
+# this small, eps * x * (1 - x) is eps * x bit for bit
+LINEAR_MAX = 2.0**-54
+
 
 def _advance(x, eps, out):
     """Run the map recurrence over a column of noise draws, on Python floats.
@@ -109,14 +122,34 @@ def _advance_lanes(x, eps, out):
 
     x is a row of L states and out[k] receives the row after eps[k], in the
     same IEEE operations as `_advance`, through one reused temporary row.
+    1 - x subtracts from a row of ones, which spares converting the Python
+    float 1.0 at every row and gives the same bits.
     """
-    t = np.empty_like(x)
+    t, one = np.empty_like(x), np.ones_like(x)
     subtract, multiply = np.subtract, np.multiply
     for e, o in zip(eps, out):
-        subtract(1.0, x, t)
+        subtract(one, x, t)
         multiply(e, x, o)
         multiply(o, t, o)
         x = o
+
+
+def _advance_linear(x, eps, out) -> int:
+    """Run the map as x -> eps * x over an (m, L) block from a row x of states <= LINEAR_MAX.
+
+    out[0] = eps[0] * x and one multiply.accumulate down the block give each
+    lane's running product in the recurrence's own order.  Returns the
+    number of leading rows settled: through the first row in which some lane
+    exceeds LINEAR_MAX (its successor is no longer a plain product), or all
+    m.  Rows past that may hold anything, inf included.
+    """
+    with np.errstate(over="ignore"):
+        np.multiply(eps[0], x, out[0])
+        out[1:] = eps[1:]
+        np.multiply.accumulate(out, axis=0, out=out)
+    if out.max() <= LINEAR_MAX:
+        return len(out)
+    return int((out > LINEAR_MAX).any(axis=1).argmax()) + 1
 
 
 def _walk(starts, n: int, draws):
@@ -134,6 +167,15 @@ def _walk(starts, n: int, draws):
     buffers reused across blocks, so copy them to keep them.  The walk ends
     after n steps or when every lane has stopped.  The first block has
     FIRST_ROWS steps and each later one doubles up to max(1, CHUNK // L).
+
+    This is the one place that picks a kernel.  A block whose carried row
+    (a stopped lane carries exactly 0) lies at or below LINEAR_MAX starts
+    with `_advance_linear`: at x <= 2^-54, 1 - x is within half an ulp of 1
+    (the doubles below 1 are 2^-53 apart, and the tie at 2^-54 rounds to
+    even, to 1), so eps * x * (1 - x) equals eps * x exactly.  It settles
+    the rows through the first one in which some lane exceeds 2^-54; from
+    that row the scalar kernel (fewer than MIN_LANES lanes) or the row
+    kernel computes the rest of the block.
     """
     x = np.array(starts, dtype=float)
     if not np.all((x > 0.0) & (x < 1.0)):
@@ -149,21 +191,28 @@ def _walk(starts, n: int, draws):
         m = min(m, n - done)
         e, o = eps[:m], out[:m]
         draws(e, live)
+        k = _advance_linear(x, e, o) if x.max() <= LINEAR_MAX else 0
+        if k:
+            x = o[k - 1]
         if lanes < MIN_LANES:
             for j in live:
-                _advance(x[j], e[:, j], o[:, j])
+                _advance(x[j], e[k:, j], o[k:, j])
         else:
-            # stopped lanes run on with stale draws; their rows are never valid
-            _advance_lanes(x, e, o)
-        low = o < ABSORB_FLOOR
-        o[low] = 0.0
-        hit = (low | (o == 1.0))[:, live]
-        stopped = hit.any(axis=0)
+            # stopped lanes run on from 0 with stale draws; their rows are never valid
+            _advance_lanes(x, e[k:], o[k:])
         valid[:] = 0
-        valid[live] = np.where(stopped, hit.argmax(axis=0) + 1, m)
-        x = o[m - 1].copy()
+        if o.min() >= ABSORB_FLOOR and o.max() < 1.0:
+            valid[live] = m
+        else:
+            low = o < ABSORB_FLOOR
+            o[low] = 0.0
+            hit = (low | (o == 1.0))[:, live]
+            stopped = hit.any(axis=0)
+            valid[live] = np.where(stopped, hit.argmax(axis=0) + 1, m)
+            live = live[~stopped]
+        x = np.zeros(lanes)
+        x[live] = o[m - 1, live]
         yield done, e, o, valid
-        live = live[~stopped]
         done += m
         m = min(2 * m, rows)
 

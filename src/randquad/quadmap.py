@@ -11,10 +11,10 @@ The periodic-orbit search warms each seed up over many steps before Newton
 refinement.  The map is a fixed IEEE function of the state, so once the
 float orbit repeats exactly it repeats forever: the warm-up checks for that
 at two lags (see _warm_up) and on a repeat jumps to the state the full
-warm-up would end in, bit for bit.  A seed whose float orbit closes inside
-(0, 1) ends the search, hit or miss: F_theta has negative Schwarzian
-derivative and one critical point, so it has at most one attracting cycle
-(D. Singer, SIAM J. Appl. Math. 35 (1978) 260-267).
+warm-up would end in, bit for bit.  A seed whose float orbit closes on an
+attracting cycle inside (0, 1) ends the search, hit or miss: F_theta has
+negative Schwarzian derivative and one critical point, so it has at most
+one attracting cycle (D. Singer, SIAM J. Appl. Math. 35 (1978) 260-267).
 """
 
 from __future__ import annotations
@@ -210,26 +210,27 @@ def _minimal_period_ok(theta: float, x: float, m: int) -> bool:
     return True
 
 
-def _warm_up(theta: float, x: float, steps: int) -> tuple[float, bool]:
+def _warm_up(theta: float, x: float, steps: int) -> tuple[float, int]:
     """F_theta applied steps times to x, stopping early once the float orbit repeats.
 
     The steps run in _SHORT_BLOCKS blocks of _SHORT_LAG, then in blocks of
     _CYCLE_BLOCK, while a whole block is left.  A block of L steps that ends
     on the state it started from makes the float orbit exactly periodic with
     a period dividing L, so only the steps left modulo L are taken after it.
-    Returns the end state and whether such a block closed the orbit.
+    Returns the end state and the length of the block that closed the
+    orbit, a multiple of its period, or 0 when none did.
     """
     prev = x
     left = steps
-    closed = False
+    closed = 0
     for lag in chain(repeat(_SHORT_LAG, _SHORT_BLOCKS), repeat(_CYCLE_BLOCK)):
         if left < lag:
             break
         for _ in range(lag):
             x = theta * x * (1.0 - x)
         left -= lag
-        closed = x == prev
-        if closed:
+        if x == prev:
+            closed = lag
             left %= lag
             break
         prev = x
@@ -296,12 +297,15 @@ def find_periodic_orbit(
     m that is not an integer >= 1, or a warmup that is not an integer >= 0,
     raises ValueError.
 
-    The first seed whose orbit closes inside (0, 1) ends the search with its
-    candidate or None: by Singer's theorem a later seed could only reach
-    the same attracting cycle at another phase.  The result differs from
-    trying it only where a check depends on the phase, within rounding of
-    |Lambda| = 1 or of the 1e-9 tests, or where a given seed sits exactly on
-    a repelling float cycle (1 - 1/theta often is one).
+    The first seed whose orbit closes inside (0, 1) on an attracting float
+    cycle ends the search with its candidate or None: by Singer's theorem a
+    later seed could only reach the same cycle at another phase.  When a
+    closed seed's candidate is rejected, the multiplier of the closed cycle
+    itself, over the one block that closed it, decides: at |Lambda| >= 1 the
+    seed sits on a repelling float cycle (1 - 1/theta often is one) and the
+    search goes on.  The result differs from trying every seed only where a
+    check depends on the phase, or within rounding of |Lambda| = 1 or of the
+    1e-9 tests.
 
     For theta <= 1 the search returns None at once: F_theta(x) < x on
     (0, 1), so every orbit decreases and none is periodic.  (A warmed-up
@@ -319,8 +323,11 @@ def find_periodic_orbit(
         if warmup > 0 and not (0.0 < x < 1.0):
             continue
         orbit = _orbit_from_candidate(theta, x, m)
-        if orbit is not None or closed:
+        if orbit is not None:
             return orbit
+        # a closed float cycle ends the search only when it attracts
+        if closed and abs(_orbit_multiplier(theta, x, closed)[1]) < 1.0:
+            return None
     return None
 
 

@@ -3,6 +3,8 @@
 import multiprocessing
 import os
 import signal
+import struct
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -553,6 +555,15 @@ class WalkStopCases:
         assert paths[1][-1] == 0.0 and len(paths[1]) < len(eps)
         assert len(paths[0]) == len(paths[2]) == len(eps)
 
+    def test_linear_step_hands_over_after_first_excursion(self):
+        # from 2^-55 the states 2^-54 (still linear) and 2^-53 (the first
+        # excursion) are exact; the third step needs the full map
+        eps = np.array([2.0, 2.0, 3.0] + [2.5] * 97)
+        path, _ = self.walk(2.0**-55, eps)
+        assert path[:2].tolist() == [2.0**-54, 2.0**-53]
+        assert path[2] == 3.0 * 2.0**-53 * (1.0 - 2.0**-53) != 3.0 * 2.0**-53
+        assert np.array_equal(path, stopped_reference(2.0**-55, eps))
+
 
 class TestScalarKernel(WalkStopCases):
     """`_advance`, on Python floats, equals a numpy-scalar loop bit for bit.
@@ -684,25 +695,212 @@ class TestLaneWalk:
             assert drawn[j] == min(n, block_end(len(path), rows))
 
 
+def frozen_advance(x, eps, out):
+    """`engine._advance` before the linear step, the scalar kernel of `frozen_walk`."""
+    x, eps = float(x), memoryview(eps)
+    for lo in range(0, len(eps), engine.PIECE):
+        states = [x := e * x * (1.0 - x) for e in eps[lo : lo + engine.PIECE]]
+        out[lo : lo + len(states)] = np.frombuffer(struct.pack(f"{len(states)}d", *states))
+
+
+def frozen_advance_lanes(x, eps, out):
+    """`engine._advance_lanes` before the linear step, the row kernel of `frozen_walk`."""
+    t = np.empty_like(x)
+    for e, o in zip(eps, out):
+        np.subtract(1.0, x, t)
+        np.multiply(e, x, o)
+        np.multiply(o, t, o)
+        x = o
+
+
+def frozen_walk(starts, n, draws):
+    """`engine._walk` before the linear step: every row by a full-map kernel, every block scanned.
+
+    It reads CHUNK, FIRST_ROWS and MIN_LANES from the engine at each call,
+    so it walks the same block schedule and kernel choice as `_walk`.
+    """
+    x = np.array(starts, dtype=float)
+    lanes = len(x)
+    rows = min(max(1, engine.CHUNK // lanes), n)
+    eps, out = np.zeros((rows, lanes)), np.zeros((rows, lanes))
+    valid = np.zeros(lanes, dtype=np.int64)
+    live = np.arange(lanes)
+    done, m = 0, min(engine.FIRST_ROWS, rows)
+    while done < n and len(live):
+        m = min(m, n - done)
+        e, o = eps[:m], out[:m]
+        draws(e, live)
+        if lanes < engine.MIN_LANES:
+            for j in live:
+                frozen_advance(x[j], e[:, j], o[:, j])
+        else:
+            frozen_advance_lanes(x, e, o)
+        low = o < engine.ABSORB_FLOOR
+        o[low] = 0.0
+        hit = (low | (o == 1.0))[:, live]
+        stopped = hit.any(axis=0)
+        valid[:] = 0
+        valid[live] = np.where(stopped, hit.argmax(axis=0) + 1, m)
+        x = o[m - 1].copy()
+        yield done, e, o, valid
+        live = live[~stopped]
+        done += m
+        m = min(2 * m, rows)
+
+
+def walk_record(walk):
+    """Each block's step count, valid counts, and every lane's valid draws and states, as bytes."""
+    return [
+        (done, valid.tolist(), [(eps[:v, j].tobytes(), states[:v, j].tobytes())
+                                for j, v in enumerate(valid)])
+        for done, eps, states, valid in walk
+    ]
+
+
+def counted_draws(monkeypatch, rows=None):
+    """Parameters drawn through the walks' lane-draw entry, one entry per block."""
+    drawn = []
+    sample_lanes = NoiseModel.sample_lanes
+
+    def counted(model, rngs, live, out, buf):
+        drawn.append(len(live) * len(out))
+        if rows is not None:
+            rows.append(len(out))
+        return sample_lanes(model, rngs, live, out, buf)
+
+    monkeypatch.setattr(NoiseModel, "sample_lanes", counted)
+    return drawn
+
+
+@pytest.fixture
+def linear_calls(monkeypatch):
+    """(rows, rows settled, whether a row overflowed) of every `_advance_linear` call."""
+    calls = []
+    advance_linear = engine._advance_linear
+
+    def recorded(x, eps, out):
+        settled = advance_linear(x, eps, out)
+        calls.append((len(out), settled, bool(np.isinf(out).any())))
+        return settled
+
+    monkeypatch.setattr(engine, "_advance_linear", recorded)
+    return calls
+
+
+# U[0.2, 2] drifts down slowly (E log eps = -0.05) with a wide spread, so
+# lanes started around 2^-54 (lane j at 2^-54 times 2 to CROSSING_OFFSETS[j %
+# 7]) cross it both ways inside blocks; at seed 71 each walk of
+# `test_matches_frozen_walk` also leaves the linear regime inside a block
+CROSSING = NoiseModel.uniform(0.2, 2.0)
+CROSSING_OFFSETS = (2, -2, 1, -1, 3, -3, 0)
+
+
+def crossings(record, lanes):
+    """Counts of in-block steps at which some lane's state goes above LINEAR_MAX, and below it."""
+    up = down = 0
+    for _, valid, cols in record:
+        for j in range(lanes):
+            states = np.frombuffer(cols[j][1])
+            above = states > engine.LINEAR_MAX
+            up += int(np.count_nonzero(above[1:] & ~above[:-1]))
+            down += int(np.count_nonzero(~above[1:] & above[:-1]))
+    return up, down
+
+
+class TestLinearStep:
+    """Below 2^-54 the walk steps a block as one product, bit for bit the full-map walk."""
+
+    def test_threshold_is_where_one_minus_x_stops_rounding_to_one(self):
+        assert engine.LINEAR_MAX == 2.0**-54
+        assert 1.0 - 2.0**-54 == 1.0
+        assert 1.0 - np.nextafter(2.0**-54, 1.0) != 1.0
+        assert 1.0 - np.nextafter(2.0**-54, 1.0) == 1.0 - 2.0**-53
+
+    def walks(self, model, starts, n, seed):
+        """The records of `_walk` and of `frozen_walk` over the same substreams."""
+        def draws():
+            return _lane_draws(model, [substream(seed, j) for j in range(len(starts))])
+
+        return walk_record(_walk(starts, n, draws())), walk_record(frozen_walk(starts, n, draws()))
+
+    # 1 and 5 lanes run the scalar kernel, 200 lanes the rows; the odd
+    # schedule starts at 5 rows and caps blocks at 37 rows for 200 lanes
+    @pytest.mark.parametrize("lanes", [1, 5, 200])
+    @pytest.mark.parametrize("chunk, first_rows", [(engine.CHUNK, engine.FIRST_ROWS), (7413, 5)])
+    @pytest.mark.parametrize(
+        "model, start, n",
+        [(EXTINCT, 0.5, 20_000), (ABSORBING, 0.5, 3000), (CROSSING, None, 3000)],
+        ids=["extinct", "absorbing", "crossing"],
+    )
+    def test_matches_frozen_walk(
+        self, monkeypatch, linear_calls, lanes, chunk, first_rows, model, start, n
+    ):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        monkeypatch.setattr(engine, "FIRST_ROWS", first_rows)
+        if start is None:
+            starts = tuple(2.0**-54 * 2.0 ** CROSSING_OFFSETS[j % 7] for j in range(lanes))
+        else:
+            starts = (start,) * lanes
+        new, old = self.walks(model, starts, n, seed=71)
+        assert new == old
+        assert sum(settled for _, settled, _ in linear_calls) > 0
+        if model is CROSSING:
+            up, down = crossings(new, lanes)
+            assert up > 0 and down > 0
+            # some block left the linear regime part of the way down
+            assert any(0 < settled < rows for rows, settled, _ in linear_calls)
+
+    @pytest.mark.parametrize("lanes", [1, 200])
+    def test_overflow_inside_the_product(self, monkeypatch, linear_calls, lanes):
+        # from 1e-300 near theta = 4 a lane leaves the regime after about 470
+        # steps and its running product overflows after about 1,000, all
+        # inside the first block of 4,096 rows
+        monkeypatch.setattr(engine, "FIRST_ROWS", 4096)
+        monkeypatch.setattr(engine, "CHUNK", 4096 * lanes)
+        model = NoiseModel.uniform(3.9, 3.99)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, old = self.walks(model, (1e-300,) * lanes, 6000, seed=62)
+        assert new == old
+        rows, settled, overflowed = linear_calls[0]
+        assert rows == 4096 and 400 < settled < 600 and overflowed
+
+    def test_dying_walk_runs_mostly_linear(self, monkeypatch, linear_calls):
+        # criterion 6's shape: at least 90% of the dying walk's rows are one
+        # product, and the surviving model never enters the linear regime
+        rows = []
+        counted_draws(monkeypatch, rows)
+        checkpoints = (100, 1000, 10_000, 100_000)
+        extinction_test(EXTINCT, 0.5, checkpoints, 200, 1e-3, seed=6)
+        settled = sum(k for _, k, _ in linear_calls)
+        assert settled >= 0.9 * sum(rows)
+        linear_calls.clear()
+        extinction_test(U23, 0.5, checkpoints[:3], 200, 1e-3, seed=6)
+        assert linear_calls == []
+
+    @pytest.mark.parametrize("min_lanes", [1, 10**9])
+    def test_stopped_lane_carries_zero(self, monkeypatch, linear_calls, min_lanes):
+        # lane 0 sits at the fixed point 0.5 of eps = 2 and reaches 1 at the
+        # last row of the first block; lane 1 stays at 1e-30 under eps = 1, so
+        # every later block starts in the linear regime
+        monkeypatch.setattr(engine, "MIN_LANES", min_lanes)
+        rows = engine.FIRST_ROWS
+        columns = np.ones((200, 2))
+        columns[:, 0] = 2.0
+        columns[rows - 1, 0] = 4.0
+        draws, _ = given_draws(columns)
+        record = walk_record(_walk((0.5, 1e-30), 200, draws))
+        assert record[0][1] == [rows, rows]
+        assert np.frombuffer(record[0][2][0][1])[-1] == 1.0
+        assert [settled for _, settled, _ in linear_calls] == [len(r[2][1][1]) // 8
+                                                                for r in record[1:]]
+
+
 class TestEarlyExit:
     """A reduction that stops after a few steps draws little past its stop."""
 
-    def counted_draws(self, monkeypatch, rows=None):
-        """Parameters drawn through the walks' lane-draw entry, one entry per block."""
-        drawn = []
-        sample_lanes = NoiseModel.sample_lanes
-
-        def counted(model, rngs, live, out, buf):
-            drawn.append(len(live) * len(out))
-            if rows is not None:
-                rows.append(len(out))
-            return sample_lanes(model, rngs, live, out, buf)
-
-        monkeypatch.setattr(NoiseModel, "sample_lanes", counted)
-        return drawn
-
     def test_irreducibility_probe_draws_near_its_entry_step(self, monkeypatch):
-        drawn = self.counted_draws(monkeypatch)
+        drawn = counted_draws(monkeypatch)
         n_paths = 200
         # from far below J the map climbs for a while before any path enters
         entry = irreducibility_probe(
@@ -712,14 +910,14 @@ class TestEarlyExit:
         assert 0 < sum(drawn) <= 2 * n_paths * max(entry, engine.FIRST_ROWS)
 
     def test_one_path_probe_draws_near_its_entry_step(self, monkeypatch):
-        drawn = self.counted_draws(monkeypatch)
+        drawn = counted_draws(monkeypatch)
         step = irreducibility_probe(U23, 0.01, (0.55, 0.7), 50_000, 1, seed=5)
         assert step is not None and step < 100
         assert 0 < sum(drawn) <= 2 * max(step, engine.FIRST_ROWS)
 
     def test_walks_that_run_to_the_end_double_up_to_full_blocks(self, monkeypatch):
         rows = []
-        drawn = self.counted_draws(monkeypatch, rows)
+        drawn = counted_draws(monkeypatch, rows)
         extinction_test(U23, 0.5, (3000, 30_000), 8, 1e-3, seed=1)
         doubling = [engine.FIRST_ROWS << k for k in range(10)]
         full = engine.CHUNK // 8

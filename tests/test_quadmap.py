@@ -286,7 +286,7 @@ class TestWarmUpMatchesFullWarmUp:
                 x = x0
                 for _ in range(n):
                     x = theta * x * (1.0 - x)
-                end, closed = quadmap._warm_up(theta, x0, n)
+                end, closed = quadmap._warm_up(theta, x0, n)  # the closing lag, or 0
                 assert end.hex() == x.hex(), (n, x0)
                 # a closing takes a whole block; the attracting cycles close
                 # within the full warm-up, chaos never
@@ -370,13 +370,30 @@ class TestClosedOrbitEndsSearch:
         assert len(calls) == count
         assert (orbit is None) == (m == 2)
 
-    def test_seed_on_repelling_fixed_point_ends_search(self):
-        # 1 - 1/3.2 is an exact float fixed point: the documented exception
+    def test_seed_on_repelling_fixed_point_goes_on(self):
+        # 1 - 1/3.2 is an exact float fixed point, closed but repelling
         theta = 3.2
         xstar = quadmap.fixed_point(theta)
         assert theta * xstar * (1.0 - xstar) == xstar
-        assert quadmap.find_periodic_orbit(theta, 2, seeds=[xstar, 0.3]) is None
-        assert reference_find_periodic_orbit(theta, 2, seeds=[xstar, 0.3]) is not None
+        orbit = quadmap.find_periodic_orbit(theta, 2, seeds=[xstar, 0.3])
+        assert orbit is not None
+        assert orbit == reference_find_periodic_orbit(theta, 2, seeds=[xstar, 0.3])
+
+    def test_seeds_on_exact_float_fixed_points(self):
+        # across the period-2 window and past it, wherever 1 - 1/theta is an
+        # exact float fixed point: a repelling seed hands over to the next one
+        found = 0
+        for theta in np.linspace(3.01, 3.99, 99).tolist():
+            xstar = quadmap.fixed_point(theta)
+            if theta * xstar * (1.0 - xstar) != xstar:
+                continue
+            found += 1
+            for m in (1, 2, 4):
+                seeds = [xstar, 0.3]
+                assert quadmap.find_periodic_orbit(
+                    theta, m, seeds=seeds
+                ) == reference_find_periodic_orbit(theta, m, seeds=seeds), (theta, m)
+        assert found >= 10
 
     def test_round9_matches_numpy(self):
         rng = np.random.default_rng(24)

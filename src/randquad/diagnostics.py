@@ -48,6 +48,8 @@ __all__ = [
 
 # a stream namespace, so the same master seed never reuses a substream
 _NOISE_PAIR_KEY = 1_000_003
+# visits to J below which cyclicity_detect reports no period
+MIN_VISITS = 1000
 
 
 def tv_distance(mu: OccupationMeasure, nu: OccupationMeasure) -> float:
@@ -147,12 +149,12 @@ class ExtinctionReport:
     def final_fraction(self) -> float:
         return self.fractions[-1]
 
-    def nondecreasing_within(self, n_se: float = 2.0) -> bool:
-        """Monotonicity of the checkpoint series up to n_se binomial errors."""
+    def nondecreasing_within(self) -> bool:
+        """Monotonicity of the checkpoint series up to two binomial errors."""
         m = self.n_replicates
         for prev, cur in zip(self.fractions[:-1], self.fractions[1:]):
             se = np.sqrt(max(prev * (1.0 - prev), cur * (1.0 - cur)) / m)
-            if cur < prev - n_se * se - 1e-12:
+            if cur < prev - 2.0 * se - 1e-12:
                 return False
         return True
 
@@ -182,7 +184,7 @@ def extinction_test(
     checkpoints = tuple(int(c) for c in checkpoints)
     if not checkpoints or any(c < 1 for c in checkpoints):
         raise ValueError("checkpoints must be positive step counts")
-    if list(checkpoints) != sorted(checkpoints):
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must increase")
     draws = _lane_draws(model, _substreams(seed, (stream_key,), int(n_replicates)))
     walk = _walk((x0,) * int(n_replicates), checkpoints[-1], draws)
@@ -202,7 +204,8 @@ class CyclicityReport:
     residue_masses[r] is the fraction of all counted steps whose index is
     congruent to r modulo the estimated period and whose state lies in the
     reference set; the masses sum to the overall visit frequency.  period is
-    None when the reference set was visited too rarely to decide.
+    None when the reference set was visited fewer than MIN_VISITS (1,000)
+    times, too rarely to decide.
     """
 
     period: int | None
@@ -228,7 +231,6 @@ def cyclicity_detect(
     seed,
     x0: float = 0.5,
     burn_in: int = 1000,
-    min_visits: int = 1000,
 ) -> CyclicityReport:
     """Estimate the period of visits to J from one long trajectory.
 
@@ -238,6 +240,8 @@ def cyclicity_detect(
     candidate qualifies when its concentration is within 5% of 2; among
     qualifying candidates within a small tie tolerance of the best, the
     smallest d wins (multiples of the true period tie with it up to noise).
+    Below MIN_VISITS (1,000) visits to J the report is inconclusive, with
+    period None.
     """
     lo, hi = _check_interval(J)
     if n < 0:
@@ -259,7 +263,7 @@ def cyclicity_detect(
         steps += len(post)
     n_visits = int(residue_counts[1][0])
     visit_freq = n_visits / steps if steps else 0.0
-    if n_visits < min_visits:
+    if n_visits < MIN_VISITS:
         return CyclicityReport(
             period=None,
             residue_masses=(),

@@ -416,17 +416,6 @@ class OccupationMeasure:
             return np.zeros_like(self.counts, dtype=float)
         return self.counts / self.total
 
-    def mass_in(self, interval) -> float:
-        """Estimated mass of an interval, boundary bins weighted by overlap."""
-        lo, hi = float(interval[0]), float(interval[1])
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValueError(f"interval {interval!r} must be nondegenerate inside [0, 1]")
-        left = self.bin_edges[:-1]
-        right = self.bin_edges[1:]
-        overlap = np.clip(np.minimum(right, hi) - np.maximum(left, lo), 0.0, None)
-        width = right - left
-        return float(np.sum(self.frequencies * (overlap / width)))
-
 
 def occupation_measure(trajectory: Trajectory, bin_edges, burn_in: int) -> OccupationMeasure:
     """Bin the post-burn-in states X_{burn_in+1}, ..., X_N of one trajectory."""

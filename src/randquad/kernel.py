@@ -72,7 +72,6 @@ __all__ = [
     "one_step_row_mass",
     "n_step_density",
     "density_grid",
-    "orbit_density_chain",
     "minorization_probe",
     "irreducibility_probe",
 ]
@@ -145,7 +144,7 @@ def _crossings(model: NoiseModel, edges: np.ndarray) -> list:
 
 
 def _pushforward(
-    model: NoiseModel, edges: np.ndarray, masses: np.ndarray, crossings: list | None = None
+    model: NoiseModel, edges: np.ndarray, masses: np.ndarray, crossings: list
 ) -> np.ndarray:
     """Out-cell masses after one kernel step, one row per row of cell masses.
 
@@ -158,11 +157,9 @@ def _pushforward(
     antiderivative of 1/s is logit.  So G needs F (the mass below z) and L
     (the integral of f / s) at the four crossings: each is its value at an
     inner edge of z's cell, from a prefix sum, plus the partial cell to z.
-    crossings is _crossings(model, edges), built here when not given.
-    G(0) = 0.
+    crossings, required, is _crossings(model, edges), which the caller
+    builds once for every step on the same model and grid.  G(0) = 0.
     """
-    if crossings is None:
-        crossings = _crossings(model, edges)
     R = len(edges) - 1
     f = masses / np.diff(edges)
     # F and L at inner edge z_j are F[:, j - 1] and L[:, j - 1]; L(z_1) = 0
@@ -208,10 +205,6 @@ class DensityRow:
     resolution: int
     row_integral: float
     expected_mass: float
-
-    @property
-    def y_centers(self) -> np.ndarray:
-        return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
 
     @property
     def drift(self) -> float:
@@ -318,21 +311,6 @@ def density_grid(
         row_integrals=np.array([r.row_integral for r in rows]),
         expected_mass=rows[0].expected_mass,
     )
-
-
-def orbit_density_chain(model: NoiseModel, orbit: PeriodicOrbit) -> list[float]:
-    """One-step densities h(theta0) / (x_{i-1}(1-x_{i-1})) along the cycle.
-
-    Every entry is strictly positive; this is the chain of transitions that
-    seeds the minorization neighbourhood around the orbit.
-    """
-    h0 = float(model.density(orbit.theta))
-    if h0 <= 0.0:
-        raise ValueError(
-            f"orbit parameter {orbit.theta} lies outside the density support"
-        )
-    cycle = orbit.cycle_order()
-    return [h0 / (x * (1.0 - x)) for x in cycle]
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,6 @@ class NoiseModel:
             out = out + w * np.clip((u - c) / (d - c), 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def cdf(self, u) -> np.ndarray | float:
-        """Full distribution function, atoms included (right-continuous)."""
-        u = np.asarray(u, dtype=float)
-        out = np.asarray(self.ac_cdf(u), dtype=float).copy()
-        for loc, w in self.atoms:
-            out = out + w * (u >= loc)
-        return out if out.ndim else float(out)
-
     def inf_density(self, lo, hi) -> np.ndarray | float:
         """Exact infimum of the density over [lo, hi] (lo < hi), up to null sets.
 

@@ -1,7 +1,7 @@
 """Deterministic quadratic-map core.
 
 Everything here concerns the one-parameter family F_theta(x) = theta*x*(1-x)
-on the open interval (0, 1): evaluation, orbits, fixed and periodic points
+on the open interval (0, 1): the search for attractive periodic orbits
 with their multipliers, the largest-orbit-point function q(theta), the
 common invariant interval for a parameter band, the outward-rounded image of
 an interval under a parameter band, and Lyapunov exponents.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -31,9 +31,6 @@ __all__ = [
     "DomainError",
     "PeriodicOrbit",
     "QTable",
-    "apply",
-    "iterate",
-    "fixed_point",
     "find_periodic_orbit",
     "check_transversality",
     "q_of_theta",
@@ -89,48 +86,6 @@ def _check_state(x: float) -> float:
     return x
 
 
-def apply(theta: float, x: float) -> float:
-    """Evaluate F_theta(x) = theta*x*(1-x).
-
-    theta = 4 is admitted for deterministic analysis; there the vertex x = 0.5
-    maps to 1, which is the single point where the image touches the boundary.
-    """
-    theta = _check_theta(theta)
-    x = _check_state(x)
-    return theta * x * (1.0 - x)
-
-
-def iterate(theta: float, x0: float, n: int) -> np.ndarray:
-    """Return the orbit [x0, F x0, ..., F^n x0] of F_theta, length n + 1.
-
-    Raises DomainError if an iterate leaves (0, 1), which can only happen at
-    theta = 4 when the orbit lands on the vertex.
-    """
-    theta = _check_theta(theta)
-    x0 = _check_state(x0)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    orbit = np.empty(n + 1)
-    orbit[0] = x = x0
-    for k in range(1, n + 1):
-        x = theta * x * (1.0 - x)
-        if not (0.0 < x < 1.0):
-            raise DomainError(
-                f"orbit left (0, 1) at step {k} (theta = {theta}); "
-                "the critical orbit of theta = 4 is absorbing"
-            )
-        orbit[k] = x
-    return orbit
-
-
-def fixed_point(theta: float) -> float | None:
-    """The unique fixed point 1 - 1/theta in (0, 1), or None for theta <= 1."""
-    theta = _check_theta(theta)
-    if theta <= 1.0:
-        return None
-    return 1.0 - 1.0 / theta
-
-
 @dataclass(frozen=True)
 class PeriodicOrbit:
     """An attractive cycle of F_theta.
@@ -161,15 +116,6 @@ class PeriodicOrbit:
     def largest_point(self) -> float:
         """q(theta), the largest point of the cycle."""
         return self.points[-1]
-
-    def cycle_order(self) -> tuple[float, ...]:
-        """Points in dynamical order starting from the smallest one."""
-        out = [self.points[0]]
-        x = self.points[0]
-        for _ in range(self.period - 1):
-            x = self.theta * x * (1.0 - x)
-            out.append(x)
-        return tuple(out)
 
 
 def _orbit_multiplier(theta: float, x: float, m: int) -> tuple[float, float]:
@@ -357,8 +303,8 @@ class QTable:
     thetas: np.ndarray
     q: np.ndarray
     dq: np.ndarray
-    holes: list[float] = field(default_factory=list)
-    orbits: list[PeriodicOrbit | None] = field(default_factory=list)
+    holes: list[float]
+    orbits: list[PeriodicOrbit | None]
 
     @property
     def monotone(self) -> bool:

@@ -99,7 +99,7 @@ def test_criterion_3_kernel_normalization(acceptance):
     ck_err = 0.0
     for x in (0.3, 0.42, 0.5, 0.66):
         row = op.row(x, 3)
-        centers = row.y_centers
+        centers = 0.5 * (row.y_edges[:-1] + row.y_edges[1:])
         for yc in np.linspace(0.45, 0.73, 8):
             j = int(np.argmin(np.abs(centers - yc)))
             ck_err = max(ck_err, abs(row.values[j] - p3_oracle(U23, x, centers[j])))
@@ -181,7 +181,7 @@ def test_criterion_6_extinction(acceptance):
     elapsed = time.perf_counter() - start
     ok = (
         dying.final_fraction >= 0.9
-        and dying.nondecreasing_within(2.0)
+        and dying.nondecreasing_within()
         and surviving.final_fraction == 0.0
         and elapsed < 300.0
     )
@@ -189,7 +189,7 @@ def test_criterion_6_extinction(acceptance):
         6,
         ok,
         f"extinction fraction {dying.final_fraction:.3f} (>= 0.9), nondecreasing: "
-        f"{dying.nondecreasing_within(2.0)}, survivor fraction "
+        f"{dying.nondecreasing_within()}, survivor fraction "
         f"{surviving.final_fraction:.1f} (= 0), {elapsed:.1f}s (< 5 min)",
     )
     assert ok

@@ -395,6 +395,7 @@ class TestSubcommands:
         [
             ("extinction.replicates=0", "n_replicates must be >= 1"),
             ("extinction.x0=1.5", "x0 must lie in (0, 1)"),
+            ("extinction.checkpoints=100 100", "checkpoints must increase"),
         ],
     )
     def test_extinction_bad_input_is_error(self, tmp_path, capsys, override, message):

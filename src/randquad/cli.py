@@ -167,10 +167,11 @@ def _trajectory_csv(path: Path, traj) -> None:
             fh.write(_csv_rows(rows))
 
 
-def _density_csv(path: Path, grid) -> None:
-    """Write one row of cell densities per source state; the same bytes as _write_csv."""
-    centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
-    rows = np.column_stack([grid.x_values, grid.values])
+def _density_csv(path: Path, density_rows) -> None:
+    """Write one row of cell densities per DensityRow; the same bytes as _write_csv."""
+    edges = density_rows[0].y_edges
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    rows = np.column_stack([[r.x for r in density_rows], [r.values for r in density_rows]])
     step = max(1, 3 * CSV_ROWS // rows.shape[1])
     with open(path, "wb") as fh:
         fh.write(b"x," + _csv_rows(centers[None, :]))
@@ -278,13 +279,12 @@ def _cmd_kernel(cfg: ExperimentConfig, outdir: Path) -> int:
     x_points = _distinct(cfg.require("kernel", "x_points"), "kernel.x_points")
     n = cfg.get("kernel", "steps", 1)
     resolution = cfg.get("kernel", "resolution", 512)
-    grid = kernel.density_grid(model, x_points, n, resolution=resolution)
-    _density_csv(outdir / "density.csv", grid)
-    drift = float(np.max(np.abs(grid.row_integrals - grid.expected_mass)))
-    items = [("n", n), ("resolution", resolution), ("expected_mass", grid.expected_mass)]
-    items += [
-        (f"row_integral_x_{_fmt(x)}", ri) for x, ri in zip(grid.x_values, grid.row_integrals)
-    ]
+    rows = kernel.KernelOperator(model, resolution).rows(x_points, n)
+    _density_csv(outdir / "density.csv", rows)
+    # np.max, not max: a NaN drift must read NaN and fail the bound
+    drift = float(np.max([r.drift for r in rows]))
+    items = [("n", n), ("resolution", resolution), ("expected_mass", rows[0].expected_mass)]
+    items += [(f"row_integral_x_{_fmt(r.x)}", r.row_integral) for r in rows]
     items.append(("max_drift", drift))
     _write_report(outdir, items)
     return 0 if drift <= 1e-6 else 2
@@ -304,12 +304,7 @@ def _cmd_minorize(cfg: ExperimentConfig, outdir: Path) -> int:
         )
     J = None if j_lo is None else (j_lo, j_hi)
     outcome = kernel.minorization_probe(
-        model,
-        theta0,
-        m,
-        J=J,
-        grid_n=cfg.get("minorize", "grid", 64),
-        resolution=cfg.get("minorize", "resolution", 2048),
+        model, theta0, m, J=J, **cfg.given("minorize", grid_n="grid", resolution="resolution")
     )
     if outcome.ok:
         _write_report(outdir, [("certified", True)] + list(outcome.to_record().items()))

@@ -95,6 +95,12 @@ class ExperimentConfig:
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
+    def given(self, section: str, **fields: str) -> dict:
+        """{field: value of key} for each field = key that the section sets, so
+        that a key left out takes the default of the callee's field."""
+        values = self.sections.get(section, {})
+        return {field: values[key] for field, key in fields.items() if key in values}
+
     def require(self, section: str, key: str):
         value = self.get(section, key)
         if value is None:
@@ -133,10 +139,8 @@ class ExperimentConfig:
             return SimConfig(
                 master_seed=self.require("sim", "seed"),
                 n_steps=self.require("sim", "steps"),
-                n_replicates=self.get("sim", "replicates", 1),
-                burn_in=self.get("sim", "burn_in", 1000),
-                initial_states=self.get("sim", "initial_states", (0.5,)),
-                n_bins=self.get("sim", "bins", 200),
+                **self.given("sim", n_replicates="replicates", burn_in="burn_in",
+                             initial_states="initial_states", n_bins="bins"),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -62,23 +62,15 @@ from .noise import NoiseModel
 from .quadmap import _BOUND_SLACK, PeriodicOrbit, find_periodic_orbit, interval_image, q_of_theta
 
 __all__ = [
-    "QuadratureError",
     "DensityRow",
-    "DensityGrid",
     "MinorizationCertificate",
     "MinorizationFailure",
     "KernelOperator",
     "one_step_density",
     "one_step_row_mass",
-    "n_step_density",
-    "density_grid",
     "minorization_probe",
     "irreducibility_probe",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Resolution too coarse: measured normalization drift beyond tolerance."""
 
 
 def one_step_density(model: NoiseModel, x: float, y) -> np.ndarray | float:
@@ -193,9 +185,10 @@ class DensityRow:
     """Cell-averaged n-step density p^(n)(x, .) on the cells of y_edges.
 
     row_integral is the exact sum of cell masses; expected_mass is
-    (a.c. weight)^n, since atomic noise removes kernel mass at every step.
-    Values coincide with the pointwise density wherever it is constant
-    across a cell; elsewhere they are averages.
+    (a.c. weight)^n, since atomic noise removes kernel mass at every step,
+    and drift, the gap between the two, measures normalization.  Values
+    coincide with the pointwise density wherever it is constant across a
+    cell; elsewhere they are averages.
     """
 
     n: int
@@ -211,22 +204,11 @@ class DensityRow:
         return abs(self.row_integral - self.expected_mass)
 
 
-@dataclass(frozen=True)
-class DensityGrid:
-    """Stacked density rows for several source states on common y cells."""
-
-    n: int
-    x_values: np.ndarray
-    y_edges: np.ndarray
-    values: np.ndarray  # shape (len(x_values), len(y_edges) - 1)
-    resolution: int
-    row_integrals: np.ndarray
-    expected_mass: float
-
-
 class KernelOperator:
     """Reusable n-step density evaluator at a fixed internal resolution.
 
+    rows and row are the kernel's entry points for n-step densities: each
+    source state gets one DensityRow, whose drift measures normalization.
     Nothing is stored beyond the grid.  Each rows call with n >= 2 builds
     the crossing geometry once (_crossings), applies the kernel to every row
     at once through _pushforward at each step, and drops the geometry on
@@ -246,6 +228,8 @@ class KernelOperator:
         """Cell-averaged p^(n)(x, .) on the internal grid for each x, all
         checked first; each step moves every row at once."""
         x = np.asarray(x_values, dtype=float)
+        if x.size == 0:
+            raise ValueError("x_values is empty: need at least one source state")
         for i, xi in enumerate(x):
             if not (0.0 < xi < 1.0):
                 raise ValueError(f"x_values[{i}] = {float(xi)} must lie in (0, 1)")
@@ -264,53 +248,6 @@ class KernelOperator:
     def row(self, x: float, n: int) -> DensityRow:
         """Cell-averaged p^(n)(x, .) on the internal grid."""
         return self.rows([x], n)[0]
-
-
-def n_step_density(
-    model: NoiseModel,
-    x: float,
-    n: int,
-    resolution: int = 2048,
-    normalization_tol: float = 1e-6,
-) -> DensityRow:
-    """n-step density row from x, with a normalization failure guard.
-
-    The cell masses must sum to (a.c. weight)^n within normalization_tol;
-    a larger measured drift raises QuadratureError, which
-    indicates the resolution cannot support the requested computation (the
-    closed-form transfer keeps drift at roundoff level unless the source
-    state feeds mass into the extreme cells).
-    """
-    row = KernelOperator(model, resolution).row(x, n)
-    if row.drift > normalization_tol:
-        raise QuadratureError(
-            f"normalization drift {row.drift:.3e} exceeds {normalization_tol:.3e} "
-            f"at resolution {resolution}"
-        )
-    return row
-
-
-def density_grid(
-    model: NoiseModel,
-    x_values,
-    n: int,
-    resolution: int = 2048,
-) -> DensityGrid:
-    """Density rows for several source states, stepped together."""
-    x_values = np.asarray(x_values, dtype=float)
-    if x_values.size == 0:
-        raise ValueError("x_values is empty: need at least one source state")
-    op = KernelOperator(model, resolution)
-    rows = op.rows(x_values, n)
-    return DensityGrid(
-        n=n,
-        x_values=x_values,
-        y_edges=rows[0].y_edges,
-        values=np.vstack([r.values for r in rows]),
-        resolution=op.resolution,
-        row_integrals=np.array([r.row_integral for r in rows]),
-        expected_mass=rows[0].expected_mass,
-    )
 
 
 @dataclass(frozen=True)
@@ -415,33 +352,29 @@ def _default_window(
     lo, hi = _density_window(model, theta0)
     pad = 1e-9 * (hi - lo)
     table = q_of_theta((lo + pad, hi - pad), m, n_scan)
-    thetas, qs = table.thetas, table.q
-    i0 = int(np.argmin(np.abs(thetas - theta0)))
-    if np.isnan(qs[i0]):
-        return None
-    a = b = i0
-    while a > 0 and not np.isnan(qs[a - 1]):
-        a -= 1
-    while b < n_scan - 1 and not np.isnan(qs[b + 1]):
-        b += 1
-    # widest strictly monotone sub-run of samples covering i0
-    signs = np.sign(np.diff(qs[a : b + 1]))
-    rel = i0 - a
-    best = None
-    k = 0
-    while k < len(signs):
-        if signs[k] == 0:
-            k += 1
-            continue
-        j = k
-        while j + 1 < len(signs) and signs[j + 1] == signs[k]:
-            j += 1
-        if k <= rel <= j + 1 and (best is None or j - k > best[1] - best[0]):
-            best = (k, j)
-        k = j + 1
-    if best is None or best[1] + 1 - best[0] < 2:
-        return None
-    return table.orbits[a + best[0]], table.orbits[a + best[1] + 1]
+    run = _monotone_run(table.q, int(np.argmin(np.abs(table.thetas - theta0))))
+    return None if run is None else (table.orbits[run[0]], table.orbits[run[1]])
+
+
+def _monotone_run(q: np.ndarray, i0: int) -> tuple[int, int] | None:
+    """Samples k .. j of the widest strictly monotone run of q covering i0,
+    the first on a tie; None unless it takes at least two steps.
+
+    A run is maximal with equal +-1 signs of np.diff(q): NaN holes and flat
+    steps end it.  One that covers sample i0 takes step i0 - 1 or step i0.
+    """
+    signs = np.sign(np.diff(q))
+    runs = []
+    for step in (i0 - 1, i0):
+        if 0 <= step < len(signs) and abs(signs[step]) == 1:
+            k, j = step, step + 1
+            while k > 0 and signs[k - 1] == signs[step]:
+                k -= 1
+            while j < len(signs) and signs[j] == signs[step]:
+                j += 1
+            runs.append((k, j))
+    k, j = max(runs, key=lambda run: run[1] - run[0], default=(i0, i0))
+    return (k, j) if j - k >= 2 else None
 
 
 def _first_column(holds, guess: np.ndarray, n: int) -> np.ndarray:

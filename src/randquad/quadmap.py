@@ -65,12 +65,10 @@ class DomainError(ValueError):
     """Argument outside the admissible domain of the map family."""
 
 
-def _check_theta(theta: float, allow_four: bool = True) -> float:
+def _check_theta(theta: float) -> float:
     theta = float(theta)
-    hi_ok = theta <= 4.0 if allow_four else theta < 4.0
-    if not (0.0 < theta and hi_ok):
-        bound = "(0, 4]" if allow_four else "(0, 4)"
-        raise DomainError(f"map parameter {theta!r} outside {bound}")
+    if not (0.0 < theta <= 4.0):
+        raise DomainError(f"map parameter {theta!r} outside (0, 4]")
     return theta
 
 

@@ -25,7 +25,6 @@ from randquad.kernel import (
     KernelOperator,
     MinorizationCertificate,
     minorization_probe,
-    n_step_density,
     one_step_row_mass,
 )
 from randquad.noise import NoiseModel, substream
@@ -93,7 +92,7 @@ def test_criterion_3_kernel_normalization(acceptance):
     multi_err = 0.0
     for x in (0.3, 0.5, 0.7):
         for n in (2, 3):
-            row = n_step_density(U23, x, n, resolution=4096)
+            row = KernelOperator(U23, 4096).row(x, n)
             multi_err = max(multi_err, abs(row.row_integral - 1.0))
     op = KernelOperator(U23, 8192)
     ck_err = 0.0

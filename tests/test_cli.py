@@ -11,7 +11,7 @@ import pytest
 from randquad import cli, engine, kernel
 from randquad.cli import main
 from randquad.config import _SCHEMA, ConfigError, parse_config_text
-from randquad.engine import Trajectory, simulate_trajectory
+from randquad.engine import SimConfig, Trajectory, simulate_trajectory
 from randquad.noise import NoiseModel, substream
 from test_engine import RecordingPool
 
@@ -80,6 +80,16 @@ class TestConfigParsing:
         cfg = parse_config_text(BASE_CONFIG)
         cfg.override("sim.steps", "12345")
         assert cfg.sim_config().n_steps == 12345
+
+    def test_sim_defaults_are_sim_configs(self):
+        cfg = parse_config_text("[sim]\nseed = 3\nsteps = 5000\n")
+        assert cfg.sim_config() == SimConfig(master_seed=3, n_steps=5000)
+
+    @pytest.mark.parametrize("key", ["seed", "steps"])
+    def test_sim_required_key_missing(self, key):
+        text = "[sim]\nseed = 3\nsteps = 5000\n".replace(f"{key} = ", "# ")
+        with pytest.raises(ConfigError, match=f"missing required key sim.{key}"):
+            parse_config_text(text).sim_config()
 
     def test_bad_override_rejected(self):
         cfg = parse_config_text(BASE_CONFIG)
@@ -193,6 +203,31 @@ class TestSubcommands:
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "certified = true" in report
         assert "delta = " in report
+
+    @pytest.mark.parametrize("scale", [(1.0 + 1e-5, 1.0 + 1e-5), (1.0, np.nan)],
+                             ids=["gain", "nan-in-second-row"])
+    def test_kernel_drift_exit_two(self, tmp_path, monkeypatch, scale):
+        # a step that gains 1e-5 of mass fails the 1e-6 normalization bound;
+        # a NaN drift fails it too, though the first row's drift is fine
+        step = kernel._pushforward
+        monkeypatch.setattr(kernel, "_pushforward",
+                            lambda *args: step(*args) * np.array(scale)[:, None])
+        cfg = write_config(
+            tmp_path,
+            BASE_CONFIG + "\n[kernel]\nx_points = 0.3 0.5\nsteps = 2\nresolution = 512\n",
+        )
+        assert run_cli(tmp_path, "kernel", "--config", str(cfg)) == 2
+        report = (tmp_path / "out" / "report.txt").read_text()
+        drift = float(report.split("max_drift = ")[1].split()[0])
+        assert drift > 1e-6 or np.isnan(drift)
+
+    def test_minorize_default_grid_and_resolution(self, tmp_path):
+        text = BASE_CONFIG.replace("2.0:3.0:1.0", "2.2:2.8:1.0")
+        cfg = write_config(tmp_path, text + "\n[minorize]\ntheta0 = 2.5\nperiod = 1\n")
+        assert run_cli(tmp_path, "minorize", "--config", str(cfg)) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "\ngrid_n = 64\n" in report
+        assert "\nresolution = 2048\n" in report
 
     def test_minorize_degenerate_grid_is_error(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "2.2:2.8:1.0")
@@ -486,26 +521,27 @@ class TestTrajectoryCsv:
 
 class TestDensityCsv:
     def test_same_bytes_as_generic_writer(self, tmp_path):
-        grid = kernel.density_grid(NoiseModel.uniform(2.0, 3.0), [0.3, 0.123456789], 2, 64)
-        cli._density_csv(tmp_path / "direct.csv", grid)
-        centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
-        rows = [[x] + list(vals) for x, vals in zip(grid.x_values, grid.values)]
-        cli._write_csv(tmp_path / "generic.csv", ["x"] + [cli._fmt(c) for c in centers], rows)
+        rows = kernel.KernelOperator(NoiseModel.uniform(2.0, 3.0), 64).rows([0.3, 0.123456789], 2)
+        cli._density_csv(tmp_path / "direct.csv", rows)
+        centers = 0.5 * (rows[0].y_edges[:-1] + rows[0].y_edges[1:])
+        generic = [[r.x] + list(r.values) for r in rows]
+        cli._write_csv(tmp_path / "generic.csv", ["x"] + [cli._fmt(c) for c in centers], generic)
         direct = (tmp_path / "direct.csv").read_bytes()
         assert direct == (tmp_path / "generic.csv").read_bytes()
         assert direct.count(b"\n") == 3
 
     @staticmethod
     def assert_same_bytes(tmp_path, x_values, values):
-        grid = kernel.DensityGrid(
-            n=1, x_values=x_values, y_edges=np.linspace(0.0, 1.0, values.shape[1] + 1),
-            values=values, resolution=values.shape[1], row_integrals=np.zeros(len(values)),
-            expected_mass=1.0,
-        )
-        cli._density_csv(tmp_path / "direct.csv", grid)
-        centers = 0.5 * (grid.y_edges[:-1] + grid.y_edges[1:])
-        rows = [[x] + list(vals) for x, vals in zip(grid.x_values, grid.values)]
-        cli._write_csv(tmp_path / "generic.csv", ["x"] + [cli._fmt(c) for c in centers], rows)
+        edges = np.linspace(0.0, 1.0, values.shape[1] + 1)
+        rows = [
+            kernel.DensityRow(n=1, x=x, y_edges=edges, values=vals, resolution=len(vals),
+                              row_integral=0.0, expected_mass=1.0)
+            for x, vals in zip(x_values, values)
+        ]
+        cli._density_csv(tmp_path / "direct.csv", rows)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        generic = [[x] + list(vals) for x, vals in zip(x_values, values)]
+        cli._write_csv(tmp_path / "generic.csv", ["x"] + [cli._fmt(c) for c in centers], generic)
         assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
 
     def test_same_bytes_for_extreme_values(self, tmp_path):

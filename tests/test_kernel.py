@@ -15,11 +15,8 @@ from randquad.kernel import (
     KernelOperator,
     MinorizationCertificate,
     MinorizationFailure,
-    QuadratureError,
-    density_grid,
     irreducibility_probe,
     minorization_probe,
-    n_step_density,
     one_step_density,
     one_step_row_mass,
 )
@@ -274,12 +271,9 @@ def _eager_masses(op, xs, n):
         lambda m: one_step_density(m, 0.3, 0.5),
         lambda m: one_step_row_mass(m, 0.3),
         lambda m: KernelOperator(m, 64),
-        lambda m: n_step_density(m, 0.3, 2, resolution=64),
-        lambda m: density_grid(m, [0.3], 2, resolution=64),
         lambda m: minorization_probe(m, 2.5, 1, grid_n=8, resolution=64),
     ],
-    ids=["one_step_density", "one_step_row_mass", "KernelOperator", "n_step_density",
-         "density_grid", "minorization_probe"],
+    ids=["one_step_density", "one_step_row_mass", "KernelOperator", "minorization_probe"],
 )
 @pytest.mark.parametrize("model", [NoiseModel.point_mass(2.5), ATOMIC_WITH_ZERO_PIECE],
                          ids=["atom", "atom+zero-weight-piece"])
@@ -326,7 +320,7 @@ class TestNStepDensity:
     def test_base_case_matches_pointwise_aligned(self):
         # at x = 0.5 and resolution 1024 the support edges 0.5 and 0.75 land
         # exactly on cell edges, so every cell average is the pointwise value
-        row = n_step_density(U23, 0.5, 1, resolution=1024)
+        row = KernelOperator(U23, 1024).row(0.5, 1)
         pointwise = one_step_density(U23, 0.5, _centers(row))
         assert np.array_equal(row.values, pointwise)
 
@@ -334,7 +328,7 @@ class TestNStepDensity:
         # generic x: equality up to roundoff away from the two cells that
         # straddle the support edges, a genuine averaging gap inside them
         x = 0.46
-        row = n_step_density(U23, x, 1, resolution=1024)
+        row = KernelOperator(U23, 1024).row(x, 1)
         centers = _centers(row)
         pointwise = one_step_density(U23, x, centers)
         width = row.y_edges[1] - row.y_edges[0]
@@ -347,12 +341,12 @@ class TestNStepDensity:
 
     def test_purely_ac_normalization(self):
         for n in (1, 2, 3):
-            row = n_step_density(U23, 0.5, n, resolution=4096)
+            row = KernelOperator(U23, 4096).row(0.5, n)
             assert row.row_integral == pytest.approx(1.0, abs=1e-6)
 
     def test_mixed_model_expected_mass(self):
         mixed = NoiseModel(atoms=((2.5, 0.4),), uniform_pieces=((2.0, 3.0, 0.6),))
-        row = n_step_density(mixed, 0.5, 2, resolution=2048)
+        row = KernelOperator(mixed, 2048).row(0.5, 2)
         assert row.expected_mass == pytest.approx(0.36, abs=1e-12)
         assert row.row_integral == pytest.approx(0.36, abs=1e-9)
 
@@ -372,7 +366,7 @@ class TestNStepDensity:
         assert max(failures) < 1e-5
 
     def test_two_step_against_oracle(self):
-        row = n_step_density(U23, 0.5, 2, resolution=4096)
+        row = KernelOperator(U23, 4096).row(0.5, 2)
         centers = _centers(row)
         for yc in (0.55, 0.6, 0.65, 0.7):
             j = int(np.argmin(np.abs(centers - yc)))
@@ -386,21 +380,15 @@ class TestNStepDensity:
         full = U23
         half = NoiseModel(atoms=((2.5, 0.5),), uniform_pieces=((2.0, 3.0, 0.5),))
         for n in (1, 2):
-            a = n_step_density(full, 0.4, n, resolution=512).values
-            b = n_step_density(half, 0.4, n, resolution=512).values
+            a = KernelOperator(full, 512).row(0.4, n).values
+            b = KernelOperator(half, 512).row(0.4, n).values
             assert np.all(b <= a + 1e-9 * max(1.0, a.max()))  # roundoff slack
 
-    def test_quadrature_guard_raises(self):
-        # exercised with an impossible tolerance; the exact transfer keeps
-        # real drift at roundoff level
-        with pytest.raises(QuadratureError):
-            n_step_density(U23, 0.5, 3, resolution=256, normalization_tol=-1.0)
-
-    def test_density_grid_shares_results(self):
-        grid = density_grid(U23, [0.3, 0.5, 0.7], 2, resolution=512)
-        single = n_step_density(U23, 0.5, 2, resolution=512)
-        assert np.array_equal(grid.values[1], single.values)
-        assert grid.values.shape == (3, 512)
+    def test_rows_share_results(self):
+        rows = KernelOperator(U23, 512).rows([0.3, 0.5, 0.7], 2)
+        single = KernelOperator(U23, 512).row(0.5, 2)
+        assert np.array_equal(rows[1].values, single.values)
+        assert [r.values.shape for r in rows] == [(512,)] * 3
 
 
 class TestAntiderivativeBits:
@@ -536,9 +524,9 @@ class TestFoldedBandOperator:
 
         assert array_bytes(vars(op)) <= 0.25 * 8 * R * R
 
-    def test_density_grid_rejects_empty_x_values(self):
+    def test_rows_rejects_empty_x_values(self):
         with pytest.raises(ValueError, match="x_values is empty"):
-            density_grid(U23, [], 2, resolution=64)
+            KernelOperator(U23, 64).rows([], 2)
 
 
 X_SETS = [(0.3,), (0.25, 0.4, 0.6, 0.75), (1e-6, 0.5, 0.999999), (0.05, 0.123456789, 0.9)]
@@ -603,10 +591,10 @@ class TestLazyBand:
                 assert _same_bits([r.row_integral for r in rows], want.sum(axis=1)), (xs, n)
                 assert _same_bits(op.row(xs[-1], n).values, want[-1] / op.widths), (xs, n)
         xs = sum(X_SETS, ())
-        grid = density_grid(model, xs, 3, resolution=R)
+        rows = op.rows(xs, 3)
         want = _eager_masses(op, xs, 3)
-        assert _same_bits(grid.values, want / op.widths)
-        assert _same_bits(grid.row_integrals, want.sum(axis=1))
+        assert _same_bits([r.values for r in rows], want / op.widths)
+        assert _same_bits([r.row_integral for r in rows], want.sum(axis=1))
 
     def test_one_step_builds_nothing(self, monkeypatch):
         # p^(1) is the closed form alone; each further step is one call for all rows
@@ -834,6 +822,62 @@ class TestMinorizationProbe:
                 bound = out.delta * (hi - lo)
                 se = np.sqrt(max(freq * (1.0 - freq), 1e-12) / n_draws)
                 assert freq >= bound - 3.0 * se
+
+
+def _reference_monotone_run(qs, i0):
+    """The scan that _monotone_run replaced, kept as its reference: samples
+    (k, j) of the widest strictly monotone run covering i0, or None."""
+    n_scan = len(qs)
+    if np.isnan(qs[i0]):
+        return None
+    a = b = i0
+    while a > 0 and not np.isnan(qs[a - 1]):
+        a -= 1
+    while b < n_scan - 1 and not np.isnan(qs[b + 1]):
+        b += 1
+    signs = np.sign(np.diff(qs[a : b + 1]))
+    rel = i0 - a
+    best = None
+    k = 0
+    while k < len(signs):
+        if signs[k] == 0:
+            k += 1
+            continue
+        j = k
+        while j + 1 < len(signs) and signs[j + 1] == signs[k]:
+            j += 1
+        if k <= rel <= j + 1 and (best is None or j - k > best[1] - best[0]):
+            best = (k, j)
+        k = j + 1
+    if best is None or best[1] + 1 - best[0] < 2:
+        return None
+    return a + best[0], a + best[1] + 1
+
+
+class TestMonotoneRun:
+    def test_same_run_as_reference_scan(self):
+        # random walks with flat steps, ties either side of i0 and NaN holes
+        rng = np.random.default_rng(2024)
+        for _ in range(20_000):
+            q = np.cumsum(rng.choice([-1.0, 0.0, 1.0], p=[0.4, 0.2, 0.4], size=rng.integers(1, 41)))
+            q[rng.random(len(q)) < 0.1] = np.nan
+            i0 = int(rng.integers(len(q)))
+            assert kernel._monotone_run(q, i0) == _reference_monotone_run(q, i0), (q, i0)
+
+    @pytest.mark.parametrize(
+        "q, i0, run",
+        [
+            pytest.param([0, 1, 2, 1, 0], 2, (0, 2), id="tie-takes-first"),
+            pytest.param([0, 1, 2, 1, 0, -1], 2, (2, 5), id="wider-second"),
+            pytest.param([0, 1, 1, 2, 3], 2, (2, 4), id="flat-step-ends-run"),
+            pytest.param([0, 1, np.nan, 2, 3], 1, None, id="hole-leaves-one-step"),
+            pytest.param([0, 1, 2], 1, (0, 2), id="through-i0"),
+            pytest.param([0, np.nan, 2], 1, None, id="i0-in-hole"),
+            pytest.param([5.0], 0, None, id="one-sample"),
+        ],
+    )
+    def test_cases(self, q, i0, run):
+        assert kernel._monotone_run(np.array(q, dtype=float), i0) == run
 
 
 class TestIrreducibilityProbe:

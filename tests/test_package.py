@@ -11,7 +11,6 @@ MODULES = ["quadmap", "noise", "engine", "kernel", "diagnostics", "config", "cli
 # public names that nothing in the package or the benchmark calls, kept on
 # purpose, each with its reason
 UNCALLED_KEEP = {
-    "n_step_density": "acceptance criterion 3 checks the kernel's normalization through it",
     "one_step_row_mass": "acceptance criterion 3 checks the exact one-step mass through it",
     "one_step_density": "the pointwise kernel that regeneration (split-chain) tours will call",
     "invariant_interval": "the interval I on which certified uniform ergodicity will be proved",
@@ -49,13 +48,28 @@ def _identifiers_outside_own_definition() -> set[str]:
     return used
 
 
+def _public_names() -> list[tuple[str, str]]:
+    return [
+        (module, name)
+        for module in MODULES
+        for name in importlib.import_module(f"randquad.{module}").__all__
+    ]
+
+
 def test_every_name_in_all_is_used():
     # a public name that only tests reach is dead code; keep it only on purpose
     used = _identifiers_outside_own_definition()
     unused = [
         f"{module}.{name}"
-        for module in MODULES
-        for name in importlib.import_module(f"randquad.{module}").__all__
+        for module, name in _public_names()
         if name not in used and name not in UNCALLED_KEEP
     ]
     assert unused == []
+
+
+def test_every_keep_entry_is_needed():
+    # an entry goes once its name leaves every __all__ or gains a caller
+    public = {name for _, name in _public_names()}
+    used = _identifiers_outside_own_definition()
+    stale = [name for name in UNCALLED_KEEP if name not in public or name in used]
+    assert stale == []

@@ -166,7 +166,7 @@ def extinction_test(
     n_replicates: int,
     threshold: float,
     seed: int,
-    stream_key: tuple[int, ...] = (),
+    stream_key: tuple[int, ...],
 ) -> ExtinctionReport:
     """Fraction of replicates with X_N below threshold at each checkpoint N.
 
@@ -229,14 +229,16 @@ def cyclicity_detect(
     n: int,
     d_max: int,
     seed,
-    x0: float = 0.5,
-    burn_in: int = 1000,
+    x0: float,
+    burn_in: int,
 ) -> CyclicityReport:
     """Estimate the period of visits to J from one long trajectory.
 
-    For each candidate period d the concentration is (max residue-class
-    visit count) / (mean residue-class visit count), which reaches d for a
-    perfectly cyclic pattern and stays near 1 for an aperiodic one.  A
+    The path starts at x0 and runs burn_in + n steps, of which only the n
+    after the burn-in are counted.  For each candidate period d the
+    concentration is (max residue-class visit count) / (mean residue-class
+    visit count), which reaches d for a perfectly cyclic pattern and stays
+    near 1 for an aperiodic one.  A
     candidate qualifies when its concentration is within 5% of 2; among
     qualifying candidates within a small tie tolerance of the best, the
     smallest d wins (multiples of the true period tie with it up to noise).

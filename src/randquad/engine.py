@@ -25,7 +25,16 @@ LINEAR_MAX = 2^-54, 1 - x rounds to exactly 1 and the map is x -> eps * x
 bit for bit; `_walk` then settles the block with `_advance_linear`, one
 running product down it, through the first row in which some lane exceeds
 2^-54, and the kernel computes the rest of the block from that row.  A
-dying walk (E log eps < 0) spends most of its rows there.  After the
+dying walk (E log eps < 0) spends most of its rows there.  A long block
+speculates: the stable chains contract on average, so two float paths
+driven by the same draws become bit-equal and then stay equal.
+`_advance_segments` cuts each lane's column into segments of SEG rows, runs
+all of them from the lane's carried state as the lanes of one row-kernel
+block, runs each once more for WIN rows from its predecessor's end to find
+where the two coupled, and re-runs with the scalar kernel, from the true
+end before it, each segment whose coupling it cannot prove; the result is
+the sequential path bit for bit.  A walk whose block re-runs more than 1/8
+of its segments (a chaotic or dying walk) stops speculating.  After the
 kernels, one scan of the block in `_walk` records states below
 ABSORB_FLOOR as 0 and stops each lane at its first 0 or 1; a block whose
 states all lie in [ABSORB_FLOOR, 1) skips that scan after one min and one
@@ -91,6 +100,22 @@ MIN_LANES = 28
 # piece's states are still in cache when one struct.pack stores them
 PIECE = 4096
 
+# rows per speculative segment of a long block; a multiple of 64, so the
+# carried state, every segment's first guess, lies in the right phase class
+# of any cycle whose period divides 64
+SEG = 256
+
+# rows of the second pass, which runs each segment again from its
+# predecessor's end and looks for the row at which the two passes agree
+WIN = 64
+
+# fewest lane-steps in a block's segments for it to speculate: both passes
+# and the copies take about 0.5 ms up to a few hundred columns, so on U[2,3]
+# segments break even with the plain kernels near 6,000-8,000 lane-steps
+# (medians of 15 timings, pure Python, 2 cores); twice that keeps the block
+# that a walk whose paths never couple loses small
+SPEC_STEPS = 1 << 14
+
 # smallest normal double: once the state is subnormal it can plateau at
 # 5e-324 forever (noise >= 0.5 rounds it back up), so extinction regimes
 # would never register; anything this small is numerically extinct
@@ -152,6 +177,69 @@ def _advance_linear(x, eps, out) -> int:
     return int((out > LINEAR_MAX).any(axis=1).argmax()) + 1
 
 
+def _advance_segments(x, eps, out, bufs) -> int:
+    """Run the map over an (S * SEG, L) block from a row x of states, as S * L coupled segments.
+
+    Fills out bit for bit as `_advance` down each column would, and returns
+    how many segments it re-ran.  Pass 1 runs every lane's S segments of SEG
+    rows as one contiguous (SEG, S * L) block through `_advance_lanes`, each
+    from the lane's state x: exact for segment 0, a guess for the rest.
+    Pass 2 runs segments 1..S-1 again for WIN rows, each from its
+    predecessor's pass-1 end; at the first row where the passes are equal
+    (states are never NaN or -0.0, so == is bit equality) the two paths have
+    coupled, and pass 2's rows before it are kept.  A segment is then exact
+    when its predecessor's end is exact and it coupled; any other segment
+    is re-run by `_repair` from the true end before it.  bufs holds three
+    flat buffers of at least S * SEG * L, S * SEG * L and WIN * S * L floats.
+    """
+    segs, lanes = len(eps) // SEG, len(x)
+    width = segs * lanes
+    e1, o1 = (b[: SEG * width].reshape(SEG, width) for b in bufs[:2])
+    o2 = bufs[2][: WIN * (width - lanes)].reshape(WIN, width - lanes)
+    e1.reshape(SEG, segs, lanes)[:] = eps.reshape(segs, SEG, lanes).transpose(1, 0, 2)
+    _advance_lanes(np.tile(x, segs), e1, o1)
+    _advance_lanes(o1[-1, :-lanes], e1[:WIN, lanes:], o2)
+    head = o1[:WIN, lanes:]
+    same = o2 == head
+    coupled = same.any(axis=0)
+    first = np.where(coupled, same.argmax(axis=0), 0)
+    np.copyto(head, o2, where=np.arange(WIN)[:, None] < first)
+    out.reshape(segs, SEG, lanes)[:] = o1.reshape(SEG, segs, lanes).transpose(1, 0, 2)
+    coupled = coupled.reshape(segs - 1, lanes)
+    repaired = 0
+    for j in np.flatnonzero(~coupled.all(axis=0)):
+        exact = True  # the end of the segment before s is the true one
+        for s in range(1, segs):
+            if exact and coupled[s - 1, j]:
+                continue
+            rows = slice(s * SEG, (s + 1) * SEG)
+            exact = _repair(out[s * SEG - 1, j], eps[rows, j], out[rows, j])
+            repaired += 1
+    return repaired
+
+
+def _repair(x, eps, out) -> bool:
+    """Re-run one lane's segment from its true start x until it meets the states in out.
+
+    out holds a path of the same draws from some other start.  `_advance`
+    steps WIN draws at a time; from the first row equal to the stored one,
+    the stored rows are the true path.  Returns whether such a row came; if
+    not, out now holds the true path, whose end differs from the stored end.
+    """
+    for lo in range(0, len(eps), WIN):
+        o = out[lo : lo + WIN]
+        t = np.empty(len(o))
+        _advance(x, eps[lo : lo + WIN], t)
+        same = t == o
+        if same.any():
+            r = int(same.argmax())
+            o[:r] = t[:r]
+            return True
+        o[:] = t
+        x = t[-1]
+    return False
+
+
 def _walk(starts, n: int, draws):
     """Walk n steps from each start in lockstep, yielding (done, eps, states, valid).
 
@@ -175,7 +263,14 @@ def _walk(starts, n: int, draws):
     even, to 1), so eps * x * (1 - x) equals eps * x exactly.  It settles
     the rows through the first one in which some lane exceeds 2^-54; from
     that row the scalar kernel (fewer than MIN_LANES lanes) or the row
-    kernel computes the rest of the block.
+    kernel computes the rest of the block.  When the rest holds at least
+    two segments of SEG rows, and at least SPEC_STEPS lane-steps in them,
+    `_advance_segments` computes those segments: it runs them as coupled
+    lanes of the row kernel and re-runs exactly each one it cannot prove
+    coupled, so it gives the kernels' bits.  The rows past the last whole
+    segment take the plain kernel.  Once a block re-runs more than 1/8 of
+    its segments (paths that do not couple: chaotic, or dying), the walk
+    stops speculating; that changes its time, never its bits.
     """
     x = np.array(starts, dtype=float)
     if not np.all((x > 0.0) & (x < 1.0)):
@@ -186,6 +281,11 @@ def _walk(starts, n: int, draws):
     eps, out = np.zeros((rows, lanes)), np.zeros((rows, lanes))
     valid = np.zeros(lanes, dtype=np.int64)
     live = np.arange(lanes)
+    # segment buffers for the longest block, reused; a walk that never
+    # speculates never touches their pages
+    full = rows // SEG * lanes
+    bufs = (np.empty(full * SEG), np.empty(full * SEG), np.empty(full * WIN))
+    speculate = True
     done, m = 0, min(FIRST_ROWS, rows)
     while done < n and len(live):
         m = min(m, n - done)
@@ -194,6 +294,12 @@ def _walk(starts, n: int, draws):
         k = _advance_linear(x, e, o) if x.max() <= LINEAR_MAX else 0
         if k:
             x = o[k - 1]
+        segs = (m - k) // SEG
+        if speculate and segs >= 2 and segs * SEG * lanes >= SPEC_STEPS:
+            end = k + segs * SEG
+            repaired = _advance_segments(x, e[k:end], o[k:end], bufs)
+            speculate = 8 * repaired <= segs * lanes
+            k, x = end, o[end - 1]
         if lanes < MIN_LANES:
             for j in live:
                 _advance(x[j], e[k:, j], o[k:, j])

@@ -342,8 +342,12 @@ def _q_inverse(
     return 0.5 * (a + b)
 
 
+# parameter samples of the q(theta) table that `_default_window` scans
+_WINDOW_SCAN = 33
+
+
 def _default_window(
-    model: NoiseModel, theta0: float, m: int, n_scan: int = 33
+    model: NoiseModel, theta0: float, m: int
 ) -> tuple[PeriodicOrbit, PeriodicOrbit] | None:
     """Parameter subinterval around theta0 with attractive m-orbits and monotone q.
 
@@ -351,7 +355,7 @@ def _default_window(
     """
     lo, hi = _density_window(model, theta0)
     pad = 1e-9 * (hi - lo)
-    table = q_of_theta((lo + pad, hi - pad), m, n_scan)
+    table = q_of_theta((lo + pad, hi - pad), m, _WINDOW_SCAN)
     run = _monotone_run(table.q, int(np.argmin(np.abs(table.thetas - theta0))))
     return None if run is None else (table.orbits[run[0]], table.orbits[run[1]])
 

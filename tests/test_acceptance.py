@@ -175,8 +175,8 @@ def test_criterion_5_stability_in_distribution(acceptance):
 def test_criterion_6_extinction(acceptance):
     start = time.perf_counter()
     checkpoints = (100, 1000, 10_000, 100_000)
-    dying = extinction_test(EXTINCT, 0.5, checkpoints, 200, 1e-3, seed=6)
-    surviving = extinction_test(U23, 0.5, checkpoints, 200, 1e-3, seed=6)
+    dying = extinction_test(EXTINCT, 0.5, checkpoints, 200, 1e-3, seed=6, stream_key=())
+    surviving = extinction_test(U23, 0.5, checkpoints, 200, 1e-3, seed=6, stream_key=())
     elapsed = time.perf_counter() - start
     ok = (
         dying.final_fraction >= 0.9
@@ -197,9 +197,11 @@ def test_criterion_6_extinction(acceptance):
 def test_criterion_7_cyclicity(acceptance):
     start = time.perf_counter()
     cyclic = cyclicity_detect(
-        NoiseModel.uniform(3.15, 3.25), (0.75, 0.85), 1_000_000, 8, seed=7
+        NoiseModel.uniform(3.15, 3.25), (0.75, 0.85), 1_000_000, 8, seed=7, x0=0.5, burn_in=1000
     )
-    aperiodic = cyclicity_detect(U2228, (0.5455, 0.6428), 1_000_000, 8, seed=7)
+    aperiodic = cyclicity_detect(
+        U2228, (0.5455, 0.6428), 1_000_000, 8, seed=7, x0=0.5, burn_in=1000
+    )
     elapsed = time.perf_counter() - start
     ok = cyclic.period == 2 and aperiodic.period == 1 and elapsed < 120.0
     acceptance(

@@ -110,26 +110,26 @@ class TestExtinction:
     CHECKPOINTS = (100, 1000, 10_000, 30_000)
 
     def test_subcritical_goes_extinct(self):
-        report = extinction_test(EXTINCT, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=20)
+        report = extinction_test(EXTINCT, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=20, stream_key=())
         assert report.final_fraction >= 0.9
         assert report.nondecreasing_within()
 
     def test_supercritical_survives(self):
-        report = extinction_test(U23, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=21)
+        report = extinction_test(U23, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=21, stream_key=())
         assert report.final_fraction == 0.0
         assert all(f == 0.0 for f in report.fractions)
 
     def test_boundary_case_theta_one(self):
         # X_{n+1} = X_n (1 - X_n) decays like 1/n: below 1e-3 by n = 10^4
         report = extinction_test(
-            NoiseModel.point_mass(1.0), 0.5, self.CHECKPOINTS, 50, 1e-3, seed=22
+            NoiseModel.point_mass(1.0), 0.5, self.CHECKPOINTS, 50, 1e-3, seed=22, stream_key=()
         )
         assert report.fractions[-1] == 1.0
         assert report.nondecreasing_within()
 
     def test_opposite_verdicts_on_fixture_pair(self):
-        ext = extinction_test(EXTINCT, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=23)
-        sur = extinction_test(U23, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=23)
+        ext = extinction_test(EXTINCT, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=23, stream_key=())
+        sur = extinction_test(U23, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=23, stream_key=())
         assert ext.final_fraction >= 0.9
         assert sur.final_fraction == 0.0
         cfg = SimConfig(master_seed=24, n_steps=50_000, n_replicates=2, burn_in=1000)
@@ -156,31 +156,31 @@ class TestExtinction:
     def test_added_replicate_changes_no_other(self):
         # 101 replicates are the 100 plus one more: each count grows by 0 or 1
         checkpoints = (50, 1000, 16_000)
-        a = extinction_test(EXTINCT, 0.5, checkpoints, 100, 1e-3, seed=3)
-        b = extinction_test(EXTINCT, 0.5, checkpoints, 101, 1e-3, seed=3)
+        a = extinction_test(EXTINCT, 0.5, checkpoints, 100, 1e-3, seed=3, stream_key=())
+        b = extinction_test(EXTINCT, 0.5, checkpoints, 101, 1e-3, seed=3, stream_key=())
         for fa, fb in zip(a.fractions, b.fractions):
             assert round(fb * 101) - round(fa * 100) in (0, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            extinction_test(U23, 0.5, (), 10, 1e-3, seed=1)
+            extinction_test(U23, 0.5, (), 10, 1e-3, seed=1, stream_key=())
         with pytest.raises(ValueError):
-            extinction_test(U23, 0.5, (100, 50), 10, 1e-3, seed=1)
+            extinction_test(U23, 0.5, (100, 50), 10, 1e-3, seed=1, stream_key=())
         with pytest.raises(ValueError, match="checkpoints must increase"):
-            extinction_test(U23, 0.5, (100, 100), 10, 1e-3, seed=1)
+            extinction_test(U23, 0.5, (100, 100), 10, 1e-3, seed=1, stream_key=())
         with pytest.raises(ValueError):
-            extinction_test(U23, 0.5, (100,), 10, 1.5, seed=1)
+            extinction_test(U23, 0.5, (100,), 10, 1.5, seed=1, stream_key=())
         with pytest.raises(ValueError, match="n_replicates must be >= 1"):
-            extinction_test(U23, 0.5, (100,), 0, 1e-3, seed=1)
+            extinction_test(U23, 0.5, (100,), 0, 1e-3, seed=1, stream_key=())
         for x0 in (0.0, 1.5):
             with pytest.raises(ValueError, match=r"x0 must lie in \(0, 1\)"):
-                extinction_test(U23, x0, (100,), 10, 1e-3, seed=1)
+                extinction_test(U23, x0, (100,), 10, 1e-3, seed=1, stream_key=())
 
 
 class TestCyclicity:
     def test_noisy_period_two_window(self):
         model = NoiseModel.uniform(3.15, 3.25)
-        report = cyclicity_detect(model, (0.75, 0.85), 200_000, 8, seed=30)
+        report = cyclicity_detect(model, (0.75, 0.85), 200_000, 8, seed=30, x0=0.5, burn_in=1000)
         assert report.period == 2
         assert report.aperiodic is False
         # one residue class carries essentially all visits
@@ -188,40 +188,46 @@ class TestCyclicity:
         assert masses.max() > 100 * max(masses.min(), 1e-12)
 
     def test_aperiodic_fixed_point_band(self):
-        report = cyclicity_detect(U2228, (0.5455, 0.6428), 200_000, 8, seed=31)
+        report = cyclicity_detect(
+            U2228, (0.5455, 0.6428), 200_000, 8, seed=31, x0=0.5, burn_in=1000
+        )
         assert report.period == 1
         assert report.aperiodic is True
         assert report.residue_masses[0] == pytest.approx(report.visit_frequency, abs=0)
 
     def test_deterministic_two_cycle(self):
-        report = cyclicity_detect(NoiseModel.point_mass(3.2), (0.79, 0.81), 50_000, 8, seed=32)
+        report = cyclicity_detect(
+            NoiseModel.point_mass(3.2), (0.79, 0.81), 50_000, 8, seed=32, x0=0.5, burn_in=1000
+        )
         assert report.period == 2
 
     def test_deterministic_fixed_point_aperiodic(self):
-        report = cyclicity_detect(NoiseModel.point_mass(2.5), (0.55, 0.65), 50_000, 8, seed=35)
+        report = cyclicity_detect(
+            NoiseModel.point_mass(2.5), (0.55, 0.65), 50_000, 8, seed=35, x0=0.5, burn_in=1000
+        )
         assert report.period == 1
         assert report.aperiodic is True
 
     def test_never_visited_inconclusive(self):
-        report = cyclicity_detect(U23, (0.9, 0.95), 20_000, 8, seed=33)
+        report = cyclicity_detect(U23, (0.9, 0.95), 20_000, 8, seed=33, x0=0.5, burn_in=1000)
         assert report.inconclusive
         assert report.period is None
         assert report.n_visits == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"x0 must lie in \(0, 1\)"):
-            cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, x0=1.5)
+            cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, x0=1.5, burn_in=1000)
         with pytest.raises(ValueError, match="n must be nonnegative"):
-            cyclicity_detect(U23, (0.5, 0.6), -1, 4, seed=1)
+            cyclicity_detect(U23, (0.5, 0.6), -1, 4, seed=1, x0=0.5, burn_in=1000)
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
-            cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, burn_in=-1)
+            cyclicity_detect(U23, (0.5, 0.6), 1000, 4, seed=1, burn_in=-1, x0=0.5)
         for J in ((-3.0, 0.6), (0.6, 0.5), (0.5, 1.5), (0.0, 0.6), (0.5, 1.0)):
             with pytest.raises(ValueError, match="must be nondegenerate inside"):
-                cyclicity_detect(U23, J, 1000, 4, seed=1)
+                cyclicity_detect(U23, J, 1000, 4, seed=1, x0=0.5, burn_in=1000)
 
     def test_masses_sum_to_visit_frequency(self):
         model = NoiseModel.uniform(3.15, 3.25)
-        report = cyclicity_detect(model, (0.75, 0.85), 100_000, 6, seed=34)
+        report = cyclicity_detect(model, (0.75, 0.85), 100_000, 6, seed=34, x0=0.5, burn_in=1000)
         assert sum(report.residue_masses) == pytest.approx(report.visit_frequency, rel=1e-12)
 
 

@@ -6,6 +6,7 @@ import signal
 import struct
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
@@ -405,7 +406,7 @@ class TestStartStates:
             lambda: simulate_trajectory(U23, x0, 10, seed=1),
             lambda: ensemble_occupation(U23, x0, cfg),
             lambda: irreducibility_probe(U23, x0, (0.4, 0.6), 10, 3, seed=1),
-            lambda: extinction_test(U23, x0, (5,), 3, 1e-3, seed=1),
+            lambda: extinction_test(U23, x0, (5,), 3, 1e-3, seed=1, stream_key=()),
             lambda: cyclicity_detect(U23, (0.4, 0.6), 10, 4, seed=1, x0=x0, burn_in=0),
         ]
         for call in calls:
@@ -849,11 +850,11 @@ class TestLinearStep:
         rows = []
         counted_draws(monkeypatch, rows)
         checkpoints = (100, 1000, 10_000, 100_000)
-        extinction_test(EXTINCT, 0.5, checkpoints, 200, 1e-3, seed=6)
+        extinction_test(EXTINCT, 0.5, checkpoints, 200, 1e-3, seed=6, stream_key=())
         settled = sum(k for _, k, _ in linear_calls)
         assert settled >= 0.9 * sum(rows)
         linear_calls.clear()
-        extinction_test(U23, 0.5, checkpoints[:3], 200, 1e-3, seed=6)
+        extinction_test(U23, 0.5, checkpoints[:3], 200, 1e-3, seed=6, stream_key=())
         assert linear_calls == []
 
     @pytest.mark.parametrize("min_lanes", [1, 10**9])
@@ -872,6 +873,150 @@ class TestLinearStep:
         assert np.frombuffer(record[0][2][0][1])[-1] == 1.0
         assert [settled for _, settled, _ in linear_calls] == [len(r[2][1][1]) // 8
                                                                 for r in record[1:]]
+
+
+@pytest.fixture
+def segment_calls(monkeypatch):
+    """(rows, lanes, segments re-run) of every `_advance_segments` call."""
+    calls = []
+    advance_segments = engine._advance_segments
+
+    def recorded(x, eps, out, bufs):
+        repaired = advance_segments(x, eps, out, bufs)
+        calls.append((len(eps), len(x), repaired))
+        return repaired
+
+    monkeypatch.setattr(engine, "_advance_segments", recorded)
+    return calls
+
+
+def short_segments(monkeypatch):
+    """Speculate on short blocks: segments of 32 rows, checked over all 32, at any lane-step count."""
+    monkeypatch.setattr(engine, "SEG", 32)
+    monkeypatch.setattr(engine, "WIN", 32)
+    monkeypatch.setattr(engine, "SPEC_STEPS", 1)
+
+
+# the fixed-theta0 filler of `kolmogorov_approx` at 3.9
+def theta39(eps, live):
+    eps.fill(3.9)
+
+
+CHAOTIC = NoiseModel.uniform(3.89, 3.91)
+SEGMENT_CASES = {
+    # paths that couple
+    "U[2,3]": U23,
+    "U[2.2,2.8]": NoiseModel.uniform(2.2, 2.8),
+    "atom 2.5": ATOM25,
+    # paths that couple within a phase class of a 2-cycle
+    "U[3.15,3.25]": NoiseModel.uniform(3.15, 3.25),
+    "atom 3.2": ATOM32,
+    # chaotic paths, which never couple
+    "U[3.89,3.91]": CHAOTIC,
+    "theta0 3.9": theta39,
+    # dying paths, which end in the linear step
+    "U[0.5,1.5]": EXTINCT,
+    # U[2,3], and from half way on ABSORBING in the even lanes
+    "absorbing": None,
+}
+
+
+def segment_draws(case, lanes, n, seed):
+    """A fresh draw filler for one walk of the named case of SEGMENT_CASES.
+
+    In the absorbing case the even lanes switch to ABSORBING half way and
+    stop about 1,900 steps later, while the odd lanes keep every block out
+    of the linear step, so the even lanes fall through the subnormals and
+    stop inside segments.
+    """
+    model = SEGMENT_CASES[case]
+    if model is None:
+        columns = U23.sample(substream(seed), n * lanes).reshape(n, lanes)
+        tail = columns[n // 2 :, ::2]
+        tail[:] = ABSORBING.sample(substream(seed, 1), tail.size).reshape(tail.shape)
+        return given_draws(columns)[0]
+    if not isinstance(model, NoiseModel):
+        return model
+    return _lane_draws(model, [substream(seed, j) for j in range(lanes)])
+
+
+class TestSegments:
+    """Long blocks run as speculative segments, bit for bit the sequential walk."""
+
+    def walks(self, case, starts, n, seed=83):
+        """The records of `_walk` and of `frozen_walk` over the same draws."""
+        lanes = len(starts)
+        new = walk_record(_walk(starts, n, segment_draws(case, lanes, n, seed)))
+        return new, walk_record(frozen_walk(starts, n, segment_draws(case, lanes, n, seed)))
+
+    # 1 and 10 lanes re-run segments with the scalar kernel, 40 lanes step
+    # the leftover rows as numpy rows; each n reaches blocks that speculate
+    # at the default constants (1 lane from 16,384 rows, 10 lanes from 2,048,
+    # 40 lanes from 512)
+    @pytest.mark.parametrize("lanes, n", [(1, 40_000), (10, 12_000), (40, 5000)])
+    @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
+    @pytest.mark.parametrize("case", list(SEGMENT_CASES))
+    def test_matches_frozen_walk(self, monkeypatch, segment_calls, case, lanes, n, short):
+        if short:
+            # an odd schedule, and segments in nearly every block
+            short_segments(monkeypatch)
+            monkeypatch.setattr(engine, "CHUNK", 7413)
+            monkeypatch.setattr(engine, "FIRST_ROWS", 5)
+            n = 3000
+        starts = tuple(np.linspace(0.1, 0.9, lanes))
+        new, old = self.walks(case, starts, n)
+        assert new == old
+        assert segment_calls or case == "U[0.5,1.5]"
+
+    def test_coupled_segment_after_one_that_never_coupled_is_rerun(
+        self, monkeypatch, segment_calls
+    ):
+        # one block of four 64-row segments: U[2,3], chaotic, U[2,3] and
+        # U[2,3].  Segment 1 couples neither in pass 2 nor when re-run, so
+        # segment 2's pass 2 starts from a wrong state and still couples with
+        # pass 1; only a re-run from the true end of segment 1 gives segment
+        # 2's first rows.  (Under one fixed eps the float map has several
+        # fixed points next to the true one, so paths need not couple.)
+        for name, value in (("SEG", 64), ("WIN", 64), ("SPEC_STEPS", 1),
+                            ("FIRST_ROWS", 256), ("CHUNK", 256)):
+            monkeypatch.setattr(engine, name, value)
+        column = U23.sample(substream(84), 256)
+        column[64:128] = NoiseModel.uniform(3.95, 3.99).sample(substream(85), 64)
+        new = walk_record(_walk((0.3,), 256, given_draws(column[:, None])[0]))
+        old = walk_record(frozen_walk((0.3,), 256, given_draws(column[:, None])[0]))
+        assert new == old
+        assert segment_calls == [(256, 1, 2)]
+
+    def test_coupling_walk_runs_through_the_lane_kernel(self, monkeypatch):
+        # the shape of one `ensemble` shard: 10 lanes x 10^5 steps of U[2,3]
+        scalar, rows = [0], [0]
+        advance, advance_lanes = engine._advance, engine._advance_lanes
+
+        def counted(x, eps, out):
+            scalar[0] += len(eps)
+            advance(x, eps, out)
+
+        def counted_lanes(x, eps, out):
+            rows[0] += eps.size
+            advance_lanes(x, eps, out)
+
+        monkeypatch.setattr(engine, "_advance", counted)
+        monkeypatch.setattr(engine, "_advance_lanes", counted_lanes)
+        lanes, n = 10, 100_000
+        draws = _lane_draws(U23, [substream(87, j) for j in range(lanes)])
+        for _ in _walk((0.5,) * lanes, n, draws):
+            pass
+        assert rows[0] >= 0.9 * lanes * n
+        assert scalar[0] <= 0.1 * lanes * n
+
+    def test_chaotic_walk_stops_after_the_first_block_that_speculates(self, segment_calls):
+        lanes, n = 10, 100_000
+        draws = _lane_draws(CHAOTIC, [substream(88, j) for j in range(lanes)])
+        for _ in _walk((0.5,) * lanes, n, draws):
+            pass
+        ((rows, width, repaired),) = segment_calls
+        assert rows == 2048 and width == lanes
+        assert 8 * repaired > rows // engine.SEG * lanes
 
 
 class TestEarlyExit:
@@ -896,7 +1041,7 @@ class TestEarlyExit:
     def test_walks_that_run_to_the_end_double_up_to_full_blocks(self, monkeypatch):
         rows = []
         drawn = counted_draws(monkeypatch, rows)
-        extinction_test(U23, 0.5, (3000, 30_000), 8, 1e-3, seed=1)
+        extinction_test(U23, 0.5, (3000, 30_000), 8, 1e-3, seed=1, stream_key=())
         doubling = [engine.FIRST_ROWS << k for k in range(10)]
         full = engine.CHUNK // 8
         assert doubling[-1] == full
@@ -926,22 +1071,44 @@ class TestChunkInvariance:
     An odd chunk of 997 lane-steps puts block boundaries inside the burn-in,
     between visits and just before absorption; a chunk of 3, fewer lane-steps
     than most walks have lanes, walks one step per block.  The default chunk
-    holds most walks in one block.
+    holds most walks in one block.  With short segments every consumer's
+    walk speculates at the default chunk, and at a chunk of 3 none can, so
+    the segment path meets the plain kernels on every consumer.
     """
 
     def consumers(self):
+        """Each consumer's name and a call that returns its results as bytes and numbers."""
         cfg = SimConfig(master_seed=9, n_steps=4000, n_replicates=3, burn_in=1500, n_bins=50)
         small = SimConfig(master_seed=4, n_steps=3000, n_replicates=2, burn_in=1000, n_bins=40)
-        traj = simulate_trajectory(U23, 0.3, 5000, seed=1)
-        dead = simulate_trajectory(ABSORBING, 0.3, 5000, seed=1)
-        ens = ensemble_occupation(U23, 0.4, cfg)
-        ens_dead = ensemble_occupation(ABSORBING, 0.4, cfg)
-        cyc = cyclicity_detect(
-            NoiseModel.uniform(3.15, 3.25), (0.6, 0.9), 6000, 6, seed=2, x0=0.3, burn_in=1500
-        )
-        kol = kolmogorov_approx(3.9, 0.01, small)
-        stab = stability_test(U23, (0.05, 0.5, 0.95), small)
-        groups = ensemble_occupations(ABSORBING, (0.2, 0.6), cfg, [(0,), (1,)])
+
+        def trajectory(model):
+            traj = simulate_trajectory(model, 0.3, 5000, seed=1)
+            return traj.values.tobytes(), traj.epsilons.tobytes(), traj.absorbed
+
+        def ensemble(model):
+            ens = ensemble_occupation(model, 0.4, cfg)
+            return ens.counts.tobytes(), ens.total, ens.underflow, ens.absorbed
+
+        def cyclicity():
+            cyc = cyclicity_detect(
+                NoiseModel.uniform(3.15, 3.25), (0.6, 0.9), 6000, 6, seed=2, x0=0.3, burn_in=1500
+            )
+            return cyc.period, cyc.residue_masses, cyc.concentration_by_d, cyc.n_visits
+
+        def kolmogorov():
+            kol = kolmogorov_approx(3.9, 0.01, small)
+            return (kol.tv, kol.noise_measure.counts.tobytes(),
+                    kol.deterministic_measure.counts.tobytes())
+
+        def stability():
+            stab = stability_test(U23, (0.05, 0.5, 0.95), small)
+            return (stab.tv_matrix.tobytes(), stab.noise_scale, stab.stable,
+                    [m.counts.tobytes() for m in stab.measures])
+
+        def groups():
+            measures = ensemble_occupations(ABSORBING, (0.2, 0.6), cfg, [(0,), (1,)])
+            return [(m.counts.tobytes(), m.total, m.underflow, m.absorbed) for m in measures]
+
         # EXTINCT lanes absorb between steps 13525 and 18001 (seed 1; lane 3
         # at 14842), so the late checkpoints and the first entry at 14967 fall
         # after absorptions inside blocks, and a tiny threshold tells absorbed
@@ -949,44 +1116,66 @@ class TestChunkInvariance:
         late = (100, 14_000, 16_000, 20_000)
         floor = (1e-300, 1.01e-300)
         return {
-            "trajectory": (traj.values.tobytes(), traj.epsilons.tobytes(), traj.absorbed),
-            "absorbed trajectory": (dead.values.tobytes(), dead.epsilons.tobytes(), dead.absorbed),
-            "ensemble": (ens.counts.tobytes(), ens.total, ens.underflow, ens.absorbed),
-            "absorbed ensemble": (ens_dead.counts.tobytes(), ens_dead.total,
-                                  ens_dead.underflow, ens_dead.absorbed),
-            "one-path irreducibility": irreducibility_probe(U23, 0.01, (0.7, 0.7001), 50_000, 1,
-                                                            seed=5),
-            "cyclicity": (cyc.period, cyc.residue_masses, cyc.concentration_by_d, cyc.n_visits),
-            "kolmogorov": (kol.tv, kol.noise_measure.counts.tobytes(),
-                           kol.deterministic_measure.counts.tobytes()),
-            "stability": (stab.tv_matrix.tobytes(), stab.noise_scale, stab.stable,
-                          [m.counts.tobytes() for m in stab.measures]),
-            "absorbed ensemble groups": [(m.counts.tobytes(), m.total, m.underflow, m.absorbed)
-                                         for m in groups],
-            "extinction": [extinction_test(EXTINCT, 0.5, late, r, 1e-300, seed=1).fractions
-                           for r in (8, 4)],
-            "irreducibility": [irreducibility_probe(EXTINCT, 0.5, floor, 30_000, r, seed=1)
-                               for r in (8, 4)],
+            "trajectory": partial(trajectory, U23),
+            "absorbed trajectory": partial(trajectory, ABSORBING),
+            "ensemble": partial(ensemble, U23),
+            "absorbed ensemble": partial(ensemble, ABSORBING),
+            "one-path irreducibility": partial(irreducibility_probe, U23, 0.01, (0.7, 0.7001),
+                                               50_000, 1, seed=5),
+            "cyclicity": cyclicity,
+            "kolmogorov": kolmogorov,
+            "stability": stability,
+            "absorbed ensemble groups": groups,
+            "extinction": lambda: [
+                extinction_test(EXTINCT, 0.5, late, r, 1e-300, seed=1, stream_key=()).fractions
+                for r in (8, 4)
+            ],
+            "irreducibility": lambda: [
+                irreducibility_probe(EXTINCT, 0.5, floor, 30_000, r, seed=1) for r in (8, 4)
+            ],
         }
 
-    def check_chunk(self, monkeypatch, chunk):
+    def results(self, segment_calls):
+        """Every consumer's results, and the names of those whose walks took the segment path."""
+        found, crossed = {}, set()
+        for name, call in self.consumers().items():
+            before = len(segment_calls)
+            found[name] = call()
+            if len(segment_calls) > before:
+                crossed.add(name)
+        return found, crossed
+
+    def check_chunk(self, monkeypatch, segment_calls, chunk, short):
         # walks of 6 or more lanes step as numpy rows, so both kernels see
         # every block layout
         monkeypatch.setattr(engine, "MIN_LANES", 6)
-        default = self.consumers()
+        if short:
+            short_segments(monkeypatch)
+        default, crossed = self.results(segment_calls)
         assert default["absorbed trajectory"][2] and default["absorbed ensemble"][3] == 3
         assert [g[3] for g in default["absorbed ensemble groups"]] == [3, 3]
         assert default["stability"][2] is True
         assert [f[2] for f in default["extinction"]] == [0.875, 0.75]
         assert default["irreducibility"] == [14967, 14967]
         assert 997 < len(default["absorbed trajectory"][0]) // 8 < 5000
+        if short:
+            # every consumer's walk speculates at the default chunk
+            assert crossed == set(default)
         monkeypatch.setattr(engine, "CHUNK", chunk)
-        chunked = self.consumers()
+        chunked, _ = self.results(segment_calls)
         for name in default:
             assert chunked[name] == default[name], name
 
-    def test_small_odd_chunk_matches_default(self, monkeypatch):
-        self.check_chunk(monkeypatch, 997)
+    def test_small_odd_chunk_matches_default(self, monkeypatch, segment_calls):
+        self.check_chunk(monkeypatch, segment_calls, 997, short=False)
 
-    def test_chunk_below_lane_count_matches_default(self, monkeypatch):
-        self.check_chunk(monkeypatch, 3)
+    def test_chunk_below_lane_count_matches_default(self, monkeypatch, segment_calls):
+        self.check_chunk(monkeypatch, segment_calls, 3, short=False)
+
+    def test_short_segments_small_odd_chunk_matches_default(self, monkeypatch, segment_calls):
+        self.check_chunk(monkeypatch, segment_calls, 997, short=True)
+
+    def test_short_segments_chunk_below_lane_count_matches_default(
+        self, monkeypatch, segment_calls
+    ):
+        self.check_chunk(monkeypatch, segment_calls, 3, short=True)

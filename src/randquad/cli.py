@@ -227,7 +227,7 @@ def _cmd_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     x0 = cfg.get("simulate", "x0", sim.initial_states[0])
     n = cfg.get("simulate", "n", sim.n_steps)
     traj = simulate_trajectory(model, x0, n, substream(sim.master_seed))
-    measure = occupation_measure(traj, sim.bin_edges, min(sim.burn_in, len(traj.values) - 1))
+    measure = occupation_measure(traj, sim.n_bins, min(sim.burn_in, len(traj.values) - 1))
     if cfg.get("simulate", "write_trajectory", True):
         _trajectory_csv(outdir / "trajectory.csv", traj)
     _occupation_csv(outdir / "occupation.csv", measure)

@@ -23,6 +23,7 @@ from .engine import (
     SimConfig,
     _check_interval,
     _lane_draws,
+    _measure,
     _occupations,
     _path,
     _snapshots,
@@ -324,7 +325,8 @@ def kolmogorov_approx(theta0: float, eta: float, config: SimConfig) -> Kolmogoro
     # one long deterministic orbit, matched in total post-burn-in samples
     n_det = config.n_replicates * (config.n_steps - config.burn_in) + config.burn_in
     orbit = _walk((x0,), n_det, lambda eps, live: eps.fill(theta0))
-    (det_measure,) = _occupations(orbit, config.burn_in, config.bin_edges, (1,))
+    table, stopped = _occupations(orbit, config.burn_in, config.n_bins, [0], 1)
+    det_measure = _measure(table[0], stopped[0])
     tv = tv_distance(noise_measure, det_measure)
     return KolmogorovReport(
         theta0=float(theta0),

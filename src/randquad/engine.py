@@ -2,54 +2,38 @@
 
 The process is X_{n+1} = eps_{n+1} * X_n * (1 - X_n) with i.i.d. parameters
 drawn from a NoiseModel.  This module produces trajectories, binned Cesaro
-occupation measures and ensembles with order-independent merging, and the
-single walk that the diagnostics and the kernel's probes reduce.
+occupation measures and ensembles of them, and the single walk that the
+diagnostics and the kernel's probes reduce.
 
 `_walk` is the single path loop.  It advances L lanes (independent paths,
 each with its own start and parameter stream) in lockstep through blocks of
-at most CHUNK lane-steps.  Every walk has one block schedule: the first
-block has FIRST_ROWS steps and each later one doubles up to
-max(1, CHUNK // L), so a reduction that stops early draws little more than
-it uses.  Each block's parameters come from one draw filler, `draws(eps,
-live)`; `_lane_draws` builds it for a noise model and one generator per
-lane, so every live lane draws its uniforms into one buffer and a single
-`NoiseModel.sample_lanes` step places them all, bit-identical to one
-`sample` call per lane.  That uniform buffer, like the walk's own eps and
-state buffers, is reused across blocks.  The kernels only compute states:
-below MIN_LANES lanes (a single chain, a small ensemble) each lane runs the
-scalar kernel `_advance` down its column, and from MIN_LANES on
-`_advance_lanes` computes one row of L states per step.  Both compute
+at most CHUNK lane-steps, on one block schedule, and stops each lane at its
+first state below ABSORB_FLOOR (recorded as 0) or at 1.  Each block's
+parameters come from one draw filler, `draws(eps, live)`; `_lane_draws`
+builds it for a noise model and one generator per lane, so one
+`NoiseModel.sample_lanes` step places every live lane's draws, bit-identical
+to one `sample` call per lane.  The kernels only compute states, and `_walk`
+picks one per block (see its docstring): the scalar kernel `_advance` down
+each column below MIN_LANES lanes, the row kernel `_advance_lanes` from
+MIN_LANES on, `_advance_linear` while every state is at most LINEAR_MAX
+(where the map is x -> eps * x bit for bit; a dying walk spends most of its
+rows there), and `_advance_segments` on long blocks, which speculates that
+two float paths of a stable chain driven by the same draws become bit-equal
+and repairs bit for bit where they do not.  All of them compute
 eps * x * (1 - x) in the same operand order, so every lane is bit-identical
-to the same path walked alone.  When every carried state is at most
-LINEAR_MAX = 2^-54, 1 - x rounds to exactly 1 and the map is x -> eps * x
-bit for bit; `_walk` then settles the block with `_advance_linear`, one
-running product down it, through the first row in which some lane exceeds
-2^-54, and the kernel computes the rest of the block from that row.  A
-dying walk (E log eps < 0) spends most of its rows there.  A long block
-speculates: the stable chains contract on average, so two float paths
-driven by the same draws become bit-equal and then stay equal.
-`_advance_segments` cuts each lane's column into segments of SEG rows, runs
-all of them from the lane's carried state as the lanes of one row-kernel
-block, runs each once more for WIN rows from its predecessor's end to find
-where the two coupled, and re-runs with the scalar kernel, from the true
-end before it, each segment whose coupling it cannot prove; the result is
-the sequential path bit for bit.  A walk whose block re-runs more than 1/8
-of its segments (a chaotic or dying walk) stops speculating.  After the
-kernels, one scan of the block in `_walk` records states below
-ABSORB_FLOOR as 0 and stops each lane at its first 0 or 1; a block whose
-states all lie in [ABSORB_FLOOR, 1) skips that scan after one min and one
-max.  A stopped lane carries 0 into later blocks.  The scalar kernel steps
-a Python float through its column PIECE draws at a time, one list
-comprehension per piece, and stores each piece with one struct.pack while
-it is still in cache; that gives the same bits as a loop over numpy scalars
-at about 3.5 times its speed.  The row kernel writes each row in place with
-`out=` ufuncs.  Every consumer, here and in the diagnostics and kernel, is
-a reduction over the blocks it yields (`_occupations`, `_snapshots`,
+to the same path walked alone.  The scalar kernel steps a Python float PIECE
+draws at a time and stores each piece with one struct.pack while it is
+still in cache: the same bits as a loop over numpy scalars at about 3.5
+times its speed.  Every consumer, here and in the diagnostics and kernel, is
+a reduction over the blocks the walk yields (`_occupations`, `_snapshots`,
 `_first_entry`), so the recurrence, the block schedule and the stop rule
 live in one place; all replicates of all starts of a stability test share
-one walk.  With workers > 1, `ensemble_occupations` walks contiguous shards
-of those lanes in forked worker processes and sums each group's integer
-counts, so its measures do not depend on the worker count.
+one walk.  `bin_states` alone maps a state to its slot, a right-closed bin
+of [0, 1] or a guard slot for 0 or for 1, and `_occupations` counts the
+slots of a block's lanes with one bincount into an integer table of groups
+by slots.  With workers > 1, `ensemble_occupations` walks contiguous shards
+of the lanes in forked worker processes and adds their tables, so its
+measures do not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
@@ -64,7 +48,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -77,7 +61,6 @@ __all__ = [
     "bin_states",
     "simulate_trajectory",
     "occupation_measure",
-    "merge_occupations",
     "ensemble_occupation",
     "ensemble_occupations",
 ]
@@ -189,8 +172,10 @@ def _advance_segments(x, eps, out, bufs) -> int:
     (states are never NaN or -0.0, so == is bit equality) the two paths have
     coupled, and pass 2's rows before it are kept.  A segment is then exact
     when its predecessor's end is exact and it coupled; any other segment
-    is re-run by `_repair` from the true end before it.  bufs holds three
-    flat buffers of at least S * SEG * L, S * SEG * L and WIN * S * L floats.
+    is re-run by `_repair` from the true end before it, until the segment
+    before holds the lane's stop (below ABSORB_FLOOR or at 1), past which
+    `_walk` reads no row.  bufs holds three flat buffers of at least
+    S * SEG * L, S * SEG * L and WIN * S * L floats.
     """
     segs, lanes = len(eps) // SEG, len(x)
     width = segs * lanes
@@ -212,6 +197,10 @@ def _advance_segments(x, eps, out, bufs) -> int:
         for s in range(1, segs):
             if exact and coupled[s - 1, j]:
                 continue
+            # segment s - 1 is the true path, and `_walk` reads no row past a stop
+            true = out[(s - 1) * SEG : s * SEG, j]
+            if true.min() < ABSORB_FLOOR or true.max() == 1.0:
+                break
             rows = slice(s * SEG, (s + 1) * SEG)
             exact = _repair(out[s * SEG - 1, j], eps[rows, j], out[rows, j])
             repaired += 1
@@ -422,10 +411,6 @@ class SimConfig:
         if self.n_bins < 1:
             raise ValueError("n_bins must be >= 1")
 
-    @property
-    def bin_edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_bins + 1)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -456,30 +441,30 @@ def simulate_trajectory(model: NoiseModel, x0: float, n: int, seed) -> Trajector
     )
 
 
-def bin_states(values: np.ndarray, bin_edges: np.ndarray):
-    """Bin states with right-closed bins (edge values go to the bin they end).
+@cache
+def _bin_edges(bins: int) -> np.ndarray:
+    """The bins + 1 edges of `bins` uniform bins of [0, 1], one read-only array per bin count."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges.flags.writeable = False
+    return edges
 
-    bin_edges must start at 0 and end at 1.  Returns (counts, underflow,
-    overflow) where the guards count states exactly at 0 or 1.
+
+def bin_states(values: np.ndarray, bins: int) -> np.ndarray:
+    """Slot of each state on `bins` uniform right-closed bins of [0, 1].
+
+    Slot i < bins is the bin (edges[i], edges[i+1]] of the edges
+    np.linspace(0, 1, bins + 1), so a state on an edge goes to the bin that
+    ends there.  Slot bins holds a state at 0 and slot bins + 1 a state at
+    1 (or above it, or NaN, which the walk never makes).  Every occupation
+    measure bins its states here.
     """
-    edges = np.asarray(bin_edges, dtype=float)
-    if edges[0] != 0.0 or edges[-1] != 1.0 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges must increase strictly from 0 to 1")
-    values = np.asarray(values, dtype=float)
+    edges = _bin_edges(bins)
     inside = (values > 0.0) & (values < 1.0)
     if inside.all():
-        interior, under, over = values, 0, 0
-    else:
-        under = int(np.count_nonzero(values <= 0.0))
-        over = int(np.count_nonzero(values >= 1.0))
-        interior = values[inside]
-    bins = len(edges) - 1
-    if np.array_equal(edges, np.linspace(0.0, 1.0, bins + 1)):
-        idx = _uniform_bin_index(interior, edges)
-    else:
-        idx = np.searchsorted(edges, interior, side="left") - 1
-    counts = np.bincount(idx, minlength=bins).astype(np.int64)
-    return counts, under, over
+        return _uniform_bin_index(values, edges)
+    slots = np.where(values <= 0.0, bins, bins + 1)
+    slots[inside] = _uniform_bin_index(values[inside], edges)
+    return slots
 
 
 def _uniform_bin_index(interior, edges) -> np.ndarray:
@@ -523,76 +508,51 @@ class OccupationMeasure:
         return self.counts / self.total
 
 
-def occupation_measure(trajectory: Trajectory, bin_edges, burn_in: int) -> OccupationMeasure:
-    """Bin the post-burn-in states X_{burn_in+1}, ..., X_N of one trajectory."""
+def _measure(slots: np.ndarray, absorbed) -> OccupationMeasure:
+    """The occupation measure of one row of slot counts (see `bin_states`)."""
+    bins = len(slots) - 2
+    under, over = (int(n) for n in slots[bins:])
+    return OccupationMeasure(
+        _bin_edges(bins), slots[:bins], int(slots.sum()), under, over, int(absorbed)
+    )
+
+
+def occupation_measure(trajectory: Trajectory, bins: int, burn_in: int) -> OccupationMeasure:
+    """Bin the post-burn-in states X_{burn_in+1}, ..., X_N of one trajectory on `bins` bins."""
     n_states = len(trajectory.values) - 1
     if burn_in < 0 or burn_in > n_states:
         raise ValueError("burn_in must lie within the trajectory length")
-    states = trajectory.values[burn_in + 1 :]
-    counts, under, over = bin_states(states, bin_edges)
-    return OccupationMeasure(
-        bin_edges=np.asarray(bin_edges, dtype=float),
-        counts=counts,
-        total=len(states),
-        underflow=under,
-        overflow=over,
-        absorbed=int(trajectory.absorbed),
-    )
+    slots = bin_states(trajectory.values[burn_in + 1 :], bins)
+    return _measure(np.bincount(slots, minlength=bins + 2), trajectory.absorbed)
 
 
-def merge_occupations(measures) -> OccupationMeasure:
-    """Sum occupation measures on identical bins (commutative and associative)."""
-    measures = list(measures)
-    if not measures:
-        raise ValueError("nothing to merge")
-    edges = measures[0].bin_edges
-    for m in measures[1:]:
-        if len(m.bin_edges) != len(edges) or np.any(m.bin_edges != edges):
-            raise ValueError("occupation measures use different bins")
-    return OccupationMeasure(
-        bin_edges=edges,
-        counts=np.sum([m.counts for m in measures], axis=0),
-        total=sum(m.total for m in measures),
-        underflow=sum(m.underflow for m in measures),
-        overflow=sum(m.overflow for m in measures),
-        absorbed=sum(m.absorbed for m in measures),
-    )
+def _occupations(blocks, burn_in: int, bins: int, labels, groups: int):
+    """Count the slots (see `bin_states`) of walked lanes' states after step burn_in, by group.
 
-
-def _occupations(blocks, burn_in: int, bin_edges: np.ndarray, widths):
-    """Bin the states after step burn_in of walked lanes, block by block.
-
-    The lanes split, in order, into runs of the given widths; returns one
-    occupation measure per run, binning each run's valid states of a block
-    in one call.
+    Lane j belongs to group labels[j].  Each block's states after burn_in
+    go through one `bin_states` call and one np.bincount over all lanes:
+    lane j's slots are offset by labels[j] * (bins + 2), and only its valid
+    rows are counted.  Returns a (groups, bins + 2) integer table, whose row
+    g holds group g's slot counts, and how many lanes of each group stopped.
     """
-    # per group: counts, total, underflow, overflow, absorbed
-    bins = len(bin_edges) - 1
-    ends = np.cumsum(widths)
-    runs = [slice(end - width, end) for end, width in zip(ends, widths)]
-    measures = [[np.zeros(bins, dtype=np.int64), 0, 0, 0, 0] for _ in runs]
+    labels = np.asarray(labels)
+    offsets = labels * (bins + 2)
+    table = np.zeros(groups * (bins + 2), dtype=np.int64)
+    stopped = np.zeros(groups, dtype=np.int64)
     for done, _, states, valid in blocks:
-        skip = max(0, burn_in - done)
-        rows = np.arange(skip, len(states))[:, None]
         # a lane stopped in this block iff its last valid state is 0 or 1
         last = states[np.maximum(valid - 1, 0), np.arange(len(valid))]
-        stopped = (valid > 0) & ((last == 0.0) | (last == 1.0))
-        for cols, acc in zip(runs, measures):
-            block, v = states[skip:, cols], valid[cols]
-            post = block.ravel() if np.all(v == len(states)) else block[rows < v]
-            if len(post):
-                c, u, o = bin_states(post, bin_edges)
-                acc[0] += c
-                acc[1] += len(post)
-                acc[2] += u
-                acc[3] += o
-            acc[4] += int(np.count_nonzero(stopped[cols]))
-    return [
-        OccupationMeasure(
-            bin_edges=bin_edges, counts=c, total=t, underflow=u, overflow=o, absorbed=a
-        )
-        for c, t, u, o, a in measures
-    ]
+        np.add.at(stopped, labels[(valid > 0) & ((last == 0.0) | (last == 1.0))], 1)
+        skip = max(0, burn_in - done)
+        if skip >= len(states):
+            continue
+        slots = bin_states(states[skip:].reshape(-1), bins).reshape(len(states) - skip, -1)
+        if groups > 1:
+            slots += offsets  # in place: a new array per block costs more than it saves
+        if not np.all(valid == len(states)):
+            slots = slots[np.arange(skip, len(states))[:, None] < valid]
+        table += np.bincount(slots.reshape(-1), minlength=len(table))
+    return table.reshape(groups, bins + 2), stopped
 
 
 def _usable_cpus() -> int:
@@ -616,16 +576,14 @@ def _pool(workers: int):
 def _shard_occupations(
     model: NoiseModel, starts, config: SimConfig, stream_keys, lo: int, hi: int
 ):
-    """Walk lanes lo..hi-1 of `ensemble_occupations`; one measure per group they touch.
+    """Walk lanes lo..hi-1 of `ensemble_occupations`; their slot table over all groups.
 
     Lane i is replicate i % r of group i // r (r = config.n_replicates).
     """
     r = config.n_replicates
-    widths = [min(hi, (g + 1) * r) - max(lo, g * r) for g in range(lo // r, (hi - 1) // r + 1)]
     rngs = _substreams(config.master_seed, stream_keys, r, lo, hi)
-    lanes = [starts[i // r] for i in range(lo, hi)]
-    walk = _walk(lanes, config.n_steps, _lane_draws(model, rngs))
-    return _occupations(walk, config.burn_in, config.bin_edges, widths)
+    walk = _walk([starts[i // r] for i in range(lo, hi)], config.n_steps, _lane_draws(model, rngs))
+    return _occupations(walk, config.burn_in, config.n_bins, np.arange(lo, hi) // r, len(starts))
 
 
 def ensemble_occupations(
@@ -635,15 +593,16 @@ def ensemble_occupations(
     stream_keys,
     workers: int = 1,
 ) -> list[OccupationMeasure]:
-    """One merged occupation measure per (start, stream key) group, walked together.
+    """One occupation measure per (start, stream key) group, walked together.
 
     Group g runs config.n_replicates independent replicates from starts[g];
     its replicate i runs on substream (master_seed, *stream_keys[g], i).
     The replicates of all groups are the lanes of one walk, cut into
     min(workers, lanes, usable CPUs) contiguous shards; past one, each shard
-    walks in a forked worker and the parent merges each group's segments.
-    Each measure equals that group's replicates walked alone and merged,
-    whatever the grouping or the number of workers.
+    walks in a forked worker.  Each shard counts its lanes' slots into one
+    integer table of groups by slots (see `_occupations`), and the tables
+    add, so each measure equals the sum of its replicates' measures walked
+    alone, whatever the grouping or the number of workers.
     """
     starts, stream_keys = tuple(starts), tuple(stream_keys)
     if not starts or len(starts) != len(stream_keys):
@@ -660,11 +619,8 @@ def ensemble_occupations(
         # leaving the block waits for every shard and joins every worker
         with _pool(w) as pool:
             found = list(pool.map(shard, cuts[:-1], cuts[1:]))
-    groups = [[] for _ in starts]
-    for lo, measures in zip(cuts, found):
-        for g, measure in enumerate(measures, lo // config.n_replicates):
-            groups[g].append(measure)
-    return [merge_occupations(segments) for segments in groups]
+    tables, stopped = zip(*found)
+    return [_measure(slots, a) for slots, a in zip(sum(tables), sum(stopped))]
 
 
 def ensemble_occupation(

@@ -29,7 +29,6 @@ from randquad.engine import (
     bin_states,
     ensemble_occupation,
     ensemble_occupations,
-    merge_occupations,
     occupation_measure,
     simulate_trajectory,
 )
@@ -96,21 +95,12 @@ class TestSimulateTrajectory:
 
 class TestBinStates:
     def test_right_closed_tie_break(self):
-        edges = np.linspace(0.0, 1.0, 11)
-        counts, under, over = bin_states(np.array([0.2]), edges)
         # 0.2 is an edge: it belongs to the bin that ends at 0.2, index 1
-        assert counts[1] == 1
-        assert counts.sum() == 1
+        assert bin_states(np.array([0.2]), 10).tolist() == [1]
 
     def test_boundary_guards(self):
-        edges = np.linspace(0.0, 1.0, 5)
-        counts, under, over = bin_states(np.array([0.0, 1.0, 0.3]), edges)
-        assert under == 1 and over == 1
-        assert counts.sum() == 1
-
-    def test_rejects_bad_edges(self):
-        with pytest.raises(ValueError):
-            bin_states(np.array([0.5]), np.array([0.1, 0.5, 1.0]))
+        # slot bins holds a state at 0, slot bins + 1 a state at 1
+        assert bin_states(np.array([0.0, 1.0, 0.3]), 4).tolist() == [4, 5, 1]
 
 
 def searchsorted_bins(values, edges):
@@ -122,8 +112,14 @@ def searchsorted_bins(values, edges):
     return counts, int(np.count_nonzero(values <= 0.0)), int(np.count_nonzero(values >= 1.0))
 
 
+def slot_bins(values, bins):
+    """`bin_states`' slots of the values, counted as searchsorted_bins counts them."""
+    slots = np.bincount(bin_states(values, bins), minlength=bins + 2)
+    return slots[:bins], int(slots[bins]), int(slots[bins + 1])
+
+
 class TestUniformBinning:
-    """Uniform edges are binned arithmetically, with the searchsorted result."""
+    """States are binned arithmetically on uniform edges, with the searchsorted result."""
 
     @staticmethod
     def probes(edges):
@@ -136,12 +132,16 @@ class TestUniformBinning:
         edges = np.linspace(0.0, 1.0, bins + 1)
         states = substream(127, bins).random(20_000)
         # each probe set alone, so opposite misplacements cannot cancel in counts
-        for values in (*self.probes(edges), states, np.array([0.0, 1.0, 0.5, 0.0]),
-                       np.array([0.25, np.nan, 0.75])):
-            counts, under, over = bin_states(values, edges)
+        for values in (*self.probes(edges), states, np.array([0.0, 1.0, 0.5, 0.0])):
+            counts, under, over = slot_bins(values, bins)
             ref_counts, ref_under, ref_over = searchsorted_bins(values, edges)
             assert np.array_equal(counts, ref_counts)
             assert (under, over) == (ref_under, ref_over)
+        # a NaN among states in (0, 1) leaves their bins alone and takes slot bins + 1
+        slots = bin_states(np.array([0.25, np.nan, 0.75]), bins)
+        assert slots[1] == bins + 1
+        assert np.array_equal(np.bincount(slots[::2], minlength=bins),
+                              searchsorted_bins(np.array([0.25, 0.75]), edges)[0])
 
     @pytest.mark.parametrize("bins", [3, 10, 200])
     @pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
@@ -160,33 +160,7 @@ class TestUniformBinning:
         edges = np.linspace(0.0, 1.0, 201)
         for i, (on, below, above) in enumerate(zip(*self.probes(edges))):
             for value, expected in ((on, i), (below, i), (above, i + 1)):
-                counts, _, _ = bin_states(np.array([value]), edges)
-                assert counts[expected] == 1, (i, value)
-
-    @pytest.mark.parametrize(
-        "edges, uniform",
-        [
-            (np.linspace(0.0, 1.0, 201), True),
-            (np.array([0.0, 0.1, 0.5, 0.55, 1.0]), False),
-            (np.linspace(0.0, 1.0, 11) ** 2, False),
-            # one edge one ulp away from linspace is not uniform
-            (np.linspace(0.0, 1.0, 11) + np.eye(11)[3] * np.spacing(0.3), False),
-        ],
-    )
-    def test_only_nonuniform_edges_search(self, monkeypatch, edges, uniform):
-        calls = []
-        search = np.searchsorted
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
-
-        values = np.concatenate([substream(128).random(5000), edges, np.nextafter(edges, 0.5)])
-        expected = searchsorted_bins(values, edges)
-        monkeypatch.setattr(np, "searchsorted", counted)
-        counts, under, over = bin_states(values, edges)
-        assert len(calls) == (0 if uniform else 1)
-        assert np.array_equal(counts, expected[0]) and (under, over) == expected[1:]
+                assert bin_states(np.array([value]), 200).tolist() == [expected], (i, value)
 
 
 class TestOccupationMeasure:
@@ -194,34 +168,17 @@ class TestOccupationMeasure:
         traj = Trajectory(
             values=np.full(101, 0.5), epsilons=np.full(100, 2.0), absorbed=False
         )
-        m = occupation_measure(traj, np.linspace(0, 1, 101), burn_in=0)
+        m = occupation_measure(traj, 100, burn_in=0)
         assert m.total == 100
         # 0.5 sits on an edge; the right-closed convention puts it in bin 49
         assert m.counts[49] == 100
 
     def test_two_cycle_half_mass_each(self):
         traj = simulate_trajectory(ATOM32, 0.3, 10_000, seed=1)
-        m = occupation_measure(traj, np.linspace(0, 1, 201), burn_in=100)
+        m = occupation_measure(traj, 200, burn_in=100)
         busy = np.nonzero(m.counts)[0]
         assert len(busy) == 2
         assert abs(m.counts[busy[0]] - m.counts[busy[1]]) <= 1
-
-    def test_merge_additivity(self):
-        edges = np.linspace(0, 1, 51)
-        t1 = simulate_trajectory(U23, 0.2, 500, seed=7)
-        t2 = simulate_trajectory(U23, 0.8, 500, seed=8)
-        m1 = occupation_measure(t1, edges, 10)
-        m2 = occupation_measure(t2, edges, 10)
-        merged = merge_occupations([m1, m2])
-        assert merged.total == m1.total + m2.total
-        assert np.array_equal(merged.counts, m1.counts + m2.counts)
-
-    def test_merge_rejects_mismatched_bins(self):
-        t = simulate_trajectory(U23, 0.2, 100, seed=7)
-        m1 = occupation_measure(t, np.linspace(0, 1, 11), 0)
-        m2 = occupation_measure(t, np.linspace(0, 1, 21), 0)
-        with pytest.raises(ValueError):
-            merge_occupations([m1, m2])
 
     def test_guard_invariant(self):
         with pytest.raises(ValueError):
@@ -237,7 +194,7 @@ class TestEnsemble:
         cfg = SimConfig(master_seed=77, n_steps=5000, n_replicates=1, burn_in=100)
         ens = ensemble_occupation(U23, 0.3, cfg)
         traj = simulate_trajectory(U23, 0.3, 5000, substream(77, 0))
-        direct = occupation_measure(traj, cfg.bin_edges, 100)
+        direct = occupation_measure(traj, cfg.n_bins, 100)
         assert np.array_equal(ens.counts, direct.counts)
         assert ens.total == direct.total
 
@@ -247,8 +204,11 @@ class TestEnsemble:
         singles = []
         for i in range(4):
             traj = simulate_trajectory(U23, 0.3, 2000, substream(13, i))
-            singles.append(occupation_measure(traj, cfg.bin_edges, 50))
-        assert np.array_equal(ens.counts, merge_occupations(singles).counts)
+            singles.append(occupation_measure(traj, cfg.n_bins, 50))
+        assert np.array_equal(ens.counts, sum(m.counts for m in singles))
+        assert (ens.total, ens.underflow, ens.overflow, ens.absorbed) == tuple(
+            sum(getattr(m, name) for m in singles)
+            for name in ("total", "underflow", "overflow", "absorbed"))
 
     def test_fixed_point_mass_in_one_bin(self):
         # 64 bins keep 0.6 strictly inside a bin; at bin counts where 0.6 is
@@ -256,7 +216,7 @@ class TestEnsemble:
         cfg = SimConfig(master_seed=3, n_steps=2000, n_replicates=3, burn_in=200, n_bins=64)
         ens = ensemble_occupation(ATOM25, 0.3, cfg)
         densest = np.argmax(ens.counts)
-        edges = cfg.bin_edges
+        edges = ens.bin_edges
         assert edges[densest] < 0.6 <= edges[densest + 1]
         assert ens.counts[densest] == ens.total
 
@@ -354,12 +314,16 @@ class TestEnsembleWorkers:
         cfg = SimConfig(master_seed=3, n_steps=3000, n_replicates=5, burn_in=100, n_bins=40)
         rngs = [substream(3, *keys[i // 5], i % 5) for i in range(4, 8)]
         walk = _walk([starts[i // 5] for i in range(4, 8)], cfg.n_steps, _lane_draws(U23, rngs))
-        expected = engine._occupations(walk, cfg.burn_in, cfg.bin_edges, [1, 3])
+        table, stopped = engine._occupations(walk, cfg.burn_in, cfg.n_bins, [0, 1, 1, 1], 4)
         built = []
         monkeypatch.setattr(engine, "substream", lambda *key: built.append(key) or substream(*key))
-        found = engine._shard_occupations(U23, starts, cfg, keys, 4, 8)
+        found_table, found_stopped = engine._shard_occupations(U23, starts, cfg, keys, 4, 8)
         assert built == [(3, 0, 4), (3, 1, 0), (3, 1, 1), (3, 1, 2)]
-        assert fields(found) == fields(expected)
+        assert found_table.tobytes() == table.tobytes()
+        assert found_stopped.tolist() == stopped.tolist()
+        # one row of slots per group, filled only for the groups that the lanes belong to
+        assert table.shape == (4, cfg.n_bins + 2)
+        assert table.sum(axis=1).tolist() == [2900, 3 * 2900, 0, 0]
 
     def test_workers_below_one_rejected(self):
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
@@ -396,6 +360,102 @@ class TestEnsembleWorkers:
         with pytest.raises(error):
             ensemble_occupations(U23, (0.3, 0.6), cfg, [(0,), (1,)], 2)
         assert multiprocessing.active_children() == []
+
+
+def recorded(walk):
+    """A walk's blocks, copied, so that more than one reduction can read them."""
+    return [(done, eps.copy(), states.copy(), valid.copy()) for done, eps, states, valid in walk]
+
+
+def reference_occupations(blocks, burn_in, bins, labels, groups):
+    """`engine._occupations` lane by lane: each lane's path binned alone by searchsorted_bins."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    table = np.zeros((groups, bins + 2), dtype=np.int64)
+    stopped = np.zeros(groups, dtype=np.int64)
+    for j, g in enumerate(labels):
+        # path[k] is the state after step k + 1
+        path = np.concatenate([states[: valid[j], j] for _, _, states, valid in blocks])
+        counts, under, over = searchsorted_bins(path[burn_in:], edges)
+        table[g] += np.concatenate([counts, [under, over]])
+        stopped[g] += len(path) > 0 and path[-1] in (0.0, 1.0)
+    return table, stopped
+
+
+class TestOccupations:
+    """One bincount per block over all lanes equals binning each lane alone and adding by group."""
+
+    BINS = 7
+
+    def hand_blocks(self):
+        """Three blocks of five lanes whose states sit on every edge and one ulp to either side.
+
+        Lanes 1 and 2 (both group 2) stop in the second block, at 0 and at
+        1; lane 3 (group 1) stops at 1 on the last row of the third block,
+        and lane 4 (group 0) at 0 inside it.  Rows past a stop hold states
+        that must not count.
+        """
+        edges = np.linspace(0.0, 1.0, self.BINS + 1)
+        probes = np.concatenate([edges[1:-1], np.nextafter(edges[1:-1], 0.0),
+                                 np.nextafter(edges[1:-1], 1.0), substream(130).random(40)])
+        blocks, done, lanes = [], 0, 5
+        stops = {1: (1, 3, 0.0), 2: (1, 6, 1.0), 3: (2, 22, 1.0), 4: (2, 9, 0.0)}
+        for b, m in enumerate((5, 11, 23)):
+            states = np.resize(np.roll(probes, 7 * b), (m, lanes))
+            states[:, 1:] = np.roll(states[:, 1:], 5, axis=0)
+            valid = np.full(lanes, m)
+            for j, (block, row, value) in stops.items():
+                if block == b:
+                    states[row, j] = value
+                    valid[j] = row + 1
+                elif block < b:
+                    valid[j] = 0
+            blocks.append((done, np.zeros((m, lanes)), states, valid))
+            done += m
+        return blocks
+
+    @pytest.mark.parametrize("burn_in", [0, 4, 5, 8, 16, 38, 39])
+    @pytest.mark.parametrize("labels, groups", [([0, 2, 2, 1, 0], 3), ([0] * 5, 1)])
+    def test_hand_blocks_match_lane_by_lane_binning(self, burn_in, labels, groups):
+        # burn-in 8 ends inside the second block, 16 at its end, 39 after every step
+        blocks = self.hand_blocks()
+        table, stopped = engine._occupations(iter(blocks), burn_in, self.BINS, labels, groups)
+        ref_table, ref_stopped = reference_occupations(blocks, burn_in, self.BINS, labels, groups)
+        assert table.tolist() == ref_table.tolist()
+        assert stopped.tolist() == ref_stopped.tolist()
+        if groups == 3:
+            assert stopped.tolist() == [1, 1, 2]
+            if burn_in == 8:  # group 0 holds a 0, group 1 a 1 and group 2 one of each
+                assert table[:, self.BINS :].tolist() == [[1, 0], [0, 1], [1, 1]]
+
+    @pytest.mark.parametrize("chunk, first_rows", [(engine.CHUNK, engine.FIRST_ROWS), (997, 5)])
+    @pytest.mark.parametrize("model, n", [(U23, 3000), (ABSORBING, 3000), (EXTINCT, 20_000)],
+                             ids=["U23", "absorbing", "extinct"])
+    def test_walks_match_lane_by_lane_binning(self, monkeypatch, chunk, first_rows, model, n):
+        # 12 lanes in 3 groups of 4, and one odd burn-in: with a chunk of 997
+        # the burn-in ends inside a block of 83 rows
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        monkeypatch.setattr(engine, "FIRST_ROWS", first_rows)
+        labels, burn_in, bins = np.repeat([0, 1, 2], 4), 1001, 60
+        draws = _lane_draws(model, [substream(131, j) for j in range(12)])
+        blocks = recorded(_walk(np.linspace(0.1, 0.9, 12), n, draws))
+        table, stopped = engine._occupations(iter(blocks), burn_in, bins, labels, 3)
+        ref_table, ref_stopped = reference_occupations(blocks, burn_in, bins, labels, 3)
+        assert table.tolist() == ref_table.tolist()
+        assert stopped.tolist() == ref_stopped.tolist()
+        assert stopped.sum() == (0 if model is U23 else 12)
+
+    @pytest.mark.parametrize("labels, groups", [([0, 2, 2, 1, 0], 3), ([0] * 5, 1)])
+    def test_one_bin_and_one_count_per_block(self, monkeypatch, labels, groups):
+        blocks = self.hand_blocks()
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        binned = []
+        monkeypatch.setattr(engine, "bin_states",
+                            lambda values, bins: binned.append(1) or bin_states(values, bins))
+        engine._occupations(iter(blocks), 8, self.BINS, labels, groups)
+        # the first block lies inside the burn-in
+        assert len(calls) == len(binned) == 2
 
 
 class TestStartStates:
@@ -987,6 +1047,46 @@ class TestSegments:
         assert new == old
         assert segment_calls == [(256, 1, 2)]
 
+    def test_no_segment_past_a_stop_is_rerun(self, monkeypatch):
+        # the 1-lane absorbing case: the lane switches to ABSORBING at step
+        # 20,000 and stops about 1,900 steps later, inside the block of 16,384
+        # rows (64 segments) that starts at step 16,369; `_walk` reads no row
+        # past the stop, so every re-run segment starts at or before it, and
+        # the few re-runs of the dying stretch keep the walk speculating
+        segments, repaired, counts = [], [], []
+        advance_segments, repair = engine._advance_segments, engine._repair
+
+        def address(a):
+            return a.__array_interface__["data"][0]
+
+        def recorded_segments(x, eps, out, bufs):
+            segments.append(out)
+            counts.append(advance_segments(x, eps, out, bufs))
+            return counts[-1]
+
+        def recorded_repair(x, eps, out):
+            # rows of the segment block before the re-run segment
+            repaired.append((address(out) - address(segments[-1])) // 8)
+            return repair(x, eps, out)
+
+        monkeypatch.setattr(engine, "_advance_segments", recorded_segments)
+        monkeypatch.setattr(engine, "_repair", recorded_repair)
+        n = 40_000
+        new, first_steps = [], []
+        for done, eps, states, valid in _walk((0.5,), n, segment_draws("absorbing", 1, n, 83)):
+            new.append((done, valid.tolist(), [(eps[: valid[0], 0].tobytes(),
+                                                states[: valid[0], 0].tobytes())]))
+            # the segment block starts k rows into the walk block
+            k = (address(segments[-1]) - address(states)) // 8 if segments else 0
+            first_steps += [done + k + row + 1 for row in repaired]
+            repaired.clear()
+        stop = new[-1][0] + new[-1][1][0]
+        assert new == walk_record(frozen_walk((0.5,), n, segment_draws("absorbing", 1, n, 83)))
+        assert 20_000 < stop < n
+        assert [len(out) for out in segments] == [16_384]
+        assert len(first_steps) == counts[0] and max(first_steps) <= stop
+        assert 0 < 8 * counts[0] <= 16_384 // engine.SEG
+
     def test_coupling_walk_runs_through_the_lane_kernel(self, monkeypatch):
         # the shape of one `ensemble` shard: 10 lanes x 10^5 steps of U[2,3]
         scalar, rows = [0], [0]
@@ -1062,7 +1162,8 @@ class TestSimConfig:
 
     def test_bin_edges(self):
         cfg = SimConfig(master_seed=1, n_steps=100, burn_in=10, n_bins=4)
-        assert np.array_equal(cfg.bin_edges, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+        edges = ensemble_occupation(U23, 0.3, cfg).bin_edges
+        assert np.array_equal(edges, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
 
 
 class TestChunkInvariance:

@@ -67,6 +67,25 @@ def test_every_name_in_all_is_used():
     assert unused == []
 
 
+def _private_definitions() -> list[tuple[str, str]]:
+    """(module, name) of every top-level private function and class in src/randquad."""
+    return [
+        (path.stem, stmt.name)
+        for path in sorted((ROOT / "src" / "randquad").glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+    ]
+
+
+def test_every_private_definition_is_used():
+    # a private function or class that only tests reach is dead code too
+    used = _identifiers_outside_own_definition()
+    unused = [f"{module}.{name}" for module, name in _private_definitions() if name not in used]
+    assert _private_definitions() and unused == []
+
+
 def test_every_keep_entry_is_needed():
     # an entry goes once its name leaves every __all__ or gains a caller
     public = {name for _, name in _public_names()}

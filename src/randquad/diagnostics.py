@@ -73,8 +73,10 @@ class StabilityReport:
     noise_scale is the TV between two independent same-start ensembles, the
     measurement floor against which cross-start distances are judged; the
     verdict is stable iff max_cross_tv <= 3 * noise_scale.  stable is None
-    when absorption invalidated the comparison.  advisory marks runs on
-    models whose stability hypotheses were not verified.
+    when absorption invalidated the comparison.  When some ensemble has no
+    state left after the burn-in, no TV is computed: tv_matrix, noise_scale
+    and max_cross_tv are NaN.  advisory marks runs on models whose stability
+    hypotheses were not verified.
     """
 
     initial_states: tuple[float, ...]
@@ -114,13 +116,17 @@ def stability_test(
         workers,
     )
     measures, pair = found[:k], found[k:]
-    noise_scale = tv_distance(pair[0], pair[1])
-    tv = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            tv[i, j] = tv[j, i] = tv_distance(measures[i], measures[j])
-    max_cross = float(tv.max()) if k > 1 else 0.0
-    absorbed = sum(m.absorbed for m in measures + pair)
+    tv = np.full((k, k), np.nan)
+    noise_scale = max_cross = float("nan")
+    # an ensemble whose replicates all stopped before the burn-in ended is empty
+    if all(m.total for m in found):
+        noise_scale = tv_distance(pair[0], pair[1])
+        tv = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                tv[i, j] = tv[j, i] = tv_distance(measures[i], measures[j])
+        max_cross = float(tv.max()) if k > 1 else 0.0
+    absorbed = sum(m.absorbed for m in found)
     stable = None if absorbed else bool(max_cross <= 3.0 * noise_scale)
     return StabilityReport(
         initial_states=states,

@@ -623,16 +623,11 @@ def ensemble_occupations(
     return [_measure(slots, a) for slots, a in zip(sum(tables), sum(stopped))]
 
 
-def ensemble_occupation(
-    model: NoiseModel,
-    x0: float,
-    config: SimConfig,
-    stream_key: tuple[int, ...] = (),
-) -> OccupationMeasure:
+def ensemble_occupation(model: NoiseModel, x0: float, config: SimConfig) -> OccupationMeasure:
     """Merged occupation measure over config.n_replicates independent replicates.
 
-    Replicate i runs on substream (master_seed, *stream_key, i); the result
-    is independent of execution order.
+    Replicate i runs on substream (master_seed, i); the result is
+    independent of execution order.
     """
-    return ensemble_occupations(model, (x0,), config, (stream_key,))[0]
+    return ensemble_occupations(model, (x0,), config, ((),))[0]
 

@@ -316,9 +316,11 @@ def _density_window(model: NoiseModel, theta0: float) -> tuple[float, float]:
     raise ValueError(f"no positive-density window inside (1, 4) contains {theta0}")
 
 
-def _q_inverse(
-    u: float, m: int, olo: PeriodicOrbit, ohi: PeriodicOrbit, tol: float = 1e-11
-) -> float | None:
+# width in theta at which _q_inverse stops bisecting
+_Q_INVERSE_TOL = 1e-11
+
+
+def _q_inverse(u: float, m: int, olo: PeriodicOrbit, ohi: PeriodicOrbit) -> float | None:
     """Invert the largest-orbit-point function by bisection between two orbits' parameters."""
 
     def q(th: float) -> float | None:
@@ -329,7 +331,7 @@ def _q_inverse(
         return None
     a, b = olo.theta, ohi.theta
     fa = olo.largest_point - u
-    while b - a > tol:
+    while b - a > _Q_INVERSE_TOL:
         mid = 0.5 * (a + b)
         qm = q(mid)
         if qm is None:

@@ -7,14 +7,14 @@ common invariant interval for a parameter band, the outward-rounded image of
 an interval under a parameter band, and Lyapunov exponents.
 All functions are pure; no randomness enters this module.
 
-The periodic-orbit search warms each seed up over many steps before Newton
-refinement.  The map is a fixed IEEE function of the state, so once the
-float orbit repeats exactly it repeats forever: the warm-up checks for that
-at two lags (see _warm_up) and on a repeat jumps to the state the full
-warm-up would end in, bit for bit.  A seed whose float orbit closes on an
-attracting cycle inside (0, 1) ends the search, hit or miss: F_theta has
-negative Schwarzian derivative and one critical point, so it has at most
-one attracting cycle (D. Singer, SIAM J. Appl. Math. 35 (1978) 260-267).
+The periodic-orbit search follows the critical point 1/2 alone.  F_theta
+has negative Schwarzian derivative and one critical point, so it has at
+most one attracting cycle, and that cycle attracts 1/2 (D. Singer, SIAM J.
+Appl. Math. 35 (1978) 260-267).  The search warms 1/2 up over many steps
+and Newton-refines the end state.  The map is a fixed IEEE function of the
+state, so once the float orbit repeats exactly it repeats forever: the
+warm-up checks for that at two lags (see _warm_up) and on a repeat jumps to
+the state the full warm-up would end in, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
 MIN_PERIOD_TOL = 1e-9
 WARMUP_STEPS = 10_000
-DEFAULT_SEED_COUNT = 16
-# the orbit search's default seeds, built once
-_DEFAULT_SEEDS = tuple(np.linspace(0.05, 0.95, DEFAULT_SEED_COUNT).tolist())
 # warm-up steps between checks for an exactly repeating float orbit: the
 # state _SHORT_LAG steps back over the first _SHORT_BLOCKS blocks, which
 # catches a fast-converging orbit whose period divides 24 (1-4, 6, 8, 12),
@@ -154,19 +151,16 @@ def _minimal_period_ok(theta: float, x: float, m: int) -> bool:
     return True
 
 
-def _warm_up(theta: float, x: float, steps: int) -> tuple[float, int]:
+def _warm_up(theta: float, x: float, steps: int) -> float:
     """F_theta applied steps times to x, stopping early once the float orbit repeats.
 
     The steps run in _SHORT_BLOCKS blocks of _SHORT_LAG, then in blocks of
     _CYCLE_BLOCK, while a whole block is left.  A block of L steps that ends
     on the state it started from makes the float orbit exactly periodic with
     a period dividing L, so only the steps left modulo L are taken after it.
-    Returns the end state and the length of the block that closed the
-    orbit, a multiple of its period, or 0 when none did.
     """
     prev = x
     left = steps
-    closed = 0
     for lag in chain(repeat(_SHORT_LAG, _SHORT_BLOCKS), repeat(_CYCLE_BLOCK)):
         if left < lag:
             break
@@ -174,13 +168,12 @@ def _warm_up(theta: float, x: float, steps: int) -> tuple[float, int]:
             x = theta * x * (1.0 - x)
         left -= lag
         if x == prev:
-            closed = lag
             left %= lag
             break
         prev = x
     for _ in range(left):
         x = theta * x * (1.0 - x)
-    return x, closed
+    return x
 
 
 def _round9(p: float) -> float:
@@ -216,40 +209,22 @@ def _orbit_from_candidate(theta: float, x: float, m: int) -> PeriodicOrbit | Non
     )
 
 
-def find_periodic_orbit(
-    theta: float,
-    m: int,
-    seeds=None,
-    warmup: int = WARMUP_STEPS,
-) -> PeriodicOrbit | None:
+def find_periodic_orbit(theta: float, m: int) -> PeriodicOrbit | None:
     """Locate an attractive period-m orbit of F_theta, or return None.
 
-    Long-run iteration from several seeds produces candidate cycle points;
-    Newton refinement on x -> F_theta^m(x) - x polishes them to 1e-12.
-    Candidates whose minimal period properly divides m, or whose multiplier
-    is not strictly inside the unit interval, are rejected.  None therefore
-    means "no attractive orbit of minimal period m found within the search
-    budget", not a proof of absence.
-
-    Each seed's warm-up of `warmup` steps stops early once the float orbit
-    repeats exactly (see _warm_up), in the state the full warm-up reaches.
-    A seed is dropped when that state lies outside (0, 1).  For theta in
-    (0, 4] a state outside (0, 1) never returns to it (0 and 1 map to 0, any
-    other such state maps to zero or below, NaN stays NaN), so this one check
-    drops exactly the seeds whose orbit leaves (0, 1) at any step.  With
-    warmup = 0 no step runs and the seed goes to Newton unchecked.  A period
-    m that is not an integer >= 1, or a warmup that is not an integer >= 0,
-    raises ValueError.
-
-    The first seed whose orbit closes inside (0, 1) on an attracting float
-    cycle ends the search with its candidate or None: by Singer's theorem a
-    later seed could only reach the same cycle at another phase.  When a
-    closed seed's candidate is rejected, the multiplier of the closed cycle
-    itself, over the one block that closed it, decides: at |Lambda| >= 1 the
-    seed sits on a repelling float cycle (1 - 1/theta often is one) and the
-    search goes on.  The result differs from trying every seed only where a
-    check depends on the phase, or within rounding of |Lambda| = 1 or of the
-    1e-9 tests.
+    The critical point 1/2 is warmed up for WARMUP_STEPS steps (read at call
+    time), stopping early once its float orbit repeats exactly (see
+    _warm_up), in the state the full warm-up reaches.  Newton refinement on
+    x -> F_theta^m(x) - x polishes that state to 1e-12.  A candidate whose
+    minimal period properly divides m, or whose multiplier is not strictly
+    inside the unit interval, is rejected.  By Singer's theorem the one
+    attracting cycle of F_theta, when there is one, attracts 1/2, so
+    another start could only reach the same cycle.  None therefore
+    means "1/2 reached no attractive orbit of minimal period m within the
+    warm-up", not a proof of absence: a cycle whose multiplier is within
+    rounding of 1 may not be reached in time.  At theta = 4 the orbit of
+    1/2 lands on the repelling fixed point 0, which the multiplier check
+    rejects.  A period m that is not an integer >= 1 raises ValueError.
 
     For theta <= 1 the search returns None at once: F_theta(x) < x on
     (0, 1), so every orbit decreases and none is periodic.  (A warmed-up
@@ -257,22 +232,9 @@ def find_periodic_orbit(
     """
     theta = _check_theta(theta)
     _check_count("period", m, 1)
-    _check_count("warmup", warmup, 0)
     if theta <= 1.0:
         return None
-    if seeds is None:
-        seeds = _DEFAULT_SEEDS
-    for seed in seeds:
-        x, closed = _warm_up(theta, float(seed), warmup)
-        if warmup > 0 and not (0.0 < x < 1.0):
-            continue
-        orbit = _orbit_from_candidate(theta, x, m)
-        if orbit is not None:
-            return orbit
-        # a closed float cycle ends the search only when it attracts
-        if closed and abs(_orbit_multiplier(theta, x, closed)[1]) < 1.0:
-            return None
-    return None
+    return _orbit_from_candidate(theta, _warm_up(theta, 0.5, WARMUP_STEPS), m)
 
 
 def check_transversality(orbit: PeriodicOrbit) -> float:
@@ -306,16 +268,13 @@ class QTable:
 
     @property
     def monotone(self) -> bool:
-        """Strict monotonicity of q and constant sign of dq on non-hole samples."""
-        q = self.q[~np.isnan(self.q)]
-        if len(q) < 2:
-            return False
-        diffs = np.diff(q)
-        dq = self.dq[~np.isnan(self.dq)]
-        return bool(
-            (np.all(diffs > 0.0) or np.all(diffs < 0.0))
-            and (np.all(dq > 0.0) or np.all(dq < 0.0))
-        )
+        """Strict monotonicity of q on non-hole samples.
+
+        Every dq that q_of_theta builds is a difference of q samples in
+        ascending theta over a positive spacing, so it takes their one sign.
+        """
+        diffs = np.diff(self.q[~np.isnan(self.q)])
+        return len(diffs) > 0 and bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
 
 
 def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:

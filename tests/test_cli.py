@@ -417,6 +417,15 @@ class TestSubcommands:
         assert "stable = true" in report
         assert (tmp_path / "out" / "tv_matrix.csv").exists()
 
+    def test_stability_all_absorbed_exit_two(self, tmp_path):
+        # every replicate stops before the burn-in ends: no TV, no verdict
+        text = "[noise]\npieces = 0.1:0.2:1.0\n\n[sim]\nseed = 1\nsteps = 2000\nburn_in = 1000\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "stability", "--config", str(cfg)) == 2
+        report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert report[:3] == ["max_cross_tv = nan", "noise_scale = nan", "stable = none"]
+        assert report[-1] == "absorbed = 3"
+
     def test_extinction_outputs(self, tmp_path):
         text = EXTINCT_NOISE + "\n[extinction]\nthreshold = 0.001\ncheckpoints = 100 1000 5000\nreplicates = 50\n"
         cfg = write_config(tmp_path, text)

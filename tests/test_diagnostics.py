@@ -92,6 +92,21 @@ class TestStability:
         assert report.absorbed > 0
         assert report.stable is None
 
+    def test_empty_measures_give_no_tv(self):
+        # U[0.1, 0.2] stops every replicate long before step 1000, so no
+        # ensemble keeps a state after the burn-in
+        model = NoiseModel.uniform(0.1, 0.2)
+        cfg = SimConfig(master_seed=1, n_steps=2000, n_replicates=1, burn_in=1000)
+        report = stability_test(model, (0.5, 0.7), cfg)
+        assert all(m.total == 0 for m in report.measures)
+        assert report.stable is None and report.absorbed == 4
+        assert np.isnan(report.noise_scale) and np.isnan(report.max_cross_tv)
+        assert np.isnan(report.tv_matrix).all() and report.tv_matrix.shape == (2, 2)
+        # with a short burn-in the same walk keeps states and gets its TVs
+        short = stability_test(model, (0.5, 0.7), SimConfig(1, 2000, 1, burn_in=10))
+        assert short.stable is None and short.absorbed == 4
+        assert short.max_cross_tv >= 0.0 and short.noise_scale >= 0.0
+
 
 class TestInvariantIntervalOccupation:
     def test_no_mass_escapes_invariant_interval(self):

@@ -237,7 +237,7 @@ class TestEnsembleGroups:
         together = ensemble_occupations(model, self.STARTS, self.CFG, self.KEYS)
         assert len(together) == 5
         for x0, key, m in zip(self.STARTS, self.KEYS, together):
-            alone = ensemble_occupation(model, x0, self.CFG, key)
+            alone = ensemble_occupations(model, (x0,), self.CFG, (key,))[0]
             assert np.array_equal(m.counts, alone.counts)
             assert (m.total, m.underflow, m.overflow, m.absorbed) == (
                 alone.total, alone.underflow, alone.overflow, alone.absorbed)

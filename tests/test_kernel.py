@@ -705,12 +705,16 @@ class TestMinorizationProbe:
     @pytest.mark.parametrize(
         "model, theta0, m, expected",
         [
-            pytest.param(U2228, 2.5, 1, 6.7548938380126815, id="m1"),
-            pytest.param(NoiseModel.uniform(3.15, 3.25), 3.2, 2, 38.89173306910813, id="m2"),
+            pytest.param(U2228, 2.5, 1, 6.7548938380126824, id="m1"),
+            pytest.param(NoiseModel.uniform(3.15, 3.25), 3.2, 2, 38.891733069107687, id="m2"),
         ],
     )
     def test_delta_golden(self, model, theta0, m, expected):
-        assert minorization_probe(model, theta0, m).delta == expected
+        out = minorization_probe(model, theta0, m)
+        assert out.delta == expected
+        if m == 1:
+            low, high = _m1_closed_form(out.J, 2.2, 2.8, 2048)
+            assert low <= out.delta <= high
 
     def test_explicit_J_fixed_point_case(self):
         out = minorization_probe(U2228, 2.5, 1, J=(0.5455, 0.6428), grid_n=64, resolution=2048)

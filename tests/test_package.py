@@ -18,6 +18,12 @@ UNCALLED_KEEP = {
     "lyapunov_deterministic": "goes when the random maps' Lyapunov exponent replaces it",
 }
 
+# defaulted parameters that no call in the package or the benchmark sets,
+# kept on purpose, each with its reason
+UNSET_DEFAULT_KEEP = {
+    "NoiseModel.sample(size)": "the benchmark's tracer wraps sample and reads size",
+}
+
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_name_in_all_resolves(module):
@@ -36,11 +42,15 @@ def test_traced_methods_stay_on_their_classes():
     assert "sample" in vars(NoiseModel)
 
 
+def _sources() -> list[Path]:
+    return [*(ROOT / "src" / "randquad").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+
+
 def _identifiers_outside_own_definition() -> set[str]:
     """Names and attribute names anywhere in src/randquad or bench/, leaving
     out those inside the top-level function or class of the same name."""
     used = set()
-    for path in [*(ROOT / "src" / "randquad").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+    for path in _sources():
         for stmt in ast.parse(path.read_text()).body:
             names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
             names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
@@ -92,3 +102,70 @@ def test_every_keep_entry_is_needed():
     used = _identifiers_outside_own_definition()
     stale = [name for name in UNCALLED_KEEP if name not in public or name in used]
     assert stale == []
+
+
+def _defaulted_parameters():
+    """(name it is called by, label, parameter, call position or None) of
+    every parameter with a default, in every function defined in
+    src/randquad; a method's position leaves out self or cls, and __init__
+    is called by its class's name."""
+    found = []
+    for path in sorted((ROOT / "src" / "randquad").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(f): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for f in cls.body
+        }
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            cls = owner.get(id(f))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+            shift = 1 if cls and not static else 0
+            qualified = f"{cls}.{f.name}" if cls else f.name
+            name = cls if f.name == "__init__" else f.name
+            params = f.args.posonlyargs + f.args.args
+            first = len(params) - len(f.args.defaults)
+            for i, p in enumerate(params[first:], first):
+                found.append((name, f"{qualified}({p.arg})", p.arg, i - shift))
+            for p, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+                if default is not None:
+                    found.append((name, f"{qualified}({p.arg})", p.arg, None))
+    return found
+
+
+def _sets(call: ast.Call, param: str, position) -> bool:
+    """Whether the call sets the parameter by keyword, by position, or through * or **."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def _unset_defaults() -> set[str]:
+    """Defaulted parameters that no call in src/randquad or bench/ sets,
+    leaving out the functions in UNCALLED_KEEP."""
+    calls = {}
+    for path in _sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return {
+        label
+        for name, label, param, position in _defaulted_parameters()
+        if name not in UNCALLED_KEEP
+        and not any(_sets(call, param, position) for call in calls.get(name, []))
+    }
+
+
+def test_every_default_is_set():
+    # a default that no caller overrides is a fixed value behind a knob
+    assert _unset_defaults() - set(UNSET_DEFAULT_KEEP) == set()
+
+
+def test_every_unset_default_keep_entry_is_needed():
+    # an entry goes once its parameter loses its default or gains a caller
+    assert set(UNSET_DEFAULT_KEEP) - _unset_defaults() == set()

@@ -1,5 +1,7 @@
 """Tests for the deterministic quadratic-map core."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -67,10 +69,12 @@ class TestFindPeriodicOrbit:
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("theta", [0.5, 0.9, 0.99, 0.999, 1.0])
-    def test_no_orbit_at_or_below_theta_one(self, theta, m):
+    def test_no_orbit_at_or_below_theta_one(self, monkeypatch, theta, m):
         # F_theta(x) < x on (0, 1): a warmed-up state near 0 is no orbit
         assert quadmap.find_periodic_orbit(theta, m) is None
-        assert quadmap.find_periodic_orbit(theta, m, seeds=[0.3], warmup=0) is None
+        for steps in (0, 1, 10):
+            monkeypatch.setattr(quadmap, "WARMUP_STEPS", steps)
+            assert quadmap.find_periodic_orbit(theta, m) is None
 
     def test_fixed_point_just_above_theta_one(self):
         orbit = quadmap.find_periodic_orbit(1.0001, 1)
@@ -148,14 +152,52 @@ def reference_from_states(theta, m, states):
     return None
 
 
-def reference_find_periodic_orbit(theta, m, seeds=None, warmup=quadmap.WARMUP_STEPS):
-    """The orbit search with a plain warm-up, trying seed after seed until one passes."""
+# the 16 seeds of the multi-start search that the critical-point search replaced
+_REFERENCE_SEEDS = np.linspace(0.05, 0.95, 16).tolist()
+
+
+def reference_find_periodic_orbit(theta, m, seeds=_REFERENCE_SEEDS, warmup=quadmap.WARMUP_STEPS):
+    """The frozen multi-start search: a plain warm-up, trying seed after seed until one passes."""
     theta = float(theta)
     if theta <= 1.0:  # no periodic point in (0, 1)
         return None
-    if seeds is None:
-        seeds = np.linspace(0.05, 0.95, quadmap.DEFAULT_SEED_COUNT)
     return reference_from_states(theta, m, (plain_warm_up(theta, s, warmup) for s in seeds))
+
+
+def reference_states(thetas, warmup=quadmap.WARMUP_STEPS):
+    """plain_warm_up of every reference seed, one row per theta, stepped as numpy arrays."""
+    th = np.asarray(thetas, dtype=float)[:, None]
+    x = np.tile(_REFERENCE_SEEDS, (len(th), 1))
+    left = np.zeros(x.shape, dtype=bool)
+    for _ in range(warmup):
+        x = th * x * (1.0 - x)
+        left |= ~((0.0 < x) & (x < 1.0))
+    return [
+        [None if out else v for v, out in zip(row, outs)]
+        for row, outs in zip(x.tolist(), left.tolist())
+    ]
+
+
+def assert_same_orbit(got, want):
+    """got finds what the reference want finds, hit or miss, and the same cycle.
+
+    Away from neutral stability the points agree within 1e-13 times the
+    condition number 1 / (1 - |Lambda|) of the root of F^m(x) - x; the
+    multipliers then agree within that times sum_i |dLambda/dx_i|, where
+    dLambda/dx_i = -2 theta prod_{j != i} theta (1 - 2 x_j).
+    """
+    assert (got is None) == (want is None)
+    if want is None or not abs(want.multiplier) < 1.0 - 1e-6:
+        return
+    assert got.period == want.period
+    tol = 1e-13 / (1.0 - abs(want.multiplier))
+    assert max(abs(p - q) for p, q in zip(got.points, want.points)) <= tol
+    theta, points = want.theta, want.points
+    slope = sum(
+        2.0 * theta * np.prod([theta * abs(1.0 - 2.0 * x) for j, x in enumerate(points) if j != i])
+        for i in range(want.period)
+    )
+    assert abs(got.multiplier - want.multiplier) <= slope * tol + 1e-15
 
 
 # the period-2 window is (3, 1 + sqrt(6)); 2.95 and 3.5 are holes either side;
@@ -168,37 +210,28 @@ _SWEEPS = {
     5: [3.739],
     8: [3.55],
 }
-_OUTSIDE_SEEDS = [-0.5, 0.0, 1.0, 1.5, 1e300, float("inf"), float("-inf"), float("nan"), 0.3]
 
 
 class TestWarmUpMatchesFullWarmUp:
-    """The early-stopping warm-up gives the search results of the full one, None included."""
+    """The early-stopping warm-up of 1/2 finds what the full one and the
+    frozen multi-start search find, None included."""
 
     @pytest.mark.parametrize(
         "m, theta", [(m, theta) for m, thetas in _SWEEPS.items() for theta in thetas]
     )
     def test_default_search(self, m, theta):
-        assert quadmap.find_periodic_orbit(theta, m) == reference_find_periodic_orbit(theta, m)
+        assert_same_orbit(
+            quadmap.find_periodic_orbit(theta, m), reference_find_periodic_orbit(theta, m)
+        )
 
+    # at theta = 4 the orbit of 1/2 is 1 after one step and 0 after that
     @pytest.mark.parametrize("warmup", [0, 1, 239, 240, 1001])
     @pytest.mark.parametrize("m, theta", [(1, 2.5), (2, 3.2), (2, 3.5), (3, 3.83), (1, 4.0)])
-    def test_short_warmups(self, m, theta, warmup):
-        assert quadmap.find_periodic_orbit(
-            theta, m, warmup=warmup
-        ) == reference_find_periodic_orbit(theta, m, warmup=warmup)
-
-    # below theta = 1 a short warm-up leaves a state near 0 that Newton would
-    # polish into an accepted orbit; both searches return None there
-    @pytest.mark.parametrize("warmup", [0, 1, 10, 1001, quadmap.WARMUP_STEPS])
-    @pytest.mark.parametrize("m, theta", [(1, 0.5), (1, 2.5), (2, 3.2), (1, 3.9), (1, 4.0)])
-    def test_seeds_outside_unit_interval(self, m, theta, warmup):
-        for seed in _OUTSIDE_SEEDS:
-            assert quadmap.find_periodic_orbit(
-                theta, m, seeds=[seed], warmup=warmup
-            ) == reference_find_periodic_orbit(theta, m, seeds=[seed], warmup=warmup)
-        assert quadmap.find_periodic_orbit(
-            theta, m, seeds=_OUTSIDE_SEEDS, warmup=warmup
-        ) == reference_find_periodic_orbit(theta, m, seeds=_OUTSIDE_SEEDS, warmup=warmup)
+    def test_short_warmups(self, monkeypatch, m, theta, warmup):
+        monkeypatch.setattr(quadmap, "WARMUP_STEPS", warmup)
+        assert quadmap.find_periodic_orbit(theta, m) == reference_find_periodic_orbit(
+            theta, m, seeds=[0.5], warmup=warmup
+        )
 
     def test_sweeps_cover_hits_and_misses(self):
         for m, theta in [(1, 2.5), (2, 3.2), (3, 3.83), (4, 3.5), (5, 3.739), (8, 3.55)]:
@@ -211,25 +244,22 @@ class TestWarmUpMatchesFullWarmUp:
     @pytest.mark.parametrize("theta", [2.5, 3.2, 2.99, 3.448, 3.9, 4.0])
     def test_warm_up_equals_plain_loop(self, theta):
         for n in (0, 1, 23, 24, 25, 239, 240, 241, 479, 10_007):
-            for x0 in (0.05, 0.3):
+            for x0 in (0.05, 0.3, 0.5):
                 x = x0
                 for _ in range(n):
                     x = theta * x * (1.0 - x)
-                end, closed = quadmap._warm_up(theta, x0, n)  # the closing lag, or 0
-                assert end.hex() == x.hex(), (n, x0)
-                # a closing takes a whole block; the attracting cycles close
-                # within the full warm-up, chaos never
-                if n < 24 or theta >= 3.9:
-                    assert not closed, (n, x0)
-                elif n == 10_007:
-                    assert closed, x0
+                assert quadmap._warm_up(theta, x0, n).hex() == x.hex(), (n, x0)
 
-    @pytest.mark.parametrize("warmup", [-5, -1, 2.5, 10.0, "10", None, True])
-    def test_bad_warmup_rejected(self, warmup):
-        with pytest.raises(ValueError, match="warmup"):
-            quadmap.find_periodic_orbit(2.5, 1, warmup=warmup)
-        with pytest.raises(ValueError, match="warmup"):
-            quadmap.find_periodic_orbit(0.5, 1, warmup=warmup)
+    @pytest.mark.parametrize("theta, m", [(2.5, 1), (3.2, 2), (3.5, 4)])
+    def test_hits_stop_early(self, monkeypatch, theta, m):
+        # a billion plain steps would take minutes; a closed float orbit ends
+        # the warm-up in a few hundred
+        orbit = quadmap.find_periodic_orbit(theta, m)
+        assert orbit is not None
+        monkeypatch.setattr(quadmap, "WARMUP_STEPS", 10**9)
+        start = time.perf_counter()
+        assert quadmap.find_periodic_orbit(theta, m) == orbit
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("m", [0, -1, 2.5, 2.0, "2", None, True])
     def test_bad_period_rejected(self, m):
@@ -238,12 +268,6 @@ class TestWarmUpMatchesFullWarmUp:
 
     def test_integer_periods_accepted(self):
         assert quadmap.find_periodic_orbit(3.2, np.int64(2)) == quadmap.find_periodic_orbit(3.2, 2)
-
-    def test_integer_warmups_accepted(self):
-        for warmup in (0, 7, np.int64(240)):
-            assert quadmap.find_periodic_orbit(
-                2.5, 1, warmup=warmup
-            ) == reference_find_periodic_orbit(2.5, 1, warmup=int(warmup))
 
 
 def _certify_holes(lo, hi, samples=25):
@@ -259,10 +283,13 @@ _EXIT_THETAS = (
     + _certify_holes(2.9386, 3.5386)
     + _certify_holes(2.8783, 3.5381)
 )
+# 1,000 parameters over (1, 4] for the comparison with the frozen search
+_GRID_THETAS = np.linspace(1.0, 4.0, 1001)[1:].tolist()
 
 
 class TestClosedOrbitEndsSearch:
-    """A seed whose float orbit closes inside (0, 1) ends the search, hit or miss."""
+    """The warm-up of 1/2 alone, ended where its float orbit closes, finds
+    and misses what the frozen 16-seed search does."""
 
     def test_certify_holes_listed(self):
         assert len(_certify_holes(2.9386, 3.5386)) == 7
@@ -270,23 +297,32 @@ class TestClosedOrbitEndsSearch:
 
     @pytest.mark.parametrize("theta", _EXIT_THETAS)
     def test_equals_frozen_reference(self, theta):
-        states = [plain_warm_up(theta, s, quadmap.WARMUP_STEPS) for s in quadmap._DEFAULT_SEEDS]
+        states = [plain_warm_up(theta, s, quadmap.WARMUP_STEPS) for s in _REFERENCE_SEEDS]
         for m in (1, 2, 4, 8):
-            assert quadmap.find_periodic_orbit(theta, m) == reference_from_states(
-                theta, m, states
-            ), m
+            want = reference_from_states(theta, m, states)
+            assert_same_orbit(quadmap.find_periodic_orbit(theta, m), want)
 
-    @pytest.mark.parametrize(
-        "theta, m, seeds, count",
-        [
-            (2.95, 2, None, 1),  # closes on the fixed point
-            (3.5, 2, None, 1),  # closes on the 4-cycle
-            (3.9, 2, None, 16),  # chaos never closes
-            (2.95, 2, [1.5, 0.3], 2),  # 1.5 closes at -inf, outside (0, 1)
-            (2.5, 1, [1.5, 0.3], 2),
-        ],
-    )
-    def test_warm_up_count(self, monkeypatch, theta, m, seeds, count):
+    def test_reference_states_are_plain_warm_ups(self):
+        thetas = [1.003, 2.999, 3.448, 3.9, 4.0]
+        assert reference_states(thetas) == [
+            [plain_warm_up(theta, s, quadmap.WARMUP_STEPS) for s in _REFERENCE_SEEDS]
+            for theta in thetas
+        ]
+
+    def test_grid_equals_frozen_reference(self):
+        hits = misses = 0
+        for theta, states in zip(_GRID_THETAS, reference_states(_GRID_THETAS)):
+            for m in (1, 2, 3, 4, 8):
+                want = reference_from_states(theta, m, states)
+                assert_same_orbit(quadmap.find_periodic_orbit(theta, m), want)
+                hits += want is not None
+                misses += want is None
+        assert hits > 500 and misses > 3000
+
+    @pytest.mark.parametrize("theta, m", [(2.95, 2), (3.5, 2), (3.9, 2), (2.5, 1)])
+    def test_one_warm_up(self, monkeypatch, theta, m):
+        # one warm-up of 1/2, whether the orbit closes on the fixed point
+        # (2.95, 2.5) or on the 4-cycle (3.5) or never closes (3.9)
         calls = []
         warm_up = quadmap._warm_up
 
@@ -295,34 +331,9 @@ class TestClosedOrbitEndsSearch:
             return warm_up(*args)
 
         monkeypatch.setattr(quadmap, "_warm_up", counted)
-        orbit = quadmap.find_periodic_orbit(theta, m, seeds=seeds)
-        assert len(calls) == count
+        orbit = quadmap.find_periodic_orbit(theta, m)
+        assert calls == [(theta, 0.5, quadmap.WARMUP_STEPS)]
         assert (orbit is None) == (m == 2)
-
-    def test_seed_on_repelling_fixed_point_goes_on(self):
-        # 1 - 1/3.2 is an exact float fixed point, closed but repelling
-        theta = 3.2
-        xstar = 1.0 - 1.0 / theta
-        assert theta * xstar * (1.0 - xstar) == xstar
-        orbit = quadmap.find_periodic_orbit(theta, 2, seeds=[xstar, 0.3])
-        assert orbit is not None
-        assert orbit == reference_find_periodic_orbit(theta, 2, seeds=[xstar, 0.3])
-
-    def test_seeds_on_exact_float_fixed_points(self):
-        # across the period-2 window and past it, wherever 1 - 1/theta is an
-        # exact float fixed point: a repelling seed hands over to the next one
-        found = 0
-        for theta in np.linspace(3.01, 3.99, 99).tolist():
-            xstar = 1.0 - 1.0 / theta
-            if theta * xstar * (1.0 - xstar) != xstar:
-                continue
-            found += 1
-            for m in (1, 2, 4):
-                seeds = [xstar, 0.3]
-                assert quadmap.find_periodic_orbit(
-                    theta, m, seeds=seeds
-                ) == reference_find_periodic_orbit(theta, m, seeds=seeds), (theta, m)
-        assert found >= 10
 
     def test_round9_matches_numpy(self):
         rng = np.random.default_rng(24)
@@ -418,6 +429,53 @@ class TestQOfTheta:
             else:
                 assert orbit.theta == theta and orbit.largest_point == q
         assert any(o is None for o in table.orbits) and any(table.orbits)
+
+
+def frozen_monotone(table):
+    """QTable.monotone as it was: strict monotonicity of q and one sign of dq."""
+    q = table.q[~np.isnan(table.q)]
+    if len(q) < 2:
+        return False
+    diffs = np.diff(q)
+    dq = table.dq[~np.isnan(table.dq)]
+    return bool(
+        (np.all(diffs > 0.0) or np.all(diffs < 0.0))
+        and (np.all(dq > 0.0) or np.all(dq < 0.0))
+    )
+
+
+def test_monotone_equals_frozen_on_random_tables(monkeypatch):
+    # q_of_theta builds each table from made-up orbits: q runs up, down or
+    # anywhere, with ties, tiny steps and NaN holes
+    rng = np.random.default_rng(30)
+    samples = {}
+
+    class Orbit:
+        def __init__(self, q):
+            self.largest_point = q
+
+    def fake_search(theta, m):
+        q = samples.pop(theta)
+        return None if np.isnan(q) else Orbit(q)
+
+    monkeypatch.setattr(quadmap, "find_periodic_orbit", fake_search)
+    kinds = {True: 0, False: 0}
+    for _ in range(5000):
+        n = int(rng.integers(3, 12))
+        lo = float(rng.uniform(0.5, 3.5))
+        hi = lo + float(rng.choice([1e-12, 1e-3, 0.4]))
+        steps = rng.choice([1e-300, 1e-16, 1e-3]) * rng.uniform(0.0, 1.0, n)
+        steps[rng.random(n) < 0.05] = 0.0
+        q = 0.5 + rng.choice([1.0, -1.0]) * np.cumsum(steps)
+        if rng.random() < 0.3:
+            q = rng.permutation(q)
+        q[rng.random(n) < rng.choice([0.0, 0.3, 0.8])] = np.nan
+        samples.update(zip(np.linspace(lo, hi, n).tolist(), q.tolist()))
+        table = quadmap.q_of_theta((lo, hi), 1, n)
+        assert not samples
+        assert table.monotone == frozen_monotone(table), (table.q, table.dq)
+        kinds[table.monotone] += 1
+    assert min(kinds.values()) > 500
 
 
 class TestInvariantInterval:

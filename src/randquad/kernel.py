@@ -44,7 +44,9 @@ Bounds round outward by _BOUND_SLACK (Tucker, Validated Numerics, 2011); the
 s spans and k-step images of J take that rounding from quadmap.interval_image.
 Along a row of boxes (one X, every Y) the interval's ends never decrease, so
 the row is runs between the 2K columns where an end crosses one of the K
-cuts of h, each run one read of the model's range-min table (_box_bound).
+cuts of h, each run one read of a range-min table that _box_bound builds
+from the model's cells: the least value of h over every chain of adjacent
+cells.
 The chained factor is built a span of source rows at a time, as many
 blocks of _BLOCK_ROWS rows as fit in _SPAN_ELEMENTS entries (at least one),
 and multiplied block by block in the summation order delta depends on: at
@@ -310,7 +312,7 @@ def _density_window(model: NoiseModel, theta0: float) -> tuple[float, float]:
         raise ValueError("theta0 must lie in (1, 4) for the minorization construction")
     if float(model.density(theta0)) <= 0.0:
         raise ValueError(f"density vanishes at theta0 = {theta0}")
-    for lo, hi in model.density_runs():
+    for lo, hi, _ in model.density_runs():
         if lo <= theta0 <= hi:
             return lo, hi
     raise ValueError(f"no positive-density window inside (1, 4) contains {theta0}")
@@ -399,18 +401,24 @@ def _box_bound(model: NoiseModel, x_edges: np.ndarray, y_edges: np.ndarray) -> n
 
     Box (i, j) takes inf h over [r_lo, r_hi] / s_hi[i], with
     r_lo = y_lo[j] / s_hi[i] (1 - slack) and r_hi = y_hi[j] / s_lo[i] (1 + slack).
+    h is constant on the cells between the K cuts (the pieces' ends), and the
+    infimum is the least value over the cells that [r_lo, r_hi] meets in
+    positive length: cells a..b, a being the number of cuts at or below r_lo
+    and b the number below r_hi, so an end on a cut does not reach past it.
+    table[a, b] holds that least value (inf where a > b: no cell is met).
     Along a row neither ratio decreases, since float division and
-    multiplication by a positive constant are monotone, so the density cells
-    that [r_lo, r_hi] meets, a..b as counted in NoiseModel.inf_density, move
-    only at the 2K columns where r_lo reaches a cut (r_lo >= cut) or r_hi
-    passes one (r_hi > cut), K being the number of cuts.  Each such column
-    is found exactly: a searchsorted guess on the y edges, then a walk to the
-    first column where that float predicate holds.  A row is then runs
-    between crossing columns, each of value table[a, b] / s_hi[i] from the
-    model's range-min table, filled by one np.repeat: the bits of
-    inf_density(r_lo, r_hi) / s_hi box by box, at O(K) work per row.
+    multiplication by a positive constant are monotone, so a and b move only
+    at the 2K columns where r_lo reaches a cut (r_lo >= cut) or r_hi passes
+    one (r_hi > cut).  Each such column is found exactly: a searchsorted
+    guess on the y edges, then a walk to the first column where that float
+    predicate holds.  A row is then runs between crossing columns, each of
+    value table[a, b] / s_hi, filled by one np.repeat at O(K) work per row.
     """
-    cuts, table = model._range_min
+    cells = model._cells
+    cuts = np.array([right for _, right, _ in cells[:-1]])
+    values = np.array([value for *_, value in cells])
+    rank = np.arange(len(values))
+    table = np.minimum.accumulate(np.where(rank[:, None] <= rank, values, np.inf), axis=1)
     K, cols = len(cuts), len(y_edges) - 1
     y_lo, y_hi = y_edges[:-1], y_edges[1:]
     # the image under theta = 1 is the outward-rounded span of s(x) = x(1-x)

@@ -79,17 +79,11 @@ class NoiseModel:
         cum[-1] = 1.0  # guard against roundoff in the last edge
         object.__setattr__(self, "_tables", (cum, lo, hi - lo))
         # (left, right, density) of the open cells between the pieces'
-        # endpoints, on which the density is constant, out to +-inf
+        # endpoints, on which the density is constant, out to +-inf; read by
+        # density_runs and kernel._box_bound
         cuts = [-math.inf, *sorted({e for c, d, _ in pieces for e in (c, d)}), math.inf]
         cells = [(a, b, self.density(0.5 * (a + b))) for a, b in zip(cuts[:-1], cuts[1:])]
         object.__setattr__(self, "_cells", cells)
-        # range-min table over the cells: the least value over cells a..b at
-        # [a, b], and inf where a > b, as no cell is met (see inf_density)
-        values = np.array([v for *_, v in cells])
-        table = np.full((len(values), len(values)), math.inf)
-        for a in range(len(values)):
-            table[a, a:] = np.minimum.accumulate(values[a:])
-        object.__setattr__(self, "_range_min", (np.array(cuts[1:-1]), table))
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -148,40 +142,23 @@ class NoiseModel:
             out = out + w * np.clip((u - c) / (d - c), 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def inf_density(self, lo, hi) -> np.ndarray | float:
-        """Exact infimum of the density over [lo, hi] (lo < hi), up to null sets.
+    def density_runs(self) -> list[tuple[float, float, float]]:
+        """Maximal intervals (lo, hi) inside [1, 4] on which the density is
+        positive, each with its floor, the least value of the density on it.
 
-        The least value over the cells between piece endpoints that the
-        interval meets in positive length, so an end sitting on a cut does not
-        reach past it; 0 once it leaves the support.  Those are the cells a..b,
-        a being the number of cuts at or below lo and b the number below hi,
-        and the least value over them is one read of the range-min table.
-        For lo > hi that is the value of the cell holding both ends, or inf
-        (a > b) when a cut lies between them.  A NaN end bounds nothing, so
-        it reaches every cell on its side and the result is 0.  Atoms are
-        dropped.
+        Found exactly from the density's cells, the open intervals between
+        piece ends on which it is constant, clipped to [1, 4]: a run is a
+        maximal chain of adjacent cells of positive density, and its floor the
+        least value of those cells.  Runs come in increasing order.
         """
-        cuts, table = self._range_min
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        a = np.where(np.isnan(lo), 0, np.searchsorted(cuts, lo, side="right"))
-        out = table[a, np.searchsorted(cuts, hi, side="left")]  # NaN sorts past every cut
-        return out if out.ndim else float(out)
-
-    def density_runs(self) -> list[tuple[float, float]]:
-        """Maximal intervals inside [1, 4] on which the density is positive.
-
-        Found exactly from the density's cells (see inf_density), clipped to
-        [1, 4]: a run is a maximal chain of adjacent cells of positive density.
-        Runs come in increasing order.
-        """
-        runs: list[tuple[float, float]] = []
+        runs: list[tuple[float, float, float]] = []
         for left, right, value in self._cells:
             left, right = max(left, 1.0), min(right, 4.0)
             if value > 0.0 and left < right:
                 if runs and runs[-1][1] == left:
-                    runs[-1] = (runs[-1][0], right)
+                    runs[-1] = (runs[-1][0], right, min(runs[-1][2], value))
                 else:
-                    runs.append((left, right))
+                    runs.append((left, right, value))
         return runs
 
     # ------------------------------------------------------------------ #
@@ -271,9 +248,9 @@ class ConditionReport:
     """Evaluated stability hypotheses for a noise model.
 
     moments_ok is the moment condition E log(eps) > 0 and E|log(4-eps)| < inf;
-    density_interval, when present, is a nondegenerate (c, d) inside (1, 4) on
-    which the density stays at or above inf_h > 0.  all_ok means every
-    hypothesis needed for stability in distribution was verified.
+    density_interval, when present, is (c, d, inf_h): a nondegenerate (c, d)
+    inside [1, 4] on which the density stays at or above inf_h > 0.  all_ok
+    means every hypothesis needed for stability in distribution was verified.
     """
 
     e_log: float
@@ -292,17 +269,14 @@ def check_conditions(model: NoiseModel) -> ConditionReport:
     """Evaluate the stability hypotheses for `model`.
 
     The density interval is the widest of the model's density runs inside
-    [1, 4] (the first on a tie), reported with the exact infimum of the
-    density over it (inf_density).  Absence of a qualifying interval is an
-    outcome, not an error.
+    [1, 4] (the first on a tie), (c, d, floor) as density_runs gives it: the
+    floor is the exact infimum of the density over the run, and positive.
+    Absence of a qualifying interval is an outcome, not an error.
     """
     e_log = model.e_log()
     e_log4m = model.e_log4m()
     moments_ok = e_log > 0.0 and math.isfinite(e_log4m)
-
-    best = max(model.density_runs(), key=lambda r: r[1] - r[0], default=None)
-    # a run is a chain of cells of positive density, so its infimum is positive
-    density_interval = None if best is None else (*best, model.inf_density(*best))
+    density_interval = max(model.density_runs(), key=lambda r: r[1] - r[0], default=None)
 
     return ConditionReport(
         e_log=e_log,

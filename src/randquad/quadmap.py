@@ -254,8 +254,9 @@ def check_transversality(orbit: PeriodicOrbit) -> float:
 class QTable:
     """Sampled q(theta) over one hyperbolic window, with derivative estimates.
 
-    dq holds centered finite differences (one-sided at the ends); entries are
-    NaN at holes, i.e. samples where no attractive period-m orbit was found.
+    dq holds centered finite differences (one-sided at the ends and next to a
+    hole); entries are NaN at holes, i.e. samples where no attractive
+    period-m orbit was found.
     orbits[i] is the orbit found at thetas[i], None at a hole.
     """
 
@@ -294,19 +295,12 @@ def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:
     orbits = [find_periodic_orbit(th, m) for th in thetas]
     q = np.array([np.nan if o is None else o.largest_point for o in orbits])
     holes = [float(th) for th, o in zip(thetas, orbits) if o is None]
-    dq = np.full(n_samples, np.nan)
+    # centered differences, one-sided next to a hole or at an end, NaN at a hole
     h = thetas[1] - thetas[0]
-    for i in range(n_samples):
-        if np.isnan(q[i]):
-            continue
-        left = q[i - 1] if i > 0 else np.nan
-        right = q[i + 1] if i < n_samples - 1 else np.nan
-        if not np.isnan(left) and not np.isnan(right):
-            dq[i] = (right - left) / (2.0 * h)
-        elif not np.isnan(right):
-            dq[i] = (right - q[i]) / h
-        elif not np.isnan(left):
-            dq[i] = (q[i] - left) / h
+    left, right = np.r_[np.nan, q[:-1]], np.r_[q[1:], np.nan]
+    one_sided = np.where(np.isnan(right), (q - left) / h, (right - q) / h)
+    dq = np.where(np.isnan(left + right), one_sided, (right - left) / (2.0 * h))
+    dq[np.isnan(q)] = np.nan
     return QTable(m=m, thetas=thetas, q=q, dq=dq, holes=holes, orbits=orbits)
 
 

@@ -1,7 +1,6 @@
 """Tests for the transition-density machinery."""
 
 import inspect
-import itertools
 import textwrap
 import tracemalloc
 
@@ -630,20 +629,38 @@ class TestLazyBand:
         assert all(_same_bits(a.values, b.values) for a, b in zip(first, again))
 
 
+# ORACLE_MODELS and more mixtures: runs clipped at 1 and ending near 4,
+# overlapping pieces whose first cell is not the least, atoms inside and
+# outside the pieces, zero-weight pieces, and a narrow cell inside a run
+RUN_MODELS = {
+    **ORACLE_MODELS,
+    "clipped-at-1": NoiseModel(uniform_pieces=((0.5, 1.5, 0.5), (0.2, 1.0, 0.25), (1.0, 1.2, 0.25))),
+    "near-4": NoiseModel(uniform_pieces=((2.0, 3.0, 0.5), (3.2, 3.999, 0.5))),
+    "descending": NoiseModel(
+        atoms=((1.7, 0.1), (3.8, 0.1)),
+        uniform_pieces=((1.5, 2.5, 0.3), (1.5, 2.0, 0.2), (2.2, 3.5, 0.3), (0.3, 3.9, 0.0)),
+    ),
+    "narrow-cell": NoiseModel(
+        uniform_pieces=((2.0, 3.0, 0.5), (3.0, 3.001, 1e-7), (3.001, 3.5, 0.5 - 1e-7))
+    ),
+}
+
+
 class TestInfDensity:
-    @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+    """density_runs() reports each run's floor, the infimum of h over it."""
+
+    @pytest.mark.parametrize("name", sorted(RUN_MODELS))
     def test_matches_dense_scan(self, name):
-        model = ORACLE_MODELS[name]
-        cuts = sorted({e for c, d, w in model.uniform_pieces if w > 0.0 for e in (c, d)})
-        # ends on every cut, 0.043 or more off the cuts, and past the support
-        ends = set(cuts) | {c + off for c in cuts for off in (-0.117, 0.043)}
-        ends |= {cuts[0] - 0.5, cuts[-1] + 0.3}
-        pairs = list(itertools.combinations(sorted(ends), 2))
-        lo, hi = np.array(pairs).T
-        got = model.inf_density(lo, hi)
-        for k, (a, b) in enumerate(pairs):
-            scan = np.linspace(a, b, 20001)[1:-1]
-            assert got[k] == model.inf_density(a, b) == np.min(model.density(scan))
+        model = RUN_MODELS[name]
+        runs = model.density_runs()
+        assert runs
+        for lo, hi, floor in runs:
+            assert 1.0 <= lo < hi <= 4.0 and floor > 0.0
+            scan = np.linspace(lo, hi, 20001)[1:-1]
+            assert floor == np.min(model.density(scan))
+            # h vanishes just outside a run unless it is clipped there
+            assert lo == 1.0 or model.density(np.nextafter(lo, 0.0)) == 0.0
+            assert model.density(np.nextafter(hi, 4.0)) == 0.0
 
 
 BOX_SHAPES = {

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from randquad import kernel
 from randquad.noise import NoiseModel, check_conditions, substream
 
 
@@ -316,10 +317,11 @@ class TestZeroWeightDropped:
         for method in ("density", "ac_cdf"):
             assert same_bits(getattr(padded, method)(self.THETA), getattr(plain, method)(self.THETA))
             assert same_bits(getattr(padded, method)(2.25), getattr(plain, method)(2.25))
-        lo = np.sort(self.THETA[np.isfinite(self.THETA)])
-        hi = lo + substream(71).uniform(0.0, 1.0, len(lo))
-        assert same_bits(padded.inf_density(lo, hi), plain.inf_density(lo, hi))
-        assert padded.density_runs() == plain.density_runs()
+        assert same_bits(padded.density_runs(), plain.density_runs())
+        # every box of a grid whose first x cell starts at 0, where r_hi is infinite
+        x_edges, y_edges = np.linspace(0.0, 0.5, 41), np.linspace(0.0, 1.0, 300)
+        assert same_bits(kernel._box_bound(padded, x_edges, y_edges),
+                         kernel._box_bound(plain, x_edges, y_edges))
         assert same_bits(padded.support_bounds(), plain.support_bounds())
         assert same_bits(padded.e_log(), plain.e_log())
         assert same_bits(padded.e_log4m(), plain.e_log4m())
@@ -395,15 +397,20 @@ class TestAcBounds:
 
 class TestDensityRuns:
     def test_single_piece(self):
-        assert NoiseModel.uniform(2.0, 3.0).density_runs() == [(2.0, 3.0)]
+        assert NoiseModel.uniform(2.0, 3.0).density_runs() == [(2.0, 3.0, 1.0)]
 
     def test_adjacent_pieces_merge_and_gaps_split(self):
         m = NoiseModel(uniform_pieces=((1.5, 2.0, 0.25), (2.0, 2.5, 0.25), (3.0, 3.5, 0.5)))
-        assert m.density_runs() == [(1.5, 2.5), (3.0, 3.5)]
+        assert m.density_runs() == [(1.5, 2.5, 0.5), (3.0, 3.5, 1.0)]
 
     def test_clipped_to_one_four_and_zero_weight_ignored(self):
         m = NoiseModel(uniform_pieces=((0.5, 1.5, 1.0), (2.0, 3.0, 0.0)))
-        assert m.density_runs() == [(1.0, 1.5)]
+        assert m.density_runs() == [(1.0, 1.5, 1.0)]
+
+    def test_floor_is_least_cell_not_first(self):
+        # cells of density 1, 0.5 and 1 in one run: the floor is the middle one
+        m = NoiseModel(uniform_pieces=((1.5, 2.5, 0.5), (1.5, 2.0, 0.25), (2.5, 2.75, 0.25)))
+        assert m.density_runs() == [(1.5, 2.75, 0.5)]
 
     def test_atoms_have_no_runs(self):
         assert NoiseModel.point_mass(2.5).density_runs() == []
@@ -412,21 +419,6 @@ class TestDensityRuns:
         m = NoiseModel(uniform_pieces=((1.5, 2.0, 0.5), (3.0, 3.5, 0.5)))
         c, d, _ = check_conditions(m).density_interval
         assert (c, d) == (1.5, 2.0)
-
-
-class TestInfDensityEnds:
-    """Ends that are not a plain lo < hi: the result never exceeds the density."""
-
-    @pytest.mark.parametrize("lo, hi", [(math.nan, 2.5), (2.5, math.nan), (math.nan, math.nan)])
-    def test_nan_end_gives_zero(self, lo, hi):
-        model = NoiseModel.uniform(2.0, 3.0)
-        assert model.inf_density(lo, hi) == 0.0
-        got = model.inf_density(np.array([lo, 2.1]), np.array([hi, 2.9]))
-        assert got.tolist() == [0.0, 1.0]
-
-    @pytest.mark.parametrize("lo, hi, expected", [(2.6, 2.4, 1.0), (3.5, 1.5, math.inf)])
-    def test_reversed_interval(self, lo, hi, expected):
-        assert NoiseModel.uniform(2.0, 3.0).inf_density(lo, hi) == expected
 
 
 class TestSupportBounds:
@@ -461,7 +453,7 @@ class TestCheckConditions:
         c, d, inf_h = check_conditions(m).density_interval
         assert (c, d) == (2.0, 3.5)
         assert inf_h == pytest.approx(1e-4, rel=1e-9)
-        assert inf_h == m.inf_density(3.0, 3.001)
+        assert inf_h == m.density(3.0005) == min(m.density([2.5, 3.0005, 3.25]))
 
     def test_pure_atom_fails_density(self):
         report = check_conditions(NoiseModel.point_mass(2.5))

@@ -135,13 +135,46 @@ def _defaulted_parameters():
     return found
 
 
-def _sets(call: ast.Call, param: str, position) -> bool:
-    """Whether the call sets the parameter by keyword, by position, or through * or **."""
+def _return_lengths() -> dict[str, int | None]:
+    """Name -> the length of the fixed-length tuple[...] that every function
+    of that name in src/randquad or bench/ declares it returns; None where
+    one declares no such length or two disagree."""
+    lengths = {}
+    for path in _sources():
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef):
+                ret, length = f.returns, None
+                if isinstance(ret, ast.Subscript) and getattr(ret.value, "id", None) == "tuple":
+                    items = ret.slice.elts if isinstance(ret.slice, ast.Tuple) else [ret.slice]
+                    if not any(getattr(item, "value", None) is Ellipsis for item in items):
+                        length = len(items)
+                lengths[f.name] = length if lengths.get(f.name, length) == length else None
+    return lengths
+
+
+def _star_length(arg: ast.Starred, lengths: dict) -> int:
+    """Positions a *arg fills: the length of a literal tuple or list, or the
+    declared length of a called function's fixed-length tuple; none when the
+    code does not show it."""
+    value = arg.value
+    if isinstance(value, (ast.Tuple, ast.List)):
+        if not any(isinstance(e, ast.Starred) for e in value.elts):
+            return len(value.elts)
+    elif isinstance(value, ast.Call):
+        name = getattr(value.func, "id", None) or getattr(value.func, "attr", None)
+        return lengths.get(name) or 0
+    return 0
+
+
+def _sets(call: ast.Call, param: str, position, lengths: dict) -> bool:
+    """Whether the call sets the parameter by keyword or **, or by position,
+    each *arg filling the positions _star_length counts."""
     if any(k.arg in (None, param) for k in call.keywords):
         return True
-    return position is not None and (
-        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    filled = sum(
+        _star_length(a, lengths) if isinstance(a, ast.Starred) else 1 for a in call.args
     )
+    return position is not None and filled > position
 
 
 def _unset_defaults() -> set[str]:
@@ -153,12 +186,41 @@ def _unset_defaults() -> set[str]:
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    lengths = _return_lengths()
     return {
         label
         for name, label, param, position in _defaulted_parameters()
         if name not in UNCALLED_KEEP
-        and not any(_sets(call, param, position) for call in calls.get(name, []))
+        and not any(_sets(call, param, position, lengths) for call in calls.get(name, []))
     }
+
+
+@pytest.mark.parametrize(
+    "call, filled",
+    [
+        ("f(a, b)", 2),
+        ("f(*(a, b), c)", 3),
+        ("f(*[a], c)", 2),
+        ("f(*(a, *b), c)", 1),
+        ("f(*model.ac_bounds(), lo, hi)", 4),
+        ("f(*pair(), c)", 1),
+        ("f(*keys[0], i)", 1),
+        ("f(*z)", 0),
+    ],
+    ids=["plain", "tuple", "list", "tuple-with-star", "declared-length", "no-declared-length",
+         "subscript", "name"],
+)
+def test_starred_argument_fills_only_the_positions_it_shows(call, filled):
+    # ac_bounds declares tuple[float, float]; pair() declares no length
+    node = ast.parse(call, mode="eval").body
+    lengths = {"ac_bounds": 2, "pair": None}
+    assert [_sets(node, "p", k, lengths) for k in range(6)] == [k < filled for k in range(6)]
+
+
+def test_return_lengths_read_fixed_tuple_annotations():
+    lengths = _return_lengths()
+    assert lengths["ac_bounds"] == lengths["support_bounds"] == 2
+    assert lengths["substream"] is None
 
 
 def test_every_default_is_set():

@@ -444,10 +444,30 @@ def frozen_monotone(table):
     )
 
 
-def test_monotone_equals_frozen_on_random_tables(monkeypatch):
-    # q_of_theta builds each table from made-up orbits: q runs up, down or
-    # anywhere, with ties, tiny steps and NaN holes
-    rng = np.random.default_rng(30)
+def frozen_dq(thetas, q):
+    """q_of_theta's dq as the loop it was: centered differences, one-sided
+    next to a hole or at an end, NaN at a hole."""
+    n = len(q)
+    dq = np.full(n, np.nan)
+    h = thetas[1] - thetas[0]
+    for i in range(n):
+        if np.isnan(q[i]):
+            continue
+        left = q[i - 1] if i > 0 else np.nan
+        right = q[i + 1] if i < n - 1 else np.nan
+        if not np.isnan(left) and not np.isnan(right):
+            dq[i] = (right - left) / (2.0 * h)
+        elif not np.isnan(right):
+            dq[i] = (right - q[i]) / h
+        elif not np.isnan(left):
+            dq[i] = (q[i] - left) / h
+    return dq
+
+
+def random_tables(monkeypatch, seed, count):
+    """count q_of_theta tables built from made-up orbits: q runs up, down or
+    anywhere, with ties, tiny steps and NaN holes."""
+    rng = np.random.default_rng(seed)
     samples = {}
 
     class Orbit:
@@ -459,8 +479,7 @@ def test_monotone_equals_frozen_on_random_tables(monkeypatch):
         return None if np.isnan(q) else Orbit(q)
 
     monkeypatch.setattr(quadmap, "find_periodic_orbit", fake_search)
-    kinds = {True: 0, False: 0}
-    for _ in range(5000):
+    for _ in range(count):
         n = int(rng.integers(3, 12))
         lo = float(rng.uniform(0.5, 3.5))
         hi = lo + float(rng.choice([1e-12, 1e-3, 0.4]))
@@ -473,9 +492,24 @@ def test_monotone_equals_frozen_on_random_tables(monkeypatch):
         samples.update(zip(np.linspace(lo, hi, n).tolist(), q.tolist()))
         table = quadmap.q_of_theta((lo, hi), 1, n)
         assert not samples
+        yield table
+
+
+def test_monotone_equals_frozen_on_random_tables(monkeypatch):
+    kinds = {True: 0, False: 0}
+    for table in random_tables(monkeypatch, 30, 5000):
         assert table.monotone == frozen_monotone(table), (table.q, table.dq)
         kinds[table.monotone] += 1
     assert min(kinds.values()) > 500
+
+
+def test_dq_equals_frozen_loop_on_random_tables(monkeypatch):
+    holes = 0
+    for table in random_tables(monkeypatch, 31, 5000):
+        want = frozen_dq(table.thetas, table.q)
+        assert np.array_equal(table.dq.view(np.int64), want.view(np.int64)), (table.q, table.dq)
+        holes += np.isnan(table.q[1:-1]).any() and not np.isnan(table.q).all()
+    assert holes > 1000
 
 
 class TestInvariantInterval:
@@ -599,3 +633,13 @@ class TestLyapunov:
     def test_needs_terms(self):
         with pytest.raises(ValueError):
             quadmap.lyapunov_deterministic(2.5, 0.3, 100, burn_in=100)
+
+
+def test_dq_equals_frozen_loop_on_orbit_tables():
+    # real searches: whole windows, windows with holes, and chaotic ranges
+    for lo, hi in [(2.2, 2.8), (2.9, 3.1), (3.1, 3.4), (3.4, 3.6), (3.55, 3.65), (3.82, 3.86)]:
+        for m in (1, 2, 3, 4):
+            for n in (3, 7, 25):
+                table = quadmap.q_of_theta((lo, hi), m, n)
+                want = frozen_dq(table.thetas, table.q)
+                assert np.array_equal(table.dq.view(np.int64), want.view(np.int64)), (lo, hi, m, n)

@@ -10,9 +10,10 @@ each with its own start and parameter stream) in lockstep through blocks of
 at most CHUNK lane-steps, on one block schedule, and stops each lane at its
 first state below ABSORB_FLOOR (recorded as 0) or at 1.  Each block's
 parameters come from one draw filler, `draws(eps, live)`; `_lane_draws`
-builds it for a noise model and one generator per lane, so one
-`NoiseModel.sample_lanes` step places every live lane's draws, bit-identical
-to one `sample` call per lane.  The kernels only compute states, and `_walk`
+builds it for a noise model and one generator per lane: each live lane
+draws one uniform per step, and one `NoiseModel.sample_lanes` step maps
+every lane's uniforms through the law's quantile function, bit-identical to
+one `sample` call per lane.  The kernels only compute states, and `_walk`
 picks one per block (see its docstring): the scalar kernel `_advance` down
 each column below MIN_LANES lanes, the row kernel `_advance_lanes` from
 MIN_LANES on, `_advance_linear` while every state is at most LINEAR_MAX
@@ -315,16 +316,18 @@ def _walk(starts, n: int, draws):
 def _lane_draws(model: NoiseModel, rngs):
     """Draw filler for `_walk` in which lane j reads rngs[j]; see NoiseModel.sample_lanes.
 
-    The lanes' uniform buffer is kept for the whole walk, like the walk's
-    own buffers, and reallocated only while the walk's blocks grow.
+    Each live lane draws one uniform per row of a block, with one generator
+    call, into its row of a (lanes, rows) uniform buffer.  The buffer is
+    kept for the whole walk, like the walk's own buffers, and reallocated
+    only while the walk's blocks grow.
     """
-    buf = np.zeros((len(rngs), 0, 2))
+    buf = np.zeros((len(rngs), 0))
 
     def draws(eps, live):
         nonlocal buf
         if buf.shape[1] < len(eps):
             buf = None  # free the smaller buffer first, so the two never coexist
-            buf = np.zeros((len(rngs), len(eps), 2))
+            buf = np.zeros((len(rngs), len(eps)))
         model.sample_lanes(rngs, live, eps, buf)
 
     return draws

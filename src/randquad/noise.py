@@ -7,6 +7,10 @@ keeping all required moments in closed form.  The module also houses the
 seedable substream derivation used by every stochastic consumer in the
 package: substreams come from (master_seed, stream-index) splitting and no
 global generator exists anywhere.
+
+A draw reads one uniform u and maps it through the law's quantile function,
+the inverse of its CDF (`ac_cdf` plus the atoms), so common uniforms couple
+stochastically ordered models monotonically.
 """
 
 from __future__ import annotations
@@ -72,18 +76,30 @@ class NoiseModel:
         atoms, pieces = (tuple(x for x in xs if x[-1] > 0.0) for xs in (atoms, pieces))
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "uniform_pieces", pieces)
-        # sampling tables, built once; an atom is a piece of zero width
-        drawn = [(a, a, w) for a, w in atoms] + list(pieces)
-        lo, hi, weights = map(np.array, zip(*drawn))
-        cum = np.cumsum(weights)
-        cum[-1] = 1.0  # guard against roundoff in the last edge
-        object.__setattr__(self, "_tables", (cum, lo, hi - lo))
         # (left, right, density) of the open cells between the pieces'
         # endpoints, on which the density is constant, out to +-inf; read by
-        # density_runs and kernel._box_bound
+        # density_runs, kernel._box_bound and the quantile table below
         cuts = [-math.inf, *sorted({e for c, d, _ in pieces for e in (c, d)}), math.inf]
         cells = [(a, b, self.density(0.5 * (a + b))) for a, b in zip(cuts[:-1], cuts[1:])]
         object.__setattr__(self, "_cells", cells)
+        # the quantile table, built once: segments (lo, hi, mass) in order of
+        # location, each atom one of zero width and each cell of positive
+        # density split at the atoms inside it, so the CDF runs through them
+        # in order; `_place` reads (cum, base, cum - base, lo, width)
+        drawn = [(a, a, w) for a, w in atoms]
+        for left, right, value in cells:
+            if value > 0.0:
+                ends = [left, *sorted({a for a, _ in atoms if left < a < right}), right]
+                drawn += [(x, y, value * (y - x)) for x, y in zip(ends[:-1], ends[1:])]
+        lo, hi, mass = map(np.array, zip(*sorted(drawn, key=lambda seg: seg[:2])))
+        cum = np.cumsum(mass)
+        cum[-1] = 1.0  # guard against roundoff in the last edge
+        base = np.concatenate(([0.0], cum[:-1]))
+        # where lo + width rounds past hi, one ulp less cannot: hi - lo rounds
+        # by at most half an ulp of width
+        width = hi - lo
+        width = np.where(lo + width > hi, np.nextafter(width, 0.0), width)
+        object.__setattr__(self, "_tables", (cum, base, cum - base, lo, width))
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -167,15 +183,15 @@ class NoiseModel:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw parameters from the mixture.
 
-        Consumes exactly two uniforms per draw (component selector, then the
-        within-piece position), laid out so that chunked and one-shot
-        requests read the identical stream: sample(rng, n) concatenated over
-        chunks is bitwise the same sequence for any chunking.  The uniforms
-        are drawn as rng.random((n, 2)) and then placed by the same step that
-        `sample_lanes` runs over a whole block of lanes.
+        Consumes exactly one uniform per draw, rng.random(n), which the law's
+        quantile function maps to the parameter (see `_place`).  Chunked and
+        one-shot requests read the identical stream: sample(rng, n)
+        concatenated over chunks is bitwise the same sequence for any
+        chunking, and `sample_lanes` runs the same placement step over a
+        whole block of lanes.
         """
         n = 1 if size is None else int(size)
-        out = self._place(rng.random((n, 2)), np.empty(n))
+        out = self._place(rng.random(n), np.empty(n))
         return float(out[0]) if size is None else out
 
     def sample_lanes(self, rngs, live, out: np.ndarray, buf: np.ndarray) -> None:
@@ -183,30 +199,41 @@ class NoiseModel:
 
         live is an integer array of lane indices.  Lane j's column is bitwise
         sample(rngs[j], m), and consecutive calls continue each lane's stream
-        as consecutive sample calls would.  buf, of shape (len(rngs), >= m, 2),
-        holds the lanes' uniforms: each live lane draws its (m, 2) block into
-        buf[j], then one placement step converts every lane's uniforms at
-        once.  A lane outside live draws nothing; its column is placed from
-        whatever its buf rows still hold, which is finite and inside the
-        support when buf started zeroed.
+        as consecutive sample calls would.  buf, of shape (len(rngs), >= m),
+        holds the lanes' uniforms: each live lane draws its m uniforms into
+        buf[j] with one generator call, then one placement step converts
+        every lane's uniforms at once.  A lane outside live draws nothing;
+        its column is placed from whatever its buf row still holds, which is
+        finite and inside the support when buf started zeroed.
         """
         u = buf[:, : len(out)]
         for j in live.tolist():
             rngs[j].random(out=u[j])
-        self._place(u.transpose(1, 0, 2), out)
+        self._place(u.T, out)
 
     def _place(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write to out the parameters that uniform pairs u[..., 0], u[..., 1] select.
+        """Write to out the quantiles of the uniforms u in [0, 1), one parameter each.
 
-        u[..., 0] picks the component through the cumulative weights and the
-        parameter is u[..., 1] * width + lo of that component.  With a single
-        component there is nothing to pick: the same two IEEE operations run
-        on its scalar lo and width, so the bits agree.
+        u falls in segment k = searchsorted(cum, u, "right") of the quantile
+        table, between the cumulative masses base[k] = cum[k - 1] and cum[k],
+        and goes to lo[k] + width[k] * (u - base[k]) / (cum[k] - base[k]).
+        Dividing by the table's own difference keeps the position in [0, 1],
+        as rounding is monotone, and width is shrunk where lo + width would
+        round past the segment's right end, so every draw lies in its closed
+        segment and an atom, of width 0, comes out exactly.  With a single
+        component there is no search and no rescaling: the parameter is
+        u * width + lo.
         """
-        cum, lo, width = self._tables
-        idx = 0 if len(cum) == 1 else np.searchsorted(cum, u[..., 0], side="right")
-        np.multiply(u[..., 1], width[idx], out=out)
-        out += lo[idx]
+        cum, base, mass, lo, width = self._tables
+        if len(cum) == 1:
+            np.multiply(u, width[0], out=out)
+            out += lo[0]
+            return out
+        k = np.searchsorted(cum, u, side="right")
+        np.subtract(u, base[k], out=out)
+        out /= mass[k]
+        out *= width[k]
+        out += lo[k]
         return out
 
     # ------------------------------------------------------------------ #

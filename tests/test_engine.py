@@ -734,6 +734,42 @@ class TestLaneWalk:
             assert drawn[j] == min(n, block_end(len(path), rows))
 
 
+class CountingGenerator:
+    """A generator that logs the size of every block of uniforms drawn into an out array."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def random(self, *, out):
+        self.log.append(out.size)
+        return self.rng.random(out=out)
+
+
+class TestStreamLayout:
+    """A walk reads one uniform per live lane and step, one generator call per lane and block."""
+
+    @pytest.mark.parametrize("lanes", [1, 8, 40])
+    @pytest.mark.parametrize("model", [ABSORBING, NoiseModel(
+        atoms=((0.7, 0.3),), uniform_pieces=((0.5, 0.9, 0.7),))], ids=["single", "mixture"])
+    def test_walk_draws_one_uniform_per_live_lane_step(self, monkeypatch, model, lanes):
+        # blocks of at most 4 rows: the lanes stop in different blocks
+        monkeypatch.setattr(engine, "CHUNK", 4 * lanes)
+        log, blocks = [], []
+        fill = _lane_draws(model, [CountingGenerator(substream(52, j), log) for j in range(lanes)])
+
+        def draws(eps, live):
+            before = len(log)
+            fill(eps, live)
+            blocks.append((len(live), len(eps), log[before:]))
+
+        walked(np.linspace(0.1, 0.9, lanes), 5000, draws)
+        for live, rows, calls in blocks:
+            assert calls == [rows] * live
+        # some block draws for only some of the lanes
+        assert lanes == 1 or any(0 < live < lanes for live, _, _ in blocks)
+        assert sum(live * rows for live, rows, _ in blocks) == sum(log)
+
+
 def frozen_advance(x, eps, out):
     """`engine._advance` before the linear step, the scalar kernel of `frozen_walk`."""
     x, eps = float(x), memoryview(eps)
@@ -828,8 +864,10 @@ def linear_calls(monkeypatch):
 
 # U[0.2, 2] drifts down slowly (E log eps = -0.05) with a wide spread, so
 # lanes started around 2^-54 (lane j at 2^-54 times 2 to CROSSING_OFFSETS[j %
-# 7]) cross it both ways inside blocks; at seed 71 each walk of
+# 7]) cross it both ways inside blocks; at seed 78 each walk of
 # `test_matches_frozen_walk` also leaves the linear regime inside a block
+# (a property of the stream: of seeds 60-89, only 78 gives it in all six
+# crossing walks)
 CROSSING = NoiseModel.uniform(0.2, 2.0)
 CROSSING_OFFSETS = (2, -2, 1, -1, 3, -3, 0)
 
@@ -880,7 +918,7 @@ class TestLinearStep:
             starts = tuple(2.0**-54 * 2.0 ** CROSSING_OFFSETS[j % 7] for j in range(lanes))
         else:
             starts = (start,) * lanes
-        new, old = self.walks(model, starts, n, seed=71)
+        new, old = self.walks(model, starts, n, seed=78)
         assert new == old
         assert sum(settled for _, settled, _ in linear_calls) > 0
         if model is CROSSING:
@@ -1210,10 +1248,12 @@ class TestChunkInvariance:
             measures = ensemble_occupations(ABSORBING, (0.2, 0.6), cfg, [(0,), (1,)])
             return [(m.counts.tobytes(), m.total, m.underflow, m.absorbed) for m in measures]
 
-        # EXTINCT lanes absorb between steps 13525 and 18001 (seed 1; lane 3
-        # at 14842), so the late checkpoints and the first entry at 14967 fall
-        # after absorptions inside blocks, and a tiny threshold tells absorbed
-        # lanes from live ones; 8 lanes step as rows, 4 run the scalar loop
+        # EXTINCT lanes absorb between steps 14390 (lane 0) and 18717 (seed 1),
+        # and the first entries into the floor come at 14581 (lane 6) and, of
+        # lanes 0-3, at 14719 (lane 3), so the late checkpoints and the first
+        # entries fall after absorptions inside blocks, and a tiny threshold
+        # tells absorbed lanes from live ones; 8 lanes step as rows, 4 run
+        # the scalar loop
         late = (100, 14_000, 16_000, 20_000)
         floor = (1e-300, 1.01e-300)
         return {
@@ -1257,7 +1297,7 @@ class TestChunkInvariance:
         assert [g[3] for g in default["absorbed ensemble groups"]] == [3, 3]
         assert default["stability"][2] is True
         assert [f[2] for f in default["extinction"]] == [0.875, 0.75]
-        assert default["irreducibility"] == [14967, 14967]
+        assert default["irreducibility"] == [14581, 14719]
         assert 997 < len(default["absorbed trajectory"][0]) // 8 < 5000
         if short:
             # every consumer's walk speculates at the default chunk

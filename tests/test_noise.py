@@ -164,6 +164,7 @@ class TestSampling:
             NoiseModel.uniform(2.0, 3.0),
             NoiseModel(uniform_pieces=((0.8, 1.6, 0.45), (2.2, 3.4, 0.55))),
             NoiseModel(atoms=((2.5, 0.3),), uniform_pieces=((1.0, 2.0, 0.7),)),
+            UNSORTED,
         ]
         n = 100_000
         critical = 1.6276 / math.sqrt(n)
@@ -216,7 +217,7 @@ class TestLaneDraws:
         lanes, max_rows = 7, 40
         pick = np.random.default_rng(11)
         rngs = [substream(60, j) for j in range(lanes)]
-        buf = np.zeros((lanes, max_rows, 2))
+        buf = np.zeros((lanes, max_rows))
         columns = [[] for _ in range(lanes)]
         for _ in range(40):
             m = int(pick.integers(1, max_rows + 1))
@@ -240,12 +241,12 @@ class TestLaneDraws:
         ids=["mixture", "single", "atom", "single-with-zero-weight"],
     )
     def test_placement_matches_searchsorted_formula(self, model):
-        u = substream(61).random((5000, 2))
-        u[:4] = [[0.0, 0.0], [0.0, np.nextafter(1.0, 0.0)], [np.nextafter(1.0, 0.0), 0.5],
-                 [0.2, 0.2]]
-        cum, lo, width = model._tables
-        idx = np.searchsorted(cum, u[:, 0], side="right")
-        expect = lo[idx] + u[:, 1] * width[idx]
+        cum, base, mass, lo, width = model._tables
+        assert np.array_equal(base, np.concatenate(([0.0], cum[:-1])))
+        assert np.array_equal(mass, cum - base)
+        u = edge_uniforms(model, 5000, 61)
+        k = np.searchsorted(cum, u, side="right")
+        expect = lo[k] + width[k] * ((u - base[k]) / (cum[k] - base[k]))
         got = model._place(u, np.empty(len(u)))
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
@@ -258,6 +259,117 @@ class TestLaneDraws:
         SINGLE.sample(substream(62), 10)
         with pytest.raises(AssertionError):
             MIXED.sample(substream(62), 10)
+
+
+# pieces listed out of order, two of them overlapping, and an atom inside one
+UNSORTED = NoiseModel(
+    atoms=((1.2, 0.15),),
+    uniform_pieces=((2.6, 3.4, 0.35), (0.8, 1.6, 0.2), (1.4, 2.9, 0.3)),
+)
+# a piece (lo, hi) for which lo + (hi - lo) rounds up past hi
+TIGHT_LO, TIGHT_HI = 0.75 + 3 * 2.0**-52, 3.5 + 2.0**-51
+TIGHT = NoiseModel(
+    atoms=((3.6, 0.3),), uniform_pieces=((0.5, TIGHT_LO, 0.2), (TIGHT_LO, TIGHT_HI, 0.5))
+)
+QUANTILE_MODELS = {
+    "mixture": MIXED,
+    "single": SINGLE,
+    "atom": NoiseModel.point_mass(2.5),
+    "unsorted": UNSORTED,
+    "tight": TIGHT,
+    "two-atoms": NoiseModel(atoms=((3.1, 0.4), (1.7, 0.6))),
+}
+
+
+def segments(model):
+    """(lo, hi) of the quantile segments in order: each atom, and each interval of
+    positive density between consecutive piece ends and atoms."""
+    ends = sorted({e for c, d, _ in model.uniform_pieces for e in (c, d)}
+                  | {a for a, _ in model.atoms})
+    cells = [(x, y) for x, y in zip(ends[:-1], ends[1:]) if model.density(0.5 * (x + y)) > 0]
+    return sorted([(a, a) for a, _ in model.atoms] + cells)
+
+
+def cdf(model, x):
+    """F(x) and its left limit F(x-), atoms included."""
+    ac = np.asarray(model.ac_cdf(x))
+    return (ac + sum(w * (x >= a) for a, w in model.atoms),
+            ac + sum(w * (x > a) for a, w in model.atoms))
+
+
+def edge_uniforms(model, n, seed):
+    """0, the top uniform, each cumulative mass below 1 and one ulp below each, then n draws."""
+    cum = model._tables[0]
+    return np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum[cum < 1.0],
+                           np.nextafter(cum, 0.0), substream(seed).random(n)])
+
+
+class TestQuantileDraws:
+    """A draw is the law's quantile at one uniform: monotone in u, and in the law's order."""
+
+    @pytest.mark.parametrize("name", sorted(QUANTILE_MODELS))
+    def test_draw_inverts_the_cdf(self, name):
+        # F(x-) <= u <= F(x) at x = Q(u), up to the roundoff of the masses
+        model = QUANTILE_MODELS[name]
+        u = edge_uniforms(model, 20_000, 63)
+        x = model._place(u, np.empty(len(u)))
+        upper, lower = cdf(model, x)
+        assert np.all(lower <= u + 1e-12) and np.all(u <= upper + 1e-12)
+        order = np.argsort(u, kind="stable")
+        assert np.all(np.diff(x[order]) >= 0.0)  # monotone in u
+
+    @pytest.mark.parametrize("name", sorted(QUANTILE_MODELS))
+    def test_draws_lie_in_their_closed_segments(self, name):
+        model = QUANTILE_MODELS[name]
+        cum, _, _, lo, width = model._tables
+        seg_lo, seg_hi = map(np.array, zip(*segments(model)))
+        assert np.array_equal(lo, seg_lo)
+        assert np.all(lo + width <= seg_hi)
+        u = edge_uniforms(model, 20_000, 64)
+        k = np.searchsorted(cum, u, side="right")
+        x = model._place(u, np.empty(len(u)))
+        assert np.all((seg_lo[k] <= x) & (x <= seg_hi[k]))
+        atom = seg_lo[k] == seg_hi[k]
+        assert np.array_equal(x[atom], seg_lo[k][atom])  # atoms come out exactly
+
+    def test_tight_segment_width_is_shrunk(self):
+        _, _, _, lo, width = TIGHT._tables
+        k = list(lo).index(TIGHT_LO)
+        assert TIGHT_LO + (TIGHT_HI - TIGHT_LO) > TIGHT_HI
+        assert width[k] == np.nextafter(TIGHT_HI - TIGHT_LO, 0.0)
+
+    # (lower, upper) in first-order stochastic dominance: F_lower >= F_upper
+    ORDERED = {
+        "shifted-uniform": (NoiseModel.uniform(2.0, 3.0), NoiseModel.uniform(2.5, 3.5)),
+        "atom-below-uniform": (NoiseModel.point_mass(2.0), NoiseModel.uniform(2.0, 3.0)),
+        # overlapping pieces; the upper model moves weight to the higher piece, then by 0.05
+        "overlapping": (
+            NoiseModel(uniform_pieces=((1.0, 2.5, 0.5), (2.0, 3.0, 0.5))),
+            NoiseModel(uniform_pieces=((1.05, 2.55, 0.3), (2.05, 3.05, 0.7))),
+        ),
+        # an atom inside a piece below a plain shifted piece, by at least 0.05
+        "atom-in-piece": (
+            NoiseModel(atoms=((2.5, 0.2),), uniform_pieces=((2.0, 3.0, 0.8),)),
+            NoiseModel.uniform(2.15, 3.15),
+        ),
+        "unsorted": (UNSORTED, NoiseModel(atoms=((1.3, 0.15),), uniform_pieces=(
+            (2.7, 3.5, 0.35), (0.9, 1.7, 0.2), (1.5, 3.0, 0.3)))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORDERED))
+    def test_common_uniforms_order_the_draws(self, name):
+        lower, upper = self.ORDERED[name]
+        a, b = lower.sample(substream(65), 50_000), upper.sample(substream(65), 50_000)
+        assert np.all(a <= b)
+        assert a.mean() < b.mean()
+
+    @pytest.mark.parametrize("name", sorted(QUANTILE_MODELS))
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_sample_reads_one_uniform_per_draw(self, name, n):
+        rng, twin = substream(66), substream(66)
+        QUANTILE_MODELS[name].sample(rng, n)
+        twin.random(n)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestZeroWeightNeverDrawn:
@@ -343,7 +455,7 @@ class TestZeroWeightDropped:
         for model in (padded, plain):
             out = np.empty((m, lanes))
             rngs = [substream(74, j) for j in range(lanes)]
-            model.sample_lanes(rngs, live, out, np.zeros((lanes, m, 2)))
+            model.sample_lanes(rngs, live, out, np.zeros((lanes, m)))
             outs.append(out)
         assert same_bits(*outs)
 

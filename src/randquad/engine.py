@@ -11,9 +11,9 @@ at most CHUNK lane-steps, on one block schedule, and stops each lane at its
 first state below ABSORB_FLOOR (recorded as 0) or at 1.  Each block's
 parameters come from one draw filler, `draws(eps, live)`; `_lane_draws`
 builds it for a noise model and one generator per lane: each live lane
-draws one uniform per step, and one `NoiseModel.sample_lanes` step maps
-every lane's uniforms through the law's quantile function, bit-identical to
-one `sample` call per lane.  The kernels only compute states, and `_walk`
+draws one uniform per step into its row of a uniform buffer, and one
+`NoiseModel.quantile` call maps the whole block, bit-identical to one
+`sample` call per lane.  The kernels only compute states, and `_walk`
 picks one per block (see its docstring): the scalar kernel `_advance` down
 each column below MIN_LANES lanes, the row kernel `_advance_lanes` from
 MIN_LANES on, `_advance_linear` while every state is at most LINEAR_MAX
@@ -161,13 +161,14 @@ def _advance_linear(x, eps, out) -> int:
     return int((out > LINEAR_MAX).any(axis=1).argmax()) + 1
 
 
-def _advance_segments(x, eps, out, bufs) -> int:
+def _advance_segments(x, eps, out, bufs) -> np.ndarray:
     """Run the map over an (S * SEG, L) block from a row x of states, as S * L coupled segments.
 
     Fills out bit for bit as `_advance` down each column would, and returns
-    how many segments it re-ran.  Pass 1 runs every lane's S segments of SEG
-    rows as one contiguous (SEG, S * L) block through `_advance_lanes`, each
-    from the lane's state x: exact for segment 0, a guess for the rest.
+    how many segments of each lane it re-ran.  Pass 1 runs every lane's S
+    segments of SEG rows as one contiguous (SEG, S * L) block through
+    `_advance_lanes`, each from the lane's state x: exact for segment 0, a
+    guess for the rest.
     Pass 2 runs segments 1..S-1 again for WIN rows, each from its
     predecessor's pass-1 end; at the first row where the passes are equal
     (states are never NaN or -0.0, so == is bit equality) the two paths have
@@ -192,7 +193,7 @@ def _advance_segments(x, eps, out, bufs) -> int:
     np.copyto(head, o2, where=np.arange(WIN)[:, None] < first)
     out.reshape(segs, SEG, lanes)[:] = o1.reshape(SEG, segs, lanes).transpose(1, 0, 2)
     coupled = coupled.reshape(segs - 1, lanes)
-    repaired = 0
+    repaired = np.zeros(lanes, dtype=np.int64)
     for j in np.flatnonzero(~coupled.all(axis=0)):
         exact = True  # the end of the segment before s is the true one
         for s in range(1, segs):
@@ -204,7 +205,7 @@ def _advance_segments(x, eps, out, bufs) -> int:
                 break
             rows = slice(s * SEG, (s + 1) * SEG)
             exact = _repair(out[s * SEG - 1, j], eps[rows, j], out[rows, j])
-            repaired += 1
+            repaired[j] += 1
     return repaired
 
 
@@ -259,8 +260,10 @@ def _walk(starts, n: int, draws):
     lanes of the row kernel and re-runs exactly each one it cannot prove
     coupled, so it gives the kernels' bits.  The rows past the last whole
     segment take the plain kernel.  Once a block re-runs more than 1/8 of
-    its segments (paths that do not couple: chaotic, or dying), the walk
-    stops speculating; that changes its time, never its bits.
+    the segments of the lanes still live after it (paths that do not
+    couple: chaotic, or dying), the walk stops speculating; a lane that
+    stopped in the block is not counted, as it costs later blocks nothing.
+    That changes the walk's time, never its bits.
     """
     x = np.array(starts, dtype=float)
     if not np.all((x > 0.0) & (x < 1.0)):
@@ -285,10 +288,10 @@ def _walk(starts, n: int, draws):
         if k:
             x = o[k - 1]
         segs = (m - k) // SEG
-        if speculate and segs >= 2 and segs * SEG * lanes >= SPEC_STEPS:
+        segmented = speculate and segs >= 2 and segs * SEG * lanes >= SPEC_STEPS
+        if segmented:
             end = k + segs * SEG
             repaired = _advance_segments(x, e[k:end], o[k:end], bufs)
-            speculate = 8 * repaired <= segs * lanes
             k, x = end, o[end - 1]
         if lanes < MIN_LANES:
             for j in live:
@@ -306,6 +309,8 @@ def _walk(starts, n: int, draws):
             stopped = hit.any(axis=0)
             valid[live] = np.where(stopped, hit.argmax(axis=0) + 1, m)
             live = live[~stopped]
+        if segmented:
+            speculate = 8 * repaired[live].sum() <= segs * len(live)
         x = np.zeros(lanes)
         x[live] = o[m - 1, live]
         yield done, e, o, valid
@@ -314,12 +319,16 @@ def _walk(starts, n: int, draws):
 
 
 def _lane_draws(model: NoiseModel, rngs):
-    """Draw filler for `_walk` in which lane j reads rngs[j]; see NoiseModel.sample_lanes.
+    """Draw filler for `_walk` in which lane j reads rngs[j].
 
-    Each live lane draws one uniform per row of a block, with one generator
-    call, into its row of a (lanes, rows) uniform buffer.  The buffer is
-    kept for the whole walk, like the walk's own buffers, and reallocated
-    only while the walk's blocks grow.
+    Lane j's column over the blocks is bitwise sample(rngs[j], m) for its m
+    steps in all.  Each live lane draws one uniform per row of a block into
+    its row of a (lanes, rows) buffer, with one generator call, and one
+    `NoiseModel.quantile` call maps the whole block.  The buffer is zeroed
+    when allocated, so a stopped lane's column, placed from its stale row,
+    stays finite and inside the support, as `_walk` requires.  It is kept
+    for the whole walk, like the walk's own buffers, and reallocated only
+    while the walk's blocks grow.
     """
     buf = np.zeros((len(rngs), 0))
 
@@ -328,7 +337,10 @@ def _lane_draws(model: NoiseModel, rngs):
         if buf.shape[1] < len(eps):
             buf = None  # free the smaller buffer first, so the two never coexist
             buf = np.zeros((len(rngs), len(eps)))
-        model.sample_lanes(rngs, live, eps, buf)
+        u = buf[:, : len(eps)]
+        for j in live.tolist():
+            rngs[j].random(out=u[j])
+        model.quantile(u.T, eps)
 
     return draws
 

@@ -307,11 +307,10 @@ class MinorizationFailure:
 
 
 def _density_window(model: NoiseModel, theta0: float) -> tuple[float, float]:
-    """Connected run of positive density inside (1, 4) containing theta0."""
+    """Connected run of positive density inside (1, 4) containing theta0,
+    at which the caller has found the density positive."""
     if not (1.0 < theta0 < 4.0):
         raise ValueError("theta0 must lie in (1, 4) for the minorization construction")
-    if float(model.density(theta0)) <= 0.0:
-        raise ValueError(f"density vanishes at theta0 = {theta0}")
     for lo, hi, _ in model.density_runs():
         if lo <= theta0 <= hi:
             return lo, hi

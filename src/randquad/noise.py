@@ -85,7 +85,7 @@ class NoiseModel:
         # the quantile table, built once: segments (lo, hi, mass) in order of
         # location, each atom one of zero width and each cell of positive
         # density split at the atoms inside it, so the CDF runs through them
-        # in order; `_place` reads (cum, base, cum - base, lo, width)
+        # in order; `quantile` reads (cum, base, cum - base, lo, width)
         drawn = [(a, a, w) for a, w in atoms]
         for left, right, value in cells:
             if value > 0.0:
@@ -108,11 +108,6 @@ class NoiseModel:
     def uniform(cls, c: float, d: float) -> "NoiseModel":
         """Uniform[c, d] noise."""
         return cls(uniform_pieces=((c, d, 1.0),))
-
-    @classmethod
-    def point_mass(cls, theta: float) -> "NoiseModel":
-        """Degenerate noise: the deterministic map F_theta."""
-        return cls(atoms=((theta, 1.0),))
 
     # ------------------------------------------------------------------ #
     # basic structure
@@ -183,35 +178,16 @@ class NoiseModel:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw parameters from the mixture.
 
-        Consumes exactly one uniform per draw, rng.random(n), which the law's
-        quantile function maps to the parameter (see `_place`).  Chunked and
-        one-shot requests read the identical stream: sample(rng, n)
-        concatenated over chunks is bitwise the same sequence for any
-        chunking, and `sample_lanes` runs the same placement step over a
-        whole block of lanes.
+        Consumes exactly one uniform per draw, rng.random(n), and maps it
+        through `quantile`.  Chunked and one-shot requests read the identical
+        stream: sample(rng, n) concatenated over chunks is bitwise the same
+        sequence for any chunking.
         """
         n = 1 if size is None else int(size)
-        out = self._place(rng.random(n), np.empty(n))
+        out = self.quantile(rng.random(n), np.empty(n))
         return float(out[0]) if size is None else out
 
-    def sample_lanes(self, rngs, live, out: np.ndarray, buf: np.ndarray) -> None:
-        """Fill out[:, j] with the next m = len(out) draws of rngs[j] for each lane j in live.
-
-        live is an integer array of lane indices.  Lane j's column is bitwise
-        sample(rngs[j], m), and consecutive calls continue each lane's stream
-        as consecutive sample calls would.  buf, of shape (len(rngs), >= m),
-        holds the lanes' uniforms: each live lane draws its m uniforms into
-        buf[j] with one generator call, then one placement step converts
-        every lane's uniforms at once.  A lane outside live draws nothing;
-        its column is placed from whatever its buf row still holds, which is
-        finite and inside the support when buf started zeroed.
-        """
-        u = buf[:, : len(out)]
-        for j in live.tolist():
-            rngs[j].random(out=u[j])
-        self._place(u.T, out)
-
-    def _place(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def quantile(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write to out the quantiles of the uniforms u in [0, 1), one parameter each.
 
         u falls in segment k = searchsorted(cum, u, "right") of the quantile

@@ -176,11 +176,6 @@ def _warm_up(theta: float, x: float, steps: int) -> float:
     return x
 
 
-def _round9(p: float) -> float:
-    """np.round(p, 9) of a Python float, bit for bit: scale, round half to even, unscale."""
-    return round(p * 1e9) / 1e9
-
-
 def _orbit_from_candidate(theta: float, x: float, m: int) -> PeriodicOrbit | None:
     """Newton-polish a warmed-up state into an attractive orbit of minimal period m.
 
@@ -197,8 +192,6 @@ def _orbit_from_candidate(theta: float, x: float, m: int) -> PeriodicOrbit | Non
     for _ in range(m - 1):
         y = theta * y * (1.0 - y)
         points.append(y)
-    if len({_round9(p) for p in points}) != m:
-        return None
     if any(not (0.0 < p < 1.0) for p in points):
         return None
     return PeriodicOrbit(

@@ -69,7 +69,7 @@ class TestStability:
 
     def test_atom_model_is_deterministic_and_stable(self):
         cfg = SimConfig(master_seed=11, n_steps=5000, n_replicates=1, burn_in=500)
-        report = stability_test(NoiseModel.point_mass(2.5), (0.2, 0.7), cfg)
+        report = stability_test(NoiseModel(atoms=((2.5, 1.0),)), (0.2, 0.7), cfg)
         assert report.stable is True
         assert report.max_cross_tv == 0.0
         assert report.advisory  # hypotheses not verified for atomic noise
@@ -137,7 +137,7 @@ class TestExtinction:
     def test_boundary_case_theta_one(self):
         # X_{n+1} = X_n (1 - X_n) decays like 1/n: below 1e-3 by n = 10^4
         report = extinction_test(
-            NoiseModel.point_mass(1.0), 0.5, self.CHECKPOINTS, 50, 1e-3, seed=22, stream_key=()
+            NoiseModel(atoms=((1.0, 1.0),)), 0.5, self.CHECKPOINTS, 50, 1e-3, seed=22, stream_key=()
         )
         assert report.fractions[-1] == 1.0
         assert report.nondecreasing_within()
@@ -212,13 +212,13 @@ class TestCyclicity:
 
     def test_deterministic_two_cycle(self):
         report = cyclicity_detect(
-            NoiseModel.point_mass(3.2), (0.79, 0.81), 50_000, 8, seed=32, x0=0.5, burn_in=1000
+            NoiseModel(atoms=((3.2, 1.0),)), (0.79, 0.81), 50_000, 8, seed=32, x0=0.5, burn_in=1000
         )
         assert report.period == 2
 
     def test_deterministic_fixed_point_aperiodic(self):
         report = cyclicity_detect(
-            NoiseModel.point_mass(2.5), (0.55, 0.65), 50_000, 8, seed=35, x0=0.5, burn_in=1000
+            NoiseModel(atoms=((2.5, 1.0),)), (0.55, 0.65), 50_000, 8, seed=35, x0=0.5, burn_in=1000
         )
         assert report.period == 1
         assert report.aperiodic is True

@@ -36,8 +36,8 @@ from randquad.kernel import irreducibility_probe
 from randquad.noise import NoiseModel, substream
 from randquad.quadmap import invariant_interval
 
-ATOM25 = NoiseModel.point_mass(2.5)
-ATOM32 = NoiseModel.point_mass(3.2)
+ATOM25 = NoiseModel(atoms=((2.5, 1.0),))
+ATOM32 = NoiseModel(atoms=((3.2, 1.0),))
 U23 = NoiseModel.uniform(2.0, 3.0)
 EXTINCT = NoiseModel.uniform(0.5, 1.5)
 ABSORBING = NoiseModel.uniform(0.5, 0.9)  # underflows after about 1900 steps
@@ -82,7 +82,7 @@ class TestSimulateTrajectory:
 
     def test_underflow_absorbs(self):
         # deterministic subcritical map: x_n ~ 0.5^n underflows to exactly 0
-        traj = simulate_trajectory(NoiseModel.point_mass(0.5), 0.5, 2000, seed=0)
+        traj = simulate_trajectory(NoiseModel(atoms=((0.5, 1.0),)), 0.5, 2000, seed=0)
         assert traj.absorbed
         assert traj.values[-1] == 0.0
         assert len(traj.values) < 2001
@@ -222,7 +222,7 @@ class TestEnsemble:
 
     def test_absorbed_replicates_flagged(self):
         cfg = SimConfig(master_seed=21, n_steps=50_000, n_replicates=3, burn_in=10)
-        ens = ensemble_occupation(NoiseModel.point_mass(0.5), 0.5, cfg)
+        ens = ensemble_occupation(NoiseModel(atoms=((0.5, 1.0),)), 0.5, cfg)
         assert ens.absorbed == 3
         assert ens.underflow == 3  # the absorbing zero of each replicate
 
@@ -833,17 +833,21 @@ def walk_record(walk):
 
 
 def counted_draws(monkeypatch, rows=None):
-    """Parameters drawn through the walks' lane-draw entry, one entry per block."""
+    """Uniforms drawn by the walks' lane generators, one entry per generator call.
+
+    Walk generators come from engine.substream, so each is wrapped there;
+    with rows, each block's row count is kept from its one quantile call.
+    """
     drawn = []
-    sample_lanes = NoiseModel.sample_lanes
+    make, quantile = engine.substream, NoiseModel.quantile
 
-    def counted(model, rngs, live, out, buf):
-        drawn.append(len(live) * len(out))
-        if rows is not None:
-            rows.append(len(out))
-        return sample_lanes(model, rngs, live, out, buf)
+    def mapped(model, u, out):
+        rows.append(len(out))
+        return quantile(model, u, out)
 
-    monkeypatch.setattr(NoiseModel, "sample_lanes", counted)
+    monkeypatch.setattr(engine, "substream", lambda *key: CountingGenerator(make(*key), drawn))
+    if rows is not None:
+        monkeypatch.setattr(NoiseModel, "quantile", mapped)
     return drawn
 
 
@@ -862,14 +866,17 @@ def linear_calls(monkeypatch):
     return calls
 
 
-# U[0.2, 2] drifts down slowly (E log eps = -0.05) with a wide spread, so
-# lanes started around 2^-54 (lane j at 2^-54 times 2 to CROSSING_OFFSETS[j %
-# 7]) cross it both ways inside blocks; at seed 78 each walk of
-# `test_matches_frozen_walk` also leaves the linear regime inside a block
-# (a property of the stream: of seeds 60-89, only 78 gives it in all six
-# crossing walks)
-CROSSING = NoiseModel.uniform(0.2, 2.0)
+# lane j starts at 2^-58 times 2 to CROSSING_OFFSETS[j % 7] and steps runs
+# of 8 draws of eps = 2 and 8 of eps = 0.5, so every lane crosses 2^-54 both
+# ways every 16 steps, and the first block leaves the linear regime part of
+# the way down, whatever the block schedule
 CROSSING_OFFSETS = (2, -2, 1, -1, 3, -3, 0)
+CROSSING_RUNS = np.repeat([2.0, 0.5], 8)
+
+
+def crossing_columns(n, lanes):
+    """n rows of CROSSING_RUNS, repeated, for each of the lanes."""
+    return np.tile(CROSSING_RUNS[:, None], (n // len(CROSSING_RUNS) + 1, lanes))[:n]
 
 
 def crossings(record, lanes):
@@ -894,8 +901,11 @@ class TestLinearStep:
         assert 1.0 - np.nextafter(2.0**-54, 1.0) == 1.0 - 2.0**-53
 
     def walks(self, model, starts, n, seed):
-        """The records of `_walk` and of `frozen_walk` over the same substreams."""
+        """The records of `_walk` and of `frozen_walk` over the same draws: the
+        model's lane substreams, or given columns when model is an array."""
         def draws():
+            if isinstance(model, np.ndarray):
+                return given_draws(model)[0]
             return _lane_draws(model, [substream(seed, j) for j in range(len(starts))])
 
         return walk_record(_walk(starts, n, draws())), walk_record(frozen_walk(starts, n, draws()))
@@ -906,7 +916,7 @@ class TestLinearStep:
     @pytest.mark.parametrize("chunk, first_rows", [(engine.CHUNK, engine.FIRST_ROWS), (7413, 5)])
     @pytest.mark.parametrize(
         "model, start, n",
-        [(EXTINCT, 0.5, 20_000), (ABSORBING, 0.5, 3000), (CROSSING, None, 3000)],
+        [(EXTINCT, 0.5, 20_000), (ABSORBING, 0.5, 3000), (None, None, 3000)],
         ids=["extinct", "absorbing", "crossing"],
     )
     def test_matches_frozen_walk(
@@ -915,13 +925,14 @@ class TestLinearStep:
         monkeypatch.setattr(engine, "CHUNK", chunk)
         monkeypatch.setattr(engine, "FIRST_ROWS", first_rows)
         if start is None:
-            starts = tuple(2.0**-54 * 2.0 ** CROSSING_OFFSETS[j % 7] for j in range(lanes))
+            starts = tuple(2.0**-58 * 2.0 ** CROSSING_OFFSETS[j % 7] for j in range(lanes))
+            model = crossing_columns(n, lanes)
         else:
             starts = (start,) * lanes
         new, old = self.walks(model, starts, n, seed=78)
         assert new == old
         assert sum(settled for _, settled, _ in linear_calls) > 0
-        if model is CROSSING:
+        if start is None:
             up, down = crossings(new, lanes)
             assert up > 0 and down > 0
             # some block left the linear regime part of the way down
@@ -975,13 +986,13 @@ class TestLinearStep:
 
 @pytest.fixture
 def segment_calls(monkeypatch):
-    """(rows, lanes, segments re-run) of every `_advance_segments` call."""
+    """(rows, lanes, segments re-run over all lanes) of every `_advance_segments` call."""
     calls = []
     advance_segments = engine._advance_segments
 
     def recorded(x, eps, out, bufs):
         repaired = advance_segments(x, eps, out, bufs)
-        calls.append((len(eps), len(x), repaired))
+        calls.append((len(eps), len(x), int(repaired.sum())))
         return repaired
 
     monkeypatch.setattr(engine, "_advance_segments", recorded)
@@ -1099,8 +1110,9 @@ class TestSegments:
 
         def recorded_segments(x, eps, out, bufs):
             segments.append(out)
-            counts.append(advance_segments(x, eps, out, bufs))
-            return counts[-1]
+            repaired = advance_segments(x, eps, out, bufs)
+            counts.append(int(repaired.sum()))
+            return repaired
 
         def recorded_repair(x, eps, out):
             # rows of the segment block before the re-run segment
@@ -1146,6 +1158,21 @@ class TestSegments:
             pass
         assert rows[0] >= 0.9 * lanes * n
         assert scalar[0] <= 0.1 * lanes * n
+
+    def test_lanes_that_stop_in_a_block_leave_the_walk_speculating(self, segment_calls):
+        # the 10-lane absorbing case: the even lanes' dying stretch makes one
+        # block re-run more than 1/8 of its segments, and they stop in it;
+        # the odd lanes still couple, so every later block still speculates
+        lanes, n = 10, 60_000
+        starts = tuple(np.linspace(0.1, 0.9, lanes))
+        new = walk_record(_walk(starts, n, segment_draws("absorbing", lanes, n, 83)))
+        assert new == walk_record(frozen_walk(starts, n, segment_draws("absorbing", lanes, n, 83)))
+        heavy = [i for i, (rows, _, repaired) in enumerate(segment_calls)
+                 if 8 * repaired > rows // engine.SEG * lanes]
+        assert len(heavy) == 1 and heavy[0] < len(segment_calls) - 1
+        # the even lanes stop in the heavy block
+        stops = [i for i, (_, valid, _) in enumerate(new) if 0 < valid[0] < valid[1]]
+        assert stops == [len(new) - len(segment_calls) + heavy[0]]
 
     def test_chaotic_walk_stops_after_the_first_block_that_speculates(self, segment_calls):
         lanes, n = 10, 100_000

@@ -274,7 +274,7 @@ def _eager_masses(op, xs, n):
     ],
     ids=["one_step_density", "one_step_row_mass", "KernelOperator", "minorization_probe"],
 )
-@pytest.mark.parametrize("model", [NoiseModel.point_mass(2.5), ATOMIC_WITH_ZERO_PIECE],
+@pytest.mark.parametrize("model", [NoiseModel(atoms=((2.5, 1.0),)), ATOMIC_WITH_ZERO_PIECE],
                          ids=["atom", "atom+zero-weight-piece"])
 def test_kernel_needs_an_ac_part(call, model):
     with pytest.raises(ValueError, match="model has no absolutely continuous component"):
@@ -306,7 +306,7 @@ class TestOneStepDensity:
 
     def test_requires_density_component(self):
         with pytest.raises(ValueError):
-            one_step_density(NoiseModel.point_mass(2.5), 0.5, 0.6)
+            one_step_density(NoiseModel(atoms=((2.5, 1.0),)), 0.5, 0.6)
 
     @pytest.mark.parametrize("x", [1.5, -0.5, 0.0, 1.0])
     @pytest.mark.parametrize("call", [one_step_density, one_step_row_mass])
@@ -759,7 +759,7 @@ class TestMinorizationProbe:
 
     def test_atom_only_raises(self):
         with pytest.raises(ValueError):
-            minorization_probe(NoiseModel.point_mass(2.5), 2.5, 1)
+            minorization_probe(NoiseModel(atoms=((2.5, 1.0),)), 2.5, 1)
 
     def test_theta0_outside_support_raises(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from randquad import kernel
+from randquad.engine import _lane_draws
 from randquad.noise import NoiseModel, check_conditions, substream
 
 
@@ -81,7 +82,7 @@ class TestDensity:
 
 class TestMoments:
     def test_atom_at_one(self):
-        assert NoiseModel.point_mass(1.0).e_log() == 0.0
+        assert NoiseModel(atoms=((1.0, 1.0),)).e_log() == 0.0
 
     def test_e_log_uniform_2_3(self):
         m = NoiseModel.uniform(2.0, 3.0)
@@ -96,8 +97,8 @@ class TestMoments:
         assert m.e_log() < 0.0  # extinction regime
 
     def test_e_log4m_atoms(self):
-        assert NoiseModel.point_mass(3.0).e_log4m() == 0.0
-        assert NoiseModel.point_mass(4.0 - math.exp(-1.0)).e_log4m() == pytest.approx(
+        assert NoiseModel(atoms=((3.0, 1.0),)).e_log4m() == 0.0
+        assert NoiseModel(atoms=((4.0 - math.exp(-1.0), 1.0),)).e_log4m() == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -127,7 +128,7 @@ class TestMoments:
 
 class TestSampling:
     def test_atom_constant(self):
-        m = NoiseModel.point_mass(2.5)
+        m = NoiseModel(atoms=((2.5, 1.0),))
         draws = m.sample(substream(1), size=1000)
         assert np.all(draws == 2.5)
 
@@ -210,20 +211,24 @@ def in_support(model, values):
 
 
 class TestLaneDraws:
-    """`sample_lanes` fills each live lane's column with that lane's own `sample` stream."""
+    """A walk's lane draws give each live lane's column that lane's own `sample` stream."""
 
-    @pytest.mark.parametrize("model", [MIXED, SINGLE], ids=["mixture", "single"])
+    @pytest.mark.parametrize(
+        "model",
+        [MIXED, SINGLE, NoiseModel(atoms=((2.5, 1.0),)),
+         NoiseModel(uniform_pieces=((2.0, 3.0, 1.0), (3.2, 3.4, 0.0)))],
+        ids=["mixture", "single", "atom", "single-with-zero-weight"],
+    )
     def test_lane_columns_concatenate_to_each_lanes_stream(self, model):
         lanes, max_rows = 7, 40
         pick = np.random.default_rng(11)
-        rngs = [substream(60, j) for j in range(lanes)]
-        buf = np.zeros((lanes, max_rows))
+        draws = _lane_draws(model, [substream(60, j) for j in range(lanes)])
         columns = [[] for _ in range(lanes)]
         for _ in range(40):
             m = int(pick.integers(1, max_rows + 1))
             live = np.flatnonzero(pick.random(lanes) < 0.6)
             out = np.full((m, lanes), np.nan)
-            model.sample_lanes(rngs, live, out, buf)
+            draws(out, live)
             for j in live:
                 columns[j].append(out[:, j].copy())
             # lanes outside live are placed from stale uniforms, never left unset
@@ -236,7 +241,7 @@ class TestLaneDraws:
 
     @pytest.mark.parametrize(
         "model",
-        [MIXED, SINGLE, NoiseModel.point_mass(2.5),
+        [MIXED, SINGLE, NoiseModel(atoms=((2.5, 1.0),)),
          NoiseModel(uniform_pieces=((2.0, 3.0, 1.0), (3.2, 3.4, 0.0)))],
         ids=["mixture", "single", "atom", "single-with-zero-weight"],
     )
@@ -247,7 +252,7 @@ class TestLaneDraws:
         u = edge_uniforms(model, 5000, 61)
         k = np.searchsorted(cum, u, side="right")
         expect = lo[k] + width[k] * ((u - base[k]) / (cum[k] - base[k]))
-        got = model._place(u, np.empty(len(u)))
+        got = model.quantile(u, np.empty(len(u)))
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
     def test_single_component_skips_the_search(self, monkeypatch):
@@ -274,7 +279,7 @@ TIGHT = NoiseModel(
 QUANTILE_MODELS = {
     "mixture": MIXED,
     "single": SINGLE,
-    "atom": NoiseModel.point_mass(2.5),
+    "atom": NoiseModel(atoms=((2.5, 1.0),)),
     "unsorted": UNSORTED,
     "tight": TIGHT,
     "two-atoms": NoiseModel(atoms=((3.1, 0.4), (1.7, 0.6))),
@@ -312,7 +317,7 @@ class TestQuantileDraws:
         # F(x-) <= u <= F(x) at x = Q(u), up to the roundoff of the masses
         model = QUANTILE_MODELS[name]
         u = edge_uniforms(model, 20_000, 63)
-        x = model._place(u, np.empty(len(u)))
+        x = model.quantile(u, np.empty(len(u)))
         upper, lower = cdf(model, x)
         assert np.all(lower <= u + 1e-12) and np.all(u <= upper + 1e-12)
         order = np.argsort(u, kind="stable")
@@ -327,7 +332,7 @@ class TestQuantileDraws:
         assert np.all(lo + width <= seg_hi)
         u = edge_uniforms(model, 20_000, 64)
         k = np.searchsorted(cum, u, side="right")
-        x = model._place(u, np.empty(len(u)))
+        x = model.quantile(u, np.empty(len(u)))
         assert np.all((seg_lo[k] <= x) & (x <= seg_hi[k]))
         atom = seg_lo[k] == seg_hi[k]
         assert np.array_equal(x[atom], seg_lo[k][atom])  # atoms come out exactly
@@ -341,7 +346,7 @@ class TestQuantileDraws:
     # (lower, upper) in first-order stochastic dominance: F_lower >= F_upper
     ORDERED = {
         "shifted-uniform": (NoiseModel.uniform(2.0, 3.0), NoiseModel.uniform(2.5, 3.5)),
-        "atom-below-uniform": (NoiseModel.point_mass(2.0), NoiseModel.uniform(2.0, 3.0)),
+        "atom-below-uniform": (NoiseModel(atoms=((2.0, 1.0),)), NoiseModel.uniform(2.0, 3.0)),
         # overlapping pieces; the upper model moves weight to the higher piece, then by 0.05
         "overlapping": (
             NoiseModel(uniform_pieces=((1.0, 2.5, 0.5), (2.0, 3.0, 0.5))),
@@ -409,7 +414,7 @@ ZERO_WEIGHT_PAIRS = {
     ),
     "atom": (
         NoiseModel(atoms=((3.7, 0.0), (2.5, 1.0)), uniform_pieces=((1.2, 3.9, 0.0),)),
-        NoiseModel.point_mass(2.5),
+        NoiseModel(atoms=((2.5, 1.0),)),
     ),
 }
 
@@ -454,8 +459,7 @@ class TestZeroWeightDropped:
         outs = []
         for model in (padded, plain):
             out = np.empty((m, lanes))
-            rngs = [substream(74, j) for j in range(lanes)]
-            model.sample_lanes(rngs, live, out, np.zeros((lanes, m)))
+            _lane_draws(model, [substream(74, j) for j in range(lanes)])(out, live)
             outs.append(out)
         assert same_bits(*outs)
 
@@ -504,7 +508,7 @@ class TestAcBounds:
 
     def test_purely_atomic_model_raises(self):
         with pytest.raises(ValueError, match="model has no absolutely continuous component"):
-            NoiseModel.point_mass(2.5).ac_bounds()
+            NoiseModel(atoms=((2.5, 1.0),)).ac_bounds()
 
 
 class TestDensityRuns:
@@ -525,7 +529,7 @@ class TestDensityRuns:
         assert m.density_runs() == [(1.5, 2.75, 0.5)]
 
     def test_atoms_have_no_runs(self):
-        assert NoiseModel.point_mass(2.5).density_runs() == []
+        assert NoiseModel(atoms=((2.5, 1.0),)).density_runs() == []
 
     def test_widest_run_first_on_tie_is_density_interval(self):
         m = NoiseModel(uniform_pieces=((1.5, 2.0, 0.5), (3.0, 3.5, 0.5)))
@@ -542,7 +546,7 @@ class TestSupportBounds:
         assert m.support_bounds() == (1.5, 3.0)
 
     def test_atom(self):
-        assert NoiseModel.point_mass(2.5).support_bounds() == (2.5, 2.5)
+        assert NoiseModel(atoms=((2.5, 1.0),)).support_bounds() == (2.5, 2.5)
 
 
 class TestCheckConditions:
@@ -568,7 +572,7 @@ class TestCheckConditions:
         assert inf_h == m.density(3.0005) == min(m.density([2.5, 3.0005, 3.25]))
 
     def test_pure_atom_fails_density(self):
-        report = check_conditions(NoiseModel.point_mass(2.5))
+        report = check_conditions(NoiseModel(atoms=((2.5, 1.0),)))
         assert report.density_interval is None
         assert not report.all_ok
 

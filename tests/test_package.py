@@ -18,6 +18,13 @@ UNCALLED_KEEP = {
     "lyapunov_deterministic": "goes when the random maps' Lyapunov exponent replaces it",
 }
 
+# public methods and properties that nothing in the package or the benchmark
+# reads as an attribute, kept on purpose, each with its reason
+METHOD_KEEP = {
+    "NoiseModel.sample": "the benchmark's tracer wraps it by name, a string in bench/spans.py",
+    "KernelOperator.row": "the benchmark's tracer wraps it by name, a string in bench/spans.py",
+}
+
 # defaulted parameters that no call in the package or the benchmark sets,
 # kept on purpose, each with its reason
 UNSET_DEFAULT_KEEP = {
@@ -77,6 +84,47 @@ def test_every_name_in_all_is_used():
     assert unused == []
 
 
+def _attribute_names() -> set[str]:
+    """Attribute names anywhere in src/randquad or bench/, leaving out those
+    inside a function of the same name."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        if isinstance(node, ast.FunctionDef):
+            inside = inside | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in _sources():
+        visit(ast.parse(path.read_text()), frozenset())
+    return used
+
+
+def _public_methods() -> list[str]:
+    """Class.name of every public method and property of a class in src/randquad."""
+    return [
+        f"{cls.name}.{f.name}"
+        for path in sorted((ROOT / "src" / "randquad").glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+    ]
+
+
+def test_every_public_method_is_used():
+    # a method or property that only tests reach is dead code too; dataclass
+    # fields are left out
+    used = _attribute_names()
+    unused = [
+        name for name in _public_methods()
+        if name.split(".")[1] not in used and name not in METHOD_KEEP
+    ]
+    assert _public_methods() and unused == []
+
+
 def _private_definitions() -> list[tuple[str, str]]:
     """(module, name) of every top-level private function and class in src/randquad."""
     return [
@@ -97,10 +145,15 @@ def test_every_private_definition_is_used():
 
 
 def test_every_keep_entry_is_needed():
-    # an entry goes once its name leaves every __all__ or gains a caller
+    # an entry goes once its name leaves every __all__ or its class, or gains a caller
     public = {name for _, name in _public_names()}
     used = _identifiers_outside_own_definition()
     stale = [name for name in UNCALLED_KEEP if name not in public or name in used]
+    attributes = _attribute_names()
+    stale += [
+        name for name in METHOD_KEEP
+        if name not in _public_methods() or name.split(".")[1] in attributes
+    ]
     assert stale == []
 
 

@@ -132,6 +132,29 @@ def frozen_orbit_from_candidate(theta, x, m):
     )
 
 
+def frozen_distinct_orbit_from_candidate(theta, x, m):
+    """quadmap._orbit_from_candidate with the test that its m points are
+    distinct when rounded to 9 decimals, which it no longer makes."""
+    refined = quadmap._newton_refine(theta, x, m)
+    if refined is None:
+        return None
+    root, multiplier = refined
+    if not abs(multiplier) < 1.0 or not quadmap._minimal_period_ok(theta, root, m):
+        return None
+    points = [root]
+    y = root
+    for _ in range(m - 1):
+        y = theta * y * (1.0 - y)
+        points.append(y)
+    if len({round(p * 1e9) / 1e9 for p in points}) != m:
+        return None
+    if any(not (0.0 < p < 1.0) for p in points):
+        return None
+    return quadmap.PeriodicOrbit(
+        theta=theta, period=m, points=tuple(sorted(points)), multiplier=multiplier
+    )
+
+
 def plain_warm_up(theta, seed, warmup):
     """seed after warmup plain steps, every state range-tested; None once it leaves (0, 1)."""
     x = float(seed)
@@ -335,14 +358,20 @@ class TestClosedOrbitEndsSearch:
         assert calls == [(theta, 0.5, quadmap.WARMUP_STEPS)]
         assert (orbit is None) == (m == 2)
 
-    def test_round9_matches_numpy(self):
+    def test_candidate_equals_frozen_distinct_points_check(self):
+        # the distinct-points test rejected no candidate that the minimal
+        # period test passes: the warmed-up critical point and two random
+        # states, for periods 1-8, at 1,500 parameters over (1, 4]
         rng = np.random.default_rng(24)
-        points = np.concatenate([
-            rng.uniform(0.0, 1.0, 100_000),
-            np.arange(0, 1_000_000_000, 9_973) * 1e-9 + 5e-10,  # half-way values
-        ])
-        got = np.array([quadmap._round9(p) for p in points.tolist()])
-        assert np.array_equal(_bits(got), _bits(np.round(points, 9)))
+        hits = 0
+        for theta in np.linspace(1.0, 4.0, 1501)[1:].tolist():
+            states = [quadmap._warm_up(theta, 0.5, quadmap.WARMUP_STEPS), *rng.random(2).tolist()]
+            for m in range(1, 9):
+                for x in states:
+                    got = quadmap._orbit_from_candidate(theta, x, m)
+                    assert got == frozen_distinct_orbit_from_candidate(theta, x, m)
+                    hits += got is not None
+        assert hits > 3000
 
 
 class TestTransversality:

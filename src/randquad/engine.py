@@ -18,9 +18,11 @@ picks one per block (see its docstring): the scalar kernel `_advance` down
 each column below MIN_LANES lanes, the row kernel `_advance_lanes` from
 MIN_LANES on, `_advance_linear` while every state is at most LINEAR_MAX
 (where the map is x -> eps * x bit for bit; a dying walk spends most of its
-rows there), and `_advance_segments` on long blocks, which speculates that
-two float paths of a stable chain driven by the same draws become bit-equal
-and repairs bit for bit where they do not.  All of them compute
+rows there), and `_advance_segments` on long blocks of walks of at most
+SPEC_LANES lanes, which runs a block's segments of SEG rows as the columns
+of one row-kernel pass, speculating that two float paths of a stable chain
+driven by the same draws become bit-equal, and repairs bit for bit where
+they do not.  All of them compute
 eps * x * (1 - x) in the same operand order, so every lane is bit-identical
 to the same path walked alone.  The scalar kernel steps a Python float PIECE
 draws at a time and stores each piece with one struct.pack while it is
@@ -29,11 +31,11 @@ times its speed.  Every consumer, here and in the diagnostics and kernel, is
 a reduction over the blocks the walk yields (`_occupations`, `_snapshots`,
 `_first_entry`), so the recurrence, the block schedule and the stop rule
 live in one place; all replicates of all starts of a stability test share
-one walk.  `bin_states` alone maps a state to its slot, a right-closed bin
-of [0, 1] or a guard slot for 0 or for 1, and `_occupations` counts the
-slots of a block's lanes with one bincount into an integer table of groups
-by slots.  With workers > 1, `ensemble_occupations` walks contiguous shards
-of the lanes in forked worker processes and adds their tables, so its
+one walk.  `bin_states` maps a state to its slot, a right-closed bin of
+[0, 1] or a guard slot for 0 or for 1, and `_occupations` counts the slots
+of a block's lanes into an integer table of groups by slots, in cache-sized
+pieces.  With workers > 1, `ensemble_occupations` forks one child per
+contiguous shard of the lanes and adds the tables they send back, so its
 measures do not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
@@ -47,6 +49,7 @@ chunking or lane grouping.
 from __future__ import annotations
 
 import os
+import pickle
 import struct
 from dataclasses import dataclass
 from functools import cache, partial
@@ -86,8 +89,10 @@ PIECE = 4096
 
 # rows per speculative segment of a long block; a multiple of 64, so the
 # carried state, every segment's first guess, lies in the right phase class
-# of any cycle whose period divides 64
-SEG = 256
+# of any cycle whose period divides 64; 128 rows make a block's SEG + WIN
+# row calls half as many as 256 rows made, and twice as wide, and at that
+# width the ~0.45 us that each ufunc call costs no longer dominates
+SEG = 128
 
 # rows of the second pass, which runs each segment again from its
 # predecessor's end and looks for the row at which the two passes agree
@@ -99,6 +104,16 @@ WIN = 64
 # (medians of 15 timings, pure Python, 2 cores); twice that keeps the block
 # that a walk whose paths never couple loses small
 SPEC_STEPS = 1 << 14
+
+# most lanes a walk may have to speculate: wider rows gain too little from
+# segments to pay for pass 2 (200 lanes of U[2,3] to step 30,000: 95 ms
+# speculating, 87 ms not, medians of 12, pure Python, 2 cores); at CHUNK =
+# 2^16 these wider walks are those that 256-row segments never reached
+SPEC_LANES = 128
+
+# states per piece in which `_occupations` bins a block, so that its three
+# buffers (17 bytes a state) stay in cache
+BIN_PIECE = 1 << 13
 
 # smallest normal double: once the state is subnormal it can plateau at
 # 5e-324 forever (noise >= 0.5 rounds it back up), so extinction regimes
@@ -254,16 +269,17 @@ def _walk(starts, n: int, draws):
     even, to 1), so eps * x * (1 - x) equals eps * x exactly.  It settles
     the rows through the first one in which some lane exceeds 2^-54; from
     that row the scalar kernel (fewer than MIN_LANES lanes) or the row
-    kernel computes the rest of the block.  When the rest holds at least
-    two segments of SEG rows, and at least SPEC_STEPS lane-steps in them,
-    `_advance_segments` computes those segments: it runs them as coupled
-    lanes of the row kernel and re-runs exactly each one it cannot prove
-    coupled, so it gives the kernels' bits.  The rows past the last whole
-    segment take the plain kernel.  Once a block re-runs more than 1/8 of
-    the segments of the lanes still live after it (paths that do not
-    couple: chaotic, or dying), the walk stops speculating; a lane that
-    stopped in the block is not counted, as it costs later blocks nothing.
-    That changes the walk's time, never its bits.
+    kernel computes the rest of the block.  In a walk of at most SPEC_LANES
+    lanes, when the rest holds at least two segments of SEG rows, and at
+    least SPEC_STEPS lane-steps in them, `_advance_segments` computes those
+    segments: it runs them as coupled lanes of the row kernel and re-runs
+    exactly each one it cannot prove coupled, so it gives the kernels'
+    bits.  The rows past the last whole segment take the plain kernel.
+    Once a block re-runs more than 1/8 of the segments of the lanes still
+    live after it (paths that do not couple: chaotic, or dying), the walk
+    stops speculating; a lane that stopped in the block is not counted, as
+    it costs later blocks nothing.  That changes the walk's time, never its
+    bits.
     """
     x = np.array(starts, dtype=float)
     if not np.all((x > 0.0) & (x < 1.0)):
@@ -278,7 +294,7 @@ def _walk(starts, n: int, draws):
     # speculates never touches their pages
     full = rows // SEG * lanes
     bufs = (np.empty(full * SEG), np.empty(full * SEG), np.empty(full * WIN))
-    speculate = True
+    speculate = lanes <= SPEC_LANES
     done, m = 0, min(FIRST_ROWS, rows)
     while done < n and len(live):
         m = min(m, n - done)
@@ -482,16 +498,23 @@ def bin_states(values: np.ndarray, bins: int) -> np.ndarray:
     return slots
 
 
-def _uniform_bin_index(interior, edges) -> np.ndarray:
+def _uniform_bin_index(interior, edges, bufs=None) -> np.ndarray:
     """Index i of the right-closed bin (edges[i], edges[i+1]] holding each state in (0, 1).
 
     For edges within a few ulps of i / B, floor(v * B) misses the bin by at
-    most one near an edge; one comparison with each neighbouring edge fixes it.
+    most one near an edge (or is B); one comparison with each neighbouring
+    edge fixes it.  bufs may give an int64, a float and a bool array of
+    interior's shape to work in; the indices fill the first.
     """
-    bins = len(edges) - 1
-    idx = np.minimum((interior * bins).astype(np.int64), bins - 1)
-    idx -= edges[idx] >= interior
-    idx += edges[idx + 1] < interior
+    if bufs is None:
+        bufs = (np.empty(interior.shape, np.int64), np.empty(interior.shape),
+                np.empty(interior.shape, bool))
+    idx, edge, above = bufs
+    np.multiply(interior, len(edges) - 1, out=idx, casting="unsafe")
+    np.greater_equal(np.take(edges, idx, out=edge), interior, out=above)
+    idx -= above
+    np.less(np.take(edges[1:], idx, out=edge), interior, out=above)
+    idx += above
     return idx
 
 
@@ -544,29 +567,40 @@ def occupation_measure(trajectory: Trajectory, bins: int, burn_in: int) -> Occup
 def _occupations(blocks, burn_in: int, bins: int, labels, groups: int):
     """Count the slots (see `bin_states`) of walked lanes' states after step burn_in, by group.
 
-    Lane j belongs to group labels[j].  Each block's states after burn_in
-    go through one `bin_states` call and one np.bincount over all lanes:
-    lane j's slots are offset by labels[j] * (bins + 2), and only its valid
-    rows are counted.  Returns a (groups, bins + 2) integer table, whose row
-    g holds group g's slot counts, and how many lanes of each group stopped.
+    Lane j belongs to group labels[j]; its slots are offset by labels[j] *
+    (bins + 2), and np.bincount counts all lanes' into a (groups, bins + 2)
+    integer table.  A block of states in (0, 1) goes through
+    `_uniform_bin_index` and one bincount for each piece of about BIN_PIECE
+    states, in three buffers made once; a block that holds a 0 or a 1 (a
+    lane stopped in or before it) through one `bin_states` call, for its
+    guard slots, and one bincount of its valid rows.  Returns the table and
+    how many lanes of each group stopped.
     """
     labels = np.asarray(labels)
     offsets = labels * (bins + 2)
     table = np.zeros(groups * (bins + 2), dtype=np.int64)
     stopped = np.zeros(groups, dtype=np.int64)
+    edges, rows = _bin_edges(bins), max(1, BIN_PIECE // len(labels))
+    bufs = [np.empty((rows, len(labels)), dtype) for dtype in (np.int64, float, bool)]
     for done, _, states, valid in blocks:
         # a lane stopped in this block iff its last valid state is 0 or 1
         last = states[np.maximum(valid - 1, 0), np.arange(len(valid))]
-        np.add.at(stopped, labels[(valid > 0) & ((last == 0.0) | (last == 1.0))], 1)
+        ends = (valid > 0) & ((last == 0.0) | (last == 1.0))
+        np.add.at(stopped, labels[ends], 1)
         skip = max(0, burn_in - done)
         if skip >= len(states):
             continue
-        slots = bin_states(states[skip:].reshape(-1), bins).reshape(len(states) - skip, -1)
-        if groups > 1:
-            slots += offsets  # in place: a new array per block costs more than it saves
-        if not np.all(valid == len(states)):
+        if ends.any() or not np.all(valid == len(states)):
+            slots = bin_states(states[skip:].reshape(-1), bins).reshape(len(states) - skip, -1)
+            slots += offsets
             slots = slots[np.arange(skip, len(states))[:, None] < valid]
-        table += np.bincount(slots.reshape(-1), minlength=len(table))
+            table += np.bincount(slots, minlength=len(table))
+            continue
+        for lo in range(skip, len(states), rows):
+            piece = states[lo : lo + rows]
+            idx = _uniform_bin_index(piece, edges, [b[: len(piece)] for b in bufs])
+            idx += offsets
+            table += np.bincount(idx.reshape(-1), minlength=len(table))
     return table.reshape(groups, bins + 2), stopped
 
 
@@ -576,16 +610,56 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(workers: int):
-    """An executor of worker processes forked from this one, imported only when used.
+def _fork_shards(shard, cuts) -> list:
+    """shard(lo, hi) for each pair of neighbouring cuts, each run in a child forked from this one.
 
-    A worker that dies raises BrokenProcessPool in the caller instead of
-    hanging it.  On CPython >= 3.12 fork warns, as OpenBLAS runs threads.
+    A child pickles its result, or the exception it raised, into its own
+    pipe and leaves by os._exit.  The pipes are read in shard order; a
+    child's exception is re-raised here, a child that died before sending
+    raises BrokenProcessPool instead of hanging the caller, and no child is
+    left unreaped.  On CPython >= 3.12 fork warns, as OpenBLAS runs threads.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import signal  # imported only when used, as it costs every start a few ms
 
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    children = []
+    try:
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        data = pickle.dumps((True, shard(lo, hi)))
+                    except BaseException as exc:
+                        try:
+                            data = pickle.dumps((False, exc))
+                        except Exception:
+                            data = pickle.dumps((False, RuntimeError(f"shard raised {exc!r}")))
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        found = []
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool(f"shard worker {pid} died before sending its table")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            found.append(value)
+        return found
+    finally:
+        # a child that has sent has only to exit; one that has not is cut short
+        for pid, r in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _shard_occupations(
@@ -614,10 +688,11 @@ def ensemble_occupations(
     its replicate i runs on substream (master_seed, *stream_keys[g], i).
     The replicates of all groups are the lanes of one walk, cut into
     min(workers, lanes, usable CPUs) contiguous shards; past one, each shard
-    walks in a forked worker.  Each shard counts its lanes' slots into one
-    integer table of groups by slots (see `_occupations`), and the tables
-    add, so each measure equals the sum of its replicates' measures walked
-    alone, whatever the grouping or the number of workers.
+    walks in a child forked for it (`_fork_shards`), never in this process.
+    Each shard counts its lanes' slots into one integer table of groups by
+    slots (see `_occupations`), and the tables add, so each measure equals
+    the sum of its replicates' measures walked alone, whatever the grouping
+    or the number of workers.
     """
     starts, stream_keys = tuple(starts), tuple(stream_keys)
     if not starts or len(starts) != len(stream_keys):
@@ -628,12 +703,7 @@ def ensemble_occupations(
     w = min(workers, lanes, _usable_cpus())
     cuts = [k * (lanes // w) + min(k, lanes % w) for k in range(w + 1)]
     shard = partial(_shard_occupations, model, starts, config, stream_keys)
-    if w == 1:
-        found = [shard(0, lanes)]
-    else:
-        # leaving the block waits for every shard and joins every worker
-        with _pool(w) as pool:
-            found = list(pool.map(shard, cuts[:-1], cuts[1:]))
+    found = [shard(0, lanes)] if w == 1 else _fork_shards(shard, cuts)
     tables, stopped = zip(*found)
     return [_measure(slots, a) for slots, a in zip(sum(tables), sum(stopped))]
 

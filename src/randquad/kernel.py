@@ -307,14 +307,10 @@ class MinorizationFailure:
 
 
 def _density_window(model: NoiseModel, theta0: float) -> tuple[float, float]:
-    """Connected run of positive density inside (1, 4) containing theta0,
-    at which the caller has found the density positive."""
-    if not (1.0 < theta0 < 4.0):
-        raise ValueError("theta0 must lie in (1, 4) for the minorization construction")
-    for lo, hi, _ in model.density_runs():
-        if lo <= theta0 <= hi:
-            return lo, hi
-    raise ValueError(f"no positive-density window inside (1, 4) contains {theta0}")
+    """The closed run of positive density (see `NoiseModel.density_runs`) holding theta0.
+
+    theta0 must lie in (1, 4) at positive density, as in `minorization_probe`."""
+    return next((lo, hi) for lo, hi, _ in model.density_runs() if lo <= theta0 <= hi)
 
 
 # width in theta at which _q_inverse stops bisecting

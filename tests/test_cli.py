@@ -13,7 +13,7 @@ from randquad.cli import main
 from randquad.config import _SCHEMA, ConfigError, parse_config_text
 from randquad.engine import SimConfig, Trajectory, simulate_trajectory
 from randquad.noise import NoiseModel, substream
-from test_engine import RecordingPool
+from test_engine import recording_forks
 
 BASE_CONFIG = """\
 [noise]
@@ -675,7 +675,7 @@ class TestReproducibility:
     )
     def test_thread_count_is_capped(self, tmp_path, monkeypatch, config, threads, lanes):
         sizes = []
-        monkeypatch.setattr(engine, "_pool", lambda w: RecordingPool(sizes, w))
+        monkeypatch.setattr(engine, "_fork_shards", recording_forks(sizes))
         cfg = write_config(tmp_path, config)
         assert run_cli(tmp_path, "stability", "--config", str(cfg), *threads) == 0
         workers = min(lanes, engine._usable_cpus())

@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import signal
 import struct
+import time
+import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
@@ -248,20 +250,21 @@ class TestEnsembleGroups:
             ensemble_occupations(U23, starts, self.CFG, keys)
 
 
-class RecordingPool:
-    """Stands in for the fork pool: records the size asked for and runs the shards in-process."""
+def recording_forks(sizes):
+    """Stands in for `engine._fork_shards`: records the shard count, runs the shards in-process."""
 
-    def __init__(self, sizes, workers):
-        sizes.append(workers)
+    def run(shard, cuts):
+        sizes.append(len(cuts) - 1)
+        return [shard(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    def __enter__(self):
-        return self
+    return run
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+class TwoArgumentError(Exception):
+    """Pickles with one argument, so unpickling it raises TypeError."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
 
 
 def fields(measures):
@@ -286,22 +289,22 @@ class TestEnsembleWorkers:
         for w in (1, 2, 3, 4):
             sharded = ensemble_occupations(model, self.STARTS, cfg, self.KEYS, w)
             assert fields(sharded) == fields(one)
-            assert multiprocessing.active_children() == []
+            self.assert_no_child_left()
 
     @pytest.mark.parametrize(
         "starts, workers, cpus, asked",
         [
             ((0.3, 0.4, 0.5), 4, 8, [3]),  # capped at 3 lanes
             ((0.3, 0.4, 0.5), 100_000, 2, [2]),  # capped at 2 CPUs
-            ((0.3, 0.4, 0.5), 100_000, 1, []),  # one CPU: no pool at all
-            ((0.3,), 4, 8, []),  # one lane: no pool at all
+            ((0.3, 0.4, 0.5), 100_000, 1, []),  # one CPU: no fork at all
+            ((0.3,), 4, 8, []),  # one lane: no fork at all
             ((0.3, 0.4, 0.5), 2, 8, [2]),
         ],
     )
     def test_worker_count_is_capped(self, monkeypatch, starts, workers, cpus, asked):
         sizes = []
         monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(engine, "_pool", lambda w: RecordingPool(sizes, w))
+        monkeypatch.setattr(engine, "_fork_shards", recording_forks(sizes))
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10, n_bins=20)
         keys = [(i,) for i in range(len(starts))]
         found = ensemble_occupations(U23, starts, cfg, keys, workers)
@@ -343,10 +346,29 @@ class TestEnsembleWorkers:
     def die():  # as if the OS killed the worker for memory
         os.kill(os.getpid(), signal.SIGKILL)
 
+    @staticmethod
+    def unpicklable():
+        raise FloatingPointError(lambda: None)  # a lambda does not pickle
+
+    @staticmethod
+    def unloadable():
+        raise TwoArgumentError("walk failed in a worker", 2)
+
+    @staticmethod
+    def assert_no_child_left():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # none running, and none unreaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize(
-        "fault, error", [(fail, FloatingPointError), (die, BrokenProcessPool)], ids=["raise", "kill"]
+        "fault, error, message",
+        [(fail, FloatingPointError, "walk failed in a worker"),
+         (die, BrokenProcessPool, "died before sending"),
+         (unpicklable, RuntimeError, "shard raised FloatingPointError"),
+         (unloadable, TypeError, "missing 1 required positional argument")],
+        ids=["raise", "kill", "unpicklable", "unloadable"],
     )
-    def test_worker_fault_reaches_the_caller(self, monkeypatch, fault, error):
+    def test_worker_fault_reaches_the_caller(self, monkeypatch, fault, error, message):
         parent, walk = os.getpid(), engine._walk
 
         def broken(*args, **kwargs):
@@ -357,9 +379,30 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(engine, "_walk", broken)
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             ensemble_occupations(U23, (0.3, 0.6), cfg, [(0,), (1,)], 2)
-        assert multiprocessing.active_children() == []
+        self.assert_no_child_left()
+
+    def test_failed_shard_does_not_wait_for_the_others(self, monkeypatch):
+        # shard 0 fails at once while shards 1-3 would sleep for a minute:
+        # the caller gets shard 0's error and the sleepers are killed and reaped
+        parent, walk = os.getpid(), engine._walk
+
+        def broken(starts, *args, **kwargs):
+            if os.getpid() != parent:
+                if starts[0] == 0.1:
+                    self.fail()
+                time.sleep(60)
+            return walk(starts, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(engine, "_walk", broken)
+        cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
+        start = time.monotonic()
+        with pytest.raises(FloatingPointError):
+            ensemble_occupations(U23, (0.1, 0.3, 0.6, 0.9), cfg, [(0,), (1,), (2,), (3,)], 4)
+        assert time.monotonic() - start < 30
+        self.assert_no_child_left()
 
 
 def recorded(walk):
@@ -456,6 +499,61 @@ class TestOccupations:
         engine._occupations(iter(blocks), 8, self.BINS, labels, groups)
         # the first block lies inside the burn-in
         assert len(calls) == len(binned) == 2
+
+    @staticmethod
+    def piece_walk(case):
+        """The recorded blocks of a 6-lane walk of 5,000 steps: coupling, absorbing or last-row.
+
+        In "absorbing" lanes 1 and 4 run ABSORBING and stop at 0 after about
+        1,900 steps.  In "last-row" lanes 2 and 5 sit at 0.5 exactly under
+        draws of 2, until a draw of 4 takes lane 2 to 1 and a draw of 0 takes
+        lane 5 to 0, both at step 2,032, the last of its block, so that
+        block's valid counts are all full.
+        """
+        lanes, n = 6, 5000
+        columns = U23.sample(substream(132), n * lanes).reshape(n, lanes)
+        if case == "absorbing":
+            columns[:, [1, 4]] = ABSORBING.sample(substream(133), 2 * n).reshape(n, 2)
+        if case == "last-row":
+            columns[:, [2, 5]] = 2.0
+            columns[block_end(2032, engine.CHUNK // lanes) - 1, [2, 5]] = (4.0, 0.0)
+        starts = (0.3, 0.7, 0.5, 0.4, 0.2, 0.6)
+        return recorded(_walk(starts, n, given_draws(columns)[0]))
+
+    @pytest.mark.parametrize("piece_rows", [1, 7, None], ids=["1-row", "7-rows", "default"])
+    @pytest.mark.parametrize("case", ["coupling", "absorbing", "last-row"])
+    def test_pieces_of_any_size_match_lane_by_lane_binning(self, monkeypatch, case, piece_rows):
+        # burn-in 100 ends inside the block of steps 49-112, and the blocks
+        # before a stop go through the pieces
+        labels, burn_in, bins = [0, 1, 1, 2, 0, 2], 100, 60
+        blocks = self.piece_walk(case)
+        if piece_rows:
+            monkeypatch.setattr(engine, "BIN_PIECE", piece_rows * len(labels))
+        binned = []
+        monkeypatch.setattr(engine, "bin_states",
+                            lambda values, bins: binned.append(1) or bin_states(values, bins))
+        table, stopped = engine._occupations(iter(blocks), burn_in, bins, labels, 3)
+        ref_table, ref_stopped = reference_occupations(blocks, burn_in, bins, labels, 3)
+        assert table.tobytes() == ref_table.tobytes()
+        assert stopped.tolist() == ref_stopped.tolist()
+        guards = {"coupling": [[0, 0]] * 3, "absorbing": [[1, 0], [1, 0], [0, 0]],
+                  "last-row": [[0, 0], [0, 1], [1, 0]]}
+        assert table[:, bins:].tolist() == guards[case]
+        # only blocks that hold a 0 or a 1 take bin_states
+        assert (len(binned) == 0) == (case == "coupling")
+
+    def test_binning_a_full_block_allocates_little(self):
+        # one full block of a 10-lane shard, CHUNK // 10 = 6,553 rows of
+        # states in (0, 1): whole-block temporaries took 1,609 KiB
+        states = substream(134).random((engine.CHUNK // 10, 10))
+        valid = np.full(10, len(states))
+        tracemalloc.start()
+        try:
+            engine._occupations(iter([(0, states, states, valid)]), 0, 200, [0] * 5 + [1] * 5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
 
 
 class TestStartStates:
@@ -1173,6 +1271,29 @@ class TestSegments:
         # the even lanes stop in the heavy block
         stops = [i for i, (_, valid, _) in enumerate(new) if 0 < valid[0] < valid[1]]
         assert stops == [len(new) - len(segment_calls) + heavy[0]]
+
+    def test_wide_walk_never_speculates(self, monkeypatch, segment_calls):
+        # 200 lanes: full blocks of 327 rows hold two segments and 51,200
+        # lane-steps, which speculate only once the lane bound is lifted
+        lanes, n = 200, 2000
+        for bound in (engine.SPEC_LANES, lanes):
+            monkeypatch.setattr(engine, "SPEC_LANES", bound)
+            draws = _lane_draws(U23, [substream(89, j) for j in range(lanes)])
+            for _ in _walk(np.linspace(0.1, 0.9, lanes), n, draws):
+                pass
+            assert (len(segment_calls) > 0) == (bound == lanes)
+
+    def test_narrow_coupling_walk_speculates_in_every_long_block(self, segment_calls):
+        # the shape of one `ensemble` shard: 10 lanes x 10^5 steps of U[2,3]
+        lanes, n = 10, 100_000
+        draws = _lane_draws(U23, [substream(90, j) for j in range(lanes)])
+        rows = [len(states) for _, _, states, _ in _walk((0.5,) * lanes, n, draws)]
+        segmented = [m // engine.SEG * engine.SEG for m in rows]
+        first = next(i for i, m in enumerate(segmented) if m * lanes >= engine.SPEC_STEPS)
+        assert rows[first] == 2048  # blocks of 16 to 1,024 rows hold too few lane-steps
+        long = [m for m in segmented[first:] if m * lanes >= engine.SPEC_STEPS]
+        assert long == segmented[first:-1]  # all but the last block, of 82 rows
+        assert [(m, lanes) for m in long] == [call[:2] for call in segment_calls]
 
     def test_chaotic_walk_stops_after_the_first_block_that_speculates(self, segment_calls):
         lanes, n = 10, 100_000

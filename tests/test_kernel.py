@@ -828,6 +828,25 @@ class TestMinorizationProbe:
         assert isinstance(out, MinorizationFailure)
         assert not out.ok
 
+    def test_outcomes_on_a_support_wider_than_the_fixed_point_range(self, monkeypatch):
+        # U[0.5, 3.99] has density below theta = 1, where no orbit attracts
+        # 1/2 but 0, and above 3, where the fixed point repels; only a theta0
+        # with an attractive fixed point reaches the density window
+        model = NoiseModel.uniform(0.5, 3.99)
+        windows, density_window = [], kernel._density_window
+        monkeypatch.setattr(kernel, "_density_window",
+                            lambda *a: windows.append(density_window(*a)) or windows[-1])
+        for theta0 in (0.6, 1.0, 3.99):
+            out = minorization_probe(model, theta0, 1, grid_n=8, resolution=64)
+            assert isinstance(out, MinorizationFailure)
+            assert out.message == f"no attractive period-1 orbit found at theta0 = {theta0}"
+        assert windows == []
+        assert minorization_probe(model, 2.5, 1, grid_n=8, resolution=64).ok
+        assert windows == [(1.0, 3.99)]  # the run of positive density, clipped to [1, 4]
+        with pytest.raises(ValueError, match="density vanishes at theta0 = 4.0"):
+            minorization_probe(model, 4.0, 1, grid_n=8, resolution=64)
+        assert len(windows) == 1
+
     def test_certificate_sound_against_simulation(self):
         # m-step entry frequencies from points of J into subintervals of J
         # must respect delta * lambda(B) within Monte Carlo error

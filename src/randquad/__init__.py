@@ -5,7 +5,7 @@ Submodules
 ----------
 quadmap      deterministic map family: orbits, multipliers, invariant interval
 noise        parameter-noise mixtures, moments, stability hypothesis checks
-engine       Monte Carlo trajectories, ensembles, occupation measures
+engine       the Monte Carlo walk, occupation measures, ensembles
 kernel       transition densities, minorization certificates, irreducibility
 diagnostics  stability / extinction / cyclicity / small-noise verdicts
 cli          batch command-line interface over a plain-text config

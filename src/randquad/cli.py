@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, kernel, quadmap
 from .config import ConfigError, ExperimentConfig, load_config
-from .engine import occupation_measure, simulate_trajectory
+from .engine import _lane_draws, _measure, _occupations, _walk
 from .noise import check_conditions, substream
 
 __all__ = ["main", "entry"]
@@ -152,19 +153,26 @@ def _csv_rows(cells: np.ndarray) -> bytes:
     return m.tobytes().translate(None, b"\0")
 
 
-def _trajectory_csv(path: Path, traj) -> None:
-    """Write step, x, epsilon rows; the same bytes as _write_csv, CSV_ROWS rows per write.
+def _trajectory_csv(blocks, x0: float, fh, end: list):
+    """Pass one lane's walk from x0 through, keeping [steps, last state] in end.
 
-    The steps go through _format_17g as floats: an integer below 1e16 prints as %d.
+    Unless fh is None, writes the path's step, x, epsilon rows to it as its
+    blocks pass: the same bytes as _write_csv, at most CSV_ROWS rows per
+    write.  The steps go through _format_17g as floats: an integer below
+    1e16 prints as %d.
     """
-    n = len(traj.epsilons)
-    with open(path, "wb") as fh:
-        fh.write(b"step,x,epsilon\n0,%.17g,\n" % traj.values[0])
-        for lo in range(0, n, CSV_ROWS):
-            hi = min(lo + CSV_ROWS, n)
-            steps = np.arange(lo + 1, hi + 1, dtype=float)
-            rows = np.column_stack([steps, traj.values[lo + 1 : hi + 1], traj.epsilons[lo:hi]])
-            fh.write(_csv_rows(rows))
+    if fh is not None:
+        fh.write(b"step,x,epsilon\n0,%.17g,\n" % x0)
+    for block in blocks:
+        done, eps, states, valid = block
+        k = int(valid[0])
+        if k:
+            end[:] = done + k, states[k - 1, 0]
+        for lo in range(0, k if fh is not None else 0, CSV_ROWS):
+            hi = min(lo + CSV_ROWS, k)
+            steps = np.arange(done + lo + 1, done + hi + 1, dtype=float)
+            fh.write(_csv_rows(np.column_stack([steps, states[lo:hi, 0], eps[lo:hi, 0]])))
+        yield block
 
 
 def _density_csv(path: Path, density_rows) -> None:
@@ -226,18 +234,26 @@ def _cmd_simulate(cfg: ExperimentConfig, outdir: Path) -> int:
     sim = cfg.sim_config()
     x0 = cfg.get("simulate", "x0", sim.initial_states[0])
     n = cfg.get("simulate", "n", sim.n_steps)
-    traj = simulate_trajectory(model, x0, n, substream(sim.master_seed))
-    measure = occupation_measure(traj, sim.n_bins, min(sim.burn_in, len(traj.values) - 1))
-    if cfg.get("simulate", "write_trajectory", True):
-        _trajectory_csv(outdir / "trajectory.csv", traj)
+    # checked before trajectory.csv is opened, as the walk checks x0 only once it runs
+    if not 0.0 < x0 < 1.0:
+        raise ValueError("x0 must lie in (0, 1)")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    walk = _walk((x0,), n, _lane_draws(model, [substream(sim.master_seed)]))
+    end = [0, x0]
+    write = cfg.get("simulate", "write_trajectory", True)
+    with open(outdir / "trajectory.csv", "wb") if write else nullcontext() as fh:
+        path = _trajectory_csv(walk, x0, fh, end)
+        table, stopped = _occupations(path, sim.burn_in, sim.n_bins, [0], 1)
+    measure = _measure(table[0], stopped[0])
     _occupation_csv(outdir / "occupation.csv", measure)
     _write_report(
         outdir,
         [
             ("x0", x0),
-            ("steps", len(traj.values) - 1),
-            ("absorbed", traj.absorbed),
-            ("final_x", traj.values[-1]),
+            ("steps", end[0]),
+            ("absorbed", measure.absorbed > 0),
+            ("final_x", end[1]),
             ("binned_total", measure.total),
             ("underflow", measure.underflow),
             ("overflow", measure.overflow),

@@ -1,9 +1,9 @@
 """Monte Carlo simulation of the randomly perturbed quadratic map.
 
 The process is X_{n+1} = eps_{n+1} * X_n * (1 - X_n) with i.i.d. parameters
-drawn from a NoiseModel.  This module produces trajectories, binned Cesaro
-occupation measures and ensembles of them, and the single walk that the
-diagnostics and the kernel's probes reduce.
+drawn from a NoiseModel.  This module produces binned Cesaro occupation
+measures and ensembles of them, and the single walk that they, the
+`simulate` command, the diagnostics and the kernel's probes reduce.
 
 `_walk` is the single path loop.  It advances L lanes (independent paths,
 each with its own start and parameter stream) in lockstep through blocks of
@@ -31,12 +31,12 @@ times its speed.  Every consumer, here and in the diagnostics and kernel, is
 a reduction over the blocks the walk yields (`_occupations`, `_snapshots`,
 `_first_entry`), so the recurrence, the block schedule and the stop rule
 live in one place; all replicates of all starts of a stability test share
-one walk.  `bin_states` maps a state to its slot, a right-closed bin of
-[0, 1] or a guard slot for 0 or for 1, and `_occupations` counts the slots
-of a block's lanes into an integer table of groups by slots, in cache-sized
-pieces.  With workers > 1, `ensemble_occupations` forks one child per
-contiguous shard of the lanes and adds the tables they send back, so its
-measures do not depend on the worker count.
+one walk.  `_occupations` maps each state to its slot, a right-closed bin
+of [0, 1] or a guard slot for 0 or for 1, and counts the slots of a block's
+lanes into an integer table of groups by slots, in cache-sized pieces.
+With workers > 1, `ensemble_occupations` forks one child per contiguous
+shard of the lanes and adds the tables they send back, so its measures do
+not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
@@ -60,11 +60,7 @@ from .noise import NoiseModel, substream
 
 __all__ = [
     "SimConfig",
-    "Trajectory",
     "OccupationMeasure",
-    "bin_states",
-    "simulate_trajectory",
-    "occupation_measure",
     "ensemble_occupation",
     "ensemble_occupations",
 ]
@@ -443,35 +439,6 @@ class SimConfig:
             raise ValueError("n_bins must be >= 1")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A simulated path: values[0] is X_0, values[k] is X_k.
-
-    epsilons[k] is the draw that produced values[k + 1].  When the path is
-    absorbed at the boundary it truncates just after the absorbing value and
-    `absorbed` is set.
-    """
-
-    values: np.ndarray
-    epsilons: np.ndarray
-    absorbed: bool
-
-
-def simulate_trajectory(model: NoiseModel, x0: float, n: int, seed) -> Trajectory:
-    """Simulate n steps from x0; bit-reproducible given (model, x0, n, seed)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    values, epsilons = [np.array([x0], dtype=float)], []
-    for _, eps, states in _path(model, x0, n, seed):
-        values.append(states.copy())
-        epsilons.append(eps.copy())
-    return Trajectory(
-        values=np.concatenate(values),
-        epsilons=np.concatenate(epsilons) if epsilons else np.empty(0),
-        absorbed=bool(values[-1][-1] == 0.0 or values[-1][-1] == 1.0),
-    )
-
-
 @cache
 def _bin_edges(bins: int) -> np.ndarray:
     """The bins + 1 edges of `bins` uniform bins of [0, 1], one read-only array per bin count."""
@@ -480,40 +447,20 @@ def _bin_edges(bins: int) -> np.ndarray:
     return edges
 
 
-def bin_states(values: np.ndarray, bins: int) -> np.ndarray:
-    """Slot of each state on `bins` uniform right-closed bins of [0, 1].
-
-    Slot i < bins is the bin (edges[i], edges[i+1]] of the edges
-    np.linspace(0, 1, bins + 1), so a state on an edge goes to the bin that
-    ends there.  Slot bins holds a state at 0 and slot bins + 1 a state at
-    1 (or above it, or NaN, which the walk never makes).  Every occupation
-    measure bins its states here.
-    """
-    edges = _bin_edges(bins)
-    inside = (values > 0.0) & (values < 1.0)
-    if inside.all():
-        return _uniform_bin_index(values, edges)
-    slots = np.where(values <= 0.0, bins, bins + 1)
-    slots[inside] = _uniform_bin_index(values[inside], edges)
-    return slots
-
-
-def _uniform_bin_index(interior, edges, bufs=None) -> np.ndarray:
+def _uniform_bin_index(states, edges, bufs) -> np.ndarray:
     """Index i of the right-closed bin (edges[i], edges[i+1]] holding each state in (0, 1).
 
     For edges within a few ulps of i / B, floor(v * B) misses the bin by at
     most one near an edge (or is B); one comparison with each neighbouring
-    edge fixes it.  bufs may give an int64, a float and a bool array of
-    interior's shape to work in; the indices fill the first.
+    edge fixes it.  A state at 0 gets -1 and one at 1 gets B - 1, for the
+    caller to overwrite.  bufs gives an int64, a float and a bool array of
+    states' shape to work in; the indices fill the first.
     """
-    if bufs is None:
-        bufs = (np.empty(interior.shape, np.int64), np.empty(interior.shape),
-                np.empty(interior.shape, bool))
     idx, edge, above = bufs
-    np.multiply(interior, len(edges) - 1, out=idx, casting="unsafe")
-    np.greater_equal(np.take(edges, idx, out=edge), interior, out=above)
+    np.multiply(states, len(edges) - 1, out=idx, casting="unsafe")
+    np.greater_equal(np.take(edges, idx, out=edge), states, out=above)
     idx -= above
-    np.less(np.take(edges[1:], idx, out=edge), interior, out=above)
+    np.less(np.take(edges[1:], idx, out=edge), states, out=above)
     idx += above
     return idx
 
@@ -547,7 +494,7 @@ class OccupationMeasure:
 
 
 def _measure(slots: np.ndarray, absorbed) -> OccupationMeasure:
-    """The occupation measure of one row of slot counts (see `bin_states`)."""
+    """The occupation measure of one row of slot counts (see `_occupations`)."""
     bins = len(slots) - 2
     under, over = (int(n) for n in slots[bins:])
     return OccupationMeasure(
@@ -555,30 +502,24 @@ def _measure(slots: np.ndarray, absorbed) -> OccupationMeasure:
     )
 
 
-def occupation_measure(trajectory: Trajectory, bins: int, burn_in: int) -> OccupationMeasure:
-    """Bin the post-burn-in states X_{burn_in+1}, ..., X_N of one trajectory on `bins` bins."""
-    n_states = len(trajectory.values) - 1
-    if burn_in < 0 or burn_in > n_states:
-        raise ValueError("burn_in must lie within the trajectory length")
-    slots = bin_states(trajectory.values[burn_in + 1 :], bins)
-    return _measure(np.bincount(slots, minlength=bins + 2), trajectory.absorbed)
-
-
 def _occupations(blocks, burn_in: int, bins: int, labels, groups: int):
-    """Count the slots (see `bin_states`) of walked lanes' states after step burn_in, by group.
+    """Count the slots of walked lanes' states after step burn_in, by group.
 
+    A state's slot is its right-closed bin i < bins of `bins` uniform bins
+    of [0, 1], slot bins for a state at 0 or slot bins + 1 for one at 1.
     Lane j belongs to group labels[j]; its slots are offset by labels[j] *
     (bins + 2), and np.bincount counts all lanes' into a (groups, bins + 2)
-    integer table.  A block of states in (0, 1) goes through
-    `_uniform_bin_index` and one bincount for each piece of about BIN_PIECE
-    states, in three buffers made once; a block that holds a 0 or a 1 (a
-    lane stopped in or before it) through one `bin_states` call, for its
-    guard slots, and one bincount of its valid rows.  Returns the table and
-    how many lanes of each group stopped.
+    integer table.  Each block goes through `_uniform_bin_index` and one
+    bincount per piece of about BIN_PIECE states, in three buffers made
+    once.  A 0 or a 1 is a lane's stop, so in a block where some lane
+    stopped, or had stopped before, each piece sends its 0s and 1s to their
+    slots and its rows past a lane's valid ones to one extra slot, dropped
+    at the end.  Returns the table and how many lanes of each group stopped.
     """
     labels = np.asarray(labels)
     offsets = labels * (bins + 2)
-    table = np.zeros(groups * (bins + 2), dtype=np.int64)
+    width = groups * (bins + 2)
+    table = np.zeros(width + 1, dtype=np.int64)
     stopped = np.zeros(groups, dtype=np.int64)
     edges, rows = _bin_edges(bins), max(1, BIN_PIECE // len(labels))
     bufs = [np.empty((rows, len(labels)), dtype) for dtype in (np.int64, float, bool)]
@@ -587,21 +528,17 @@ def _occupations(blocks, burn_in: int, bins: int, labels, groups: int):
         last = states[np.maximum(valid - 1, 0), np.arange(len(valid))]
         ends = (valid > 0) & ((last == 0.0) | (last == 1.0))
         np.add.at(stopped, labels[ends], 1)
-        skip = max(0, burn_in - done)
-        if skip >= len(states):
-            continue
-        if ends.any() or not np.all(valid == len(states)):
-            slots = bin_states(states[skip:].reshape(-1), bins).reshape(len(states) - skip, -1)
-            slots += offsets
-            slots = slots[np.arange(skip, len(states))[:, None] < valid]
-            table += np.bincount(slots, minlength=len(table))
-            continue
-        for lo in range(skip, len(states), rows):
+        guard = ends.any() or valid.min() < len(states)
+        for lo in range(max(0, burn_in - done), len(states), rows):
             piece = states[lo : lo + rows]
             idx = _uniform_bin_index(piece, edges, [b[: len(piece)] for b in bufs])
             idx += offsets
+            if guard:
+                np.copyto(idx, offsets + bins, where=piece == 0.0)
+                np.copyto(idx, offsets + bins + 1, where=piece == 1.0)
+                idx[np.arange(lo, lo + len(piece))[:, None] >= valid] = width
             table += np.bincount(idx.reshape(-1), minlength=len(table))
-    return table.reshape(groups, bins + 2), stopped
+    return table[:width].reshape(groups, bins + 2), stopped
 
 
 def _usable_cpus() -> int:

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 from randquad import cli, engine, kernel
 from randquad.cli import main
 from randquad.config import _SCHEMA, ConfigError, parse_config_text
-from randquad.engine import SimConfig, Trajectory, simulate_trajectory
+from randquad.engine import SimConfig
 from randquad.noise import NoiseModel, substream
-from test_engine import recording_forks
+from test_engine import joined_path, recording_forks
 
 BASE_CONFIG = """\
 [noise]
@@ -450,6 +451,33 @@ class TestSubcommands:
         assert message in err
         assert "ZeroDivisionError" not in err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("simulate.x0=1.5", "x0 must lie in (0, 1)"),
+            ("simulate.x0=0", "x0 must lie in (0, 1)"),
+            ("simulate.n=-1", "n must be nonnegative"),
+        ],
+    )
+    def test_simulate_bad_input_is_error(self, tmp_path, capsys, override, message):
+        cfg = write_config(tmp_path, BASE_CONFIG + "\n[simulate]\nn = 100\n")
+        assert run_cli(tmp_path, "simulate", "--config", str(cfg), "--set", override) == 1
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_simulate_memory_does_not_grow_with_n(self, tmp_path):
+        # 10^6 steps: one path joined into arrays took tens of MiB
+        text = BASE_CONFIG + "\n[simulate]\nn = 1000000\nwrite_trajectory = false\n"
+        cfg = write_config(tmp_path, text)
+        tracemalloc.start()
+        try:
+            assert run_cli(tmp_path, "simulate", "--config", str(cfg)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "steps = 1000000\n" in (tmp_path / "out" / "report.txt").read_text()
+        assert peak < 8 << 20
+
     def test_cyclicity_start_outside_unit_interval_is_error(self, tmp_path, capsys):
         text = BASE_CONFIG.replace("2.0:3.0:1.0", "3.15:3.25:1.0")
         text += "\n[cyclicity]\nj_lo = 0.75\nj_hi = 0.85\nsteps = 1000\nx0 = 1.5\n"
@@ -482,16 +510,23 @@ class TestSubcommands:
 
 
 class TestTrajectoryCsv:
-    """The direct trajectory writer gives the bytes of the generic row writer."""
+    """The streaming trajectory writer gives the bytes of the generic row writer."""
 
     @staticmethod
-    def generic_bytes(path, traj):
-        rows = [(0, traj.values[0], "")]
-        rows += [
-            (k + 1, traj.values[k + 1], traj.epsilons[k]) for k in range(len(traj.epsilons))
-        ]
+    def generic_bytes(path, values, epsilons):
+        rows = [(0, values[0], "")]
+        rows += [(k + 1, values[k + 1], epsilons[k]) for k in range(len(epsilons))]
         cli._write_csv(path, ["step", "x", "epsilon"], rows)
         return path.read_bytes()
+
+    @staticmethod
+    def direct_bytes(path, blocks, x0):
+        """The writer's bytes over the blocks, and the [steps, last state] it keeps."""
+        end = [0, x0]
+        with open(path, "wb") as fh:
+            for _ in cli._trajectory_csv(blocks, x0, fh, end):
+                pass
+        return path.read_bytes(), end
 
     @pytest.mark.parametrize(
         "model, x0, n, absorbed",
@@ -507,25 +542,36 @@ class TestTrajectoryCsv:
         ],
     )
     def test_same_bytes_as_generic_writer(self, tmp_path, model, x0, n, absorbed):
-        traj = simulate_trajectory(model, x0, n, substream(3))
-        assert traj.absorbed == absorbed and (len(traj.values) < n + 1) == absorbed
-        cli._trajectory_csv(tmp_path / "direct.csv", traj)
-        direct = (tmp_path / "direct.csv").read_bytes()
-        assert direct == self.generic_bytes(tmp_path / "generic.csv", traj)
-        assert direct.count(b"\n") == len(traj.values) + 1
+        values, epsilons = joined_path(model, x0, n, substream(3))
+        assert (values[-1] == 0.0) == absorbed and (len(values) < n + 1) == absorbed
+
+        def walk():
+            return engine._walk((x0,), n, engine._lane_draws(model, [substream(3)]))
+
+        direct, end = self.direct_bytes(tmp_path / "direct.csv", walk(), x0)
+        assert direct == self.generic_bytes(tmp_path / "generic.csv", values, epsilons)
+        assert direct.count(b"\n") == len(values) + 1
+        assert end == [len(values) - 1, values[-1]]
+        # without a file it writes nothing and keeps the same end
+        unwritten = [0, x0]
+        assert len(list(cli._trajectory_csv(walk(), x0, None, unwritten))) == len(list(walk()))
+        assert unwritten == end
 
     def test_same_bytes_for_extreme_values(self, tmp_path):
-        # 1e-4 and the double below it sit on either side of the formatter's fast path
+        # 1e-4 and the double below it sit on either side of the formatter's fast path;
+        # the second block's last row lies past the lane's valid ones and is not written
         below = np.nextafter(1e-4, 0.0)
-        traj = Trajectory(
-            values=np.array([0.3, 1e-4, below, -0.0, 0.5, 0.25, 1.0]),
-            epsilons=np.array([1e-4, below, 4.0, 2.5, -0.0, 1e16]),
-            absorbed=True,
-        )
-        cli._trajectory_csv(tmp_path / "direct.csv", traj)
-        direct = (tmp_path / "direct.csv").read_bytes()
-        assert direct == self.generic_bytes(tmp_path / "generic.csv", traj)
+        values = np.array([0.3, 1e-4, below, -0.0, 0.5, 0.25, 1.0])
+        epsilons = np.array([1e-4, below, 4.0, 2.5, -0.0, 1e16])
+        blocks = [
+            (0, epsilons[:2, None], values[1:3, None], np.array([2])),
+            (2, np.append(epsilons[2:], 3.0)[:, None], np.append(values[3:], 0.7)[:, None],
+             np.array([4])),
+        ]
+        direct, end = self.direct_bytes(tmp_path / "direct.csv", blocks, 0.3)
+        assert direct == self.generic_bytes(tmp_path / "generic.csv", values, epsilons)
         assert direct.endswith(b"\n6,1,10000000000000000\n")
+        assert end == [6, 1.0]
 
 
 class TestDensityCsv:
@@ -649,6 +695,28 @@ class TestReproducibility:
             cfg = write_config(tmp_path, text, name=f"{name}.cfg")
             assert run_cli(tmp_path, command, "--config", str(cfg), out=name) == 0
         assert self._all_outputs(tmp_path / "plain") == self._all_outputs(tmp_path / "padded")
+
+    @pytest.mark.parametrize(
+        "pieces, x0, n",
+        [
+            ("2.0:3.0:1.0", 0.3, 20_000),
+            ("0.5:1.5:1.0", 0.5, 40_000),  # absorbed at step 17362
+            ("3.5:3.99:1.0", 0.7, 20_000),
+            ("2.0:3.0:1.0", 0.3, 0),
+        ],
+        ids=["surviving", "absorbing", "chaotic", "no-steps"],
+    )
+    def test_simulate_bytes_do_not_depend_on_chunking(self, tmp_path, monkeypatch, pieces, x0, n):
+        text = BASE_CONFIG.replace("2.0:3.0:1.0", pieces) + f"\n[simulate]\nn = {n}\nx0 = {x0}\n"
+        cfg = write_config(tmp_path, text)
+        assert run_cli(tmp_path, "simulate", "--config", str(cfg), out="default") == 0
+        monkeypatch.setattr(engine, "CHUNK", 997)
+        monkeypatch.setattr(engine, "FIRST_ROWS", 5)
+        assert run_cli(tmp_path, "simulate", "--config", str(cfg), out="chunked") == 0
+        default = self._all_outputs(tmp_path / "default")
+        assert sorted(default) == ["occupation.csv", "report.txt", "trajectory.csv"]
+        assert (b"absorbed = true" in default["report.txt"]) == (pieces == "0.5:1.5:1.0")
+        assert self._all_outputs(tmp_path / "chunked") == default
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         # 10 lanes (5 groups x 2 replicates): 2 shards of 5/5 cut group 2, 3 of 4/3/3 group 3;

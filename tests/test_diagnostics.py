@@ -10,9 +10,10 @@ from randquad.diagnostics import (
     stability_test,
     tv_distance,
 )
-from randquad.engine import OccupationMeasure, SimConfig, ensemble_occupation, simulate_trajectory
+from randquad.engine import OccupationMeasure, SimConfig, ensemble_occupation
 from randquad.noise import NoiseModel, substream
 from randquad.quadmap import DomainError, invariant_interval
+from test_engine import joined_path
 
 U23 = NoiseModel.uniform(2.0, 3.0)
 U2228 = NoiseModel.uniform(2.2, 2.8)
@@ -159,7 +160,7 @@ class TestExtinction:
         checkpoints, threshold = (50, 5000, 16_000, 20_000), 1e-3
         report = extinction_test(EXTINCT, 0.5, checkpoints, 12, threshold, 3, stream_key=key)
         paths = [
-            simulate_trajectory(EXTINCT, 0.5, checkpoints[-1], substream(3, *key, i)).values
+            joined_path(EXTINCT, 0.5, checkpoints[-1], substream(3, *key, i))[0]
             for i in range(12)
         ]
         assert any(len(v) <= 16_000 for v in paths)

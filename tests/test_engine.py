@@ -23,16 +23,14 @@ from randquad.diagnostics import (
 from randquad.engine import (
     OccupationMeasure,
     SimConfig,
-    Trajectory,
     _advance,
     _advance_lanes,
     _lane_draws,
+    _measure,
+    _path,
     _walk,
-    bin_states,
     ensemble_occupation,
     ensemble_occupations,
-    occupation_measure,
-    simulate_trajectory,
 )
 from randquad.kernel import irreducibility_probe
 from randquad.noise import NoiseModel, substream
@@ -56,53 +54,76 @@ def block_end(step, rows):
     return end
 
 
+def joined_path(model, x0, n, seed):
+    """X_0, ..., X_N and the draws eps_1, ..., eps_N of one path, joined from `engine._path`."""
+    values, epsilons = [np.array([x0], dtype=float)], [np.empty(0)]
+    for _, eps, states in _path(model, x0, n, seed):
+        values.append(states.copy())
+        epsilons.append(eps.copy())
+    return np.concatenate(values), np.concatenate(epsilons)
+
+
 class TestSimulateTrajectory:
+    """One path through `engine._path`, as the simulate command walks it."""
+
     def test_deterministic_fixed_point(self):
-        traj = simulate_trajectory(ATOM25, 0.3, 200, seed=1)
-        assert len(traj.values) == 201
-        assert traj.values[0] == 0.3
-        assert traj.values[-1] == pytest.approx(0.6, abs=1e-10)
-        assert not traj.absorbed
+        values, _ = joined_path(ATOM25, 0.3, 200, seed=1)
+        assert len(values) == 201
+        assert values[0] == 0.3
+        assert values[-1] == pytest.approx(0.6, abs=1e-10)
 
     def test_deterministic_two_cycle_tail(self):
-        traj = simulate_trajectory(ATOM32, 0.3, 5000, seed=1)
-        tail = traj.values[-2:]
-        assert sorted(tail) == pytest.approx([PERIOD2_LO, PERIOD2_HI], abs=1e-9)
+        values, _ = joined_path(ATOM32, 0.3, 5000, seed=1)
+        assert sorted(values[-2:]) == pytest.approx([PERIOD2_LO, PERIOD2_HI], abs=1e-9)
 
     def test_same_seed_bitwise_identical(self):
-        a = simulate_trajectory(U23, 0.4, 1000, seed=42)
-        b = simulate_trajectory(U23, 0.4, 1000, seed=42)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.epsilons, b.epsilons)
+        a = joined_path(U23, 0.4, 1000, seed=42)
+        b = joined_path(U23, 0.4, 1000, seed=42)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_epsilons_reproduce_states(self):
-        traj = simulate_trajectory(U23, 0.4, 50, seed=5)
+        values, epsilons = joined_path(U23, 0.4, 50, seed=5)
         x = 0.4
-        for eps, nxt in zip(traj.epsilons, traj.values[1:]):
+        for eps, nxt in zip(epsilons, values[1:]):
             x = eps * x * (1.0 - x)
             assert x == nxt
 
     def test_underflow_absorbs(self):
         # deterministic subcritical map: x_n ~ 0.5^n underflows to exactly 0
-        traj = simulate_trajectory(NoiseModel(atoms=((0.5, 1.0),)), 0.5, 2000, seed=0)
-        assert traj.absorbed
-        assert traj.values[-1] == 0.0
-        assert len(traj.values) < 2001
+        values, _ = joined_path(NoiseModel(atoms=((0.5, 1.0),)), 0.5, 2000, seed=0)
+        assert values[-1] == 0.0
+        assert len(values) < 2001
 
     def test_states_stay_inside(self):
-        traj = simulate_trajectory(U23, 0.7, 10_000, seed=9)
-        assert np.all(traj.values > 0.0)
-        assert np.all(traj.values < 1.0)
+        values, _ = joined_path(U23, 0.7, 10_000, seed=9)
+        assert np.all(values > 0.0)
+        assert np.all(values < 1.0)
+
+
+def one_step_table(values, bins, labels, groups):
+    """`engine._occupations`' table over one block of one step whose lanes hold the
+    values, so that a 0 or a 1 is its lane's stop."""
+    values = np.asarray(values, dtype=float)[None, :]
+    block = (0, values, values, np.ones(values.shape[1], dtype=np.int64))
+    return engine._occupations(iter([block]), 0, bins, labels, groups)[0]
+
+
+def slots_of(values, bins):
+    """Each value's slot under `engine._occupations`: each lane in a group of its own."""
+    table = one_step_table(values, bins, np.arange(len(values)), len(values))
+    assert table.sum(axis=1).tolist() == [1] * len(values)
+    return table.argmax(axis=1)
 
 
 class TestBinStates:
     def test_right_closed_tie_break(self):
         # 0.2 is an edge: it belongs to the bin that ends at 0.2, index 1
-        assert bin_states(np.array([0.2]), 10).tolist() == [1]
+        assert slots_of([0.2], 10).tolist() == [1]
 
     def test_boundary_guards(self):
         # slot bins holds a state at 0, slot bins + 1 a state at 1
-        assert bin_states(np.array([0.0, 1.0, 0.3]), 4).tolist() == [4, 5, 1]
+        assert slots_of([0.0, 1.0, 0.3], 4).tolist() == [4, 5, 1]
 
 
 def searchsorted_bins(values, edges):
@@ -115,8 +136,11 @@ def searchsorted_bins(values, edges):
 
 
 def slot_bins(values, bins):
-    """`bin_states`' slots of the values, counted as searchsorted_bins counts them."""
-    slots = np.bincount(bin_states(values, bins), minlength=bins + 2)
+    """`engine._occupations`' slots of the values, all lanes in one group, counted as
+    searchsorted_bins counts them."""
+    if not len(values):  # one bin has no interior edge to probe
+        return np.zeros(bins, dtype=np.int64), 0, 0
+    slots = one_step_table(values, bins, np.zeros(len(values), dtype=int), 1)[0]
     return slots[:bins], int(slots[bins]), int(slots[bins + 1])
 
 
@@ -139,11 +163,6 @@ class TestUniformBinning:
             ref_counts, ref_under, ref_over = searchsorted_bins(values, edges)
             assert np.array_equal(counts, ref_counts)
             assert (under, over) == (ref_under, ref_over)
-        # a NaN among states in (0, 1) leaves their bins alone and takes slot bins + 1
-        slots = bin_states(np.array([0.25, np.nan, 0.75]), bins)
-        assert slots[1] == bins + 1
-        assert np.array_equal(np.bincount(slots[::2], minlength=bins),
-                              searchsorted_bins(np.array([0.25, 0.75]), edges)[0])
 
     @pytest.mark.parametrize("bins", [3, 10, 200])
     @pytest.mark.parametrize("ulps", [-3, -1, 1, 3])
@@ -156,28 +175,32 @@ class TestUniformBinning:
             edges[1:-1] = np.nextafter(edges[1:-1], np.sign(ulps))
         states = np.concatenate([*self.probes(edges), substream(129).random(5000)])
         expected = np.searchsorted(edges, states, side="left") - 1
-        assert np.array_equal(engine._uniform_bin_index(states, edges), expected)
+        bufs = [np.empty(len(states), dtype) for dtype in (np.int64, float, bool)]
+        assert np.array_equal(engine._uniform_bin_index(states, edges, bufs), expected)
 
     def test_each_edge_goes_to_the_bin_it_ends(self):
         edges = np.linspace(0.0, 1.0, 201)
-        for i, (on, below, above) in enumerate(zip(*self.probes(edges))):
-            for value, expected in ((on, i), (below, i), (above, i + 1)):
-                assert bin_states(np.array([value]), 200).tolist() == [expected], (i, value)
+        on, below, above = self.probes(edges)
+        inner = np.arange(len(on))
+        assert slots_of(on, 200).tolist() == inner.tolist()
+        assert slots_of(below, 200).tolist() == inner.tolist()
+        assert slots_of(above, 200).tolist() == (inner + 1).tolist()
 
 
 class TestOccupationMeasure:
     def test_constant_trajectory_single_bin(self):
-        traj = Trajectory(
-            values=np.full(101, 0.5), epsilons=np.full(100, 2.0), absorbed=False
-        )
-        m = occupation_measure(traj, 100, burn_in=0)
+        states = np.full((100, 1), 0.5)
+        block = (0, states, states, np.array([100]))
+        table, stopped = engine._occupations(iter([block]), 0, 100, [0], 1)
+        m = _measure(table[0], stopped[0])
         assert m.total == 100
         # 0.5 sits on an edge; the right-closed convention puts it in bin 49
         assert m.counts[49] == 100
 
     def test_two_cycle_half_mass_each(self):
-        traj = simulate_trajectory(ATOM32, 0.3, 10_000, seed=1)
-        m = occupation_measure(traj, 200, burn_in=100)
+        walk = _walk((0.3,), 10_000, _lane_draws(ATOM32, [substream(1)]))
+        table, stopped = engine._occupations(walk, 100, 200, [0], 1)
+        m = _measure(table[0], stopped[0])
         busy = np.nonzero(m.counts)[0]
         assert len(busy) == 2
         assert abs(m.counts[busy[0]] - m.counts[busy[1]]) <= 1
@@ -192,21 +215,24 @@ class TestOccupationMeasure:
 
 
 class TestEnsemble:
+    @staticmethod
+    def alone(model, x0, n, rng, bins, burn_in):
+        """The measure of one path walked alone, binned by reference_occupations."""
+        blocks = recorded(_walk((x0,), n, _lane_draws(model, [rng])))
+        table, stopped = reference_occupations(blocks, burn_in, bins, [0], 1)
+        return _measure(table[0], stopped[0])
+
     def test_single_replicate_reduces_to_trajectory(self):
         cfg = SimConfig(master_seed=77, n_steps=5000, n_replicates=1, burn_in=100)
         ens = ensemble_occupation(U23, 0.3, cfg)
-        traj = simulate_trajectory(U23, 0.3, 5000, substream(77, 0))
-        direct = occupation_measure(traj, cfg.n_bins, 100)
+        direct = self.alone(U23, 0.3, 5000, substream(77, 0), cfg.n_bins, 100)
         assert np.array_equal(ens.counts, direct.counts)
         assert ens.total == direct.total
 
     def test_merge_equals_sum_of_singles(self):
         cfg = SimConfig(master_seed=13, n_steps=2000, n_replicates=4, burn_in=50)
         ens = ensemble_occupation(U23, 0.3, cfg)
-        singles = []
-        for i in range(4):
-            traj = simulate_trajectory(U23, 0.3, 2000, substream(13, i))
-            singles.append(occupation_measure(traj, cfg.n_bins, 50))
+        singles = [self.alone(U23, 0.3, 2000, substream(13, i), cfg.n_bins, 50) for i in range(4)]
         assert np.array_equal(ens.counts, sum(m.counts for m in singles))
         assert (ens.total, ens.underflow, ens.overflow, ens.absorbed) == tuple(
             sum(getattr(m, name) for m in singles)
@@ -424,6 +450,14 @@ def reference_occupations(blocks, burn_in, bins, labels, groups):
     return table, stopped
 
 
+def binned_pieces(monkeypatch):
+    """A list that records each piece that `engine._occupations` bins."""
+    binned, index = [], engine._uniform_bin_index
+    monkeypatch.setattr(engine, "_uniform_bin_index",
+                        lambda states, edges, bufs: binned.append(1) or index(states, edges, bufs))
+    return binned
+
+
 class TestOccupations:
     """One bincount per block over all lanes equals binning each lane alone and adding by group."""
 
@@ -493,11 +527,9 @@ class TestOccupations:
         calls = []
         bincount = np.bincount
         monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
-        binned = []
-        monkeypatch.setattr(engine, "bin_states",
-                            lambda values, bins: binned.append(1) or bin_states(values, bins))
+        binned = binned_pieces(monkeypatch)
         engine._occupations(iter(blocks), 8, self.BINS, labels, groups)
-        # the first block lies inside the burn-in
+        # the first block lies inside the burn-in; each later one is one piece
         assert len(calls) == len(binned) == 2
 
     @staticmethod
@@ -529,9 +561,7 @@ class TestOccupations:
         blocks = self.piece_walk(case)
         if piece_rows:
             monkeypatch.setattr(engine, "BIN_PIECE", piece_rows * len(labels))
-        binned = []
-        monkeypatch.setattr(engine, "bin_states",
-                            lambda values, bins: binned.append(1) or bin_states(values, bins))
+        binned = binned_pieces(monkeypatch)
         table, stopped = engine._occupations(iter(blocks), burn_in, bins, labels, 3)
         ref_table, ref_stopped = reference_occupations(blocks, burn_in, bins, labels, 3)
         assert table.tobytes() == ref_table.tobytes()
@@ -539,8 +569,10 @@ class TestOccupations:
         guards = {"coupling": [[0, 0]] * 3, "absorbing": [[1, 0], [1, 0], [0, 0]],
                   "last-row": [[0, 0], [0, 1], [1, 0]]}
         assert table[:, bins:].tolist() == guards[case]
-        # only blocks that hold a 0 or a 1 take bin_states
-        assert (len(binned) == 0) == (case == "coupling")
+        # every piece after the burn-in goes through _uniform_bin_index, guarded or not
+        rows = max(1, engine.BIN_PIECE // len(labels))
+        assert len(binned) == sum(-(-max(0, len(states) - max(0, burn_in - done)) // rows)
+                                  for done, _, states, _ in blocks)
 
     def test_binning_a_full_block_allocates_little(self):
         # one full block of a 10-lane shard, CHUNK // 10 = 6,553 rows of
@@ -561,7 +593,7 @@ class TestStartStates:
     def test_every_walk_consumer_rejects_start_outside_unit_interval(self, x0):
         cfg = SimConfig(master_seed=1, n_steps=100, burn_in=10)
         calls = [
-            lambda: simulate_trajectory(U23, x0, 10, seed=1),
+            lambda: list(_path(U23, x0, 10, seed=1)),
             lambda: ensemble_occupation(U23, x0, cfg),
             lambda: irreducibility_probe(U23, x0, (0.4, 0.6), 10, 3, seed=1),
             lambda: extinction_test(U23, x0, (5,), 3, 1e-3, seed=1, stream_key=()),
@@ -576,8 +608,7 @@ class TestClosure:
     @pytest.mark.parametrize("mu,nu", [(2.0, 3.0), (2.2, 2.8), (3.05, 3.35)])
     def test_invariant_interval_traps_orbit(self, mu, nu):
         a, b = invariant_interval(mu, nu)
-        traj = simulate_trajectory(NoiseModel.uniform(mu, nu), 0.11, 1_000_000, seed=17)
-        values = traj.values
+        values, _ = joined_path(NoiseModel.uniform(mu, nu), 0.11, 1_000_000, seed=17)
         assert np.all(values > 0.0) and np.all(values < 1.0)
         inside = (values >= a - 1e-12) & (values <= b + 1e-12)
         first = np.argmax(inside)
@@ -1369,8 +1400,8 @@ class TestChunkInvariance:
         small = SimConfig(master_seed=4, n_steps=3000, n_replicates=2, burn_in=1000, n_bins=40)
 
         def trajectory(model):
-            traj = simulate_trajectory(model, 0.3, 5000, seed=1)
-            return traj.values.tobytes(), traj.epsilons.tobytes(), traj.absorbed
+            values, epsilons = joined_path(model, 0.3, 5000, seed=1)
+            return values.tobytes(), epsilons.tobytes(), values[-1] in (0.0, 1.0)
 
         def ensemble(model):
             ens = ensemble_occupation(model, 0.4, cfg)

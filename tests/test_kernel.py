@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from randquad import kernel
-from randquad.engine import simulate_trajectory
 from randquad.kernel import (
     KernelOperator,
     MinorizationCertificate,
@@ -21,6 +20,7 @@ from randquad.kernel import (
 )
 from randquad.noise import NoiseModel, substream
 from randquad.quadmap import find_periodic_orbit
+from test_engine import joined_path
 
 U23 = NoiseModel.uniform(2.0, 3.0)
 U2228 = NoiseModel.uniform(2.2, 2.8)
@@ -950,7 +950,7 @@ class TestIrreducibilityProbe:
         # path i is the path from x on substream (seed, i) walked alone
         hits = []
         for i in range(n_paths):
-            states = simulate_trajectory(model, x, n_max, substream(seed, i)).values[1:]
+            states = joined_path(model, x, n_max, substream(seed, i))[0][1:]
             inside = np.flatnonzero((states > J[0]) & (states < J[1]))
             hits += [int(inside[0]) + 1] if inside.size else []
         expected = min(hits) if hits else None

@@ -7,7 +7,7 @@ quadmap      deterministic map family: orbits, multipliers, invariant interval
 noise        parameter-noise mixtures, moments, stability hypothesis checks
 engine       the Monte Carlo walk, occupation measures, ensembles
 kernel       transition densities, minorization certificates, irreducibility
-diagnostics  stability / extinction / cyclicity / small-noise verdicts
+diagnostics  stability/extinction/cyclicity/small-noise verdicts, Lyapunov exponent
 cli          batch command-line interface over a plain-text config
 """
 

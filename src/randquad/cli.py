@@ -340,8 +340,8 @@ def _cmd_stability(cfg: ExperimentConfig, outdir: Path) -> int:
     model = cfg.noise_model()
     sim = cfg.sim_config()
     threads = cfg.get("sim", "threads", 1)
-    states = _distinct(sim.initial_states, "sim.initial_states")
-    report = diagnostics.stability_test(model, states, sim, workers=threads)
+    _distinct(sim.initial_states, "sim.initial_states")
+    report = diagnostics.stability_test(model, sim, workers=threads)
     k = len(report.initial_states)
     _write_csv(
         outdir / "tv_matrix.csv",

@@ -4,7 +4,8 @@ Each test here turns a qualitative claim about the perturbed quadratic map
 into a reproducible numerical check: stability in distribution (Cesaro
 occupation measures forget the initial state), extinction when
 E log(eps) <= 0, cyclicity of the visit pattern, and the small-noise
-approximation of the physical measure of a deterministic map.
+approximation of the physical measure of a deterministic map; and the
+Lyapunov exponent of a deterministic map, a reduction over one walk.
 
 Convergence rates are not available from the theory, so thresholds are
 self-calibrated where possible (stability compares cross-start distances
@@ -14,6 +15,7 @@ scale choices.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ from .engine import (
     OccupationMeasure,
     SimConfig,
     _check_interval,
+    _exponent,
     _lane_draws,
     _measure,
     _occupations,
@@ -33,7 +36,7 @@ from .engine import (
     ensemble_occupations,
 )
 from .noise import NoiseModel, check_conditions
-from .quadmap import DomainError
+from .quadmap import DomainError, _check_theta
 
 __all__ = [
     "StabilityReport",
@@ -45,6 +48,7 @@ __all__ = [
     "extinction_test",
     "cyclicity_detect",
     "kolmogorov_approx",
+    "lyapunov_deterministic",
 ]
 
 # a stream namespace, so the same master seed never reuses a substream
@@ -80,9 +84,6 @@ class StabilityReport:
     """
 
     initial_states: tuple[float, ...]
-    n_steps: int
-    n_replicates: int
-    n_bins: int
     tv_matrix: np.ndarray
     noise_scale: float
     max_cross_tv: float
@@ -92,19 +93,15 @@ class StabilityReport:
     measures: tuple[OccupationMeasure, ...] = field(repr=False, default=())
 
 
-def stability_test(
-    model: NoiseModel, initial_states, config: SimConfig, workers: int = 1
-) -> StabilityReport:
-    """Compare long-run occupation measures across initial states.
+def stability_test(model: NoiseModel, config: SimConfig, workers: int = 1) -> StabilityReport:
+    """Compare long-run occupation measures across config.initial_states.
 
     Runs one ensemble per initial state plus an independent same-start pair
     (at the first state) whose TV distance calibrates the verdict threshold.
     workers caps the worker processes of the walk (see ensemble_occupations);
     the report does not depend on it.
     """
-    states = tuple(float(x) for x in initial_states)
-    if not states:
-        raise ValueError("need at least one initial state")
+    states = tuple(float(x) for x in config.initial_states)
     report = check_conditions(model)
     k = len(states)
     # every replicate of every ensemble is a lane of one walk
@@ -130,9 +127,6 @@ def stability_test(
     stable = None if absorbed else bool(max_cross <= 3.0 * noise_scale)
     return StabilityReport(
         initial_states=states,
-        n_steps=config.n_steps,
-        n_replicates=config.n_replicates,
-        n_bins=config.n_bins,
         tv_matrix=tv,
         noise_scale=noise_scale,
         max_cross_tv=max_cross,
@@ -341,3 +335,36 @@ def kolmogorov_approx(theta0: float, eta: float, config: SimConfig) -> Kolmogoro
         noise_measure=noise_measure,
         deterministic_measure=det_measure,
     )
+
+
+def lyapunov_deterministic(theta: float, x0: float, n: int, burn_in: int = 0) -> float:
+    """Time-averaged log-derivative (1/(n - burn_in)) sum log|theta*(1 - 2*x_k)|.
+
+    The orbit of F_theta from x0 is one walk with every draw theta, and the
+    sum runs over its steps from burn_in on (engine._exponent).  Terms where
+    the orbit sits exactly on the vertex (zero derivative) are skipped and
+    the average renormalized; if the walk stops the orbit (at 1, which only
+    theta = 4 reaches, or below engine.ABSORB_FLOOR, where an orbit decaying
+    to 0 ends), the sum stops there.  Both events trigger a RuntimeWarning
+    since they indicate a nongeneric start.
+    """
+    theta = _check_theta(theta)
+    if not n > burn_in:
+        raise ValueError("need n > burn_in")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    orbit = _walk((x0,), n, lambda eps, live: eps.fill(theta))
+    total, count, skipped, stop = _exponent(orbit, x0, burn_in)
+    if stop is not None:
+        warnings.warn(
+            f"orbit escaped (0, 1) at step {stop}; Lyapunov average truncated to {count} terms",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if skipped:
+        warnings.warn(
+            f"skipped {skipped} vertex terms with zero derivative", RuntimeWarning, stacklevel=2
+        )
+    if count == 0:
+        raise ValueError("no usable terms in the Lyapunov average")
+    return total / count

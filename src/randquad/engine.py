@@ -29,14 +29,14 @@ draws at a time and stores each piece with one struct.pack while it is
 still in cache: the same bits as a loop over numpy scalars at about 3.5
 times its speed.  Every consumer, here and in the diagnostics and kernel, is
 a reduction over the blocks the walk yields (`_occupations`, `_snapshots`,
-`_first_entry`), so the recurrence, the block schedule and the stop rule
-live in one place; all replicates of all starts of a stability test share
-one walk.  `_occupations` maps each state to its slot, a right-closed bin
-of [0, 1] or a guard slot for 0 or for 1, and counts the slots of a block's
-lanes into an integer table of groups by slots, in cache-sized pieces.
-With workers > 1, `ensemble_occupations` forks one child per contiguous
-shard of the lanes and adds the tables they send back, so its measures do
-not depend on the worker count.
+`_first_entry`, `_exponent`), so the recurrence, the block schedule and the
+stop rule live in one place; all replicates of all starts of a stability
+test share one walk.  `_occupations` maps each state to its slot, a
+right-closed bin of [0, 1] or a guard slot for 0 or for 1, and counts the
+slots of a block's lanes into an integer table of groups by slots, in
+cache-sized pieces.  With workers > 1, `ensemble_occupations` forks one
+child per contiguous shard of the lanes and adds the tables they send
+back, so its measures do not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
@@ -393,6 +393,28 @@ def _first_entry(blocks, lo: float, hi: float) -> int | None:
         if inside.any():
             return done + int(inside.argmax()) + 1
     return None
+
+
+def _exponent(blocks, x0: float, burn_in: int):
+    """One lane's sum of log|eps * (1 - 2x)| from step burn_in on, and its term counts.
+
+    Each valid row's draw eps pairs with the state x before it (x0 first);
+    vertex terms (derivative 0) are skipped.  np.add.accumulate, seeded by
+    the running total, adds in step order, so the sum does not depend on
+    the blocks (ndarray.sum adds pairwise).  Returns (sum, terms, skipped,
+    stop), stop being the step at which the lane stopped, or None.
+    """
+    total, count, skipped, stop, x = 0.0, 0, 0, None, float(x0)
+    for done, eps, states, valid in blocks:
+        e, s = eps[: valid[0], 0], states[: valid[0], 0]
+        deriv = np.abs(e * (1.0 - 2.0 * np.r_[x, s[:-1]]))[max(0, burn_in - done) :]
+        terms = np.log(deriv[deriv != 0.0])
+        total = np.add.accumulate(np.r_[total, terms])[-1]
+        count, skipped = count + len(terms), skipped + len(deriv) - len(terms)
+        x = s[-1]
+        if x == 0.0 or x == 1.0:
+            stop = done + len(s)
+    return float(total), count, skipped, stop
 
 
 def _generator(seed) -> np.random.Generator:

@@ -193,11 +193,9 @@ class DensityRow:
     cell; elsewhere they are averages.
     """
 
-    n: int
     x: float
     y_edges: np.ndarray
     values: np.ndarray
-    resolution: int
     row_integral: float
     expected_mass: float
 
@@ -243,9 +241,9 @@ class KernelOperator:
             crossings = _crossings(self.model, self.edges)
             for _ in range(n - 1):
                 masses = _pushforward(self.model, self.edges, masses, crossings)
-        return [DensityRow(n=n, x=float(xi), y_edges=self.edges, values=m / self.widths,
-                           resolution=self.resolution, row_integral=float(m.sum()),
-                           expected_mass=self.model.ac_weight**n) for xi, m in zip(x, masses)]
+        return [DensityRow(x=float(xi), y_edges=self.edges, values=m / self.widths,
+                           row_integral=float(m.sum()), expected_mass=self.model.ac_weight**n)
+                for xi, m in zip(x, masses)]
 
     def row(self, x: float, n: int) -> DensityRow:
         """Cell-averaged p^(n)(x, .) on the internal grid."""

@@ -3,9 +3,9 @@
 Everything here concerns the one-parameter family F_theta(x) = theta*x*(1-x)
 on the open interval (0, 1): the search for attractive periodic orbits
 with their multipliers, the largest-orbit-point function q(theta), the
-common invariant interval for a parameter band, the outward-rounded image of
-an interval under a parameter band, and Lyapunov exponents.
-All functions are pure; no randomness enters this module.
+common invariant interval for a parameter band, and the outward-rounded
+image of an interval under a parameter band.  All functions are pure; no
+randomness enters, and the map is iterated only to find and check orbits.
 
 The periodic-orbit search follows the critical point 1/2 alone.  F_theta
 has negative Schwarzian derivative and one critical point, so it has at
@@ -19,9 +19,7 @@ the state the full warm-up would end in, bit for bit.
 
 from __future__ import annotations
 
-import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -36,7 +34,6 @@ __all__ = [
     "q_of_theta",
     "invariant_interval",
     "interval_image",
-    "lyapunov_deterministic",
 ]
 
 NEWTON_TOL = 1e-12
@@ -72,13 +69,6 @@ def _check_theta(theta: float) -> float:
 def _check_count(name: str, value, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_state(x: float) -> float:
-    x = float(x)
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"state {x!r} outside the state space (0, 1)")
-    return x
 
 
 @dataclass(frozen=True)
@@ -253,7 +243,6 @@ class QTable:
     orbits[i] is the orbit found at thetas[i], None at a hole.
     """
 
-    m: int
     thetas: np.ndarray
     q: np.ndarray
     dq: np.ndarray
@@ -294,7 +283,7 @@ def q_of_theta(theta_range, m: int, n_samples: int) -> QTable:
     one_sided = np.where(np.isnan(right), (q - left) / h, (right - q) / h)
     dq = np.where(np.isnan(left + right), one_sided, (right - left) / (2.0 * h))
     dq[np.isnan(q)] = np.nan
-    return QTable(m=m, thetas=thetas, q=q, dq=dq, holes=holes, orbits=orbits)
+    return QTable(thetas=thetas, q=q, dq=dq, holes=holes, orbits=orbits)
 
 
 def invariant_interval(mu: float, nu: float) -> tuple[float, float]:
@@ -325,50 +314,3 @@ def interval_image(theta_lo, theta_hi, lo, hi):
     s_lo = np.minimum(s_a, s_b) * (1.0 - _BOUND_SLACK)
     s_hi = peak * (1.0 + _BOUND_SLACK)
     return theta_lo * s_lo, np.minimum(theta_hi * s_hi, 1.0)
-
-
-def lyapunov_deterministic(
-    theta: float, x0: float, n: int, burn_in: int = 0
-) -> float:
-    """Time-averaged log-derivative (1/(n - burn_in)) sum log|theta*(1 - 2*x_k)|.
-
-    Terms where the orbit sits exactly on the vertex (zero derivative) are
-    skipped and the average renormalized; if the orbit escapes (0, 1), which
-    only theta = 4 permits, the sum stops early.  Both events trigger a
-    RuntimeWarning since they indicate a nongeneric start.
-    """
-    theta = _check_theta(theta)
-    x = _check_state(x0)
-    if not n > burn_in:
-        raise ValueError("need n > burn_in")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    total = 0.0
-    count = 0
-    skipped = 0
-    for k in range(n):
-        if k >= burn_in:
-            deriv = abs(theta * (1.0 - 2.0 * x))
-            if deriv == 0.0:
-                skipped += 1
-            else:
-                total += math.log(deriv)
-                count += 1
-        x = theta * x * (1.0 - x)
-        if not (0.0 < x < 1.0):
-            warnings.warn(
-                f"orbit escaped (0, 1) at step {k + 1}; Lyapunov average "
-                f"truncated to {count} terms",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            break
-    if skipped:
-        warnings.warn(
-            f"skipped {skipped} vertex terms with zero derivative",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if count == 0:
-        raise ValueError("no usable terms in the Lyapunov average")
-    return total / count

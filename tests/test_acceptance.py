@@ -151,9 +151,10 @@ def test_criterion_5_stability_in_distribution(acceptance):
         n_steps=1_000_000,
         n_replicates=8,
         burn_in=1000,
+        initial_states=(0.05, 0.5, 0.95),
         n_bins=200,
     )
-    report = stability_test(U23, (0.05, 0.5, 0.95), cfg)
+    report = stability_test(U23, cfg)
     outside_mass = 0
     for measure in report.measures:
         strictly_outside = (measure.bin_edges[1:] <= 0.375) | (

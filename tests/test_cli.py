@@ -589,8 +589,8 @@ class TestDensityCsv:
     def assert_same_bytes(tmp_path, x_values, values):
         edges = np.linspace(0.0, 1.0, values.shape[1] + 1)
         rows = [
-            kernel.DensityRow(n=1, x=x, y_edges=edges, values=vals, resolution=len(vals),
-                              row_integral=0.0, expected_mass=1.0)
+            kernel.DensityRow(x=x, y_edges=edges, values=vals, row_integral=0.0,
+                              expected_mass=1.0)
             for x, vals in zip(x_values, values)
         ]
         cli._density_csv(tmp_path / "direct.csv", rows)

@@ -1,12 +1,19 @@
 """Tests for the statistical diagnostics."""
 
+import math
+import warnings
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
 
+from randquad import diagnostics, engine
 from randquad.diagnostics import (
     cyclicity_detect,
     extinction_test,
     kolmogorov_approx,
+    lyapunov_deterministic,
     stability_test,
     tv_distance,
 )
@@ -61,35 +68,44 @@ class TestTvDistance:
 
 class TestStability:
     def test_uniform_2_3_stable(self):
-        cfg = SimConfig(master_seed=10, n_steps=100_000, n_replicates=2, burn_in=1000)
-        report = stability_test(U23, (0.05, 0.5, 0.95), cfg)
+        cfg = SimConfig(
+            master_seed=10, n_steps=100_000, n_replicates=2, burn_in=1000,
+            initial_states=(0.05, 0.5, 0.95),
+        )
+        report = stability_test(U23, cfg)
         assert report.stable is True
         assert not report.advisory
         assert report.max_cross_tv <= 3.0 * report.noise_scale
         assert report.tv_matrix.shape == (3, 3)
 
     def test_atom_model_is_deterministic_and_stable(self):
-        cfg = SimConfig(master_seed=11, n_steps=5000, n_replicates=1, burn_in=500)
-        report = stability_test(NoiseModel(atoms=((2.5, 1.0),)), (0.2, 0.7), cfg)
+        cfg = SimConfig(
+            master_seed=11, n_steps=5000, n_replicates=1, burn_in=500, initial_states=(0.2, 0.7)
+        )
+        report = stability_test(NoiseModel(atoms=((2.5, 1.0),)), cfg)
         assert report.stable is True
         assert report.max_cross_tv == 0.0
         assert report.advisory  # hypotheses not verified for atomic noise
 
     def test_single_state_trivially_stable(self):
-        cfg = SimConfig(master_seed=12, n_steps=20_000, n_replicates=1, burn_in=500)
-        report = stability_test(U23, (0.4,), cfg)
+        cfg = SimConfig(
+            master_seed=12, n_steps=20_000, n_replicates=1, burn_in=500, initial_states=(0.4,)
+        )
+        report = stability_test(U23, cfg)
         assert report.stable is True
         assert report.max_cross_tv == 0.0
 
     def test_verdict_invariant_under_reordering(self):
         cfg = SimConfig(master_seed=13, n_steps=50_000, n_replicates=2, burn_in=1000)
-        fwd = stability_test(U23, (0.1, 0.5, 0.9), cfg)
-        rev = stability_test(U23, (0.9, 0.5, 0.1), cfg)
+        fwd = stability_test(U23, replace(cfg, initial_states=(0.1, 0.5, 0.9)))
+        rev = stability_test(U23, replace(cfg, initial_states=(0.9, 0.5, 0.1)))
         assert fwd.stable == rev.stable
 
     def test_absorption_withholds_verdict(self):
-        cfg = SimConfig(master_seed=14, n_steps=30_000, n_replicates=1, burn_in=100)
-        report = stability_test(EXTINCT, (0.5, 0.7), cfg)
+        cfg = SimConfig(
+            master_seed=14, n_steps=30_000, n_replicates=1, burn_in=100, initial_states=(0.5, 0.7)
+        )
+        report = stability_test(EXTINCT, cfg)
         assert report.absorbed > 0
         assert report.stable is None
 
@@ -97,14 +113,16 @@ class TestStability:
         # U[0.1, 0.2] stops every replicate long before step 1000, so no
         # ensemble keeps a state after the burn-in
         model = NoiseModel.uniform(0.1, 0.2)
-        cfg = SimConfig(master_seed=1, n_steps=2000, n_replicates=1, burn_in=1000)
-        report = stability_test(model, (0.5, 0.7), cfg)
+        cfg = SimConfig(
+            master_seed=1, n_steps=2000, n_replicates=1, burn_in=1000, initial_states=(0.5, 0.7)
+        )
+        report = stability_test(model, cfg)
         assert all(m.total == 0 for m in report.measures)
         assert report.stable is None and report.absorbed == 4
         assert np.isnan(report.noise_scale) and np.isnan(report.max_cross_tv)
         assert np.isnan(report.tv_matrix).all() and report.tv_matrix.shape == (2, 2)
         # with a short burn-in the same walk keeps states and gets its TVs
-        short = stability_test(model, (0.5, 0.7), SimConfig(1, 2000, 1, burn_in=10))
+        short = stability_test(model, SimConfig(1, 2000, 1, burn_in=10, initial_states=(0.5, 0.7)))
         assert short.stable is None and short.absorbed == 4
         assert short.max_cross_tv >= 0.0 and short.noise_scale >= 0.0
 
@@ -148,9 +166,11 @@ class TestExtinction:
         sur = extinction_test(U23, 0.5, self.CHECKPOINTS, 100, 1e-3, seed=23, stream_key=())
         assert ext.final_fraction >= 0.9
         assert sur.final_fraction == 0.0
-        cfg = SimConfig(master_seed=24, n_steps=50_000, n_replicates=2, burn_in=1000)
-        assert stability_test(U23, (0.2, 0.8), cfg).stable is True
-        assert stability_test(EXTINCT, (0.2, 0.8), cfg).stable is not True
+        cfg = SimConfig(
+            master_seed=24, n_steps=50_000, n_replicates=2, burn_in=1000, initial_states=(0.2, 0.8)
+        )
+        assert stability_test(U23, cfg).stable is True
+        assert stability_test(EXTINCT, cfg).stable is not True
 
     @pytest.mark.parametrize("key", [(), (7,)])
     def test_replicate_reads_its_own_substream(self, key):
@@ -280,3 +300,141 @@ class TestKolmogorov:
             kolmogorov_approx(3.95, 0.1, self._config(100))
         with pytest.raises(DomainError):
             kolmogorov_approx(2.5, 0.0, self._config(100))
+
+
+def frozen_lyapunov(theta, x0, n, burn_in=0):
+    """The scalar loop that computed the deterministic exponent before the walk did, verbatim."""
+    x = x0
+    total = 0.0
+    count = 0
+    skipped = 0
+    for k in range(n):
+        if k >= burn_in:
+            deriv = abs(theta * (1.0 - 2.0 * x))
+            if deriv == 0.0:
+                skipped += 1
+            else:
+                total += math.log(deriv)
+                count += 1
+        x = theta * x * (1.0 - x)
+        if not (0.0 < x < 1.0):
+            warnings.warn(
+                f"orbit escaped (0, 1) at step {k + 1}; Lyapunov average "
+                f"truncated to {count} terms",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            break
+    if skipped:
+        warnings.warn(
+            f"skipped {skipped} vertex terms with zero derivative",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if count == 0:
+        raise ValueError("no usable terms in the Lyapunov average")
+    return total / count
+
+
+def with_warnings(function, *args):
+    """function(*args) and the texts of the warnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = function(*args)
+    return value, [str(w.message) for w in caught]
+
+
+# (theta, x0, n, burn_in): fixed point, period 2, the full map (whose float
+# orbit reaches 1 at step 7,890,666), a start on the vertex, chaos, and a
+# first term on the vertex left in the burn-in
+LYAPUNOV_CASES = [
+    (2.5, 0.3, 5000, 500),
+    (3.2, 0.3, 20_000, 1000),
+    (4.0, 0.3123, 10_000_000, 1000),
+    (3.0, 0.5, 1000, 0),
+    (3.9, 0.3, 200_000, 100),
+    (3.5, 0.3, 50_000, 0),
+    (3.9, 0.5, 1000, 1),
+]
+
+
+@cache
+def walked_lyapunov(case):
+    return with_warnings(lyapunov_deterministic, *case)
+
+
+class TestLyapunov:
+    def test_attractive_fixed_point(self):
+        lam = lyapunov_deterministic(2.5, 0.3, 5000, burn_in=500)
+        assert lam == pytest.approx(np.log(0.5), abs=1e-3)
+
+    def test_period2(self):
+        lam = lyapunov_deterministic(3.2, 0.3, 20_000, burn_in=1000)
+        assert lam == pytest.approx(0.5 * np.log(0.16), abs=1e-3)
+
+    def test_chaotic_full_map(self):
+        # long-run average oracle: the exact exponent at theta = 4 is log 2
+        # the float orbit reaches 1 at step 7,890,666, so the average is
+        # truncated to its first 7,889,666 terms, with a warning
+        with pytest.warns(RuntimeWarning, match="escaped"):
+            lam = lyapunov_deterministic(4.0, 0.3123, 10_000_000, burn_in=1000)
+        assert lam == pytest.approx(np.log(2.0), abs=1e-2)
+
+    def test_needs_terms(self):
+        with pytest.raises(ValueError):
+            lyapunov_deterministic(2.5, 0.3, 100, burn_in=100)
+
+    @pytest.mark.parametrize("case", LYAPUNOV_CASES, ids=str)
+    def test_matches_frozen_loop(self, case):
+        want, want_warnings = with_warnings(frozen_lyapunov, *case)
+        got, got_warnings = walked_lyapunov(case)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+        assert got_warnings == want_warnings
+
+    @pytest.mark.parametrize("case", LYAPUNOV_CASES, ids=str)
+    def test_does_not_depend_on_chunking(self, monkeypatch, case):
+        monkeypatch.setattr(engine, "CHUNK", 997)
+        monkeypatch.setattr(engine, "FIRST_ROWS", 5)
+        got, got_warnings = with_warnings(lyapunov_deterministic, *case)
+        want, want_warnings = walked_lyapunov(case)
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+        assert got_warnings == want_warnings
+
+    def test_one_walk_per_call(self, monkeypatch):
+        walks = []
+
+        def counting_walk(*args):
+            walks.append(args)
+            return engine._walk(*args)
+
+        monkeypatch.setattr(diagnostics, "_walk", counting_walk)
+        lyapunov_deterministic(3.9, 0.3, 50_000, burn_in=100)
+        assert len(walks) == 1
+
+    def test_orbit_fixed_on_the_vertex_has_no_usable_terms(self):
+        # F_2(1/2) = 1/2, so every term is a vertex term
+        with pytest.warns(RuntimeWarning, match="skipped 100 vertex terms"):
+            with pytest.raises(ValueError, match="no usable terms"):
+                lyapunov_deterministic(2.0, 0.5, 100)
+
+    def test_decaying_orbit_stops_where_the_walk_absorbs_it(self):
+        # below theta = 1 the orbit decays to 0; the walk stops it below
+        # ABSORB_FLOOR, where the scalar loop sat on 5e-324 to the end
+        with pytest.warns(RuntimeWarning, match="escaped .* at step 3165;"):
+            lam = lyapunov_deterministic(0.8, 0.3, 5000)
+        assert lam == pytest.approx(math.log(0.8), abs=2e-3)
+
+    def test_stop_on_the_last_step_warns(self):
+        # the orbit's stop at step 3165 still warns when it is the last step
+        _, texts = with_warnings(lyapunov_deterministic, 0.8, 0.3, 3165)
+        assert texts == [
+            "orbit escaped (0, 1) at step 3165; Lyapunov average truncated to 3165 terms"
+        ]
+        _, texts = with_warnings(lyapunov_deterministic, 0.8, 0.3, 3164)
+        assert texts == []
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            lyapunov_deterministic(4.5, 0.3, 100)
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            lyapunov_deterministic(2.5, 0.3, 100, burn_in=-1)

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -18,6 +19,7 @@ from randquad.diagnostics import (
     cyclicity_detect,
     extinction_test,
     kolmogorov_approx,
+    lyapunov_deterministic,
     stability_test,
 )
 from randquad.engine import (
@@ -598,6 +600,7 @@ class TestStartStates:
             lambda: irreducibility_probe(U23, x0, (0.4, 0.6), 10, 3, seed=1),
             lambda: extinction_test(U23, x0, (5,), 3, 1e-3, seed=1, stream_key=()),
             lambda: cyclicity_detect(U23, (0.4, 0.6), 10, 4, seed=1, x0=x0, burn_in=0),
+            lambda: lyapunov_deterministic(2.5, x0, 10),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=r"x0 must lie in \(0, 1\)"):
@@ -861,6 +864,37 @@ class TestLaneWalk:
             assert len(path) < n and path[-1] == 0.0 and np.all(path[:-1] > 0.0)
             # a stopped lane draws nothing after the block in which it stopped
             assert drawn[j] == min(n, block_end(len(path), rows))
+
+
+class TestSnapshots:
+    # at seed 61, lane 0 of EXTINCT stops at step 15,031 and lane 1 lives
+    # through step 16,000; of the first MIN_LANES lanes, some do each
+    @pytest.mark.parametrize(
+        "keys", [[0], [1], list(range(engine.MIN_LANES))], ids=["stopping", "living", "min-lanes"]
+    )
+    def test_states_at_the_first_and_last_row_of_every_block(self, keys):
+        n, rows = 16_000, engine.CHUNK // len(keys)
+        ends = [0]  # the last step of each block
+        while ends[-1] < n:
+            ends.append(min(block_end(ends[-1] + 1, rows), n))
+        checkpoints = sorted({e + 1 for e in ends[:-1]} | set(ends[1:]))
+        walk = _walk((0.5,) * len(keys), n, _lane_draws(EXTINCT, [substream(61, k) for k in keys]))
+        snaps = engine._snapshots(walk, checkpoints)
+        assert snaps.shape == (len(checkpoints), len(keys))
+        stops = []
+        for j, key in enumerate(keys):
+            values, _ = joined_path(EXTINCT, 0.5, n, substream(61, key))
+            # the lane's state, and 0 once it has stopped
+            want = [values[c] if c < len(values) else 0.0 for c in checkpoints]
+            assert np.array_equal(snaps[:, j], want), key
+            stops.append(len(values) - 1 if values[-1] == 0.0 else None)
+        if keys == [0]:
+            assert stops == [15_031] and snaps[-1, 0] == 0.0
+        if keys == [1]:
+            assert stops == [None] and np.all(snaps > 0.0)
+        if len(keys) > 1:
+            # some lane stops at a step before a later checkpoint, and some lives
+            assert None in stops and min(s for s in stops if s is not None) < checkpoints[-2]
 
 
 class CountingGenerator:
@@ -1419,7 +1453,7 @@ class TestChunkInvariance:
                     kol.deterministic_measure.counts.tobytes())
 
         def stability():
-            stab = stability_test(U23, (0.05, 0.5, 0.95), small)
+            stab = stability_test(U23, replace(small, initial_states=(0.05, 0.5, 0.95)))
             return (stab.tv_matrix.tobytes(), stab.noise_scale, stab.stable,
                     [m.counts.tobytes() for m in stab.measures])
 

@@ -49,6 +49,42 @@ def test_traced_methods_stay_on_their_classes():
     assert "sample" in vars(NoiseModel)
 
 
+# the randquad modules that each module may import; cli and __init__ may
+# import any, and the deterministic core (quadmap) and noise import none, so
+# a simulation in quadmap, which needs engine's walk, fails the check
+LAYERS = {
+    "quadmap": set(),
+    "noise": set(),
+    "engine": {"noise"},
+    "config": {"engine", "noise"},
+    "kernel": {"engine", "noise", "quadmap"},
+    "diagnostics": {"engine", "noise", "quadmap"},
+}
+
+
+def _package_imports(module: str) -> set[str]:
+    """The randquad modules that src/randquad/<module>.py imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "randquad" / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("randquad")):
+            head = (node.module or "").removeprefix("randquad").strip(".").split(".")[0]
+            found |= {head} if head else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("randquad.")}
+    return found
+
+
+def test_layer_table_names_every_module():
+    modules = {path.stem for path in (ROOT / "src" / "randquad").glob("*.py")}
+    assert modules == set(LAYERS) | {"cli", "__init__"}
+    assert _package_imports("cli") and _package_imports("__init__")
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_the_layers_below_it(module):
+    assert _package_imports(module) <= LAYERS[module]
+
+
 def _sources() -> list[Path]:
     return [*(ROOT / "src" / "randquad").glob("*.py"), *(ROOT / "bench").glob("*.py")]
 

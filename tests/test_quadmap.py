@@ -642,28 +642,6 @@ class TestIntervalImage:
         assert quadmap.interval_image(4.0, 4.0, 0.4, 0.6)[1] == 1.0
 
 
-class TestLyapunov:
-    def test_attractive_fixed_point(self):
-        lam = quadmap.lyapunov_deterministic(2.5, 0.3, 5000, burn_in=500)
-        assert lam == pytest.approx(np.log(0.5), abs=1e-3)
-
-    def test_period2(self):
-        lam = quadmap.lyapunov_deterministic(3.2, 0.3, 20_000, burn_in=1000)
-        assert lam == pytest.approx(0.5 * np.log(0.16), abs=1e-3)
-
-    def test_chaotic_full_map(self):
-        # long-run average oracle: the exact exponent at theta = 4 is log 2
-        # the float orbit escapes (0, 1) at step 7,890,666, so the average is
-        # truncated to its first 7,889,666 terms, with a warning
-        with pytest.warns(RuntimeWarning, match="escaped"):
-            lam = quadmap.lyapunov_deterministic(4.0, 0.3123, 10_000_000, burn_in=1000)
-        assert lam == pytest.approx(np.log(2.0), abs=1e-2)
-
-    def test_needs_terms(self):
-        with pytest.raises(ValueError):
-            quadmap.lyapunov_deterministic(2.5, 0.3, 100, burn_in=100)
-
-
 def test_dq_equals_frozen_loop_on_orbit_tables():
     # real searches: whole windows, windows with holes, and chaotic ranges
     for lo, hi in [(2.2, 2.8), (2.9, 3.1), (3.1, 3.4), (3.4, 3.6), (3.55, 3.65), (3.82, 3.86)]:

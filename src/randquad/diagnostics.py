@@ -9,8 +9,8 @@ Lyapunov exponent of a deterministic map, a reduction over one walk.
 
 Convergence rates are not available from the theory, so thresholds are
 self-calibrated where possible (stability compares cross-start distances
-against same-start replicate noise) and otherwise fixed, documented desk-
-scale choices.
+against the distance between two halves of each start's replicates) and
+otherwise fixed, documented desk-scale choices.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .engine import (
     SimConfig,
     _check_interval,
     _exponent,
+    _half_tables,
     _lane_draws,
     _measure,
     _occupations,
@@ -33,7 +34,6 @@ from .engine import (
     _substreams,
     _walk,
     ensemble_occupation,
-    ensemble_occupations,
 )
 from .noise import NoiseModel, check_conditions
 from .quadmap import DomainError, _check_theta
@@ -51,8 +51,6 @@ __all__ = [
     "lyapunov_deterministic",
 ]
 
-# a stream namespace, so the same master seed never reuses a substream
-_NOISE_PAIR_KEY = 1_000_003
 # visits to J below which cyclicity_detect reports no period
 MIN_VISITS = 1000
 
@@ -74,13 +72,15 @@ def tv_distance(mu: OccupationMeasure, nu: OccupationMeasure) -> float:
 class StabilityReport:
     """Cross-start agreement of Cesaro occupation measures.
 
-    noise_scale is the TV between two independent same-start ensembles, the
-    measurement floor against which cross-start distances are judged; the
-    verdict is stable iff max_cross_tv <= 3 * noise_scale.  stable is None
-    when absorption invalidated the comparison.  When some ensemble has no
-    state left after the burn-in, no TV is computed: tv_matrix, noise_scale
-    and max_cross_tv are NaN.  advisory marks runs on models whose stability
-    hypotheses were not verified.
+    noise_scale, the floor against which cross-start distances are judged,
+    estimates the TV between two independent same-start ensembles: the mean
+    over starts of the TV between the halves of a start's r replicates (h =
+    r // 2 and r - h), divided by sqrt((1/h + 1/(r - h)) / (2/r)), which is
+    sqrt(2) at even r.  The verdict is stable iff max_cross_tv <= 3 *
+    noise_scale; stable is None when absorption invalidated the comparison.
+    When some half has no state left after the burn-in, no TV is computed:
+    tv_matrix, noise_scale and max_cross_tv are NaN.  advisory marks runs on
+    models whose stability hypotheses were not verified.
     """
 
     initial_states: tuple[float, ...]
@@ -96,34 +96,34 @@ class StabilityReport:
 def stability_test(model: NoiseModel, config: SimConfig, workers: int = 1) -> StabilityReport:
     """Compare long-run occupation measures across config.initial_states.
 
-    Runs one ensemble per initial state plus an independent same-start pair
-    (at the first state) whose TV distance calibrates the verdict threshold.
-    workers caps the worker processes of the walk (see ensemble_occupations);
-    the report does not depend on it.
+    Runs one ensemble of r = config.n_replicates >= 2 replicates per state,
+    k * r lanes in one walk, and calibrates the verdict threshold by the TV
+    between the halves of each ensemble (see StabilityReport).  workers caps
+    the worker processes of the walk (see engine._half_tables); the report
+    does not depend on it.
     """
+    r = config.n_replicates
+    if r < 2:
+        raise ValueError(f"stability needs sim.replicates >= 2 for its noise floor, got {r}")
     states = tuple(float(x) for x in config.initial_states)
     report = check_conditions(model)
     k = len(states)
-    # every replicate of every ensemble is a lane of one walk
-    found = ensemble_occupations(
-        model,
-        states + (states[0], states[0]),
-        config,
-        [(i,) for i in range(k)] + [(_NOISE_PAIR_KEY, r) for r in (0, 1)],
-        workers,
-    )
-    measures, pair = found[:k], found[k:]
+    table, stopped = _half_tables(model, states, config, [(i,) for i in range(k)], workers)
+    measures = list(map(_measure, table.sum(axis=1), stopped.sum(axis=1)))
+    halves = [list(map(_measure, t, a)) for t, a in zip(table, stopped)]
     tv = np.full((k, k), np.nan)
     noise_scale = max_cross = float("nan")
-    # an ensemble whose replicates all stopped before the burn-in ended is empty
-    if all(m.total for m in found):
-        noise_scale = tv_distance(pair[0], pair[1])
+    # a half whose replicates all stopped before the burn-in ended is empty
+    if all(m.total for pair in halves for m in pair):
+        h = r // 2
+        split = np.mean([tv_distance(a, b) for a, b in halves])
+        noise_scale = float(split / np.sqrt((1 / h + 1 / (r - h)) / (2 / r)))
         tv = np.zeros((k, k))
         for i in range(k):
             for j in range(i + 1, k):
                 tv[i, j] = tv[j, i] = tv_distance(measures[i], measures[j])
         max_cross = float(tv.max()) if k > 1 else 0.0
-    absorbed = sum(m.absorbed for m in found)
+    absorbed = int(stopped.sum())
     stable = None if absorbed else bool(max_cross <= 3.0 * noise_scale)
     return StabilityReport(
         initial_states=states,
@@ -346,7 +346,7 @@ def lyapunov_deterministic(theta: float, x0: float, n: int, burn_in: int = 0) ->
     the average renormalized; if the walk stops the orbit (at 1, which only
     theta = 4 reaches, or below engine.ABSORB_FLOOR, where an orbit decaying
     to 0 ends), the sum stops there.  Both events trigger a RuntimeWarning
-    since they indicate a nongeneric start.
+    that names the stop and its step, since they indicate a nongeneric start.
     """
     theta = _check_theta(theta)
     if not n > burn_in:
@@ -356,8 +356,10 @@ def lyapunov_deterministic(theta: float, x0: float, n: int, burn_in: int = 0) ->
     orbit = _walk((x0,), n, lambda eps, live: eps.fill(theta))
     total, count, skipped, stop = _exponent(orbit, x0, burn_in)
     if stop is not None:
+        step, x = stop
+        where = "reached 1" if x == 1.0 else "absorbed below ABSORB_FLOOR"
         warnings.warn(
-            f"orbit escaped (0, 1) at step {stop}; Lyapunov average truncated to {count} terms",
+            f"orbit {where} at step {step}; Lyapunov average truncated to {count} terms",
             RuntimeWarning,
             stacklevel=2,
         )

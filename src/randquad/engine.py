@@ -34,9 +34,10 @@ stop rule live in one place; all replicates of all starts of a stability
 test share one walk.  `_occupations` maps each state to its slot, a
 right-closed bin of [0, 1] or a guard slot for 0 or for 1, and counts the
 slots of a block's lanes into an integer table of groups by slots, in
-cache-sized pieces.  With workers > 1, `ensemble_occupations` forks one
-child per contiguous shard of the lanes and adds the tables they send
-back, so its measures do not depend on the worker count.
+cache-sized pieces, a row per half of each group's replicates
+(`_half_tables`).  With workers > 1, `_half_tables` forks one child per
+contiguous shard of the lanes and adds the tables they send back, so its
+tables do not depend on the worker count.
 
 Reproducibility contract: every stochastic routine takes a seed (or, for a
 single path, an explicit generator); replicate i reads substream (seed,
@@ -402,7 +403,8 @@ def _exponent(blocks, x0: float, burn_in: int):
     vertex terms (derivative 0) are skipped.  np.add.accumulate, seeded by
     the running total, adds in step order, so the sum does not depend on
     the blocks (ndarray.sum adds pairwise).  Returns (sum, terms, skipped,
-    stop), stop being the step at which the lane stopped, or None.
+    stop), stop being None or (step, state) where the lane stopped: state 0
+    below ABSORB_FLOOR, or 1.
     """
     total, count, skipped, stop, x = 0.0, 0, 0, None, float(x0)
     for done, eps, states, valid in blocks:
@@ -413,7 +415,7 @@ def _exponent(blocks, x0: float, burn_in: int):
         count, skipped = count + len(terms), skipped + len(deriv) - len(terms)
         x = s[-1]
         if x == 0.0 or x == 1.0:
-            stop = done + len(s)
+            stop = done + len(s), x
     return float(total), count, skipped, stop
 
 
@@ -624,34 +626,30 @@ def _fork_shards(shard, cuts) -> list:
 def _shard_occupations(
     model: NoiseModel, starts, config: SimConfig, stream_keys, lo: int, hi: int
 ):
-    """Walk lanes lo..hi-1 of `ensemble_occupations`; their slot table over all groups.
+    """Walk lanes lo..hi-1 of `_half_tables`; their slot table over all halves of all groups.
 
-    Lane i is replicate i % r of group i // r (r = config.n_replicates).
+    Lane i is replicate i % r of group i // r (r = config.n_replicates), in
+    row 2 * (i // r) + 1 if i % r >= r // 2, else in row 2 * (i // r).
     """
     r = config.n_replicates
     rngs = _substreams(config.master_seed, stream_keys, r, lo, hi)
     walk = _walk([starts[i // r] for i in range(lo, hi)], config.n_steps, _lane_draws(model, rngs))
-    return _occupations(walk, config.burn_in, config.n_bins, np.arange(lo, hi) // r, len(starts))
+    lanes = np.arange(lo, hi)
+    halves = 2 * (lanes // r) + (lanes % r >= r // 2)
+    return _occupations(walk, config.burn_in, config.n_bins, halves, 2 * len(starts))
 
 
-def ensemble_occupations(
-    model: NoiseModel,
-    starts,
-    config: SimConfig,
-    stream_keys,
-    workers: int = 1,
-) -> list[OccupationMeasure]:
-    """One occupation measure per (start, stream key) group, walked together.
+def _half_tables(model: NoiseModel, starts, config: SimConfig, stream_keys, workers: int = 1):
+    """Each group's slot counts and stopped lanes, split into two halves of its replicates.
 
-    Group g runs config.n_replicates independent replicates from starts[g];
-    its replicate i runs on substream (master_seed, *stream_keys[g], i).
-    The replicates of all groups are the lanes of one walk, cut into
+    Returns a (groups, 2, bins + 2) table and a (groups, 2) count of stopped
+    lanes: half 0 of a group holds its first r // 2 replicates, half 1 the
+    rest.  The replicates of all groups are the lanes of one walk, cut into
     min(workers, lanes, usable CPUs) contiguous shards; past one, each shard
     walks in a child forked for it (`_fork_shards`), never in this process.
-    Each shard counts its lanes' slots into one integer table of groups by
-    slots (see `_occupations`), and the tables add, so each measure equals
-    the sum of its replicates' measures walked alone, whatever the grouping
-    or the number of workers.
+    Each shard counts its lanes' slots into one integer table with a row per
+    half (see `_occupations`), and the tables add, so the result does not
+    depend on the number of workers.
     """
     starts, stream_keys = tuple(starts), tuple(stream_keys)
     if not starts or len(starts) != len(stream_keys):
@@ -664,7 +662,22 @@ def ensemble_occupations(
     shard = partial(_shard_occupations, model, starts, config, stream_keys)
     found = [shard(0, lanes)] if w == 1 else _fork_shards(shard, cuts)
     tables, stopped = zip(*found)
-    return [_measure(slots, a) for slots, a in zip(sum(tables), sum(stopped))]
+    return sum(tables).reshape(len(starts), 2, -1), sum(stopped).reshape(len(starts), 2)
+
+
+def ensemble_occupations(
+    model: NoiseModel, starts, config: SimConfig, stream_keys
+) -> list[OccupationMeasure]:
+    """One occupation measure per (start, stream key) group, walked together.
+
+    Group g runs config.n_replicates independent replicates from starts[g];
+    its replicate i runs on substream (master_seed, *stream_keys[g], i).
+    The replicates of all groups are the lanes of one walk (`_half_tables`),
+    and each measure adds its group's two halves, so it equals the sum of
+    its replicates' measures walked alone, whatever the grouping.
+    """
+    table, stopped = _half_tables(model, starts, config, stream_keys)
+    return list(map(_measure, table.sum(axis=1), stopped.sum(axis=1)))
 
 
 def ensemble_occupation(model: NoiseModel, x0: float, config: SimConfig) -> OccupationMeasure:

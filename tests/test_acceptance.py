@@ -322,9 +322,10 @@ def test_criterion_9_cli_reproducibility(acceptance, tmp_path, monkeypatch):
         identical &= same
         if not same:
             details.append(sub)
-    # thread count must not change ensemble outputs: 20 lanes (5 groups of 4)
-    # in 3 shards of 7/7/6 cut groups 1 and 3; the CPU cap is lifted so that
-    # 3 workers really fork on a 2-core host
+    # thread count must not change ensemble outputs: 12 lanes (3 starts of 4,
+    # halves of 2) in 2 shards of 6/6 cut start 1 between its halves, and 3
+    # shards of 4/4/4 fall between starts; the CPU cap is lifted so that 3
+    # workers really fork on a 2-core host
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     for threads in ("1", "2", "3"):
         code = cli_main(

@@ -420,12 +420,21 @@ class TestSubcommands:
 
     def test_stability_all_absorbed_exit_two(self, tmp_path):
         # every replicate stops before the burn-in ends: no TV, no verdict
-        text = "[noise]\npieces = 0.1:0.2:1.0\n\n[sim]\nseed = 1\nsteps = 2000\nburn_in = 1000\n"
+        text = ("[noise]\npieces = 0.1:0.2:1.0\n\n[sim]\nseed = 1\nsteps = 2000\nburn_in = 1000\n"
+                "replicates = 2\n")
         cfg = write_config(tmp_path, text)
         assert run_cli(tmp_path, "stability", "--config", str(cfg)) == 2
         report = (tmp_path / "out" / "report.txt").read_text().splitlines()
         assert report[:3] == ["max_cross_tv = nan", "noise_scale = nan", "stable = none"]
-        assert report[-1] == "absorbed = 3"
+        assert report[-1] == "absorbed = 2"
+
+    def test_stability_one_replicate_exit_one(self, tmp_path, capsys):
+        # the noise floor compares two halves of each start's replicates
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        code = run_cli(tmp_path, "stability", "--config", str(cfg), "--set", "sim.replicates=1")
+        assert code == 1
+        assert "stability needs sim.replicates >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.txt").exists()
 
     def test_extinction_outputs(self, tmp_path):
         text = EXTINCT_NOISE + "\n[extinction]\nthreshold = 0.001\ncheckpoints = 100 1000 5000\nreplicates = 50\n"
@@ -719,27 +728,27 @@ class TestReproducibility:
         assert self._all_outputs(tmp_path / "chunked") == default
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        # 10 lanes (5 groups x 2 replicates): 2 shards of 5/5 cut group 2, 3 of 4/3/3 group 3;
-        # the CPU cap is lifted so that 3 workers really fork on a 2-core host
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
-        cfg = write_config(tmp_path, BASE_CONFIG)
-        for threads in ("1", "2", "3"):
+        # 9 lanes (3 starts x 3 replicates, halves of 1 and 2): 2 shards of 5/4
+        # and 4 of 3/2/2/2 cut the second half of start 1 between lanes 4 and 5;
+        # the CPU cap is lifted so that 4 workers really fork on a 2-core host
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("replicates = 2", "replicates = 3"))
+        for threads in ("1", "2", "4"):
             code = run_cli(tmp_path, "stability", "--config", str(cfg), "--threads", threads,
                            out=f"t{threads}")
             assert code == 0
             assert multiprocessing.active_children() == []
         assert self._all_outputs(tmp_path / "t1") == self._all_outputs(tmp_path / "t2")
-        assert self._all_outputs(tmp_path / "t1") == self._all_outputs(tmp_path / "t3")
+        assert self._all_outputs(tmp_path / "t1") == self._all_outputs(tmp_path / "t4")
 
     @pytest.mark.parametrize(
         "config, threads, lanes",
         [
-            (BASE_CONFIG, ["--threads", "100000"], 10),
-            (BASE_CONFIG + "threads = 100000\n", [], 10),
-            (BASE_CONFIG.replace("replicates = 2", "replicates = 1")
-             .replace("0.05 0.5 0.95", "0.5"), ["--threads", "4"], 3),
+            (BASE_CONFIG, ["--threads", "100000"], 6),
+            (BASE_CONFIG + "threads = 100000\n", [], 6),
+            (BASE_CONFIG.replace("0.05 0.5 0.95", "0.5"), ["--threads", "4"], 2),
         ],
-        ids=["flag-100000", "sim-threads-100000", "flag-4-three-lanes"],
+        ids=["flag-100000", "sim-threads-100000", "flag-4-two-lanes"],
     )
     def test_thread_count_is_capped(self, tmp_path, monkeypatch, config, threads, lanes):
         sizes = []

@@ -80,7 +80,7 @@ class TestStability:
 
     def test_atom_model_is_deterministic_and_stable(self):
         cfg = SimConfig(
-            master_seed=11, n_steps=5000, n_replicates=1, burn_in=500, initial_states=(0.2, 0.7)
+            master_seed=11, n_steps=5000, n_replicates=2, burn_in=500, initial_states=(0.2, 0.7)
         )
         report = stability_test(NoiseModel(atoms=((2.5, 1.0),)), cfg)
         assert report.stable is True
@@ -89,7 +89,7 @@ class TestStability:
 
     def test_single_state_trivially_stable(self):
         cfg = SimConfig(
-            master_seed=12, n_steps=20_000, n_replicates=1, burn_in=500, initial_states=(0.4,)
+            master_seed=12, n_steps=20_000, n_replicates=2, burn_in=500, initial_states=(0.4,)
         )
         report = stability_test(U23, cfg)
         assert report.stable is True
@@ -103,7 +103,7 @@ class TestStability:
 
     def test_absorption_withholds_verdict(self):
         cfg = SimConfig(
-            master_seed=14, n_steps=30_000, n_replicates=1, burn_in=100, initial_states=(0.5, 0.7)
+            master_seed=14, n_steps=30_000, n_replicates=2, burn_in=100, initial_states=(0.5, 0.7)
         )
         report = stability_test(EXTINCT, cfg)
         assert report.absorbed > 0
@@ -114,7 +114,7 @@ class TestStability:
         # ensemble keeps a state after the burn-in
         model = NoiseModel.uniform(0.1, 0.2)
         cfg = SimConfig(
-            master_seed=1, n_steps=2000, n_replicates=1, burn_in=1000, initial_states=(0.5, 0.7)
+            master_seed=1, n_steps=2000, n_replicates=2, burn_in=1000, initial_states=(0.5, 0.7)
         )
         report = stability_test(model, cfg)
         assert all(m.total == 0 for m in report.measures)
@@ -122,9 +122,77 @@ class TestStability:
         assert np.isnan(report.noise_scale) and np.isnan(report.max_cross_tv)
         assert np.isnan(report.tv_matrix).all() and report.tv_matrix.shape == (2, 2)
         # with a short burn-in the same walk keeps states and gets its TVs
-        short = stability_test(model, SimConfig(1, 2000, 1, burn_in=10, initial_states=(0.5, 0.7)))
+        short = stability_test(model, SimConfig(1, 2000, 2, burn_in=10, initial_states=(0.5, 0.7)))
         assert short.stable is None and short.absorbed == 4
         assert short.max_cross_tv >= 0.0 and short.noise_scale >= 0.0
+
+    def test_one_replicate_rejected(self):
+        # one replicate has no halves to set the noise floor
+        cfg = SimConfig(master_seed=1, n_steps=2000, n_replicates=1, burn_in=10)
+        with pytest.raises(ValueError, match=r"sim\.replicates >= 2"):
+            stability_test(U23, cfg)
+
+    def test_walks_one_lane_per_replicate_of_each_start(self, monkeypatch):
+        # k * r lanes, in-process or cut into shards: no extra ensemble calibrates
+        cfg = SimConfig(master_seed=3, n_steps=2000, n_replicates=3, burn_in=100,
+                        initial_states=(0.1, 0.5, 0.9))
+        starts, walk, cuts = [], engine._walk, []
+        monkeypatch.setattr(engine, "_walk", lambda x, *a: starts.extend(x) or walk(x, *a))
+        stability_test(U23, cfg)
+        assert starts == [0.1] * 3 + [0.5] * 3 + [0.9] * 3
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_fork_shards", lambda shard, c: cuts.append(c) or [
+            shard(lo, hi) for lo, hi in zip(c[:-1], c[1:])])
+        stability_test(U23, cfg, workers=2)
+        assert cuts == [[0, 5, 9]]
+
+    def test_noise_floor_matches_independent_same_start_ensembles(self):
+        # the halves' TV, scaled, estimates the TV between two independent
+        # ensembles of r replicates at one start; without the divisor it
+        # would read about sqrt(2) times that
+        starts = (0.05, 0.5, 0.95)
+        cfg = SimConfig(master_seed=0, n_steps=3000, n_replicates=4, burn_in=1000,
+                        initial_states=starts)
+        floors, pairs = [], []
+        for seed in range(30):
+            seeded = replace(cfg, master_seed=seed)
+            floors.append(stability_test(U23, seeded).noise_scale)
+            m = engine.ensemble_occupations(U23, starts * 2, seeded, [(7, i) for i in range(6)])
+            pairs += [tv_distance(m[i], m[i + 3]) for i in range(3)]
+        assert np.mean(floors) == pytest.approx(np.mean(pairs), rel=0.15)
+
+    def test_noise_floor_divisor_at_three_replicates(self):
+        # halves of 1 and 2 replicates: sqrt((1/1 + 1/2) / (2/3)) = 1.5
+        cfg = SimConfig(master_seed=5, n_steps=3000, n_replicates=3, burn_in=500,
+                        initial_states=(0.2, 0.6))
+
+        def half(i, x0, replicates):
+            rngs = [substream(5, i, j) for j in replicates]
+            walk = engine._walk([x0] * len(rngs), cfg.n_steps, engine._lane_draws(U23, rngs))
+            table, stopped = engine._occupations(walk, cfg.burn_in, cfg.n_bins, [0] * len(rngs), 1)
+            return engine._measure(table[0], stopped[0])
+
+        split = [tv_distance(half(i, x0, [0]), half(i, x0, [1, 2]))
+                 for i, x0 in enumerate(cfg.initial_states)]
+        assert stability_test(U23, cfg).noise_scale == pytest.approx(np.mean(split) / 1.5,
+                                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 3.0), (3.5, 3.9)])
+    def test_null_runs_are_not_flagged(self, lo, hi):
+        cfg = SimConfig(master_seed=0, n_steps=3000, n_replicates=4, burn_in=1000,
+                        initial_states=(0.05, 0.5, 0.95))
+        model = NoiseModel.uniform(lo, hi)
+        verdicts = [stability_test(model, replace(cfg, master_seed=s)).stable for s in range(100)]
+        assert verdicts == [True] * 100
+
+    def test_slow_mixing_control_is_flagged(self):
+        # U[1, 1.1] climbs from 1e-9 for thousands of steps: that start's
+        # measure is far from the others', and the verdict must say so
+        cfg = SimConfig(master_seed=0, n_steps=2000, n_replicates=4, burn_in=0,
+                        initial_states=(1e-9, 0.3, 0.6))
+        model = NoiseModel.uniform(1.0, 1.1)
+        verdicts = [stability_test(model, replace(cfg, master_seed=s)).stable for s in range(20)]
+        assert verdicts.count(False) >= 19
 
 
 class TestInvariantIntervalOccupation:
@@ -376,7 +444,7 @@ class TestLyapunov:
         # long-run average oracle: the exact exponent at theta = 4 is log 2
         # the float orbit reaches 1 at step 7,890,666, so the average is
         # truncated to its first 7,889,666 terms, with a warning
-        with pytest.warns(RuntimeWarning, match="escaped"):
+        with pytest.warns(RuntimeWarning, match="orbit reached 1 at step 7890666;"):
             lam = lyapunov_deterministic(4.0, 0.3123, 10_000_000, burn_in=1000)
         assert lam == pytest.approx(np.log(2.0), abs=1e-2)
 
@@ -389,7 +457,10 @@ class TestLyapunov:
         want, want_warnings = with_warnings(frozen_lyapunov, *case)
         got, got_warnings = walked_lyapunov(case)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
-        assert got_warnings == want_warnings
+        # the loop says "escaped (0, 1)" for either stop; the only case that
+        # stops is the full map's, at 1, and the walk's warning names that stop
+        assert got_warnings == [w.replace("escaped (0, 1)", "reached 1") for w in want_warnings]
+        assert any("reached 1" in w for w in got_warnings) == (case[0] == 4.0)
 
     @pytest.mark.parametrize("case", LYAPUNOV_CASES, ids=str)
     def test_does_not_depend_on_chunking(self, monkeypatch, case):
@@ -420,7 +491,7 @@ class TestLyapunov:
     def test_decaying_orbit_stops_where_the_walk_absorbs_it(self):
         # below theta = 1 the orbit decays to 0; the walk stops it below
         # ABSORB_FLOOR, where the scalar loop sat on 5e-324 to the end
-        with pytest.warns(RuntimeWarning, match="escaped .* at step 3165;"):
+        with pytest.warns(RuntimeWarning, match="absorbed below ABSORB_FLOOR at step 3165;"):
             lam = lyapunov_deterministic(0.8, 0.3, 5000)
         assert lam == pytest.approx(math.log(0.8), abs=2e-3)
 
@@ -428,7 +499,8 @@ class TestLyapunov:
         # the orbit's stop at step 3165 still warns when it is the last step
         _, texts = with_warnings(lyapunov_deterministic, 0.8, 0.3, 3165)
         assert texts == [
-            "orbit escaped (0, 1) at step 3165; Lyapunov average truncated to 3165 terms"
+            "orbit absorbed below ABSORB_FLOOR at step 3165; "
+            "Lyapunov average truncated to 3165 terms"
         ]
         _, texts = with_warnings(lyapunov_deterministic, 0.8, 0.3, 3164)
         assert texts == []

@@ -27,6 +27,7 @@ from randquad.engine import (
     SimConfig,
     _advance,
     _advance_lanes,
+    _half_tables,
     _lane_draws,
     _measure,
     _path,
@@ -295,14 +296,16 @@ class TwoArgumentError(Exception):
         super().__init__(message)
 
 
-def fields(measures):
-    return [(m.counts.tobytes(), m.total, m.underflow, m.overflow, m.absorbed) for m in measures]
+def tables(found):
+    """A `_half_tables` result as bytes and shapes."""
+    return [(a.tobytes(), a.shape) for a in found]
 
 
 class TestEnsembleWorkers:
-    """Sharding the lanes across forked workers changes no field of any measure."""
+    """Sharding the lanes across forked workers changes no count of any half."""
 
-    # 5 groups of 3 replicates: 2, 3 and 4 shards of 15 lanes all cut inside a group
+    # 5 groups of 3 replicates, halves of 1 and 2: 2, 3 and 4 shards of 15
+    # lanes all cut inside a group, and 2 and 3 shards inside a half (lanes 8, 5)
     STARTS = (0.05, 0.5, 0.95, 0.3, 0.3)
     KEYS = [(0,), (1,), (2,), (9, 0), (9, 1)]
 
@@ -311,12 +314,12 @@ class TestEnsembleWorkers:
         # lift the CPU cap so that 3 and 4 shards really fork on a 2-core host
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
         cfg = SimConfig(master_seed=1, n_steps=20_000, n_replicates=3, burn_in=200, n_bins=60)
-        one = ensemble_occupations(model, self.STARTS, cfg, self.KEYS)
+        one = _half_tables(model, self.STARTS, cfg, self.KEYS)
         if model is EXTINCT:  # absorbed lanes add underflow and absorbed counts
-            assert all(m.absorbed > 0 and m.underflow > 0 for m in one)
+            measures = ensemble_occupations(model, self.STARTS, cfg, self.KEYS)
+            assert all(m.absorbed > 0 and m.underflow > 0 for m in measures)
         for w in (1, 2, 3, 4):
-            sharded = ensemble_occupations(model, self.STARTS, cfg, self.KEYS, w)
-            assert fields(sharded) == fields(one)
+            assert tables(_half_tables(model, self.STARTS, cfg, self.KEYS, w)) == tables(one)
             self.assert_no_child_left()
 
     @pytest.mark.parametrize(
@@ -335,31 +338,32 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(engine, "_fork_shards", recording_forks(sizes))
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10, n_bins=20)
         keys = [(i,) for i in range(len(starts))]
-        found = ensemble_occupations(U23, starts, cfg, keys, workers)
+        found = _half_tables(U23, starts, cfg, keys, workers)
         assert sizes == asked
-        assert fields(found) == fields(ensemble_occupations(U23, starts, cfg, keys))
+        assert tables(found) == tables(_half_tables(U23, starts, cfg, keys))
 
     def test_shard_builds_only_its_own_generators(self, monkeypatch):
-        # 4 groups of 5 replicates; lanes 4..7 are replicate 4 of group 0 and 0..2 of group 1
+        # 4 groups of 5 replicates, halves of 2 and 3; lanes 4..7 are
+        # replicate 4 of group 0 (its half 1) and 0..2 of group 1 (halves 0, 0, 1)
         starts, keys = (0.2, 0.4, 0.6, 0.8), [(0,), (1,), (2,), (3,)]
         cfg = SimConfig(master_seed=3, n_steps=3000, n_replicates=5, burn_in=100, n_bins=40)
         rngs = [substream(3, *keys[i // 5], i % 5) for i in range(4, 8)]
         walk = _walk([starts[i // 5] for i in range(4, 8)], cfg.n_steps, _lane_draws(U23, rngs))
-        table, stopped = engine._occupations(walk, cfg.burn_in, cfg.n_bins, [0, 1, 1, 1], 4)
+        table, stopped = engine._occupations(walk, cfg.burn_in, cfg.n_bins, [1, 2, 2, 3], 8)
         built = []
         monkeypatch.setattr(engine, "substream", lambda *key: built.append(key) or substream(*key))
         found_table, found_stopped = engine._shard_occupations(U23, starts, cfg, keys, 4, 8)
         assert built == [(3, 0, 4), (3, 1, 0), (3, 1, 1), (3, 1, 2)]
         assert found_table.tobytes() == table.tobytes()
         assert found_stopped.tolist() == stopped.tolist()
-        # one row of slots per group, filled only for the groups that the lanes belong to
-        assert table.shape == (4, cfg.n_bins + 2)
-        assert table.sum(axis=1).tolist() == [2900, 3 * 2900, 0, 0]
+        # one row of slots per half of a group, filled only for the halves that the lanes are in
+        assert table.shape == (8, cfg.n_bins + 2)
+        assert table.sum(axis=1).tolist() == [0, 2900, 2 * 2900, 2900, 0, 0, 0, 0]
 
     def test_workers_below_one_rejected(self):
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            ensemble_occupations(U23, (0.3,), cfg, [(0,)], 0)
+            _half_tables(U23, (0.3,), cfg, [(0,)], 0)
 
     def test_usable_cpus_follow_affinity(self):
         if hasattr(os, "sched_getaffinity"):
@@ -408,7 +412,7 @@ class TestEnsembleWorkers:
         monkeypatch.setattr(engine, "_walk", broken)
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
         with pytest.raises(error, match=message):
-            ensemble_occupations(U23, (0.3, 0.6), cfg, [(0,), (1,)], 2)
+            _half_tables(U23, (0.3, 0.6), cfg, [(0,), (1,)], 2)
         self.assert_no_child_left()
 
     def test_failed_shard_does_not_wait_for_the_others(self, monkeypatch):
@@ -428,7 +432,7 @@ class TestEnsembleWorkers:
         cfg = SimConfig(master_seed=2, n_steps=500, burn_in=10)
         start = time.monotonic()
         with pytest.raises(FloatingPointError):
-            ensemble_occupations(U23, (0.1, 0.3, 0.6, 0.9), cfg, [(0,), (1,), (2,), (3,)], 4)
+            _half_tables(U23, (0.1, 0.3, 0.6, 0.9), cfg, [(0,), (1,), (2,), (3,)], 4)
         assert time.monotonic() - start < 30
         self.assert_no_child_left()
 
